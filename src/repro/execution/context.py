@@ -184,27 +184,31 @@ class DesignEnvironment:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _cache_args(self, cache: str | None):
-        """(cache object, policy) for an executor; ``off`` stays inert —
-        the cache is not even constructed."""
+    def _executor_args(self, cache: str | None,
+                       resilience: ResiliencePolicy | None,
+                       faults: FaultPlan | None) -> dict[str, Any]:
+        """Keyword arguments every executor preset takes from here.
+
+        A cache policy of ``off`` stays inert — the cache is not even
+        constructed.
+        """
         policy = normalize_policy(cache)
-        if policy == CACHE_OFF:
-            return None, CACHE_OFF
-        return self.cache, policy
+        return {"user": self.user, "bus": self.bus,
+                "cache": self.cache if policy != CACHE_OFF else None,
+                "cache_policy": policy, "tracer": self.tracer,
+                "ledger": self.ledger,
+                "resilience": resilience if resilience is not None
+                else self.resilience,
+                "faults": faults if faults is not None else self.faults,
+                "profiler": self.profiler}
 
     def executor(self, machine: str = "local", *,
                  cache: str | None = None,
                  resilience: ResiliencePolicy | None = None,
                  faults: FaultPlan | None = None) -> FlowExecutor:
-        cache_obj, policy = self._cache_args(cache)
         return FlowExecutor(
-            self.db, self.registry, user=self.user, machine=machine,
-            bus=self.bus, cache=cache_obj, cache_policy=policy,
-            tracer=self.tracer, ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
+            self.db, self.registry, machine=machine,
+            **self._executor_args(cache, resilience, faults))
 
     def parallel_executor(self, machines: int = 2,
                           pool: MachinePool | None = None, *,
@@ -212,16 +216,9 @@ class DesignEnvironment:
                           resilience: ResiliencePolicy | None = None,
                           faults: FaultPlan | None = None
                           ) -> ParallelFlowExecutor:
-        cache_obj, policy = self._cache_args(cache)
         return ParallelFlowExecutor(
-            self.db, self.registry, user=self.user, pool=pool,
-            machines=machines, bus=self.bus, cache=cache_obj,
-            cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
+            self.db, self.registry, pool=pool, machines=machines,
+            **self._executor_args(cache, resilience, faults))
 
     def scheduled_executor(self, machines: int = 2,
                            pool: MachinePool | None = None,
@@ -230,16 +227,10 @@ class DesignEnvironment:
                            resilience: ResiliencePolicy | None = None,
                            faults: FaultPlan | None = None
                            ) -> ScheduledFlowExecutor:
-        cache_obj, policy = self._cache_args(cache)
         return ScheduledFlowExecutor(
-            self.db, self.registry, user=self.user, pool=pool,
-            machines=machines, durations=durations, bus=self.bus,
-            cache=cache_obj, cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
+            self.db, self.registry, pool=pool, machines=machines,
+            durations=durations,
+            **self._executor_args(cache, resilience, faults))
 
     def process_executor(self, workers: int = 2,
                          durations: DurationModel | None = None, *,
@@ -249,16 +240,10 @@ class DesignEnvironment:
                          faults: FaultPlan | None = None
                          ) -> ProcessFlowExecutor:
         """Real multi-core execution on ``workers`` forked processes."""
-        cache_obj, policy = self._cache_args(cache)
         return ProcessFlowExecutor(
-            self.db, self.registry, user=self.user, workers=workers,
-            batch_max=batch_max, durations=durations, bus=self.bus,
-            cache=cache_obj, cache_policy=policy, tracer=self.tracer,
-            ledger=self.ledger,
-            resilience=resilience if resilience is not None
-            else self.resilience,
-            faults=faults if faults is not None else self.faults,
-            profiler=self.profiler)
+            self.db, self.registry, workers=workers,
+            batch_max=batch_max, durations=durations,
+            **self._executor_args(cache, resilience, faults))
 
     def run(self, flow: DynamicFlow | TaskGraph,
             targets: Sequence[str] | None = None, *,

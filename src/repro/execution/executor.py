@@ -3,7 +3,7 @@
 Section 3.3: *"Dynamically defined flows easily allow for automatic task
 sequencing (flow automation) because tool and data dependencies are
 specified in the task schema."*  The executor walks a task graph in
-topological order, runs one tool call per coalesced
+dependency order, runs one tool call per coalesced
 :class:`~repro.core.taskgraph.TaskInvocation` (Fig. 5's multi-output
 subtasks), fans out over multi-instance selections (section 4.1), and
 records every created object in the history database with its derivation
@@ -13,16 +13,39 @@ Sub-flows run by passing ``targets``: only the invocations in the targets'
 supplier subtrees execute (*"a subflow may be run at any stage as long as
 its dependencies are satisfied independently of the remainder of the
 flow"*).
+
+This module is the one execution core every ``--executor`` preset
+drives:
+
+* **the run lifecycle** (:meth:`FlowExecutor.execute`): cache-policy
+  override, readiness check, ``force`` reset, the root span, the
+  ``flow_started`` / ``flow_finished`` / ``execution_failed`` events, one
+  ledger record on success and on error, quarantined tools, wall time;
+* **the invocation pipeline**, prepare → dispatch → record, shared by
+  tool and composition invocations: prepare resolves inputs, computes
+  derivation keys and takes cache hits; dispatch runs the cold calls;
+  record writes history, publishes to the cache and builds the report
+  entries with their spans and events;
+* **the ready-queue drain loop** over the invocation graph's redundant
+  predecessor/successor maps.
+
+:class:`FlowExecutor` is the sequential preset: one lane, drained inline
+on the caller's thread in the flow's topological order.  The parallel,
+scheduled and procpool presets subclass it and differ only in their lane
+count, how a lane claims work (a whole disjoint branch, one invocation,
+a same-tool-type batch), how a unit runs (inline or on a worker
+process), and procpool's worker hooks.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
@@ -32,10 +55,10 @@ from ..history.instance import DerivationRecord
 from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
                    COMPOSE_TOOL, COMPOSITION_RUN, EXECUTION_FAILED,
                    FLOW_FINISHED, FLOW_STARTED, NO_OP_BUS, NO_OP_TRACER,
-                   NODE_READY, NULL_SPAN, RUN_SPAN, SEQUENTIAL_EXECUTOR,
-                   TASK_SPAN, TOOL_FINISHED, TOOL_INVOKED,
-                   TOOL_QUARANTINED, TOOL_RETRIED, TOOL_SPAN,
-                   TOOL_TIMED_OUT, EventBus, RunLedger, Tracer)
+                   NODE_READY, RUN_SPAN, SEQUENTIAL_EXECUTOR, TASK_SPAN,
+                   TOOL_FINISHED, TOOL_INVOKED, TOOL_QUARANTINED,
+                   TOOL_RETRIED, TOOL_SPAN, TOOL_TIMED_OUT, WAVE_SPAN,
+                   EventBus, RunLedger, Span, Tracer)
 from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                     DerivationCache, normalize_policy)
 from .encapsulation import EncapsulationRegistry, ToolContext
@@ -58,8 +81,8 @@ class InvocationResult:
     duration: float
     machine: str = "local"
     #: Time the invocation sat ready (dependencies satisfied) before a
-    #: machine picked it up — nonzero only under scheduled/parallel
-    #: execution, and always separate from ``duration``.
+    #: lane dispatched it — on every preset, a single lane included —
+    #: and always separate from ``duration``.
     queue_wait: float = 0.0
     #: Transient failures cured by the resilience policy before this
     #: invocation succeeded (``timeouts`` counts how many of those
@@ -204,13 +227,205 @@ class ExecutionReport:
         self.wall_time = max(self.wall_time, other.wall_time)
 
 
+@dataclass(frozen=True)
+class _InvocationNode:
+    """An invocation plus its dependency bookkeeping."""
+
+    index: int
+    invocation: TaskInvocation
+    tool_type: str | None
+    predecessors: tuple[int, ...]
+    successors: tuple[int, ...]
+    duration: float
+
+
+def _invocation_graph(graph: TaskGraph,
+                      durations: Any = None) -> list[_InvocationNode]:
+    """The flow's invocations with redundant dependency maps.
+
+    Every invocation knows both the invocations it waits on and the ones
+    waiting on it, so the ready queue releases successors without a
+    search.  ``durations`` (a ``DurationModel``) prices each invocation
+    for schedule planning; without it every duration is 0.
+    """
+    invocations = graph.invocations()
+    producer_of = {output: index
+                   for index, invocation in enumerate(invocations)
+                   for output in invocation.outputs}
+    predecessors: list[set[int]] = [set() for _ in invocations]
+    for index, invocation in enumerate(invocations):
+        sources = list(invocation.input_nodes)
+        if invocation.tool_node is not None:
+            sources.append(invocation.tool_node)
+        for node_id in sources:
+            producer = producer_of.get(node_id)
+            if producer is not None and producer != index:
+                predecessors[index].add(producer)
+    successors: list[set[int]] = [set() for _ in invocations]
+    for index, preds in enumerate(predecessors):
+        for pred in preds:
+            successors[pred].add(index)
+    nodes = []
+    for index, invocation in enumerate(invocations):
+        tool_type = (graph.node(invocation.tool_node).entity_type
+                     if invocation.tool_node is not None else None)
+        nodes.append(_InvocationNode(
+            index, invocation, tool_type,
+            tuple(sorted(predecessors[index])),
+            tuple(sorted(successors[index])),
+            durations.estimate(tool_type) if durations is not None
+            else 0.0))
+    return nodes
+
+
+@dataclass(eq=False)
+class _Lane:
+    """One lane draining a run, with the counters its spans report."""
+
+    name: str
+    #: The pool machine or worker handle the lane runs on, if any.
+    host: Any = None
+    claimed: int = 0
+    #: Claimed invocations that ran at least one tool call.
+    executed: int = 0
+    cache_hits: int = 0
+    #: Claims whose tool type differs from the lane's previous claim.
+    steals: int = 0
+    last_tool_type: str | None = None
+
+
+@dataclass(eq=False)
+class _Run:
+    """One ``execute()`` call: the ready queue its lanes drain."""
+
+    graph: TaskGraph
+    report: ExecutionReport
+    nodes: list[_InvocationNode]
+    #: Node ids in the targets' supplier subtrees.
+    needed: set[str]
+    #: Needed invocations in the flow's topological order, and each
+    #: one's position in it; the ready queue stays sorted by position.
+    order: list[int]
+    rank: dict[int, int]
+    force: bool
+    degrade: bool
+    cache: DerivationCache | None
+    reads: bool
+    writes: bool
+    #: perf_counter at the start of ``execute()``.
+    began: float
+    span: Any
+    #: Dependency depth of each invocation (its scheduler "wave").
+    wave: dict[int, int] = field(default_factory=dict)
+    pending: dict[int, int] = field(default_factory=dict)
+    ready: list[int] = field(default_factory=list)
+    #: When each invocation was released into the ready queue.
+    ready_at: dict[int, float] = field(default_factory=dict)
+    done: set[int] = field(default_factory=set)
+    errors: list[BaseException] = field(default_factory=list)
+    #: Outputs of invocations lost under degradation.
+    failed_nodes: set[str] = field(default_factory=set)
+    lock: threading.Condition = field(default_factory=threading.Condition)
+    #: Preset facts for the run span and ``flow_started``.
+    attributes: dict[str, Any] = field(default_factory=dict)
+    #: True once ``flow_started`` went out.
+    announced: bool = False
+    #: Parallel preset: the disjoint branch holding each invocation.
+    branches: dict[int, frozenset[str]] = field(default_factory=dict)
+    #: Procpool preset: per-worker statistics for the ledger.
+    workers: dict[str, Any] | None = None
+
+    @property
+    def finished(self) -> bool:
+        return len(self.done) >= len(self.order)
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One cold tool or composition call of a prepared invocation."""
+
+    #: Instance id of the tool; None for a composition.
+    tool_id: str | None
+    #: The tool's encapsulation, or the composition callable.
+    fn: Any
+    #: Tool context (for a composition: the composed type, no tool).
+    ctx: ToolContext
+    #: Tool type as events, faults and the policy see it
+    #: (COMPOSE_TOOL for a composition).
+    tool_type: str
+    #: Comma-joined output node ids, for events.
+    node: str
+    inputs: dict[str, Any]
+    combo: dict[str, Any]
+    cache_key: str | None
+    stats: CallStats = field(default_factory=lambda: CallStats(attempts=0))
+    value: Any = None
+    #: Tool time of the call that produced ``value``.
+    duration: float = 0.0
+    error: BaseException | None = None
+    #: Tracer-clock start of an inline call (tool spans begin there).
+    started: float | None = None
+    #: Tool time of earlier units in the same worker round trip: a
+    #: batched unit waits this long after dispatch before its tool
+    #: starts, so it counts toward queue wait, not duration.
+    batch_offset: float = 0.0
+    #: Coordinator-observed (send, receive) interval of the round trip
+    #: that produced ``outcome``, on the tracer clock — the clamp
+    #: window for skew-corrected worker phase spans.  Retries
+    #: overwrite it, so the last (successful) attempt wins.
+    window: tuple[float, float] | None = None
+    #: The worker's reply (procpool).
+    outcome: Any = None
+
+
+@dataclass(eq=False)
+class _Prepared:
+    """One claimed invocation after its cache lookups, before dispatch."""
+
+    node: _InvocationNode
+    output_nodes: list[Any]
+    output_types: tuple[str, ...]
+    #: Tool type as events see it (COMPOSE_TOOL for a composition).
+    tool_type: str
+    queue_wait: float
+    #: When prepare began: perf_counter, and the tracer clock.
+    started: float
+    span_start: float
+    units: list[_Unit] = field(default_factory=list)
+    tool_ids: tuple[str, ...] = ()
+    encapsulation_name: str = ""
+    invocation_id: str | None = None
+    hits: int = 0
+    saved: float = 0.0
+    bytes_saved: int = 0
+    reused_all: list[str] = field(default_factory=list)
+    reused: dict[str, list[str]] = field(default_factory=dict)
+
+
+def _run_threads(targets: Sequence[Callable[[], None]]) -> None:
+    """Run every target on its own thread and wait for all of them."""
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
 class FlowExecutor:
-    """Executes dynamically defined flows against a history database."""
+    """Executes dynamically defined flows against a history database.
+
+    The execution core and its sequential preset: one lane, drained on
+    the caller's thread in the flow's topological order.
+    """
+
+    #: The ledger's executor name for this preset.
+    kind = SEQUENTIAL_EXECUTOR
+    #: Open one ``lane:<name>`` span per lane for the whole run.
+    lane_spans = False
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
                  machine: str = "local",
-                 lock: threading.Lock | None = None,
                  bus: EventBus | None = None,
                  cache: DerivationCache | None = None,
                  cache_policy: str = CACHE_READWRITE,
@@ -223,10 +438,9 @@ class FlowExecutor:
         self.registry = registry
         self.user = user
         self.machine = machine
-        # The lock serializes history-database access when several
-        # executors share one database across threads (Fig. 6 parallel
-        # branches); tool code runs outside it.
-        self._lock = lock if lock is not None else threading.Lock()
+        # Serializes history-database access across this executor's
+        # lanes; tool code runs outside it.
+        self._lock = threading.Lock()
         # Without sinks the shared no-op bus makes every emit an early
         # return, so uninstrumented execution stays on the fast path.
         self.bus = bus if bus is not None else NO_OP_BUS
@@ -239,17 +453,14 @@ class FlowExecutor:
         self.cache = cache
         self.cache_policy = normalize_policy(
             cache_policy if cache is not None else CACHE_OFF)
-        self._force = False
         # Longitudinal observability: with a ledger attached, every
-        # execute() call appends one RunRecord.  Coordinators keep the
-        # ledger for themselves (their worker executors get none), so
-        # one coordinated run is one record, never one per lane.
+        # execute() call appends exactly one RunRecord, whatever the
+        # number of lanes and whether the run succeeds.
         self.ledger = ledger
         # Resilience: with a policy attached, every encapsulation and
         # composition call runs under its retry/timeout/quarantine
-        # machinery.  Coordinators share ONE policy object with their
-        # worker executors so breaker state is global to the run.
-        # Without a policy, execution behaves exactly as before: the
+        # machinery.  All lanes of a run share the one policy object,
+        # so breaker state is global to the run.  Without a policy the
         # first tool exception aborts the flow.
         self.resilience = resilience
         # Fault injection: a FaultPlan scripts failures at the same
@@ -260,13 +471,17 @@ class FlowExecutor:
         # the sweep thread can attribute stacks (and busy time) to the
         # tool type, whatever thread ends up executing the call.
         self.profiler = profiler
-        # Coordinators (parallel/scheduled executors) open the run span
-        # themselves and clear this on their worker-facing executors so
-        # tasks attach to the coordinator's trace, not a second root.
-        self._trace_run_span = True
+        # Presets that plan schedules learn tool durations from every
+        # finished run (a DurationModel); None here.
+        self.durations: Any = None
+
+    @property
+    def lanes(self) -> int:
+        """How many lanes drain a run (the ledger's pool size)."""
+        return 1
 
     # ------------------------------------------------------------------
-    # public API
+    # public API: the run lifecycle
     # ------------------------------------------------------------------
     def execute(self, flow: TaskGraph | DynamicFlow,
                 targets: Sequence[str] | None = None, *,
@@ -288,172 +503,54 @@ class FlowExecutor:
                     "construct the executor with cache=... (or use "
                     "DesignEnvironment.run)")
             self.cache_policy = normalize_policy(cache)
-        # Root span of the trace.  Coordinators (parallel/scheduled)
-        # open it themselves, so their per-branch executors skip this.
-        span_cm = (
-            self.tracer.span(
+        began = time.perf_counter()
+        report = ExecutionReport(graph.name)
+        run: _Run | None = None
+        with self.tracer.span(
                 f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name, "machine": self.machine,
+                attributes={"flow": graph.name,
                             "cache": self.cache_policy,
                             "targets": sorted(targets or ()),
-                            "force": force})
-            if self._trace_run_span else nullcontext(NULL_SPAN))
-        with span_cm as run_span:
+                            "force": force}) as run_span:
             try:
-                report = self._execute_graph(graph, targets, force=force)
-            except Exception as error:
-                self._ledger_record(ExecutionReport(graph.name),
-                                    error=error)
+                run = self._plan(graph, targets, force, report, began,
+                                 run_span)
+                self._check_ready(graph, run.needed)
+                self._start(run, targets)
+                if run.order:
+                    self._run_lanes(run)
+                if self.resilience is not None:
+                    report.quarantined = sorted(
+                        set(report.quarantined)
+                        | set(self.resilience.quarantined()))
+                if self.durations is not None:
+                    self.durations.observe_report(report)
+                if run.errors:
+                    raise run.errors[0]
+            except BaseException as error:
+                report.wall_time = time.perf_counter() - began
+                if run is not None and run.announced:
+                    self.bus.emit(EXECUTION_FAILED, flow=graph.name,
+                                  machine=self.machine,
+                                  payload={"error": str(error)})
+                self._ledger_record(report, run_span, run, error)
                 raise
-            run_span.set(runs=report.runs,
-                         created=len(report.created),
-                         skipped=len(report.skipped),
-                         cache_hits=report.cache_hits)
-        self._ledger_record(report)
-        return report
-
-    def _ledger_record(self, report: ExecutionReport,
-                       error: BaseException | None = None) -> None:
-        """Append this run to the ledger, when one is attached."""
-        if self.ledger is None:
-            return
-        trace_id = ""
-        if self.tracer.enabled and self._trace_run_span:
-            trace_id = self.tracer.last_trace_id or ""
-        self.ledger.record_run(
-            report, executor=SEQUENTIAL_EXECUTOR,
-            cache_policy=self.cache_policy, trace_id=trace_id,
-            error=error,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=1)
-
-    def _execute_graph(self, graph: TaskGraph,
-                       targets: Sequence[str] | None, *,
-                       force: bool) -> ExecutionReport:
-        started = time.perf_counter()
-        emitting = self.bus.enabled
-        needed = self._needed_nodes(graph, targets)
-        self._check_ready(graph, needed)
-        if emitting:
-            self.bus.emit(FLOW_STARTED, flow=graph.name,
-                          machine=self.machine,
-                          payload={"nodes": len(needed),
-                                   "targets": sorted(targets or ()),
-                                   "force": force})
-        if force:
-            # drop previous results so re-runs do not fan out over them
-            for node_id in needed:
-                if graph.suppliers(node_id):
-                    graph.node(node_id).produced = ()
-        self._force = force
-        report = ExecutionReport(graph.name)
-        invocation_of: dict[str, TaskInvocation] = {}
-        for invocation in graph.invocations():
-            for output in invocation.outputs:
-                invocation_of[output] = invocation
-        done: set[int] = set()
-        degrade = (self.resilience is not None
-                   and self.resilience.degrade)
-        failed_nodes: set[str] = set()
-        try:
-            for node_id in graph.topological_order():
-                if node_id not in needed:
-                    continue
-                invocation = invocation_of.get(node_id)
-                if invocation is None:
-                    continue  # leaf (bound) node
-                if id(invocation) in done:
-                    continue
-                done.add(id(invocation))
-                outputs = [graph.node(o) for o in invocation.outputs]
-                if not force and all(o.results() for o in outputs):
-                    report.skipped.extend(invocation.outputs)
-                    continue
-                if degrade and self._record_upstream_failure(
-                        graph, invocation, report, failed_nodes):
-                    continue
-                try:
-                    result, cached = self._run_invocation(graph,
-                                                          invocation)
-                except Exception as error:
-                    if not degrade:
-                        raise
-                    # Graceful degradation: record the loss, skip the
-                    # dependents, keep executing independent work.
-                    report.failures.append(
-                        self._failure_entry(error, invocation.outputs))
-                    failed_nodes.update(invocation.outputs)
-                    if emitting:
-                        self.bus.emit(
-                            EXECUTION_FAILED, flow=graph.name,
-                            node=",".join(invocation.outputs),
-                            machine=self.machine,
-                            payload={"error": str(error),
-                                     "degraded": True})
-                    continue
-                if result is not None:
-                    report.results.append(result)
-                if cached is not None:
-                    report.cached.append(cached)
-        except Exception as error:
-            if emitting:
-                self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                              machine=self.machine,
-                              payload={"error": str(error)})
-            raise
-        if self.resilience is not None:
-            report.quarantined = sorted(
-                set(report.quarantined)
-                | set(self.resilience.quarantined()))
-        report.wall_time = time.perf_counter() - started
-        if emitting:
-            payload: dict[str, Any] = {
-                "created": len(report.created),
-                "runs": report.runs,
+            report.wall_time = time.perf_counter() - began
+            summary: dict[str, Any] = {
+                "runs": report.runs, "created": len(report.created),
                 "skipped": len(report.skipped),
-                "cache_hits": report.cache_hits}
+                "cache_hits": report.cache_hits,
+                "queue_wait": round(report.queue_wait_time, 6)}
             if report.failures:
-                payload["failures"] = len(report.failures)
+                summary["failures"] = len(report.failures)
+            run_span.set(**summary)
             self.bus.emit(FLOW_FINISHED, flow=graph.name,
-                          machine=self.machine,
-                          duration=report.wall_time,
-                          payload=payload)
+                          machine=self.machine, duration=report.wall_time,
+                          payload={**summary, "lanes": self.lanes,
+                                   "serial_time": report.serial_time,
+                                   "speedup": round(report.speedup, 3)})
+        self._ledger_record(report, run_span, run)
         return report
-
-    def _record_upstream_failure(self, graph: TaskGraph,
-                                 invocation: TaskInvocation,
-                                 report: ExecutionReport,
-                                 failed_nodes: set[str]) -> bool:
-        """Under degradation, skip invocations whose suppliers failed.
-
-        Returns True (and records an ``upstream``-classified failure)
-        when any input node is in ``failed_nodes``; the invocation's
-        own outputs join the failed set so the loss propagates down
-        the subtree without ever invoking a tool on missing inputs.
-        """
-        upstream = sorted({supplier_id for _, supplier_id
-                           in invocation.inputs
-                           if supplier_id in failed_nodes})
-        if invocation.tool_node is not None \
-                and invocation.tool_node in failed_nodes:
-            upstream.append(invocation.tool_node)
-        if not upstream:
-            return False
-        tool_type = (graph.node(invocation.tool_node).entity_type
-                     if invocation.tool_node is not None
-                     else COMPOSE_TOOL)
-        report.failures.append(InvocationFailure(
-            outputs=tuple(invocation.outputs),
-            tool_type=tool_type,
-            error="inputs unavailable: upstream invocation(s) failed: "
-                  + ", ".join(upstream),
-            error_class="ExecutionError",
-            classification=UPSTREAM,
-            attempts=0,
-            machine=self.machine))
-        failed_nodes.update(invocation.outputs)
-        return True
 
     def execute_node(self, flow: TaskGraph | DynamicFlow,
                      node_id: str, *, force: bool = False
@@ -461,9 +558,85 @@ class FlowExecutor:
         """Run just the sub-flow producing one node."""
         return self.execute(flow, targets=[node_id], force=force)
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
+    def _plan(self, graph: TaskGraph, targets: Sequence[str] | None,
+              force: bool, report: ExecutionReport, began: float,
+              span: Any) -> _Run:
+        """Seed the ready queue with the needed invocations."""
+        needed = self._needed_nodes(graph, targets)
+        position = {node_id: index for index, node_id
+                    in enumerate(graph.topological_order())}
+        nodes = _invocation_graph(graph)
+        rank: dict[int, int] = {}
+        for node in nodes:
+            positions = [position[output]
+                         for output in node.invocation.outputs
+                         if output in needed]
+            if positions:
+                rank[node.index] = min(positions)
+        cache = (self.cache if self.cache_policy != CACHE_OFF
+                 else None)
+        run = _Run(
+            graph=graph, report=report, nodes=nodes, needed=needed,
+            order=sorted(rank, key=rank.__getitem__), rank=rank,
+            force=force,
+            degrade=(self.resilience is not None
+                     and self.resilience.degrade),
+            cache=cache,
+            reads=(cache is not None and not force and self.cache_policy
+                   in (CACHE_REUSE, CACHE_READWRITE)),
+            writes=(cache is not None
+                    and self.cache_policy == CACHE_READWRITE),
+            began=began, span=span)
+        for index in run.order:
+            preds = nodes[index].predecessors
+            run.pending[index] = len(preds)
+            run.wave[index] = 1 + max((run.wave[p] for p in preds),
+                                      default=-1)
+            if not preds:
+                run.ready.append(index)
+        run.attributes = self._run_attributes(run)
+        span.set(invocations=len(run.order), **run.attributes)
+        return run
+
+    def _run_attributes(self, run: _Run) -> dict[str, Any]:
+        """Preset facts for the run span and ``flow_started``."""
+        return {"machine": self.machine}
+
+    def _start(self, run: _Run, targets: Sequence[str] | None) -> None:
+        """Announce the run, apply ``force``, release the ready set."""
+        graph = run.graph
+        run.announced = True
+        if self.bus.enabled:
+            self.bus.emit(FLOW_STARTED, flow=graph.name,
+                          machine=self.machine,
+                          payload={"nodes": len(run.needed),
+                                   "invocations": len(run.order),
+                                   "targets": sorted(targets or ()),
+                                   "force": run.force,
+                                   **run.attributes})
+        if run.force:
+            # drop previous results so re-runs do not fan out over them
+            for node_id in run.needed:
+                if graph.suppliers(node_id):
+                    graph.node(node_id).produced = ()
+        run.ready_at = dict.fromkeys(run.ready, time.perf_counter())
+
+    def _ledger_record(self, report: ExecutionReport, span: Any,
+                       run: _Run | None,
+                       error: BaseException | None = None) -> None:
+        """Append this run to the ledger, when one is attached."""
+        if self.ledger is None:
+            return
+        context = span.context
+        self.ledger.record_run(
+            report, executor=self.kind, cache_policy=self.cache_policy,
+            trace_id=context.trace_id if context is not None else "",
+            error=error,
+            workers=run.workers if run is not None else None,
+            profile=(self.profiler.summary()
+                     if self.profiler is not None else None),
+            pool_size=self.lanes)
+
     def _needed_nodes(self, graph: TaskGraph,
                       targets: Sequence[str] | None) -> set[str]:
         if targets is None:
@@ -484,149 +657,223 @@ class FlowExecutor:
                 "flow is not ready: select instances for leaf nodes "
                 + ", ".join(unbound))
 
-    def _cache_for_run(self) -> DerivationCache | None:
-        if self.cache is None or self.cache_policy == CACHE_OFF:
-            return None
-        return self.cache
+    # ------------------------------------------------------------------
+    # lanes and the ready-queue drain loop
+    # ------------------------------------------------------------------
+    def _run_lanes(self, run: _Run) -> None:
+        """The sequential preset drains its one lane on this thread."""
+        self._drain(run, _Lane(self.machine))
 
-    @property
-    def _cache_reads(self) -> bool:
-        return self.cache_policy in (CACHE_REUSE, CACHE_READWRITE) \
-            and not self._force
+    def _lane_main(self, run: _Run, lane: _Lane) -> None:
+        """A lane thread's body: adopt the run's trace, then drain."""
+        with self.tracer.activate(run.span.context):
+            self._drain(run, lane)
 
-    @property
-    def _cache_writes(self) -> bool:
-        return self.cache_policy == CACHE_READWRITE
+    def _drain(self, run: _Run, lane: _Lane) -> None:
+        """One lane's loop: claim ready work until the run drains.
 
-    def _emit_cache_hit(self, graph: TaskGraph,
-                        invocation: TaskInvocation, tool_type: str,
-                        hit) -> None:
-        self.bus.emit(CACHE_HIT, flow=graph.name,
-                      node=",".join(invocation.outputs),
-                      tool_type=tool_type, machine=self.machine,
-                      payload={"instances": list(hit.instance_ids),
-                               "saved": hit.saved,
-                               "bytes": hit.bytes_saved,
-                               "key": hit.key[:16]})
-
-    def _emit_cache_miss(self, graph: TaskGraph,
-                         invocation: TaskInvocation, tool_type: str,
-                         key: str) -> None:
-        self.bus.emit(CACHE_MISS, flow=graph.name,
-                      node=",".join(invocation.outputs),
-                      tool_type=tool_type, machine=self.machine,
-                      payload={"key": key[:16]})
-
-    def _call_tool(self, graph: TaskGraph, invocation: TaskInvocation,
-                   tool_type: str, call) -> tuple[Any, CallStats]:
-        """Run one tool/composition call under faults and the policy.
-
-        This is the single resilience boundary: the fault plan wraps
-        the raw call (so injected crashes/hangs hit the same machinery
-        real ones would), and the policy wraps the fault plan (so
-        injected transients are retried, injected hangs time out).
-        Without a policy the call runs bare and any failure propagates
-        unchanged — today's behavior.
+        A failed invocation is still marked done so its successors are
+        released (and skipped as upstream failures under degradation)
+        instead of leaving the other lanes waiting forever.
         """
-        guarded = call
-        if self.faults is not None:
-            faults, inner = self.faults, call
-            guarded = lambda: faults.apply(tool_type, inner)  # noqa: E731
-        if self.profiler is not None:
-            # inside the policy wrap, outside the fault wrap: every
-            # attempt (including injected slowdowns, and watchdog
-            # threads running the body) registers the thread that
-            # actually executes the tool
-            profiler, wrapped = self.profiler, guarded
-            guarded = lambda: profiler.run(tool_type, wrapped)  # noqa: E731
-        policy = self.resilience
-        if policy is None:
-            return guarded(), CallStats()
-        node = ",".join(invocation.outputs)
-        emitting = self.bus.enabled
+        with self._lane_scope(run, lane):
+            while True:
+                with run.lock:
+                    while not (run.ready or run.errors or run.finished):
+                        run.lock.wait()
+                    if run.errors or run.finished:
+                        return
+                    groups = self._claim(run, lane)
+                claimed = [index for group in groups for index in group]
+                lane.claimed += len(claimed)
+                try:
+                    aborted = self._run_claim(run, lane, groups)
+                except BaseException as error:
+                    aborted = self._fail(run, lane, None, error)
+                with run.lock:
+                    run.done.update(claimed)
+                    now = time.perf_counter()
+                    for index in claimed:
+                        for successor in run.nodes[index].successors:
+                            # not needed by the targets, or claimed
+                            # with this branch: never released
+                            if successor not in run.rank \
+                                    or successor in run.done:
+                                continue
+                            run.pending[successor] -= 1
+                            if run.pending[successor] == 0:
+                                bisect.insort(run.ready, successor,
+                                              key=run.rank.__getitem__)
+                                run.ready_at[successor] = now
+                    run.lock.notify_all()
+                if aborted:
+                    return
 
-        def on_retry(attempt: int, error: BaseException, delay: float,
-                     classification: str) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_RETRIED, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"attempt": attempt,
-                             "error": str(error),
-                             "error_class": type(error).__name__,
-                             "classification": classification,
-                             "delay": round(delay, 6)})
+    @contextmanager
+    def _lane_scope(self, run: _Run, lane: _Lane) -> Iterator[None]:
+        """The ``lane:<name>`` span of presets with run-long lanes."""
+        if not self.lane_spans:
+            yield
+            return
+        with self.tracer.span(f"lane:{lane.name}", WAVE_SPAN,
+                              attributes={"flow": run.graph.name,
+                                          "machine": lane.name}) as span:
+            yield
+            span.set(invocations=lane.claimed,
+                     **self._lane_attributes(lane))
 
-        def on_timeout(attempt: int, budget: float) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_TIMED_OUT, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"attempt": attempt, "budget": budget})
+    def _lane_attributes(self, lane: _Lane) -> dict[str, Any]:
+        """Extra ``lane:`` span attributes (procpool's worker facts)."""
+        return {}
 
-        def on_quarantine(consecutive: int) -> None:
-            if emitting:
-                self.bus.emit(
-                    TOOL_QUARANTINED, flow=graph.name, node=node,
-                    tool_type=tool_type, machine=self.machine,
-                    payload={"consecutive_failures": consecutive})
+    def _claim(self, run: _Run, lane: _Lane) -> list[list[int]]:
+        """Take work off the ready queue (under the run lock).
 
-        return policy.run(tool_type, guarded, on_retry=on_retry,
-                          on_timeout=on_timeout,
-                          on_quarantine=on_quarantine)
-
-    def _failure_entry(self, error: BaseException,
-                       outputs: Sequence[str]) -> InvocationFailure:
-        """Distill one fatal invocation error into a report entry."""
-        return failure_entry(
-            error, outputs=tuple(outputs),
-            tool_type=getattr(error, "repro_tool_type", None),
-            machine=self.machine, policy=self.resilience)
-
-    def _run_invocation(
-            self, graph: TaskGraph, invocation: TaskInvocation, *,
-            queue_wait: float = 0.0, wave: int | None = None
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        """Execute one coalesced invocation, consulting the cache.
-
-        Returns the executed-runs entry and the cache-reuse entry; a
-        fully warm invocation yields ``(None, CachedInvocation)``, a
-        cold one ``(InvocationResult, None)``, and a partially warm
-        fan-out both.  ``queue_wait`` and ``wave`` come from scheduling
-        coordinators and flow into the report and the task span.
+        Returns groups of invocation indices; each group goes through
+        the pipeline together.  The default claims the earliest ready
+        invocation in topological order.
         """
-        attributes: dict[str, Any] = {
-            "flow": graph.name,
-            "machine": self.machine,
-            "outputs": sorted(invocation.outputs),
-            "inputs": sorted({supplier_id for _, supplier_id
-                              in invocation.inputs}),
-        }
-        if wave is not None:
-            attributes["wave"] = wave
-        if queue_wait > 0:
-            attributes["queue_wait"] = round(queue_wait, 6)
-        with self.tracer.span("task:" + ",".join(invocation.outputs),
-                              TASK_SPAN,
-                              attributes=attributes) as task_span:
-            result, cached = self._run_invocation_inner(
-                graph, invocation, task_span, queue_wait=queue_wait)
-        return result, cached
+        return [[run.ready.pop(0)]]
 
-    def _run_invocation_inner(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            task_span: Any, *, queue_wait: float
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
+    def _claim_scope(self, run: _Run, lane: _Lane,
+                     groups: list[list[int]], queue_wait: float):
+        """Context around one claim's execution (branch spans)."""
+        return nullcontext()
+
+    def _run_claim(self, run: _Run, lane: _Lane,
+                   groups: list[list[int]]) -> bool:
+        """Run one claim; True when a fatal error aborted the run."""
         started = time.perf_counter()
-        emitting = self.bus.enabled
+        queue_wait = started - run.ready_at.get(groups[0][0], started)
+        with self._claim_scope(run, lane, groups, max(0.0, queue_wait)):
+            for group in groups:
+                if self._pipeline(run, lane, group):
+                    return True
+        return False
+
+    def _fail(self, run: _Run, lane: _Lane,
+              node: _InvocationNode | None,
+              error: BaseException) -> bool:
+        """Route one invocation's failure; True means abort the run.
+
+        Under graceful degradation the loss is recorded and the run
+        goes on; otherwise the error ends the run.
+        """
+        if node is not None \
+                and getattr(error, "repro_tool_type", None) is None:
+            # failures outside the resilient call (contract checks,
+            # history rejection of corrupt output) still carry the tool
+            # type so the ledger and reports can group by tool
+            annotate_error(error, tool_type=node.tool_type or COMPOSE_TOOL)
+        if node is None or not run.degrade \
+                or not isinstance(error, Exception):
+            with run.lock:
+                run.errors.append(error)
+                run.lock.notify_all()
+            return True
+        outputs = node.invocation.outputs
+        with run.lock:
+            run.report.failures.append(failure_entry(
+                error, outputs=tuple(outputs),
+                tool_type=getattr(error, "repro_tool_type", None),
+                machine=lane.name, policy=self.resilience))
+            run.failed_nodes.update(outputs)
+        self.bus.emit(EXECUTION_FAILED, flow=run.graph.name,
+                      node=",".join(outputs), machine=lane.name,
+                      payload={"error": str(error), "degraded": True})
+        return False
+
+    def _upstream_failed(self, run: _Run, lane: _Lane,
+                         node: _InvocationNode) -> bool:
+        """Under degradation, skip invocations whose suppliers failed.
+
+        Returns True (and records an ``upstream``-classified failure)
+        when any input node is in ``failed_nodes``; the invocation's
+        own outputs join the failed set so the loss propagates down
+        the subtree without ever invoking a tool on missing inputs.
+        """
+        invocation = node.invocation
+        with run.lock:
+            upstream = sorted({supplier_id for _, supplier_id
+                               in invocation.inputs
+                               if supplier_id in run.failed_nodes})
+            if invocation.tool_node in run.failed_nodes:
+                upstream.append(invocation.tool_node)
+            if not upstream:
+                return False
+            run.report.failures.append(InvocationFailure(
+                outputs=tuple(invocation.outputs),
+                tool_type=node.tool_type or COMPOSE_TOOL,
+                error="inputs unavailable: upstream invocation(s) "
+                      "failed: " + ", ".join(upstream),
+                error_class="ExecutionError",
+                classification=UPSTREAM,
+                attempts=0,
+                machine=lane.name))
+            run.failed_nodes.update(invocation.outputs)
+        return True
+
+    # ------------------------------------------------------------------
+    # the invocation pipeline: prepare -> dispatch -> record
+    # ------------------------------------------------------------------
+    def _pipeline(self, run: _Run, lane: _Lane, group: list[int]) -> bool:
+        """Push one group through the pipeline; True aborts the run."""
+        now = time.perf_counter()
+        prepared: list[_Prepared] = []
+        for index in group:
+            node = run.nodes[index]
+            outputs = node.invocation.outputs
+            if not run.force and all(run.graph.node(o).results()
+                                     for o in outputs):
+                with run.lock:
+                    run.report.skipped.extend(outputs)
+                continue
+            if run.degrade and self._upstream_failed(run, lane, node):
+                continue
+            queue_wait = max(0.0, now - run.ready_at.get(index, now))
+            try:
+                prepared.append(self._prepare(run, lane, node,
+                                              queue_wait))
+            except BaseException as error:
+                if self._fail(run, lane, node, error):
+                    return True
+        if any(prep.units for prep in prepared):
+            self._dispatch(run, lane, prepared)
+        for prep in prepared:
+            try:
+                result, cached = self._record(run, lane, prep)
+            except BaseException as error:
+                if self._fail(run, lane, prep.node, error):
+                    return True
+                continue
+            with run.lock:
+                if result is not None:
+                    run.report.results.append(result)
+                    lane.executed += 1
+                if cached is not None:
+                    run.report.cached.append(cached)
+        return False
+
+    def _prepare(self, run: _Run, lane: _Lane, node: _InvocationNode,
+                 queue_wait: float) -> _Prepared:
+        """Resolve inputs, take cache hits, stage the cold calls."""
+        graph = run.graph
+        invocation = node.invocation
         output_nodes = [graph.node(o) for o in invocation.outputs]
-        output_types = tuple(n.entity_type for n in output_nodes)
-        task_span.set(entity_types=sorted(set(output_types)))
+        prep = _Prepared(
+            node=node, output_nodes=output_nodes,
+            output_types=tuple(n.entity_type for n in output_nodes),
+            tool_type=node.tool_type or COMPOSE_TOOL,
+            queue_wait=queue_wait, started=time.perf_counter(),
+            span_start=self.tracer.clock(),
+            reused={n.node_id: [] for n in output_nodes})
+        label = ",".join(invocation.outputs)
+        emitting = self.bus.enabled
         if emitting:
-            for node in output_nodes:
+            for output in output_nodes:
                 self.bus.emit(NODE_READY, flow=graph.name,
-                              node=node.node_id, machine=self.machine,
-                              payload={"entity_type": node.entity_type})
+                              node=output.node_id, machine=lane.name,
+                              payload={"entity_type": output.entity_type})
         role_ids: dict[str, tuple[str, ...]] = {}
         for role, supplier_id in invocation.inputs:
             supplier = graph.node(supplier_id)
@@ -636,294 +883,342 @@ class FlowExecutor:
                     f"{supplier}: no instances available for role "
                     f"{role!r}")
             role_ids[role] = ids
-        tool_type = (graph.node(invocation.tool_node).entity_type
-                     if invocation.tool_node is not None else COMPOSE_TOOL)
-        task_span.set(tool_type=tool_type)
         if emitting:
-            self.bus.emit(TOOL_INVOKED, flow=graph.name,
-                          node=",".join(invocation.outputs),
-                          tool_type=tool_type, machine=self.machine,
+            self.bus.emit(TOOL_INVOKED, flow=graph.name, node=label,
+                          tool_type=prep.tool_type, machine=lane.name,
                           payload={"roles": sorted(role_ids)})
-        try:
-            if invocation.tool_node is None:
-                result, cached = self._run_composition(
-                    graph, invocation, output_nodes, output_types,
-                    role_ids)
-            else:
-                result, cached = self._run_tool(
-                    graph, invocation, output_nodes, output_types,
-                    role_ids)
-        except Exception as error:
-            # Failures outside the resilient call (contract checks,
-            # history rejection of corrupt output) still carry the
-            # tool type so the ledger and reports can group by tool.
-            if getattr(error, "repro_tool_type", None) is None:
-                annotate_error(error, tool_type=tool_type)
-            raise
-        if self._cache_for_run() is not None:
-            # cache outcome: every combination served from the cache is
-            # a hit; a mix of reused and executed combos is "partial"
-            if cached is not None:
-                task_span.set(cache="hit" if result is None
-                              else "partial")
-            elif self._cache_reads:
-                task_span.set(cache="miss")
-        if cached is not None:
-            task_span.set(reused=list(cached.instances))
-        if result is not None:
-            result.duration = time.perf_counter() - started
-            result.queue_wait = queue_wait
-            task_span.set(created=list(result.created),
-                          invocation_id=result.invocation_id)
-            if emitting:
-                payload: dict[str, Any] = {
-                    "runs": result.runs,
-                    "created": list(result.created)}
-                if queue_wait > 0:
-                    payload["queue_wait"] = round(queue_wait, 6)
-                self.bus.emit(
-                    COMPOSITION_RUN if invocation.tool_node is None
-                    else TOOL_FINISHED,
-                    flow=graph.name, node=",".join(invocation.outputs),
-                    tool_type=tool_type,
-                    invocation_id=result.invocation_id,
-                    machine=self.machine, duration=result.duration,
-                    payload=payload)
-        return result, cached
-
-    def _run_composition(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            output_nodes, output_types, role_ids
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        # Composed invocations have exactly one output by construction.
-        node = output_nodes[0]
-        compose = self.registry.composition(node.entity_type)
-        cache = self._cache_for_run()
-        created: list[str] = []
-        reused: list[str] = []
-        runs = 0
-        retries = 0
-        timeouts = 0
-        hits = 0
-        saved = 0.0
-        bytes_saved = 0
-        invocation_id: str | None = None
-        for combo in _combinations(role_ids):
+        cache = run.cache
+        fetch_types = sorted(set(prep.output_types))
+        for tool_id, fn, ctx, combo in self._calls(run, prep, role_ids):
             key = None
             if cache is not None:
-                key = cache.composition_key(node.entity_type, combo)
-                if self._cache_reads:
-                    with self.tracer.span(
-                            f"cache:{node.entity_type}", CACHE_SPAN,
-                            attributes={"key": key[:16]}) as lookup:
-                        hit = cache.fetch(key, (node.entity_type,))
+                key = (cache.composition_key(ctx.tool_type, combo)
+                       if tool_id is None
+                       else cache.tool_run_key(tool_id, combo,
+                                               fetch_types))
+                if run.reads:
+                    attributes = {"key": key[:16]}
+                    if tool_id is not None:
+                        attributes["tool"] = tool_id
+                    with self.tracer.span(f"cache:{ctx.tool_type}",
+                                          CACHE_SPAN,
+                                          attributes=attributes
+                                          ) as lookup:
+                        hit = cache.fetch(key, fetch_types)
                         lookup.set(outcome="hit" if hit is not None
                                    else "miss")
                     if hit is not None:
-                        reused.extend(hit.instance_ids)
-                        hits += 1
-                        saved += hit.saved
-                        bytes_saved += hit.bytes_saved
-                        self._emit_cache_hit(graph, invocation,
-                                             COMPOSE_TOOL, hit)
+                        self._take_hit(run, lane, prep, hit)
                         continue
-                    self._emit_cache_miss(graph, invocation,
-                                          COMPOSE_TOOL, key)
+                    if emitting:
+                        self.bus.emit(CACHE_MISS, flow=graph.name,
+                                      node=label,
+                                      tool_type=prep.tool_type,
+                                      machine=lane.name,
+                                      payload={"key": key[:16]})
             with self._lock:
-                if invocation_id is None:
-                    invocation_id = self.db.new_invocation_id()
-                inputs = {role: self.db.data(ref)
-                          for role, ref in combo.items()}
-            with self.tracer.span(
-                    f"compose:{node.entity_type}", COMPOSE_SPAN,
-                    attributes={"entity_type": node.entity_type}
-                    ) as compose_span:
-                run_started = time.perf_counter()
-                data, call_stats = self._call_tool(
-                    graph, invocation, COMPOSE_TOOL,
-                    lambda: compose(inputs))
-                run_elapsed = time.perf_counter() - run_started
-                runs += 1
-                retries += call_stats.retries
-                timeouts += call_stats.timeouts
-                if call_stats.retries:
-                    compose_span.set(retries=call_stats.retries)
-                with self._lock:
-                    instance = self.db.record(
-                        node.entity_type, data,
-                        DerivationRecord.make(None, combo,
-                                              invocation_id),
-                        user=self.user, name=node.label,
-                        annotations={"flow": graph.name,
-                                     "machine": self.machine},
-                        trace=compose_span.context)
-                compose_span.set(created=[instance.instance_id],
-                                 invocation_id=invocation_id)
-            created.append(instance.instance_id)
-            if key is not None and self._cache_writes:
-                cache.store(key,
-                            [(node.entity_type, instance.instance_id)],
-                            run_elapsed)
-        node.produced = node.produced + tuple(reused) + tuple(created)
-        result = None
-        if runs:
-            result = InvocationResult(
-                invocation_id or "", None, (),
-                f"compose:{node.entity_type}", runs, tuple(created),
-                {node.node_id: tuple(created)}, 0.0, self.machine,
-                retries=retries, timeouts=timeouts)
-        cached = None
-        if hits:
-            cached = CachedInvocation(
-                None, invocation.outputs, hits, tuple(reused),
-                {node.node_id: tuple(reused)}, saved, bytes_saved,
-                self.machine)
-        return result, cached
+                if prep.invocation_id is None:
+                    prep.invocation_id = self.db.new_invocation_id()
+                inputs = {
+                    role: ([self.db.data(r) for r in ref]
+                           if isinstance(ref, list)
+                           else self.db.data(ref))
+                    for role, ref in combo.items()}
+            prep.units.append(_Unit(tool_id, fn, ctx, prep.tool_type,
+                                    label, inputs, combo, key))
+        return prep
 
-    def _run_tool(
-            self, graph: TaskGraph, invocation: TaskInvocation,
-            output_nodes, output_types, role_ids
-    ) -> tuple[InvocationResult | None, CachedInvocation | None]:
-        tool_node = graph.node(invocation.tool_node)
-        tool_ids = tool_node.results()
-        if not tool_ids:
+    def _calls(self, run: _Run, prep: _Prepared,
+               role_ids: dict[str, tuple[str, ...]]
+               ) -> Iterator[tuple[str | None, Any, ToolContext,
+                                   dict[str, Any]]]:
+        """(tool id, callable, context, combination) of every call.
+
+        A composition runs once per input combination; a tool runs once
+        per selected tool instance and combination, or once per tool
+        instance with every selected input when its encapsulation
+        batches.
+        """
+        invocation = prep.node.invocation
+        if invocation.tool_node is None:
+            # composed invocations have exactly one output by
+            # construction
+            entity_type = prep.output_types[0]
+            prep.encapsulation_name = f"compose:{entity_type}"
+            compose = self.registry.composition(entity_type)
+            ctx = ToolContext(entity_type, None, None, (entity_type,),
+                              user=self.user)
+            for combo in _combinations(role_ids):
+                yield None, compose, ctx, combo
+            return
+        tool_node = run.graph.node(invocation.tool_node)
+        prep.tool_ids = tuple(tool_node.results())
+        if not prep.tool_ids:
             raise ExecutionError(
                 f"{tool_node}: no tool instance available")
-        cache = self._cache_for_run()
-        tool_type = tool_node.entity_type
-        created_all: list[str] = []
-        reused_all: list[str] = []
-        outputs_by_node: dict[str, list[str]] = {
-            n.node_id: [] for n in output_nodes}
-        reused_by_node: dict[str, list[str]] = {
-            n.node_id: [] for n in output_nodes}
-        runs = 0
-        retries = 0
-        timeouts = 0
-        hits = 0
-        saved = 0.0
-        bytes_saved = 0
-        invocation_id: str | None = None
-        encapsulation_name = ""
-        for tool_id in tool_ids:
+        for tool_id in prep.tool_ids:
             with self._lock:
                 tool_instance = self.db.get(tool_id)
                 tool_data = self.db.data(tool_instance)
             enc = self.registry.resolve(tool_instance.entity_type, tool_id)
-            encapsulation_name = enc.name
-            ctx = ToolContext(
-                tool_type=tool_instance.entity_type,
-                tool_instance_id=tool_id,
-                tool_data=tool_data,
-                output_types=output_types,
-                options=enc.options(),
-                user=self.user,
-            )
+            prep.encapsulation_name = enc.name
+            ctx = ToolContext(tool_instance.entity_type, tool_id,
+                              tool_data, prep.output_types,
+                              enc.options(), self.user)
             if enc.batch:
-                combos: list[dict[str, Any]] = [
-                    {role: list(ids) for role, ids in role_ids.items()}]
+                combos: Any = [{role: list(ids)
+                                for role, ids in role_ids.items()}]
             else:
-                combos = list(_combinations(role_ids))
+                combos = _combinations(role_ids)
             for combo in combos:
-                key = None
-                if cache is not None:
-                    key = cache.tool_run_key(tool_id, combo,
-                                             sorted(set(output_types)))
-                    if self._cache_reads:
-                        with self.tracer.span(
-                                f"cache:{tool_type}", CACHE_SPAN,
-                                attributes={"key": key[:16],
-                                            "tool": tool_id}) as lookup:
-                            hit = cache.fetch(
-                                key, sorted(set(output_types)))
-                            lookup.set(outcome="hit" if hit is not None
-                                       else "miss")
-                        if hit is not None:
-                            grouped = hit.ids_by_type()
-                            for node in output_nodes:
-                                ids = grouped.get(node.entity_type, [])
-                                instance_id = (ids.pop(0) if ids
-                                               else hit.instance_ids[0])
-                                reused_by_node[node.node_id].append(
-                                    instance_id)
-                                reused_all.append(instance_id)
-                            hits += 1
-                            saved += hit.saved
-                            bytes_saved += hit.bytes_saved
-                            self._emit_cache_hit(graph, invocation,
-                                                 tool_type, hit)
-                            continue
-                        self._emit_cache_miss(graph, invocation,
-                                              tool_type, key)
-                with self._lock:
-                    if invocation_id is None:
-                        invocation_id = self.db.new_invocation_id()
-                    inputs = {
-                        role: ([self.db.data(r) for r in ref]
-                               if isinstance(ref, list)
-                               else self.db.data(ref))
-                        for role, ref in combo.items()
-                    }
-                with self.tracer.span(
-                        f"tool:{tool_type}", TOOL_SPAN,
-                        attributes={"tool": tool_id,
-                                    "tool_type": tool_type,
-                                    "encapsulation": enc.name}
-                        ) as tool_span:
-                    run_started = time.perf_counter()
-                    result, call_stats = self._call_tool(
-                        graph, invocation, tool_type,
-                        lambda: enc.run(ctx, inputs))
-                    run_elapsed = time.perf_counter() - run_started
-                    runs += 1
-                    retries += call_stats.retries
-                    timeouts += call_stats.timeouts
-                    if call_stats.retries:
-                        tool_span.set(retries=call_stats.retries)
-                    if call_stats.timeouts:
-                        tool_span.set(timeouts=call_stats.timeouts)
-                    produced = _normalize_result(result, output_types,
-                                                 enc.name)
-                    record_inputs = _derivation_inputs(combo)
-                    combo_created: list[tuple[str, str]] = []
-                    for node in output_nodes:
-                        data = produced[node.entity_type]
-                        with self._lock:
-                            instance = self.db.record(
-                                node.entity_type, data,
-                                DerivationRecord(tool_id, record_inputs,
-                                                 invocation_id),
-                                user=self.user, name=node.label,
-                                annotations={"flow": graph.name,
-                                             "machine": self.machine},
-                                trace=tool_span.context)
-                        outputs_by_node[node.node_id].append(
-                            instance.instance_id)
-                        created_all.append(instance.instance_id)
-                        combo_created.append(
-                            (node.entity_type, instance.instance_id))
-                    tool_span.set(
-                        created=[i for _, i in combo_created])
-                if key is not None and self._cache_writes:
-                    cache.store(key, combo_created, run_elapsed)
-        for node in output_nodes:
-            node.produced = node.produced \
-                + tuple(reused_by_node[node.node_id]) \
-                + tuple(outputs_by_node[node.node_id])
-        result = None
-        if runs:
-            result = InvocationResult(
-                invocation_id or "", tool_type, tuple(tool_ids),
-                encapsulation_name, runs, tuple(created_all),
-                {k: tuple(v) for k, v in outputs_by_node.items()}, 0.0,
-                self.machine, retries=retries, timeouts=timeouts)
-        cached = None
-        if hits:
-            cached = CachedInvocation(
-                tool_type, invocation.outputs, hits, tuple(reused_all),
-                {k: tuple(v) for k, v in reused_by_node.items()},
-                saved, bytes_saved, self.machine)
+                yield tool_id, enc, ctx, combo
+
+    def _take_hit(self, run: _Run, lane: _Lane, prep: _Prepared,
+                  hit) -> None:
+        grouped = hit.ids_by_type()
+        for output in prep.output_nodes:
+            ids = grouped.get(output.entity_type, [])
+            instance_id = ids.pop(0) if ids else hit.instance_ids[0]
+            prep.reused[output.node_id].append(instance_id)
+            prep.reused_all.append(instance_id)
+        prep.hits += 1
+        prep.saved += hit.saved
+        prep.bytes_saved += hit.bytes_saved
+        lane.cache_hits += 1
+        if self.bus.enabled:
+            self.bus.emit(CACHE_HIT, flow=run.graph.name,
+                          node=",".join(prep.node.invocation.outputs),
+                          tool_type=prep.tool_type, machine=lane.name,
+                          payload={"instances": list(hit.instance_ids),
+                                   "saved": hit.saved,
+                                   "bytes": hit.bytes_saved,
+                                   "key": hit.key[:16]})
+
+    def _dispatch(self, run: _Run, lane: _Lane,
+                  prepared: list[_Prepared]) -> None:
+        """Run every cold call inline, under faults and the policy.
+
+        An invocation's first failed call fails the invocation, so its
+        remaining calls never run.
+        """
+        for prep in prepared:
+            for unit in prep.units:
+                unit.started = self.tracer.clock()
+                began = time.perf_counter()
+                try:
+                    unit.value, unit.stats = self._call(run, lane, unit)
+                except Exception as error:
+                    unit.error = error
+                    break
+                unit.duration = time.perf_counter() - began
+
+    def _call(self, run: _Run, lane: _Lane,
+              unit: _Unit) -> tuple[Any, CallStats]:
+        """Run one call under faults and the policy.
+
+        This is the single in-process resilience boundary: the fault
+        plan wraps the raw call (so injected crashes/hangs hit the same
+        machinery real ones would), and the policy wraps the fault plan
+        (so injected transients are retried, injected hangs time out).
+        Without a policy the call runs bare and any failure propagates
+        unchanged.
+        """
+        if unit.tool_id is None:
+            guarded = lambda: unit.fn(unit.inputs)  # noqa: E731
+        else:
+            guarded = lambda: unit.fn.run(unit.ctx,  # noqa: E731
+                                          unit.inputs)
+        tool_type = unit.tool_type
+        if self.faults is not None:
+            faults, inner = self.faults, guarded
+            guarded = lambda: faults.apply(tool_type, inner)  # noqa: E731
+        if self.profiler is not None:
+            # inside the policy wrap, outside the fault wrap: every
+            # attempt (including injected slowdowns, and watchdog
+            # threads running the body) registers the thread that
+            # actually executes the tool
+            profiler, wrapped = self.profiler, guarded
+            guarded = lambda: profiler.run(tool_type, wrapped)  # noqa: E731
+        if self.resilience is None:
+            return guarded(), CallStats()
+        on_retry, on_timeout, on_quarantine = self._policy_hooks(
+            run, lane, unit)
+        return self.resilience.run(tool_type, guarded, on_retry=on_retry,
+                                   on_timeout=on_timeout,
+                                   on_quarantine=on_quarantine)
+
+    def _policy_hooks(self, run: _Run, lane: _Lane, unit: _Unit):
+        """Event callbacks for the policy's retry decisions."""
+        context = {"flow": run.graph.name, "node": unit.node,
+                   "tool_type": unit.tool_type, "machine": lane.name}
+
+        def on_retry(attempt: int, error: BaseException, delay: float,
+                     classification: str) -> None:
+            self.bus.emit(TOOL_RETRIED, **context,
+                          payload={"attempt": attempt,
+                                   "error": str(error),
+                                   "error_class": type(error).__name__,
+                                   "classification": classification,
+                                   "delay": round(delay, 6)})
+
+        def on_timeout(attempt: int, budget: float) -> None:
+            self.bus.emit(TOOL_TIMED_OUT, **context,
+                          payload={"attempt": attempt, "budget": budget})
+
+        def on_quarantine(consecutive: int) -> None:
+            self.bus.emit(TOOL_QUARANTINED, **context,
+                          payload={"consecutive_failures": consecutive})
+
+        return on_retry, on_timeout, on_quarantine
+
+    def _record(self, run: _Run, lane: _Lane, prep: _Prepared
+                ) -> tuple[InvocationResult | None,
+                           CachedInvocation | None]:
+        """Fold one invocation's calls into history and the report.
+
+        Calls are recorded in order; a failed call fails the invocation
+        and its error is raised.  The calls before it stay recorded and
+        cached, exactly what an inline lane — which stops at the first
+        failure — leaves behind; none of the invocation's nodes get a
+        ``produced`` result.  Spans are opened here, after the work, and
+        pulled back to when it started so child intervals stay
+        contained.
+        """
+        graph = run.graph
+        invocation = prep.node.invocation
+        label = ",".join(invocation.outputs)
+        # The invocation waited in the ready queue AND (when batched)
+        # behind its round-trip-mates inside the worker.
+        if prep.units:
+            prep.queue_wait += min(u.batch_offset for u in prep.units)
+        result = cached = None
+        with self.tracer.span("task:" + label, TASK_SPAN) as task_span:
+            if isinstance(task_span, Span):
+                task_span.start = min(task_span.start, prep.span_start)
+                task_span.set(
+                    flow=graph.name, machine=lane.name,
+                    outputs=sorted(invocation.outputs),
+                    inputs=sorted({supplier_id for _, supplier_id
+                                   in invocation.inputs}),
+                    entity_types=sorted(set(prep.output_types)),
+                    tool_type=prep.tool_type,
+                    wave=run.wave[prep.node.index])
+                if prep.queue_wait > 0:
+                    task_span.set(queue_wait=round(prep.queue_wait, 6))
+            created: list[str] = []
+            created_by_node: dict[str, list[str]] = {
+                n.node_id: [] for n in prep.output_nodes}
+            for unit in prep.units:
+                if unit.error is not None:
+                    raise unit.error
+                pairs = self._record_unit(run, lane, prep, unit)
+                for node_id, instance_id in pairs:
+                    created_by_node[node_id].append(instance_id)
+                    created.append(instance_id)
+                if unit.cache_key is not None and run.writes:
+                    run.cache.store(
+                        unit.cache_key,
+                        [(graph.node(node_id).entity_type, instance_id)
+                         for node_id, instance_id in pairs],
+                        unit.duration)
+            for output in prep.output_nodes:
+                output.produced = output.produced \
+                    + tuple(prep.reused[output.node_id]) \
+                    + tuple(created_by_node[output.node_id])
+            if prep.units:
+                result = InvocationResult(
+                    prep.invocation_id or "", prep.node.tool_type,
+                    prep.tool_ids, prep.encapsulation_name,
+                    len(prep.units), tuple(created),
+                    {k: tuple(v) for k, v in created_by_node.items()},
+                    self._duration(prep), lane.name,
+                    queue_wait=prep.queue_wait,
+                    retries=sum(u.stats.retries for u in prep.units),
+                    timeouts=sum(u.stats.timeouts for u in prep.units))
+                task_span.set(created=list(result.created),
+                              invocation_id=result.invocation_id)
+            if prep.hits:
+                cached = CachedInvocation(
+                    prep.node.tool_type, invocation.outputs, prep.hits,
+                    tuple(prep.reused_all),
+                    {k: tuple(v) for k, v in prep.reused.items()},
+                    prep.saved, prep.bytes_saved, lane.name)
+                task_span.set(reused=list(cached.instances))
+            if run.cache is not None:
+                # every combination served from the cache is a hit; a
+                # mix of reused and executed combos is "partial"
+                if cached is not None:
+                    task_span.set(cache="hit" if result is None
+                                  else "partial")
+                elif run.reads:
+                    task_span.set(cache="miss")
+        if result is not None and self.bus.enabled:
+            payload: dict[str, Any] = {"runs": result.runs,
+                                       "created": list(result.created)}
+            if prep.queue_wait > 0:
+                payload["queue_wait"] = round(prep.queue_wait, 6)
+            self.bus.emit(
+                COMPOSITION_RUN if invocation.tool_node is None
+                else TOOL_FINISHED,
+                flow=graph.name, node=label, tool_type=prep.tool_type,
+                invocation_id=result.invocation_id, machine=lane.name,
+                duration=result.duration, payload=payload)
         return result, cached
+
+    def _record_unit(self, run: _Run, lane: _Lane, prep: _Prepared,
+                     unit: _Unit) -> list[tuple[str, str]]:
+        """Record one call's outputs under its tool (or compose) span.
+
+        Returns ``(node id, instance id)`` per output node.
+        """
+        compose = unit.tool_id is None
+        if compose:
+            produced = {unit.ctx.tool_type: unit.value}
+            derivation = DerivationRecord.make(None, unit.combo,
+                                               prep.invocation_id)
+        else:
+            produced = _normalize_result(unit.value, prep.output_types,
+                                         unit.fn.name)
+            derivation = DerivationRecord(
+                unit.tool_id, _derivation_inputs(unit.combo),
+                prep.invocation_id)
+        pairs: list[tuple[str, str]] = []
+        with self.tracer.span(
+                f"{'compose' if compose else 'tool'}:{unit.ctx.tool_type}",
+                COMPOSE_SPAN if compose else TOOL_SPAN) as tool_span:
+            for output in prep.output_nodes:
+                with self._lock:
+                    instance = self.db.record(
+                        output.entity_type, produced[output.entity_type],
+                        derivation, user=self.user, name=output.label,
+                        annotations={"flow": run.graph.name,
+                                     "machine": lane.name},
+                        trace=tool_span.context)
+                pairs.append((output.node_id, instance.instance_id))
+            if isinstance(tool_span, Span):
+                self._trace_unit(lane, prep, unit, tool_span)
+                tool_span.set(created=[i for _, i in pairs])
+        return pairs
+
+    def _trace_unit(self, lane: _Lane, prep: _Prepared, unit: _Unit,
+                    span: Span) -> None:
+        """Describe one recorded call on its (live) tool span."""
+        if unit.tool_id is None:
+            span.set(entity_type=unit.ctx.tool_type)
+        else:
+            span.set(tool=unit.tool_id, tool_type=unit.ctx.tool_type,
+                     encapsulation=unit.fn.name)
+        if unit.stats.retries:
+            span.set(retries=unit.stats.retries)
+        if unit.stats.timeouts:
+            span.set(timeouts=unit.stats.timeouts)
+        span.set(invocation_id=prep.invocation_id)
+        if unit.started is not None:
+            span.start = min(span.start, unit.started)
+
+    def _duration(self, prep: _Prepared) -> float:
+        """An invocation's duration: prepare through record, inline."""
+        return time.perf_counter() - prep.started
 
 
 def _combinations(role_ids: dict[str, tuple[str, ...]]):

@@ -4,35 +4,31 @@ Section 3.3: *"It is also possible to support parallel task execution,
 wherein disjoint branches in the flow can be executed in parallel,
 possibly on different machines."*
 
-The 1993 machine farm is simulated by a :class:`MachinePool`; each weakly
-connected component of the task graph (a *branch*) is claimed by one
-machine and executed by a regular
-:class:`~repro.execution.executor.FlowExecutor` on its own thread.  All
-executors share one lock around the history database, so derivation
-records stay consistent while tool code (the slow part — external
-processes in the paper's world, here Python callables that may block or
-sleep) runs concurrently.
+The 1993 machine farm is simulated by a :class:`MachinePool`.  The
+parallel preset of the execution core runs one lane per machine; a lane
+claims a whole weakly connected component of the task graph (a
+*branch*) and runs its invocations in order.  All lanes share one lock
+around the history database, so derivation records stay consistent
+while tool code (the slow part — external processes in the paper's
+world, here Python callables that may block or sleep) runs
+concurrently.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
-from ..obs import (EXECUTION_FAILED, FLOW_FINISHED, FLOW_STARTED,
-                   LANE_ASSIGNED, NO_OP_BUS, NO_OP_TRACER,
-                   PARALLEL_EXECUTOR, RUN_SPAN, WAVE_SPAN, EventBus,
+from ..obs import (LANE_ASSIGNED, PARALLEL_EXECUTOR, WAVE_SPAN, EventBus,
                    RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache, normalize_policy
+from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import EncapsulationRegistry
-from .executor import ExecutionReport, FlowExecutor
+from .executor import FlowExecutor, _Lane, _run_threads
 from .faults import FaultPlan
 from .resilience import ResiliencePolicy
 
@@ -102,8 +98,8 @@ def plan_branches(graph: TaskGraph,
     return BranchPlan(tuple(sorted(branches, key=sorted)))
 
 
-class ParallelFlowExecutor:
-    """Executes disjoint branches of a flow concurrently."""
+class _PooledExecutor(FlowExecutor):
+    """Presets whose lanes are the machines of a :class:`MachinePool`."""
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
@@ -117,154 +113,76 @@ class ParallelFlowExecutor:
                  resilience: ResiliencePolicy | None = None,
                  faults: FaultPlan | None = None,
                  profiler=None) -> None:
-        self.db = db
-        self.registry = registry
-        self.user = user
+        super().__init__(db, registry, user=user, machine="", bus=bus,
+                         cache=cache, cache_policy=cache_policy,
+                         tracer=tracer, ledger=ledger,
+                         resilience=resilience, faults=faults,
+                         profiler=profiler)
         self.pool = pool if pool is not None else MachinePool.local(machines)
-        self.bus = bus if bus is not None else NO_OP_BUS
-        self.tracer = tracer if tracer is not None else NO_OP_TRACER
-        self.cache = cache
-        self.cache_policy = normalize_policy(
-            cache_policy if cache is not None else CACHE_OFF)
-        # One RunRecord per coordinated execute() call; the per-branch
-        # worker executors deliberately get no ledger of their own.
-        self.ledger = ledger
-        # The SAME policy/plan objects go to every branch executor:
-        # breaker state and fault counters are global to the run, so a
-        # tool type quarantined on one lane fails fast on all lanes.
-        self.resilience = resilience
-        self.faults = faults
-        # Shared across branch executors: samples are taken by one
-        # background thread, registration is per worker thread.
-        self.profiler = profiler
-        self._db_lock = threading.Lock()
 
-    def execute(self, flow: TaskGraph | DynamicFlow,
-                targets: Sequence[str] | None = None, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        """Run every (selected) branch, one machine per branch."""
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache")
-            self.cache_policy = normalize_policy(cache)
-        graph = flow.graph if isinstance(flow, DynamicFlow) else flow
-        graph.validate()
-        started = time.perf_counter()
-        emitting = self.bus.enabled
-        plan = plan_branches(graph, targets)
-        report = ExecutionReport(graph.name)
-        if not plan.branches:
-            return report
-        # One root span per execute() call; worker threads adopt its
-        # context explicitly (thread-locals never cross threads).
-        run_span = None
-        run_ctx = None
-        if self.tracer.enabled:
-            run_span = self.tracer.start_span(
-                f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name,
-                            "scheduler": "disjoint-branches",
-                            "branches": plan.width,
-                            "machines": len(self.pool),
-                            "cache": self.cache_policy})
-            run_ctx = run_span.context
-        if emitting:
-            self.bus.emit(FLOW_STARTED, flow=graph.name,
-                          payload={"scheduler": "disjoint-branches",
-                                   "branches": plan.width,
-                                   "machines": len(self.pool)})
-        errors: list[BaseException] = []
-        report_lock = threading.Lock()
+    @property
+    def lanes(self) -> int:
+        return len(self.pool)
 
-        def run_branch(branch: frozenset[str]) -> None:
-            wait_started = time.perf_counter()
+    def _run_lanes(self, run) -> None:
+        """One lane thread per machine, holding it for the whole run."""
+
+        def lane_main() -> None:
             machine = self.pool.acquire()
-            queue_wait = time.perf_counter() - wait_started
+            lane = _Lane(machine.name, machine)
             try:
-                if emitting:
-                    self.bus.emit(LANE_ASSIGNED, flow=graph.name,
-                                  machine=machine.name,
-                                  payload={"branch": sorted(branch)})
-                with self.tracer.activate(run_ctx), self.tracer.span(
-                        f"branch:{machine.name}", WAVE_SPAN,
-                        attributes={"flow": graph.name,
-                                    "machine": machine.name,
-                                    "branch": sorted(branch),
-                                    "queue_wait": round(queue_wait, 6)}):
-                    executor = FlowExecutor(
-                        self.db, self.registry, user=self.user,
-                        machine=machine.name, lock=self._db_lock,
-                        bus=self.bus, cache=self.cache,
-                        cache_policy=self.cache_policy,
-                        tracer=self.tracer,
-                        resilience=self.resilience,
-                        faults=self.faults,
-                        profiler=self.profiler)
-                    # the branch rides this run's trace: its tasks
-                    # parent to the branch span, not a second root
-                    executor._trace_run_span = False
-                    branch_targets = sorted(branch)
-                    if targets is not None:
-                        branch_targets = sorted(branch & set(targets))
-                    branch_report = executor.execute(
-                        graph, targets=branch_targets, force=force)
-                machine.executed_branches += 1
-                machine.executed_invocations += len(branch_report.results)
-                with report_lock:
-                    report.merge(branch_report)
-            except BaseException as exc:  # re-raised on the caller thread
-                with report_lock:
-                    errors.append(exc)
+                self._lane_main(run, lane)
             finally:
+                machine.executed_invocations += lane.executed
                 self.pool.release(machine)
 
-        try:
-            with ThreadPoolExecutor(max_workers=len(self.pool)) as tp:
-                futures = [tp.submit(run_branch, branch)
-                           for branch in plan.branches]
-                for future in futures:
-                    future.result()
-            if errors:
-                if emitting:
-                    self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                                  payload={"error": str(errors[0])})
-                if run_span is not None:
-                    run_span.status = \
-                        f"error:{type(errors[0]).__name__}"
-                report.wall_time = time.perf_counter() - started
-                self._ledger_record(report, run_span, errors[0])
-                raise errors[0]
-            # lanes overlap: the merged lane maximum is a lower bound,
-            # the measured elapsed time of this call is the true
-            # wall-clock
-            report.wall_time = time.perf_counter() - started
-            if run_span is not None:
-                run_span.set(runs=report.runs,
-                             created=len(report.created),
-                             cache_hits=report.cache_hits)
-        finally:
-            if run_span is not None:
-                self.tracer.finish(run_span)
-        if emitting:
-            self.bus.emit(FLOW_FINISHED, flow=graph.name,
-                          duration=report.wall_time,
-                          payload={"serial_time": report.serial_time,
-                                   "speedup": round(report.speedup, 3),
-                                   "lanes": plan.width})
-        self._ledger_record(report, run_span)
-        return report
+        _run_threads([lane_main] * len(self.pool))
 
-    def _ledger_record(self, report: ExecutionReport, run_span,
-                       error: BaseException | None = None) -> None:
-        if self.ledger is None:
-            return
-        self.ledger.record_run(
-            report, executor=PARALLEL_EXECUTOR,
-            cache_policy=self.cache_policy,
-            trace_id=run_span.trace_id if run_span is not None else "",
-            error=error,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=len(self.pool))
+
+class ParallelFlowExecutor(_PooledExecutor):
+    """Executes disjoint branches of a flow concurrently.
+
+    Each lane claims a whole branch and runs it on its machine.
+    """
+
+    kind = PARALLEL_EXECUTOR
+
+    def _run_attributes(self, run) -> dict:
+        """Describe the run, noting the branch holding each invocation
+        for :meth:`_claim`."""
+        branch_of = {node_id: branch
+                     for branch in run.graph.disjoint_branches()
+                     for node_id in branch}
+        for index in run.order:
+            outputs = run.nodes[index].invocation.outputs
+            run.branches[index] = branch_of[outputs[0]]
+        return {"scheduler": "disjoint-branches",
+                "branches": len(set(run.branches.values())),
+                "machines": len(self.pool)}
+
+    def _claim(self, run, lane) -> list[list[int]]:
+        """Claim the whole branch of the earliest ready invocation.
+
+        Branches share no dependencies, so the lane runs the branch's
+        invocations one after another in topological order.
+        """
+        branch = run.branches[run.ready[0]]
+        run.ready[:] = [index for index in run.ready
+                        if run.branches[index] != branch]
+        return [[index] for index in run.order
+                if run.branches[index] == branch]
+
+    @contextmanager
+    def _claim_scope(self, run, lane, groups,
+                     queue_wait: float) -> Iterator[None]:
+        branch = sorted(run.branches[groups[0][0]])
+        self.bus.emit(LANE_ASSIGNED, flow=run.graph.name,
+                      machine=lane.name, payload={"branch": branch})
+        with self.tracer.span(f"branch:{lane.name}", WAVE_SPAN,
+                              attributes={"flow": run.graph.name,
+                                          "machine": lane.name,
+                                          "branch": branch,
+                                          "queue_wait":
+                                          round(queue_wait, 6)}):
+            yield
+        lane.host.executed_branches += 1

@@ -39,38 +39,26 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
-from ..core.flow import DynamicFlow
-from ..core.taskgraph import TaskGraph, TaskInvocation
 from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
-                      ToolQuarantinedError, TransientToolError)
+                      TransientToolError)
 from ..history.database import HistoryDatabase
-from ..history.instance import DerivationRecord
-from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
-                   COMPOSE_TOOL, COMPOSITION_RUN, EXECUTION_FAILED,
-                   FLOW_FINISHED, FLOW_STARTED, NODE_READY, PHASE_DECODE,
-                   PHASE_ENCODE, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
-                   PROCESS_EXECUTOR, RUN_SPAN, TASK_SPAN, TOOL_FINISHED,
-                   TOOL_INVOKED, TOOL_QUARANTINED, TOOL_RETRIED,
-                   TOOL_SPAN, TOOL_TIMED_OUT, WAVE_SPAN, WORKER_STATS,
-                   ClockSync, EventBus, NO_OP_TRACER, RunLedger,
+from ..obs import (COMPOSE_TOOL, PHASE_DECODE, PHASE_ENCODE, PHASE_SPAN,
+                   PHASE_TOOL, PHASE_VERIFY, PROCESS_EXECUTOR,
+                   WORKER_STATS, ClockSync, EventBus, RunLedger,
                    SamplingProfiler, Span, Tracer, WorkerRunStats,
                    WorkerTelemetry, fit_phases, merge_profiles,
                    worker_utilization)
-from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
-                    DerivationCache, normalize_policy)
+from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
-from .executor import (CachedInvocation, ExecutionReport, FlowExecutor,
-                       InvocationResult, _combinations,
-                       _derivation_inputs, _normalize_result)
+from .executor import (FlowExecutor, _Lane, _Prepared, _Run, _Unit,
+                       _derivation_inputs, _run_threads)
 from .faults import FaultPlan, FaultSpec, run_with_fault
-from .resilience import (QUARANTINED, TRANSIENT, CallStats,
-                         ResiliencePolicy, annotate_error)
-from .scheduler import (DurationModel, _InvocationNode,
-                        _invocation_graph, _tool_type_of)
+from .resilience import ResiliencePolicy, annotate_error
+from .scheduler import DurationModel
 
 DEFAULT_BATCH_MAX = 4
 
@@ -361,14 +349,6 @@ class _WorkerHandle:
         #: keep accumulating across replacements.
         self.last_stats: dict[str, Any] = {}
         self.stats_base: dict[str, Any] = {}
-        #: Lane-side counters (each handle is owned by exactly one
-        #: coordinator lane thread, so these need no locking).  A
-        #: *steal* is a claim whose tool type differs from this lane's
-        #: previous claim — the lane left its warm streak to drain
-        #: whatever was runnable on the shared deque.
-        self.lane_steals = 0
-        self.lane_cache_hits = 0
-        self.last_tool_type: str | None = None
 
     def start(self) -> None:
         parent, child = self.context.Pipe()
@@ -496,67 +476,20 @@ class _WorkerHandle:
 
 
 # ---------------------------------------------------------------------------
-# coordinator-side bookkeeping
+# the coordinator: the execution core's procpool preset
 # ---------------------------------------------------------------------------
-@dataclass
-class _Unit:
-    """One cold tool/composition call of one invocation."""
-
-    envelope: InvocationEnvelope
-    tool_id: str | None
-    record_inputs: tuple[tuple[str, str], ...]
-    combo: dict[str, Any]
-    cache_key: str | None
-    node_label: str
-    #: Tool type as events/policy see it (COMPOSE_TOOL for compose).
-    event_tool_type: str
-    stats: CallStats = field(default_factory=lambda: CallStats(attempts=0))
-    outcome: EnvelopeOutcome | None = None
-    error: BaseException | None = None
-    #: Tool time of earlier units in the same worker round trip: a
-    #: batched unit waits this long after dispatch before its tool
-    #: starts, so it counts toward queue wait, not duration.
-    batch_offset: float = 0.0
-    #: Coordinator-observed (send, receive) interval of the round trip
-    #: that produced ``outcome``, on the tracer clock — the clamp
-    #: window for skew-corrected worker phase spans.  Retries
-    #: overwrite it, so the last (successful) attempt wins.
-    window: tuple[float, float] | None = None
-
-
-@dataclass
-class _Prepared:
-    """One claimed invocation, after cache lookups, before dispatch."""
-
-    index: int
-    invocation: TaskInvocation
-    tool_type: str | None
-    event_tool_type: str
-    output_nodes: list[Any]
-    output_types: tuple[str, ...]
-    queue_wait: float
-    wave: int | None
-    units: list[_Unit] = field(default_factory=list)
-    tool_ids: tuple[str, ...] = ()
-    encapsulation_name: str = ""
-    invocation_id: str | None = None
-    hits: int = 0
-    saved: float = 0.0
-    bytes_saved: int = 0
-    reused_all: list[str] = field(default_factory=list)
-    reused_by_node: dict[str, list[str]] = field(default_factory=dict)
-
-
-class ProcessFlowExecutor:
+class ProcessFlowExecutor(FlowExecutor):
     """Executes one flow on a pool of real worker processes.
 
-    The coordinator mirrors the invocation-level scheduler: one lane
-    thread per worker process claims ready invocations from a shared
-    deque (work-stealing), batches same-tool-type claims onto one
-    round trip, and records all results into the (single-process)
+    One lane thread per worker process claims ready invocations off the
+    shared queue (work-stealing), batches same-tool-type claims onto
+    one round trip, and records all results into the (single-process)
     history database.  Requires the ``fork`` start method — the tool
     registry holds closures only a forked child can inherit.
     """
+
+    kind = PROCESS_EXECUTOR
+    lane_spans = True
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
@@ -583,246 +516,95 @@ class ProcessFlowExecutor:
                 "cannot be pickled to a spawned worker); this "
                 "platform offers only: "
                 + ", ".join(multiprocessing.get_all_start_methods()))
-        self.db = db
-        self.registry = registry
-        self.user = user
+        super().__init__(db, registry, user=user, machine="", bus=bus,
+                         cache=cache, cache_policy=cache_policy,
+                         tracer=tracer, ledger=ledger,
+                         resilience=resilience, faults=faults,
+                         profiler=profiler)
         self.workers = workers
         self.batch_max = batch_max
-        self.tracer = tracer if tracer is not None else NO_OP_TRACER
-        # Shared across every lane: one breaker, one fault counter
-        # sequence, no matter which worker runs an invocation.
-        self.resilience = resilience
-        self.faults = faults
+        self.durations = durations if durations is not None \
+            else DurationModel()
         # Coordinator-side aggregate: workers run their own in-process
         # samplers (a coordinator thread cannot see worker stacks) and
         # ship cumulative payloads back on every batch reply; the
-        # coordinator absorbs them here and clamps busy time to the
-        # fitted tool-phase durations before the ledger snapshot.
-        self.profiler = profiler
+        # coordinator absorbs them and clamps busy time to the fitted
+        # tool-phase durations before the ledger snapshot.
         self._profile_caps: dict[str, float] = {}
         self._profile_lock = threading.Lock()
-        self.cache = cache
-        self.cache_policy = normalize_policy(
-            cache_policy if cache is not None else CACHE_OFF)
-        self.ledger = ledger
-        self.durations = durations if durations is not None \
-            else DurationModel()
-        self.bus = bus if bus is not None else EventBus()
-        self.bus.subscribe(self.durations)
         self._context = multiprocessing.get_context("fork")
-        self._db_lock = threading.Lock()
         self._envelope_ids = itertools.count(1)
-        self._force = False
-
-    # ------------------------------------------------------------------
-    # cache plumbing (mirrors FlowExecutor)
-    # ------------------------------------------------------------------
-    def _cache_for_run(self) -> DerivationCache | None:
-        if self.cache is None or self.cache_policy == CACHE_OFF:
-            return None
-        return self.cache
 
     @property
-    def _cache_reads(self) -> bool:
-        return self.cache_policy in (CACHE_REUSE, CACHE_READWRITE) \
-            and not self._force
+    def lanes(self) -> int:
+        return self.workers
 
-    @property
-    def _cache_writes(self) -> bool:
-        return self.cache_policy == CACHE_READWRITE
-
-    @property
-    def _profile_interval(self) -> float:
-        return self.profiler.interval if self.profiler is not None \
-            else 0.0
-
-    @property
-    def _profile_memory(self) -> bool:
-        return bool(self.profiler is not None
-                    and self.profiler.track_memory)
+    def _run_attributes(self, run: _Run) -> dict[str, Any]:
+        return {"scheduler": "procpool", "workers": self.workers}
 
     # ------------------------------------------------------------------
-    # public API
+    # lanes: one worker process each
     # ------------------------------------------------------------------
-    def execute(self, flow: TaskGraph | DynamicFlow, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache")
-            self.cache_policy = normalize_policy(cache)
-        graph = flow.graph if isinstance(flow, DynamicFlow) else flow
-        graph.validate()
-        started = time.perf_counter()
-        nodes = _invocation_graph(graph, None, self.durations,
-                                  _tool_type_of(graph))
-        report = ExecutionReport(graph.name)
-        if not nodes:
-            return report
-        self.bus.emit(FLOW_STARTED, flow=graph.name,
-                      payload={"scheduler": "procpool",
-                               "workers": self.workers,
-                               "invocations": len(nodes)})
-        # Readiness checks, degrade bookkeeping and failure entries are
-        # borrowed from the sequential executor; it never runs a tool.
-        probe = FlowExecutor(self.db, self.registry, user=self.user,
-                             machine="coordinator", lock=self._db_lock,
-                             resilience=self.resilience)
-        probe._check_ready(graph, set(graph.node_ids()))
-        if force:
-            for node_id in graph.node_ids():
-                if graph.suppliers(node_id):
-                    graph.node(node_id).produced = ()
-        self._force = force
+    def _run_lanes(self, run: _Run) -> None:
         self._profile_caps = {}
-
-        # dependency depth of each invocation: its scheduler "wave"
-        wave: dict[int, int] = {}
-        for node in nodes:
-            chain = [node.index]
-            while chain:
-                index = chain[-1]
-                missing = [p for p in nodes[index].predecessors
-                           if p not in wave]
-                if missing:
-                    chain.extend(missing)
-                    continue
-                chain.pop()
-                wave[index] = 1 + max(
-                    (wave[p] for p in nodes[index].predecessors),
-                    default=-1)
-
-        run_span = None
-        run_ctx = None
-        if self.tracer.enabled:
-            run_span = self.tracer.start_span(
-                f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name,
-                            "scheduler": "procpool",
-                            "workers": self.workers,
-                            "invocations": len(nodes),
-                            "cache": self.cache_policy})
-            run_ctx = run_span.context
-
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
         # lanes would snapshot their lock states into the child.
         handles = [_WorkerHandle(f"worker{i}", self.registry,
-                                 self._context,
-                                 clock=self.tracer.clock)
+                                 self._context, clock=self.tracer.clock)
                    for i in range(self.workers)]
         for handle in handles:
             handle.start()
-
-        pending = {n.index: len(n.predecessors) for n in nodes}
-        condition = threading.Condition()
-        ready = [n.index for n in nodes if not n.predecessors]
-        ready_at = {index: time.perf_counter() for index in ready}
-        done: set[int] = set()
-        errors: list[BaseException] = []
-        failed_nodes: set[str] = set()
-        report_lock = threading.Lock()
-
-        def lane(handle: _WorkerHandle) -> None:
-            with self.tracer.activate(run_ctx), self.tracer.span(
-                    f"lane:{handle.name}", WAVE_SPAN,
-                    attributes={"flow": graph.name,
-                                "machine": handle.name}) as lane_span:
-                executed = self._drain(
-                    graph, nodes, handle, probe, force, condition,
-                    pending, ready, ready_at, done, errors, report,
-                    report_lock, wave, failed_nodes)
-                lane_span.set(invocations=executed,
-                              restarts=handle.restarts,
-                              steals=handle.lane_steals,
-                              cache_hits=handle.lane_cache_hits,
-                              clock_offset=round(handle.sync.offset, 6),
-                              clock_rtt=round(handle.sync.rtt, 6))
-
+        lanes = [_Lane(handle.name, handle) for handle in handles]
         try:
-            threads = [threading.Thread(target=lane, args=(handle,),
-                                        name=f"repro-lane-{handle.name}")
-                       for handle in handles]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            _run_threads([lambda lane=lane: self._lane_main(run, lane)
+                          for lane in lanes])
         finally:
             for handle in handles:
                 handle.stop()
-        wall = time.perf_counter() - started
-        workers = self._collect_worker_stats(handles, wall)
+        wall = time.perf_counter() - run.began
+        run.workers = self._collect_worker_stats(lanes, wall)
         if self.profiler is not None:
             # Fold every worker's cumulative aggregate (respawn bases
             # included), then clamp busy time to the skew-corrected
             # tool-phase durations so self time stays contained in the
-            # merged trace spans.  Runs before BOTH ledger paths.
+            # merged trace spans.  Runs before the ledger snapshot.
             for handle in handles:
                 payload = handle.worker_stats().get("profile")
                 if payload:
                     self.profiler.absorb(payload)
             self.profiler.clamp_to(self._profile_caps)
-        try:
-            if errors:
-                self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                              payload={"error": str(errors[0])})
-                if run_span is not None:
-                    run_span.status = \
-                        f"error:{type(errors[0]).__name__}"
-                report.wall_time = wall
-                self._ledger_record(report, run_span, errors[0],
-                                    workers)
-                raise errors[0]
-            if self.resilience is not None:
-                report.quarantined = sorted(
-                    set(report.quarantined)
-                    | set(self.resilience.quarantined()))
-            report.wall_time = wall
-            if run_span is not None:
-                run_span.set(runs=report.runs,
-                             created=len(report.created),
-                             cache_hits=report.cache_hits,
-                             queue_wait=round(report.queue_wait_time, 6),
-                             restarts=sum(h.restarts for h in handles),
-                             utilization=round(
-                                 worker_utilization(workers, wall), 4))
-        finally:
-            if run_span is not None:
-                self.tracer.finish(run_span)
-        self._emit_worker_stats(graph, workers, wall)
-        self.bus.emit(FLOW_FINISHED, flow=graph.name,
-                      duration=report.wall_time,
-                      payload={"serial_time": report.serial_time,
-                               "speedup": round(report.speedup, 3),
-                               "runs": report.runs,
-                               "cache_hits": report.cache_hits,
-                               "queue_wait": round(
-                                   report.queue_wait_time, 6)})
-        self._ledger_record(report, run_span, workers=workers)
-        return report
+        run.span.set(restarts=sum(h.restarts for h in handles),
+                     utilization=round(
+                         worker_utilization(run.workers, wall), 4))
+        self._emit_worker_stats(run.graph, run.workers, wall)
 
-    def _collect_worker_stats(self, handles: list[_WorkerHandle],
-                              wall: float
+    def _lane_attributes(self, lane: _Lane) -> dict[str, Any]:
+        handle = lane.host
+        return {"restarts": handle.restarts, "steals": lane.steals,
+                "cache_hits": lane.cache_hits,
+                "clock_offset": round(handle.sync.offset, 6),
+                "clock_rtt": round(handle.sync.rtt, 6)}
+
+    def _collect_worker_stats(self, lanes: list[_Lane], wall: float
                               ) -> dict[str, WorkerRunStats]:
         """Fold worker-side counters + lane counters per worker."""
         stats: dict[str, WorkerRunStats] = {}
-        for handle in handles:
-            snap = handle.worker_stats()
+        for lane in lanes:
+            snap = lane.host.worker_stats()
             busy = float(snap.get("busy_time", 0.0))
-            stats[handle.name] = WorkerRunStats(
+            stats[lane.name] = WorkerRunStats(
                 batches=int(snap.get("batches", 0)),
                 invocations=int(snap.get("envelopes", 0)),
-                steals=handle.lane_steals,
-                respawns=handle.restarts,
-                cache_hits=handle.lane_cache_hits,
+                steals=lane.steals,
+                respawns=lane.host.restarts,
+                cache_hits=lane.cache_hits,
                 busy_time=round(busy, 6),
                 idle_time=round(max(0.0, wall - busy), 6),
                 rss_kb=int(snap.get("rss_kb", 0)))
         return stats
 
-    def _emit_worker_stats(self, graph: TaskGraph,
-                           workers: dict[str, WorkerRunStats],
+    def _emit_worker_stats(self, graph, workers: dict[str, WorkerRunStats],
                            wall: float) -> None:
         if not self.bus.enabled:
             return
@@ -843,23 +625,8 @@ class ProcessFlowExecutor:
                              stats.busy_time / wall, 4)
                          if wall > 0 else 0.0})
 
-    def _ledger_record(self, report: ExecutionReport, run_span,
-                       error: BaseException | None = None,
-                       workers: dict[str, WorkerRunStats] | None = None
-                       ) -> None:
-        if self.ledger is None:
-            return
-        self.ledger.record_run(
-            report, executor=PROCESS_EXECUTOR,
-            cache_policy=self.cache_policy,
-            trace_id=run_span.trace_id if run_span is not None else "",
-            error=error, workers=workers,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=self.workers)
-
     # ------------------------------------------------------------------
-    # lane loop: claim, batch, dispatch, record
+    # claim: same-tool-type batches under a fair-share cap
     # ------------------------------------------------------------------
     def _batchable(self, tool_type: str | None) -> bool:
         """Same-tool-type claims may share one worker round trip —
@@ -871,384 +638,88 @@ class ProcessFlowExecutor:
         rule = self.resilience.rule_for(tool_type or COMPOSE_TOOL)
         return rule.timeout is None
 
-    def _drain(self, graph: TaskGraph, nodes: list[_InvocationNode],
-               handle: _WorkerHandle, probe: FlowExecutor, force: bool,
-               condition: threading.Condition, pending: dict[int, int],
-               ready: list[int], ready_at: dict[int, float],
-               done: set[int], errors: list[BaseException],
-               report: ExecutionReport, report_lock: threading.Lock,
-               wave: dict[int, int], failed_nodes: set[str]) -> int:
-        degrade = (self.resilience is not None
-                   and self.resilience.degrade)
-        executed = 0
-        while True:
-            with condition:
-                while not ready and len(done) < len(nodes) \
-                        and not errors:
-                    condition.wait()
-                if errors or len(done) >= len(nodes):
-                    return executed
-                claimed = [ready.pop(0)]
-                tool_type = nodes[claimed[0]].tool_type
-                # Steal accounting: this lane switched tool types to
-                # drain whatever was runnable off the shared deque.
-                if handle.last_tool_type is not None \
-                        and tool_type != handle.last_tool_type:
-                    handle.lane_steals += 1
-                handle.last_tool_type = tool_type
-                # Batch greed is capped at this lane's fair share of
-                # the ready set: amortize round trips only when there
-                # is more ready work than workers — otherwise batching
-                # would serialize exactly the parallelism it exists to
-                # exploit.
-                share = -(-(len(ready) + 1) // self.workers)
-                limit = min(self.batch_max, max(1, share))
-                if self._batchable(tool_type):
-                    position = 0
-                    while position < len(ready) \
-                            and len(claimed) < limit:
-                        if nodes[ready[position]].tool_type == tool_type:
-                            claimed.append(ready.pop(position))
-                        else:
-                            position += 1
-            # Queue-wait semantics (deliberately different from the
-            # thread scheduler, which measures at claim time *inside*
-            # the condition lock): the wait ends when the coordinator
-            # actually starts dispatching, measured on the coordinator
-            # clock after the lock is released — lock contention counts
-            # as waiting, it is not silently hidden inside it.
-            dispatch_at = time.perf_counter()
-            queue_waits = {
-                index: max(0.0, dispatch_at
-                           - ready_at.get(index, dispatch_at))
-                for index in claimed}
-            aborted = self._execute_batch(
-                graph, nodes, handle, probe, force, claimed,
-                queue_waits, wave, degrade, report, report_lock,
-                errors, condition, failed_nodes)
-            executed += len(claimed)
-            with condition:
-                now = time.perf_counter()
-                for index in claimed:
-                    done.add(index)
-                    for successor in nodes[index].successors:
-                        pending[successor] -= 1
-                        if pending[successor] == 0:
-                            ready.append(successor)
-                            ready_at[successor] = now
-                condition.notify_all()
-                if aborted:
-                    condition.notify_all()
-                    return executed
-
-    def _execute_batch(self, graph: TaskGraph,
-                       nodes: list[_InvocationNode],
-                       handle: _WorkerHandle, probe: FlowExecutor,
-                       force: bool, claimed: list[int],
-                       queue_waits: dict[int, float],
-                       wave: dict[int, int], degrade: bool,
-                       report: ExecutionReport,
-                       report_lock: threading.Lock,
-                       errors: list[BaseException],
-                       condition: threading.Condition,
-                       failed_nodes: set[str]) -> bool:
-        """Prepare, dispatch and record one claimed batch.
-
-        Returns True when a non-degradable error aborted the run (the
-        caller still marks the claimed invocations done so the other
-        lanes wake up and observe ``errors``).
-        """
-
-        def fail(index: int, error: BaseException) -> bool:
-            """Route one invocation's failure; True means abort."""
-            invocation = nodes[index].invocation
-            if not degrade:
-                with condition:
-                    errors.append(error)
-                    condition.notify_all()
-                return True
-            with report_lock:
-                report.failures.append(probe._failure_entry(
-                    error, invocation.outputs))
-                failed_nodes.update(invocation.outputs)
-            self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                          node=",".join(invocation.outputs),
-                          machine=handle.name,
-                          payload={"error": str(error),
-                                   "degraded": True})
-            return False
-
-        prepared: list[_Prepared] = []
-        for index in claimed:
-            invocation = nodes[index].invocation
-            outputs = [graph.node(o) for o in invocation.outputs]
-            if degrade:
-                with report_lock:
-                    if probe._record_upstream_failure(
-                            graph, invocation, report, failed_nodes):
-                        continue
-            if not force and all(o.results() for o in outputs):
-                with report_lock:
-                    report.skipped.extend(invocation.outputs)
-                continue
-            try:
-                prepared.append(self._prepare(
-                    graph, nodes[index], handle, queue_waits[index],
-                    wave.get(index)))
-            except BaseException as error:
-                if fail(index, error):
-                    return True
-        units = [unit for prep in prepared for unit in prep.units]
-        if units:
-            self._dispatch(graph, handle, units)
-        for prep in prepared:
-            try:
-                result, cached = self._record(graph, prep, handle)
-            except BaseException as error:
-                if fail(prep.index, error):
-                    return True
-                continue
-            with report_lock:
-                if result is not None:
-                    report.results.append(result)
-                if cached is not None:
-                    report.cached.append(cached)
-        return False
-
-    # ------------------------------------------------------------------
-    # prepare: cache lookups + envelope construction (coordinator side)
-    # ------------------------------------------------------------------
-    def _next_fault(self, event_tool_type: str) -> FaultSpec | None:
-        if self.faults is None:
-            return None
-        return self.faults.next_fault(event_tool_type)
-
-    def _check_quarantine(self, tool_type: str) -> None:
-        """Fail fast before building envelopes, like the policy does."""
-        policy = self.resilience
-        if policy is None or not policy.breaker.is_open(tool_type):
-            return
-        raise annotate_error(
-            ToolQuarantinedError(
-                f"tool type {tool_type!r} is quarantined after "
-                f"{policy.breaker.failures(tool_type)} consecutive "
-                "failures"),
-            tool_type=tool_type, classification=QUARANTINED,
-            attempts=0, retries=0, timeouts=0)
-
-    def _prepare(self, graph: TaskGraph, inv_node: _InvocationNode,
-                 handle: _WorkerHandle, queue_wait: float,
-                 wave_index: int | None) -> _Prepared:
-        invocation = inv_node.invocation
-        output_nodes = [graph.node(o) for o in invocation.outputs]
-        output_types = tuple(n.entity_type for n in output_nodes)
-        emitting = self.bus.enabled
-        if emitting:
-            for node in output_nodes:
-                self.bus.emit(NODE_READY, flow=graph.name,
-                              node=node.node_id, machine=handle.name,
-                              payload={"entity_type": node.entity_type})
-        role_ids: dict[str, tuple[str, ...]] = {}
-        for role, supplier_id in invocation.inputs:
-            supplier = graph.node(supplier_id)
-            ids = supplier.results()
-            if not ids:
-                raise ExecutionError(
-                    f"{supplier}: no instances available for role "
-                    f"{role!r}")
-            role_ids[role] = ids
-        event_tool_type = (
-            graph.node(invocation.tool_node).entity_type
-            if invocation.tool_node is not None else COMPOSE_TOOL)
-        if emitting:
-            self.bus.emit(TOOL_INVOKED, flow=graph.name,
-                          node=",".join(invocation.outputs),
-                          tool_type=event_tool_type,
-                          machine=handle.name,
-                          payload={"roles": sorted(role_ids)})
-        self._check_quarantine(event_tool_type)
-        prep = _Prepared(
-            index=inv_node.index, invocation=invocation,
-            tool_type=inv_node.tool_type,
-            event_tool_type=event_tool_type,
-            output_nodes=output_nodes, output_types=output_types,
-            queue_wait=queue_wait, wave=wave_index,
-            reused_by_node={n.node_id: [] for n in output_nodes})
-        if invocation.tool_node is None:
-            self._prepare_compose(graph, prep, handle, role_ids)
-        else:
-            self._prepare_tool(graph, prep, handle, role_ids)
-        return prep
-
-    def _take_hit(self, graph: TaskGraph, prep: _Prepared, hit,
-                  handle: _WorkerHandle) -> None:
-        grouped = hit.ids_by_type()
-        for node in prep.output_nodes:
-            ids = grouped.get(node.entity_type, [])
-            instance_id = ids.pop(0) if ids else hit.instance_ids[0]
-            prep.reused_by_node[node.node_id].append(instance_id)
-            prep.reused_all.append(instance_id)
-        prep.hits += 1
-        prep.saved += hit.saved
-        prep.bytes_saved += hit.bytes_saved
-        handle.lane_cache_hits += 1
-        if self.bus.enabled:
-            self.bus.emit(CACHE_HIT, flow=graph.name,
-                          node=",".join(prep.invocation.outputs),
-                          tool_type=prep.event_tool_type,
-                          machine=handle.name,
-                          payload={"instances": list(hit.instance_ids),
-                                   "saved": hit.saved,
-                                   "bytes": hit.bytes_saved,
-                                   "key": hit.key[:16]})
-
-    def _emit_miss(self, graph: TaskGraph, prep: _Prepared, key: str,
-                   handle: _WorkerHandle) -> None:
-        if self.bus.enabled:
-            self.bus.emit(CACHE_MISS, flow=graph.name,
-                          node=",".join(prep.invocation.outputs),
-                          tool_type=prep.event_tool_type,
-                          machine=handle.name,
-                          payload={"key": key[:16]})
-
-    def _prepare_tool(self, graph: TaskGraph, prep: _Prepared,
-                      handle: _WorkerHandle,
-                      role_ids: dict[str, tuple[str, ...]]) -> None:
-        invocation = prep.invocation
-        tool_node = graph.node(invocation.tool_node)
-        tool_ids = tool_node.results()
-        if not tool_ids:
-            raise ExecutionError(
-                f"{tool_node}: no tool instance available")
-        prep.tool_ids = tuple(tool_ids)
-        cache = self._cache_for_run()
-        tool_type = tool_node.entity_type
-        for tool_id in tool_ids:
-            with self._db_lock:
-                tool_instance = self.db.get(tool_id)
-                tool_data = self.db.data(tool_instance)
-            enc = self.registry.resolve(tool_instance.entity_type,
-                                        tool_id)
-            prep.encapsulation_name = enc.name
-            if enc.batch:
-                combos: list[dict[str, Any]] = [
-                    {role: list(ids) for role, ids in role_ids.items()}]
-            else:
-                combos = list(_combinations(role_ids))
-            for combo in combos:
-                key = None
-                if cache is not None:
-                    key = cache.tool_run_key(
-                        tool_id, combo, sorted(set(prep.output_types)))
-                    if self._cache_reads:
-                        with self.tracer.span(
-                                f"cache:{tool_type}", CACHE_SPAN,
-                                attributes={"key": key[:16],
-                                            "tool": tool_id}) as lookup:
-                            hit = cache.fetch(
-                                key, sorted(set(prep.output_types)))
-                            lookup.set(outcome="hit" if hit is not None
-                                       else "miss")
-                        if hit is not None:
-                            self._take_hit(graph, prep, hit, handle)
-                            continue
-                        self._emit_miss(graph, prep, key, handle)
-                with self._db_lock:
-                    if prep.invocation_id is None:
-                        prep.invocation_id = self.db.new_invocation_id()
-                    inputs = tuple(
-                        (role, [self.db.data(r) for r in ref]
-                         if isinstance(ref, list)
-                         else self.db.data(ref))
-                        for role, ref in sorted(combo.items()))
-                prep.units.append(_Unit(
-                    envelope=InvocationEnvelope(
-                        envelope_id=next(self._envelope_ids),
-                        kind="tool", tool_type=tool_type,
-                        tool_instance_id=tool_id, tool_data=tool_data,
-                        fingerprint=enc.fingerprint(),
-                        output_types=prep.output_types, inputs=inputs,
-                        input_digests=_derivation_inputs(combo),
-                        user=self.user,
-                        fault=self._next_fault(tool_type),
-                        collect_phases=self.tracer.enabled,
-                        profile_interval=self._profile_interval,
-                        profile_memory=self._profile_memory),
-                    tool_id=tool_id,
-                    record_inputs=_derivation_inputs(combo),
-                    combo=dict(combo), cache_key=key,
-                    node_label=",".join(invocation.outputs),
-                    event_tool_type=tool_type))
-
-    def _prepare_compose(self, graph: TaskGraph, prep: _Prepared,
-                         handle: _WorkerHandle,
-                         role_ids: dict[str, tuple[str, ...]]) -> None:
-        node = prep.output_nodes[0]
-        compose = self.registry.composition(node.entity_type)
-        prep.encapsulation_name = f"compose:{node.entity_type}"
-        cache = self._cache_for_run()
-        for combo in _combinations(role_ids):
-            key = None
-            if cache is not None:
-                key = cache.composition_key(node.entity_type, combo)
-                if self._cache_reads:
-                    with self.tracer.span(
-                            f"cache:{node.entity_type}", CACHE_SPAN,
-                            attributes={"key": key[:16]}) as lookup:
-                        hit = cache.fetch(key, (node.entity_type,))
-                        lookup.set(outcome="hit" if hit is not None
-                                   else "miss")
-                    if hit is not None:
-                        self._take_hit(graph, prep, hit, handle)
-                        continue
-                    self._emit_miss(graph, prep, key, handle)
-            with self._db_lock:
-                if prep.invocation_id is None:
-                    prep.invocation_id = self.db.new_invocation_id()
-                inputs = tuple((role, self.db.data(ref))
-                               for role, ref in sorted(combo.items()))
-            prep.units.append(_Unit(
-                envelope=InvocationEnvelope(
-                    envelope_id=next(self._envelope_ids),
-                    kind="compose", tool_type=node.entity_type,
-                    tool_instance_id=None, tool_data=None,
-                    fingerprint=fingerprint_callable(compose),
-                    output_types=(node.entity_type,), inputs=inputs,
-                    input_digests=_derivation_inputs(combo),
-                    user=self.user,
-                    fault=self._next_fault(COMPOSE_TOOL),
-                    collect_phases=self.tracer.enabled,
-                    profile_interval=self._profile_interval,
-                    profile_memory=self._profile_memory),
-                tool_id=None, record_inputs=_derivation_inputs(combo),
-                combo=dict(combo), cache_key=key,
-                node_label=",".join(prep.invocation.outputs),
-                event_tool_type=COMPOSE_TOOL))
+    def _claim(self, run: _Run, lane: _Lane) -> list[list[int]]:
+        ready, nodes = run.ready, run.nodes
+        claimed = [ready.pop(0)]
+        tool_type = nodes[claimed[0]].tool_type
+        # Steal accounting: this lane switched tool types to drain
+        # whatever was runnable off the shared queue.
+        if lane.last_tool_type is not None \
+                and tool_type != lane.last_tool_type:
+            lane.steals += 1
+        lane.last_tool_type = tool_type
+        # Batch greed is capped at this lane's fair share of the ready
+        # set: amortize round trips only when there is more ready work
+        # than workers — otherwise batching would serialize exactly the
+        # parallelism it exists to exploit.
+        share = -(-(len(ready) + 1) // self.workers)
+        limit = min(self.batch_max, max(1, share))
+        if self._batchable(tool_type):
+            position = 0
+            while position < len(ready) and len(claimed) < limit:
+                if nodes[ready[position]].tool_type == tool_type:
+                    claimed.append(ready.pop(position))
+                else:
+                    position += 1
+        return [claimed]
 
     # ------------------------------------------------------------------
     # dispatch: worker round trips with retry / watchdog / breaker
     # ------------------------------------------------------------------
-    def _dispatch(self, graph: TaskGraph, handle: _WorkerHandle,
-                  units: list[_Unit]) -> None:
+    def _envelope(self, unit: _Unit) -> InvocationEnvelope:
+        """The wire form of one attempt; every attempt draws its own
+        scripted fault, as the in-process boundary counts them."""
+        ctx = unit.ctx
+        profiler = self.profiler
+        return InvocationEnvelope(
+            envelope_id=next(self._envelope_ids),
+            kind="tool" if unit.tool_id is not None else "compose",
+            tool_type=ctx.tool_type, tool_instance_id=unit.tool_id,
+            tool_data=ctx.tool_data,
+            fingerprint=(unit.fn.fingerprint()
+                         if unit.tool_id is not None
+                         else fingerprint_callable(unit.fn)),
+            output_types=ctx.output_types,
+            inputs=tuple(sorted(unit.inputs.items())),
+            input_digests=_derivation_inputs(unit.combo),
+            user=self.user,
+            fault=(self.faults.next_fault(unit.tool_type)
+                   if self.faults is not None else None),
+            collect_phases=self.tracer.enabled,
+            profile_interval=(profiler.interval
+                              if profiler is not None else 0.0),
+            profile_memory=bool(profiler is not None
+                                and profiler.track_memory))
+
+    def _timeout_for(self, unit: _Unit) -> float | None:
+        if self.resilience is None:
+            return None
+        timeout = self.resilience.rule_for(unit.tool_type).timeout
+        if timeout is None or timeout <= 0:
+            return None
+        return timeout
+
+    def _dispatch(self, run: _Run, lane: _Lane,
+                  prepared: list[_Prepared]) -> None:
         """Run every unit to a final outcome (success or final error).
 
-        Reimplements :meth:`ResiliencePolicy.run`'s loop for the
-        process boundary: the watchdog is the coordinator polling the
-        pipe (and killing the worker on expiry) instead of a daemon
-        thread, and a retried unit's envelope is re-enqueued with a
-        freshly drawn fault so the plan's per-attempt counting holds.
+        The process-boundary twin of :meth:`ResiliencePolicy.run`: the
+        watchdog is the coordinator polling the pipe (and killing the
+        worker on expiry) instead of a daemon thread, and a retried
+        unit goes back on the next round with a freshly drawn fault.
+        Both loops leave the retry decision to
+        :meth:`ResiliencePolicy.settle`.
         """
+        handle = lane.host
         policy = self.resilience
-        emitting = self.bus.enabled
-        pending = list(units)
+        pending = [unit for prep in prepared for unit in prep.units]
         while pending:
             current, pending = pending, []
             # Per-unit watchdog budgets force one-envelope round trips;
             # unbounded units of one batch share a single trip.
             groups: list[list[_Unit]] = []
             for unit in current:
-                timeout = self._timeout_for(unit)
-                if timeout is not None or not groups \
+                if self._timeout_for(unit) is not None or not groups \
                         or self._timeout_for(groups[-1][0]) is not None:
                     groups.append([unit])
                 else:
@@ -1256,332 +727,100 @@ class ProcessFlowExecutor:
             for group in groups:
                 # Dispatch-time breaker check: a batch-mate (or an
                 # earlier group) may have opened the quarantine after
-                # this unit was prepared.  The fail-fast mirrors
-                # :meth:`ResiliencePolicy.run`'s pre-check — attempts
-                # stay 0 and the breaker does NOT count it as another
-                # failure.
-                if policy is not None and policy.breaker.is_open(
-                        group[0].event_tool_type):
+                # this unit was prepared.
+                if policy is not None \
+                        and policy.breaker.is_open(group[0].tool_type):
                     for unit in group:
-                        unit.error = self._quarantined_error(
-                            unit.event_tool_type)
+                        unit.error = policy.quarantined_error(
+                            unit.tool_type)
                     continue
                 timeout = self._timeout_for(group[0])
+                envelopes = [self._envelope(unit) for unit in group]
                 for unit in group:
                     unit.stats.attempts += 1
                 sent_at = self.tracer.clock()
                 try:
-                    outcomes = handle.call(
-                        [unit.envelope for unit in group], timeout)
+                    outcomes = handle.call(envelopes, timeout)
                 except BaseException as error:
                     # transport-level failure: the whole round is one
                     # failed attempt for every unit aboard
-                    is_timeout = isinstance(error,
-                                            InvocationTimeoutError)
                     for unit in group:
-                        if is_timeout:
+                        if isinstance(error, InvocationTimeoutError):
                             unit.stats.timeouts += 1
-                            if emitting:
-                                self.bus.emit(
-                                    TOOL_TIMED_OUT, flow=graph.name,
-                                    node=unit.node_label,
-                                    tool_type=unit.event_tool_type,
-                                    machine=handle.name,
-                                    payload={
-                                        "attempt": unit.stats.attempts,
-                                        "budget": timeout or 0.0})
-                        self._settle(graph, handle, unit, error,
-                                     pending)
+                            _, on_timeout, _ = self._policy_hooks(
+                                run, lane, unit)
+                            on_timeout(unit.stats.attempts,
+                                       timeout or 0.0)
+                        self._settle(run, lane, unit, error, pending)
                     continue
                 received_at = self.tracer.clock()
-                for unit in group:
-                    unit.window = (sent_at, received_at)
                 by_id = {outcome.envelope_id: outcome
                          for outcome in outcomes}
                 # A worker runs its batch serially: unit K's tool only
                 # starts after units 0..K-1 finished, so their summed
                 # tool time is queue wait from unit K's point of view.
                 elapsed = 0.0
-                for unit in group:
+                for unit, envelope in zip(group, envelopes):
+                    unit.window = (sent_at, received_at)
                     unit.batch_offset = elapsed
-                    got = by_id.get(unit.envelope.envelope_id)
-                    if got is not None:
-                        elapsed += got.duration
-                for unit in group:
-                    outcome = by_id.get(unit.envelope.envelope_id)
+                    outcome = by_id.get(envelope.envelope_id)
                     if outcome is None:
                         self._settle(
-                            graph, handle, unit,
+                            run, lane, unit,
                             TransientToolError(
                                 f"worker {handle.name} returned no "
                                 "outcome for envelope "
-                                f"{unit.envelope.envelope_id}"),
+                                f"{envelope.envelope_id}"),
                             pending)
                         continue
-                    if outcome.ok:
-                        unit.outcome = outcome
-                        if policy is not None:
-                            policy.breaker.record_success(
-                                unit.event_tool_type)
+                    elapsed += outcome.duration
+                    if not outcome.ok:
+                        self._settle(run, lane, unit,
+                                     _decode_error(outcome), pending)
                         continue
-                    self._settle(graph, handle, unit,
-                                 _decode_error(outcome), pending,
-                                 duration=outcome.duration)
+                    unit.outcome = outcome
+                    unit.value = outcome.value
+                    unit.duration = outcome.duration
+                    if policy is not None:
+                        policy.breaker.record_success(unit.tool_type)
 
-    def _timeout_for(self, unit: _Unit) -> float | None:
-        if self.resilience is None:
-            return None
-        timeout = self.resilience.rule_for(unit.event_tool_type).timeout
-        if timeout is None or timeout <= 0:
-            return None
-        return timeout
-
-    def _quarantined_error(self, tool_key: str) -> BaseException:
-        """The pre-check-shaped error for an already-open breaker."""
-        breaker = self.resilience.breaker
-        return annotate_error(
-            ToolQuarantinedError(
-                f"tool type {tool_key!r} is quarantined after "
-                f"{breaker.failures(tool_key)} consecutive failures"),
-            tool_type=tool_key, classification=QUARANTINED,
-            attempts=0, retries=0, timeouts=0)
-
-    def _settle(self, graph: TaskGraph, handle: _WorkerHandle,
-                unit: _Unit, error: BaseException,
-                pending: list[_Unit], duration: float = 0.0) -> None:
+    def _settle(self, run: _Run, lane: _Lane, unit: _Unit,
+                error: BaseException, pending: list[_Unit]) -> None:
         """Decide one failed attempt: re-enqueue or finalize."""
         policy = self.resilience
-        emitting = self.bus.enabled
         if policy is None:
-            unit.error = annotate_error(error,
-                                        tool_type=unit.event_tool_type)
+            unit.error = annotate_error(error, tool_type=unit.tool_type)
             return
-        if policy.breaker.is_open(unit.event_tool_type):
-            # A round-trip-mate already opened the quarantine: had the
-            # units run one at a time (as the in-process executors do)
-            # this one would have been refused at the pre-check, so its
-            # failure surfaces as quarantined and is not counted by the
-            # breaker again.
-            unit.error = self._quarantined_error(unit.event_tool_type)
-            return
-        classification = policy.classify(error)
-        rule = policy.rule_for(unit.event_tool_type)
-        exhausted = unit.stats.attempts > rule.retries
-        if classification != TRANSIENT or exhausted:
-            opened = policy.breaker.record_failure(unit.event_tool_type)
-            if opened and emitting:
-                self.bus.emit(
-                    TOOL_QUARANTINED, flow=graph.name,
-                    node=unit.node_label,
-                    tool_type=unit.event_tool_type,
-                    machine=handle.name,
-                    payload={"consecutive_failures":
-                             policy.breaker.failures(
-                                 unit.event_tool_type)})
-            unit.error = annotate_error(
-                error, tool_type=unit.event_tool_type,
-                classification=classification,
-                attempts=unit.stats.attempts,
-                retries=unit.stats.retries,
-                timeouts=unit.stats.timeouts)
-            return
-        delay = policy.backoff_delay(unit.event_tool_type,
-                                     unit.stats.attempts)
-        unit.stats.retries += 1
-        unit.stats.delays += (delay,)
-        if emitting:
-            self.bus.emit(
-                TOOL_RETRIED, flow=graph.name, node=unit.node_label,
-                tool_type=unit.event_tool_type, machine=handle.name,
-                payload={"attempt": unit.stats.attempts,
-                         "error": str(error),
-                         "error_class": type(error).__name__,
-                         "classification": classification,
-                         "delay": round(delay, 6)})
-        policy.sleep(delay)
-        # Per-attempt fault counting: the retried call is a fresh draw
-        # from the plan, exactly as the in-process boundary counts it.
-        unit.envelope = replace(
-            unit.envelope,
-            fault=self._next_fault(unit.event_tool_type))
-        pending.append(unit)
+        # A round-trip-mate already opened the quarantine: had the
+        # units run one at a time (as the in-process lanes do) this one
+        # would have been refused at the pre-check, so its failure
+        # surfaces as quarantined and is not counted by the breaker
+        # again.
+        unit.error = policy.quarantined_error(unit.tool_type)
+        if unit.error is None:
+            on_retry, _, on_quarantine = self._policy_hooks(run, lane,
+                                                            unit)
+            unit.error = policy.settle(unit.tool_type, error,
+                                       unit.stats, on_retry=on_retry,
+                                       on_quarantine=on_quarantine)
+        if unit.error is None:
+            pending.append(unit)
 
     # ------------------------------------------------------------------
-    # record: history writes, spans and events (coordinator side)
+    # record hooks: worker facts and phase spans on tool spans
     # ------------------------------------------------------------------
-    def _record(self, graph: TaskGraph, prep: _Prepared,
-                handle: _WorkerHandle
-                ) -> tuple[InvocationResult | None,
-                           CachedInvocation | None]:
-        """Fold one invocation's outcomes into history + report.
+    def _duration(self, prep: _Prepared) -> float:
+        """Worker-measured tool time: excludes dispatch, pickling and
+        queueing, so durations stay comparable across presets."""
+        return sum(unit.duration for unit in prep.units)
 
-        Invocations fail atomically: if any unit ended in error,
-        nothing of the invocation is recorded and the (annotated)
-        error is raised — mirroring how the in-process executor never
-        records past the first failing combination.
-        """
-        invocation = prep.invocation
-        emitting = self.bus.enabled
-        # The invocation waited in the coordinator's ready queue AND
-        # (when batched) behind its round-trip-mates inside the worker.
-        if prep.units:
-            prep.queue_wait += min(u.batch_offset for u in prep.units)
-        attributes: dict[str, Any] = {
-            "flow": graph.name,
-            "machine": handle.name,
-            "outputs": sorted(invocation.outputs),
-            "inputs": sorted({supplier_id for _, supplier_id
-                              in invocation.inputs}),
-            "entity_types": sorted(set(prep.output_types)),
-            "tool_type": prep.event_tool_type,
-        }
-        if prep.wave is not None:
-            attributes["wave"] = prep.wave
-        if prep.queue_wait > 0:
-            attributes["queue_wait"] = round(prep.queue_wait, 6)
-        with self.tracer.span("task:" + ",".join(invocation.outputs),
-                              TASK_SPAN,
-                              attributes=attributes) as task_span:
-            failed = next((u for u in prep.units
-                           if u.error is not None), None)
-            if failed is not None:
-                raise failed.error
-            result, cached = self._record_units(graph, prep, handle,
-                                                task_span)
-            # Spans are recorded post-hoc (the work already happened
-            # inside the worker); pull the task span's start back to
-            # the earliest dispatch so child intervals stay contained.
-            windows = [u.window for u in prep.units
-                       if u.window is not None]
-            if windows and isinstance(task_span, Span):
-                task_span.start = min([task_span.start]
-                                      + [w[0] for w in windows])
-        if result is not None and emitting:
-            payload: dict[str, Any] = {"runs": result.runs,
-                                       "created": list(result.created)}
-            if prep.queue_wait > 0:
-                payload["queue_wait"] = round(prep.queue_wait, 6)
-            self.bus.emit(
-                COMPOSITION_RUN if invocation.tool_node is None
-                else TOOL_FINISHED,
-                flow=graph.name, node=",".join(invocation.outputs),
-                tool_type=prep.event_tool_type,
-                invocation_id=result.invocation_id,
-                machine=handle.name, duration=result.duration,
-                payload=payload)
-        return result, cached
-
-    def _record_units(self, graph: TaskGraph, prep: _Prepared,
-                      handle: _WorkerHandle, task_span
-                      ) -> tuple[InvocationResult | None,
-                                 CachedInvocation | None]:
-        invocation = prep.invocation
-        cache = self._cache_for_run()
-        is_compose = invocation.tool_node is None
-        created_all: list[str] = []
-        outputs_by_node: dict[str, list[str]] = {
-            n.node_id: [] for n in prep.output_nodes}
-        duration = 0.0
-        retries = sum(u.stats.retries for u in prep.units)
-        timeouts = sum(u.stats.timeouts for u in prep.units)
-        for unit in prep.units:
-            outcome = unit.outcome
-            if outcome is None:  # defensive: dispatch settles all
-                raise ExecutionError(
-                    f"unit {unit.envelope.envelope_id} was never "
-                    "dispatched")
-            duration += outcome.duration
-            span_name = (f"compose:{prep.output_nodes[0].entity_type}"
-                         if is_compose
-                         else f"tool:{unit.event_tool_type}")
-            span_kind = COMPOSE_SPAN if is_compose else TOOL_SPAN
-            span_attrs: dict[str, Any] = {
-                "worker": outcome.worker or handle.name,
-                "worker_pid": outcome.pid,
-                "tool_duration": round(outcome.duration, 6)}
-            if is_compose:
-                span_attrs["entity_type"] = \
-                    prep.output_nodes[0].entity_type
-            else:
-                span_attrs["tool"] = unit.tool_id
-                span_attrs["tool_type"] = unit.event_tool_type
-                span_attrs["encapsulation"] = prep.encapsulation_name
-            with self.tracer.span(span_name, span_kind,
-                                  attributes=span_attrs) as tool_span:
-                if unit.stats.retries:
-                    tool_span.set(retries=unit.stats.retries)
-                if unit.stats.timeouts:
-                    tool_span.set(timeouts=unit.stats.timeouts)
-                if is_compose:
-                    produced = {prep.output_nodes[0].entity_type:
-                                outcome.value}
-                else:
-                    produced = _normalize_result(
-                        outcome.value, prep.output_types,
-                        prep.encapsulation_name)
-                combo_created: list[tuple[str, str]] = []
-                for node in prep.output_nodes:
-                    data = produced[node.entity_type]
-                    derivation = (
-                        DerivationRecord.make(None, unit.combo,
-                                              prep.invocation_id)
-                        if is_compose else
-                        DerivationRecord(unit.tool_id,
-                                         unit.record_inputs,
-                                         prep.invocation_id))
-                    with self._db_lock:
-                        instance = self.db.record(
-                            node.entity_type, data, derivation,
-                            user=self.user, name=node.label,
-                            annotations={"flow": graph.name,
-                                         "machine": handle.name},
-                            trace=tool_span.context)
-                    outputs_by_node[node.node_id].append(
-                        instance.instance_id)
-                    created_all.append(instance.instance_id)
-                    combo_created.append(
-                        (node.entity_type, instance.instance_id))
-                tool_span.set(created=[i for _, i in combo_created],
-                              invocation_id=prep.invocation_id)
-                if isinstance(tool_span, Span):
-                    self._merge_phases(handle, unit, tool_span)
-            if unit.cache_key is not None and self._cache_writes:
-                cache.store(unit.cache_key, combo_created,
-                            outcome.duration)
-        for node in prep.output_nodes:
-            node.produced = node.produced \
-                + tuple(prep.reused_by_node[node.node_id]) \
-                + tuple(outputs_by_node[node.node_id])
-        result = None
-        if prep.units:
-            result = InvocationResult(
-                prep.invocation_id or "",
-                None if is_compose else prep.tool_type,
-                () if is_compose else prep.tool_ids,
-                prep.encapsulation_name, len(prep.units),
-                tuple(created_all),
-                ({prep.output_nodes[0].node_id: tuple(created_all)}
-                 if is_compose else
-                 {k: tuple(v) for k, v in outputs_by_node.items()}),
-                duration, handle.name, queue_wait=prep.queue_wait,
-                retries=retries, timeouts=timeouts)
-            task_span.set(created=list(result.created),
-                          invocation_id=result.invocation_id)
-        cached = None
-        if prep.hits:
-            cached = CachedInvocation(
-                None if is_compose else prep.tool_type,
-                invocation.outputs, prep.hits, tuple(prep.reused_all),
-                {k: tuple(v) for k, v in prep.reused_by_node.items()},
-                prep.saved, prep.bytes_saved, handle.name)
-            task_span.set(reused=list(cached.instances))
-        if cache is not None:
-            if cached is not None:
-                task_span.set(cache="hit" if result is None
-                              else "partial")
-            elif self._cache_reads:
-                task_span.set(cache="miss")
-        return result, cached
+    def _trace_unit(self, lane: _Lane, prep: _Prepared, unit: _Unit,
+                    span: Span) -> None:
+        super()._trace_unit(lane, prep, unit, span)
+        span.set(worker=unit.outcome.worker or lane.name,
+                 worker_pid=unit.outcome.pid,
+                 tool_duration=round(unit.outcome.duration, 6))
+        self._merge_phases(lane.host, unit, span)
 
     def _merge_phases(self, handle: _WorkerHandle, unit: _Unit,
                       tool_span: Span) -> None:
@@ -1608,13 +847,13 @@ class ProcessFlowExecutor:
                             if name == PHASE_TOOL)
             if tool_body > 0:
                 with self._profile_lock:
-                    self._profile_caps[unit.event_tool_type] = \
+                    self._profile_caps[unit.tool_type] = \
                         self._profile_caps.get(
-                            unit.event_tool_type, 0.0) + tool_body
+                            unit.tool_type, 0.0) + tool_body
         worker = outcome.worker or handle.name
         for name, start, end in fitted:
             phase_span = self.tracer.start_span(
-                f"{name}:{unit.event_tool_type}", PHASE_SPAN,
+                f"{name}:{unit.tool_type}", PHASE_SPAN,
                 parent=tool_span.context,
                 attributes={"worker": worker, "phase": name},
                 start=start)

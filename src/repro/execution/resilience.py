@@ -319,6 +319,56 @@ class ResiliencePolicy:
         return base * (1.0 + rule.jitter * fraction)
 
     # -- the guarded call -------------------------------------------------
+    def quarantined_error(self, tool_type: str) -> BaseException | None:
+        """The fail-fast error for a quarantined tool type, else None.
+
+        A refused call makes no attempt and the breaker does not count
+        it as another failure.
+        """
+        if not self.breaker.is_open(tool_type):
+            return None
+        return annotate_error(
+            ToolQuarantinedError(
+                f"tool type {tool_type!r} is quarantined after "
+                f"{self.breaker.failures(tool_type)} consecutive "
+                "failures"),
+            tool_type=tool_type, classification=QUARANTINED,
+            attempts=0, retries=0, timeouts=0)
+
+    def settle(self, tool_type: str, error: BaseException,
+               stats: CallStats, *,
+               on_retry: Callable[[int, BaseException, float, str], None]
+               | None = None,
+               on_quarantine: Callable[[int], None] | None = None
+               ) -> BaseException | None:
+        """The retry decision after one failed attempt.
+
+        Returns None when the call should be tried again — the retry is
+        counted in ``stats`` and the backoff already slept.  Otherwise
+        the breaker counts the failure and the error comes back
+        annotated (see :func:`annotate_error`), final.  Both the
+        in-process :meth:`run` loop and the process dispatcher decide
+        here.
+        """
+        classification = self.classify(error)
+        if classification != TRANSIENT \
+                or stats.attempts > self.rule_for(tool_type).retries:
+            if self.breaker.record_failure(tool_type) \
+                    and on_quarantine is not None:
+                on_quarantine(self.breaker.failures(tool_type))
+            return annotate_error(
+                error, tool_type=tool_type,
+                classification=classification,
+                attempts=stats.attempts, retries=stats.retries,
+                timeouts=stats.timeouts)
+        delay = self.backoff_delay(tool_type, stats.attempts)
+        stats.retries += 1
+        stats.delays += (delay,)
+        if on_retry is not None:
+            on_retry(stats.attempts, error, delay, classification)
+        self.sleep(delay)
+        return None
+
     def run(self, tool_type: str, call: Callable[[], Any], *,
             on_retry: Callable[[int, BaseException, float, str], None]
             | None = None,
@@ -332,43 +382,25 @@ class ResiliencePolicy:
         type, attempt count and classification (see
         :func:`annotate_error`), after the breaker counted the failure.
         """
-        if self.breaker.is_open(tool_type):
-            raise annotate_error(
-                ToolQuarantinedError(
-                    f"tool type {tool_type!r} is quarantined after "
-                    f"{self.breaker.failures(tool_type)} consecutive "
-                    "failures"),
-                tool_type=tool_type, classification=QUARANTINED,
-                attempts=0, retries=0, timeouts=0)
-        rule = self.rule_for(tool_type)
+        refused = self.quarantined_error(tool_type)
+        if refused is not None:
+            raise refused
+        timeout = self.rule_for(tool_type).timeout
         stats = CallStats(attempts=0)
         while True:
             stats.attempts += 1
             try:
-                result = call_with_timeout(call, rule.timeout)
+                result = call_with_timeout(call, timeout)
             except BaseException as error:
                 if isinstance(error, InvocationTimeoutError):
                     stats.timeouts += 1
                     if on_timeout is not None:
-                        on_timeout(stats.attempts, rule.timeout or 0.0)
-                classification = self.classify(error)
-                exhausted = stats.attempts > rule.retries
-                if classification != TRANSIENT or exhausted:
-                    opened = self.breaker.record_failure(tool_type)
-                    if opened and on_quarantine is not None:
-                        on_quarantine(self.breaker.failures(tool_type))
-                    raise annotate_error(
-                        error, tool_type=tool_type,
-                        classification=classification,
-                        attempts=stats.attempts, retries=stats.retries,
-                        timeouts=stats.timeouts)
-                delay = self.backoff_delay(tool_type, stats.attempts)
-                stats.retries += 1
-                stats.delays += (delay,)
-                if on_retry is not None:
-                    on_retry(stats.attempts, error, delay,
-                             classification)
-                self.sleep(delay)
+                        on_timeout(stats.attempts, timeout or 0.0)
+                final = self.settle(tool_type, error, stats,
+                                    on_retry=on_retry,
+                                    on_quarantine=on_quarantine)
+                if final is not None:
+                    raise final
                 continue
             self.breaker.record_success(tool_type)
             return result, stats

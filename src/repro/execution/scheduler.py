@@ -13,43 +13,40 @@ Three pieces:
   durations come from execution reports);
 * :func:`plan_schedule` — critical-path list scheduling of a flow's
   invocations onto M machines, yielding a predicted makespan;
-* :class:`ScheduledFlowExecutor` — executes a flow with invocation-level
-  parallelism on a :class:`~repro.execution.parallel.MachinePool`,
-  strictly respecting dependencies.
+* :class:`ScheduledFlowExecutor` — the execution core's preset with one
+  lane per :class:`~repro.execution.parallel.MachinePool` machine, each
+  claiming one ready invocation at a time, strictly respecting
+  dependencies.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 from ..core.flow import DynamicFlow
-from ..core.taskgraph import TaskGraph, TaskInvocation
+from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
-from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, EXECUTION_FAILED,
-                   FLOW_FINISHED, FLOW_STARTED, NO_OP_TRACER, RUN_SPAN,
-                   SCHEDULED_EXECUTOR, TOOL_FINISHED, WAVE_SPAN, Event,
-                   EventBus, RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache, normalize_policy
+from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, SCHEDULED_EXECUTOR,
+                   TOOL_FINISHED, Event, EventBus, RunLedger, Tracer)
+from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import EncapsulationRegistry
-from .executor import ExecutionReport, FlowExecutor, InvocationResult
+from .executor import (ExecutionReport, InvocationResult,
+                       _InvocationNode, _invocation_graph)
 from .faults import FaultPlan
-from .parallel import MachinePool
+from .parallel import MachinePool, _PooledExecutor
 from .resilience import ResiliencePolicy
 
 DEFAULT_DURATION = 1.0
 
 
 class DurationModel:
-    """Per-tool-type expected durations, learned from execution events.
+    """Per-tool-type expected durations, learned from executed runs.
 
-    The model is an event sink: subscribe it to the bus an executor
-    emits on and every ``tool_finished`` / ``composition_run`` event
-    updates the estimate — no ad-hoc recording calls in the executors.
-    The report/result entry points remain for offline training from
-    stored reports.
+    The scheduled and procpool presets feed their model every finished
+    run's report (:meth:`observe_report`).  The model is also an event
+    sink: subscribed to a bus, every ``tool_finished`` /
+    ``composition_run`` event updates the estimate.
     """
 
     def __init__(self, default: float = DEFAULT_DURATION) -> None:
@@ -82,18 +79,6 @@ class DurationModel:
 
     def observed_types(self) -> tuple[str, ...]:
         return tuple(sorted(self._counts))
-
-
-@dataclass(frozen=True)
-class _InvocationNode:
-    """An invocation plus its dependency bookkeeping."""
-
-    index: int
-    invocation: TaskInvocation
-    tool_type: str | None
-    predecessors: tuple[int, ...]
-    successors: tuple[int, ...]
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -136,46 +121,6 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _invocation_graph(graph: TaskGraph, schema_graph: TaskGraph | None,
-                      durations: DurationModel,
-                      tool_type_of) -> list[_InvocationNode]:
-    invocations = graph.invocations()
-    producer_of: dict[str, int] = {}
-    for index, invocation in enumerate(invocations):
-        for output in invocation.outputs:
-            producer_of[output] = index
-    predecessors: list[set[int]] = [set() for _ in invocations]
-    for index, invocation in enumerate(invocations):
-        sources = list(invocation.input_nodes)
-        if invocation.tool_node is not None:
-            sources.append(invocation.tool_node)
-        for node_id in sources:
-            producer = producer_of.get(node_id)
-            if producer is not None and producer != index:
-                predecessors[index].add(producer)
-    successors: list[set[int]] = [set() for _ in invocations]
-    for index, preds in enumerate(predecessors):
-        for pred in preds:
-            successors[pred].add(index)
-    nodes = []
-    for index, invocation in enumerate(invocations):
-        tool_type = tool_type_of(invocation)
-        nodes.append(_InvocationNode(
-            index, invocation, tool_type,
-            tuple(sorted(predecessors[index])),
-            tuple(sorted(successors[index])),
-            durations.estimate(tool_type)))
-    return nodes
-
-
-def _tool_type_of(graph: TaskGraph):
-    def lookup(invocation: TaskInvocation) -> str | None:
-        if invocation.tool_node is None:
-            return None
-        return graph.node(invocation.tool_node).entity_type
-    return lookup
-
-
 def _critical_lengths(nodes: list[_InvocationNode]) -> list[float]:
     """Longest path from each invocation to any sink (its priority)."""
     length = [0.0] * len(nodes)
@@ -207,8 +152,7 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
     if machines < 1:
         raise ExecutionError("need at least one machine")
     durations = durations if durations is not None else DurationModel()
-    nodes = _invocation_graph(graph, None, durations,
-                              _tool_type_of(graph))
+    nodes = _invocation_graph(graph, durations)
     priority = _critical_lengths(nodes)
     pending = {n.index: len(n.predecessors) for n in nodes}
     ready = sorted((n.index for n in nodes if not n.predecessors),
@@ -244,8 +188,16 @@ def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,
     return Schedule(tuple(entries), makespan, machines, serial, critical)
 
 
-class ScheduledFlowExecutor:
-    """Executes one flow with invocation-level parallelism."""
+class ScheduledFlowExecutor(_PooledExecutor):
+    """Executes one flow with invocation-level parallelism.
+
+    One lane per pool machine; each lane claims the earliest ready
+    invocation, so independent invocations overlap even inside one
+    connected branch.
+    """
+
+    kind = SCHEDULED_EXECUTOR
+    lane_spans = True
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
@@ -259,264 +211,14 @@ class ScheduledFlowExecutor:
                  resilience: ResiliencePolicy | None = None,
                  faults: FaultPlan | None = None,
                  profiler=None) -> None:
-        self.db = db
-        self.registry = registry
-        self.user = user
-        self.pool = pool if pool is not None else MachinePool.local(machines)
-        self.tracer = tracer if tracer is not None else NO_OP_TRACER
-        # Shared across every worker lane: one breaker, one fault
-        # counter sequence, no matter which machine runs an invocation.
-        self.resilience = resilience
-        self.faults = faults
-        # Shared across worker lanes: the sampler thread reads every
-        # lane's registered tool invocation.
-        self.profiler = profiler
-        self.cache = cache
-        self.cache_policy = normalize_policy(
-            cache_policy if cache is not None else CACHE_OFF)
-        # One RunRecord per execute() call (workers share this
-        # coordinator's report; they never write the ledger themselves).
-        self.ledger = ledger
+        super().__init__(db, registry, user=user, pool=pool,
+                         machines=machines, bus=bus, cache=cache,
+                         cache_policy=cache_policy, tracer=tracer,
+                         ledger=ledger, resilience=resilience,
+                         faults=faults, profiler=profiler)
         self.durations = durations if durations is not None \
             else DurationModel()
-        # The duration model learns from the event stream: worker
-        # executors emit tool_finished/composition_run on this bus and
-        # the model is just one more subscriber.
-        self.bus = bus if bus is not None else EventBus()
-        self.bus.subscribe(self.durations)
-        self._db_lock = threading.Lock()
 
-    def execute(self, flow: TaskGraph | DynamicFlow, *,
-                force: bool = False,
-                cache: str | None = None) -> ExecutionReport:
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache")
-            self.cache_policy = normalize_policy(cache)
-        graph = flow.graph if isinstance(flow, DynamicFlow) else flow
-        graph.validate()
-        started = time.perf_counter()
-        nodes = _invocation_graph(graph, None, self.durations,
-                                  _tool_type_of(graph))
-        report = ExecutionReport(graph.name)
-        if not nodes:
-            return report
-        self.bus.emit(FLOW_STARTED, flow=graph.name,
-                      payload={"scheduler": "invocation-level",
-                               "machines": len(self.pool),
-                               "invocations": len(nodes)})
-        # readiness check mirrors FlowExecutor
-        probe = FlowExecutor(self.db, self.registry, user=self.user,
-                             lock=self._db_lock)
-        probe._check_ready(graph, set(graph.node_ids()))
-        if force:
-            for node_id in graph.node_ids():
-                if graph.suppliers(node_id):
-                    graph.node(node_id).produced = ()
-
-        # dependency depth of each invocation: its scheduler "wave"
-        # (wave 0 runs immediately, wave n waits on some wave n-1 task)
-        wave: dict[int, int] = {}
-        for node in nodes:
-            chain = [node.index]
-            while chain:
-                index = chain[-1]
-                missing = [p for p in nodes[index].predecessors
-                           if p not in wave]
-                if missing:
-                    chain.extend(missing)
-                    continue
-                chain.pop()
-                wave[index] = 1 + max(
-                    (wave[p] for p in nodes[index].predecessors),
-                    default=-1)
-
-        # One root span; workers adopt its context explicitly and open
-        # one lane span each, so queue waits show per machine.
-        run_span = None
-        run_ctx = None
-        if self.tracer.enabled:
-            run_span = self.tracer.start_span(
-                f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name,
-                            "scheduler": "invocation-level",
-                            "machines": len(self.pool),
-                            "invocations": len(nodes),
-                            "cache": self.cache_policy})
-            run_ctx = run_span.context
-
-        pending = {n.index: len(n.predecessors) for n in nodes}
-        condition = threading.Condition()
-        ready = [n.index for n in nodes if not n.predecessors]
-        # when each invocation became runnable, for queue-wait accounting
-        ready_at = {index: time.perf_counter() for index in ready}
-        done: set[int] = set()
-        errors: list[BaseException] = []
-        # node ids whose producing invocation failed under degradation;
-        # dependents are skipped with an "upstream" failure entry
-        failed_nodes: set[str] = set()
-        report_lock = threading.Lock()
-
-        def worker() -> None:
-            machine = self.pool.acquire()
-            executor = FlowExecutor(self.db, self.registry,
-                                    user=self.user, machine=machine.name,
-                                    lock=self._db_lock, bus=self.bus,
-                                    cache=self.cache,
-                                    cache_policy=self.cache_policy,
-                                    tracer=self.tracer,
-                                    resilience=self.resilience,
-                                    faults=self.faults,
-                                    profiler=self.profiler)
-            executor._force = force
-            executor._trace_run_span = False
-            try:
-                with self.tracer.activate(run_ctx), self.tracer.span(
-                        f"lane:{machine.name}", WAVE_SPAN,
-                        attributes={"flow": graph.name,
-                                    "machine": machine.name}) as lane:
-                    executed = self._drain_ready(
-                        graph, nodes, executor, machine, force,
-                        condition, pending, ready, ready_at, done,
-                        errors, report, report_lock, wave,
-                        failed_nodes)
-                    lane.set(invocations=executed)
-            finally:
-                self.pool.release(machine)
-
-        threads = [threading.Thread(target=worker)
-                   for _ in range(len(self.pool))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        try:
-            if errors:
-                self.bus.emit(EXECUTION_FAILED, flow=graph.name,
-                              payload={"error": str(errors[0])})
-                if run_span is not None:
-                    run_span.status = \
-                        f"error:{type(errors[0]).__name__}"
-                report.wall_time = time.perf_counter() - started
-                self._ledger_record(report, run_span, errors[0])
-                raise errors[0]
-            if self.resilience is not None:
-                report.quarantined = sorted(
-                    set(report.quarantined)
-                    | set(self.resilience.quarantined()))
-            report.wall_time = time.perf_counter() - started
-            if run_span is not None:
-                run_span.set(runs=report.runs,
-                             created=len(report.created),
-                             cache_hits=report.cache_hits,
-                             queue_wait=round(report.queue_wait_time, 6))
-        finally:
-            if run_span is not None:
-                self.tracer.finish(run_span)
-        self.bus.emit(FLOW_FINISHED, flow=graph.name,
-                      duration=report.wall_time,
-                      payload={"serial_time": report.serial_time,
-                               "speedup": round(report.speedup, 3),
-                               "runs": report.runs,
-                               "cache_hits": report.cache_hits,
-                               "queue_wait": round(
-                                   report.queue_wait_time, 6)})
-        self._ledger_record(report, run_span)
-        return report
-
-    def _ledger_record(self, report: ExecutionReport, run_span,
-                       error: BaseException | None = None) -> None:
-        if self.ledger is None:
-            return
-        self.ledger.record_run(
-            report, executor=SCHEDULED_EXECUTOR,
-            cache_policy=self.cache_policy,
-            trace_id=run_span.trace_id if run_span is not None else "",
-            error=error,
-            profile=(self.profiler.summary()
-                     if self.profiler is not None else None),
-            pool_size=len(self.pool))
-
-    def _drain_ready(self, graph: TaskGraph,
-                     nodes: list[_InvocationNode],
-                     executor: FlowExecutor, machine,
-                     force: bool, condition: threading.Condition,
-                     pending: dict[int, int], ready: list[int],
-                     ready_at: dict[int, float], done: set[int],
-                     errors: list[BaseException],
-                     report: ExecutionReport,
-                     report_lock: threading.Lock,
-                     wave: dict[int, int],
-                     failed_nodes: set[str]) -> int:
-        """One worker's loop: claim ready invocations until drained.
-
-        Returns the number of invocations this worker executed.  Under
-        graceful degradation a failed invocation is recorded in the
-        report and still marked done — its successors must be released
-        (and skipped as upstream failures), or the other workers would
-        wait on the condition forever.
-        """
-        degrade = (executor.resilience is not None
-                   and executor.resilience.degrade)
-        executed = 0
-        while True:
-            with condition:
-                while not ready and len(done) < len(nodes) \
-                        and not errors:
-                    condition.wait()
-                if errors or len(done) >= len(nodes):
-                    return executed
-                index = ready.pop(0)
-                queue_wait = max(
-                    0.0, time.perf_counter() - ready_at.get(
-                        index, time.perf_counter()))
-            node = nodes[index]
-            outputs = [graph.node(o)
-                       for o in node.invocation.outputs]
-            skipped_upstream = False
-            if degrade:
-                with report_lock:
-                    skipped_upstream = \
-                        executor._record_upstream_failure(
-                            graph, node.invocation, report,
-                            failed_nodes)
-            try:
-                if skipped_upstream:
-                    pass
-                elif force or not all(o.results() for o in outputs):
-                    result, cached = executor._run_invocation(
-                        graph, node.invocation,
-                        queue_wait=queue_wait,
-                        wave=wave.get(index))
-                    with report_lock:
-                        if result is not None:
-                            report.results.append(result)
-                        if cached is not None:
-                            report.cached.append(cached)
-                    if result is not None:
-                        machine.executed_invocations += 1
-                        executed += 1
-                else:
-                    with report_lock:
-                        report.skipped.extend(
-                            node.invocation.outputs)
-            except BaseException as exc:
-                if not degrade:
-                    with condition:
-                        errors.append(exc)
-                        condition.notify_all()
-                    return executed
-                with report_lock:
-                    report.failures.append(executor._failure_entry(
-                        exc, node.invocation.outputs))
-                    failed_nodes.update(node.invocation.outputs)
-            with condition:
-                done.add(index)
-                now = time.perf_counter()
-                for successor in node.successors:
-                    pending[successor] -= 1
-                    if pending[successor] == 0:
-                        ready.append(successor)
-                        ready_at[successor] = now
-                condition.notify_all()
+    def _run_attributes(self, run) -> dict:
+        return {"scheduler": "invocation-level",
+                "machines": len(self.pool)}

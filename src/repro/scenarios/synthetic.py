@@ -58,10 +58,12 @@ def derived_payload(salt: str, entity_type: str,
 
     Mirrored by the generator's offline simulation: the manifest's
     expected digests are computed by calling exactly this function over
-    the scenario's dependency structure, never by running a tool.
+    the scenario's dependency structure, never by running a tool.  The
+    summary lists roles sorted, so the caller's input order (executors
+    sort roles, the simulation walks nodes) never changes the data.
     """
-    summary = {role: corpus_digest(canonical_json(value))[:32]
-               for role, value in inputs.items()}
+    summary = {role: corpus_digest(canonical_json(inputs[role]))[:32]
+               for role in sorted(inputs)}
     token = corpus_digest(canonical_json(
         {"salt": salt, "entity": entity_type, "inputs": summary}))[:32]
     return {"kind": "derived", "entity": entity_type, "token": token,

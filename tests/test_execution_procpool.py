@@ -211,14 +211,12 @@ class TestResilience:
 
 
 class TestQueueWait:
-    """Queue-wait accounting: regression-pins BOTH semantics.
+    """Queue-wait accounting, one definition on every preset.
 
-    The thread scheduler measures the wait at claim time *inside* its
-    condition lock, so time spent contending for the claim lock itself
-    is attributed to the winning task's wait.  The procpool coordinator
-    measures on its own clock *after* releasing the lock — the wait
-    ends when dispatch actually starts.  Both must agree on the
-    invariants that matter: a single-lane run of independent equal
+    The wait runs on the coordinator's clock from an invocation's
+    release into the ready queue until its dispatch starts, measured
+    after the claim lock is released (plus, on procpool, the time spent
+    behind round-trip-mates).  A single-lane run of independent equal
     tasks accumulates roughly 0+1+2+3 task-lengths of wait, and tool
     durations never include any of it.
     """

@@ -3,7 +3,7 @@
 The history database is only a faithful derivation record if failed
 invocations record nothing and recovered invocations record exactly
 once.  These tests drive the resilience policy and the deterministic
-fault harness through all three executors and check that the ledger,
+fault harness through all four executors and check that the ledger,
 events, and health checks see the same story.
 """
 
@@ -495,10 +495,10 @@ class TestResilientExecution:
 
 
 # ---------------------------------------------------------------------------
-# the three executors under one identical fault plan
+# the four executors under one identical fault plan
 # ---------------------------------------------------------------------------
 class TestExecutorEquivalence:
-    KINDS = ("sequential", "parallel", "scheduled")
+    KINDS = ("sequential", "parallel", "scheduled", "procpool")
 
     @staticmethod
     def run_kind(kind):
@@ -519,6 +519,9 @@ class TestExecutorEquivalence:
             executor = env.scheduled_executor(machines=3,
                                               resilience=pol,
                                               faults=plan)
+        elif kind == "procpool":
+            executor = env.process_executor(workers=3, resilience=pol,
+                                            faults=plan)
         else:
             executor = env.executor(resilience=pol, faults=plan)
         report = executor.execute(flow)
@@ -532,7 +535,7 @@ class TestExecutorEquivalence:
                 "classifications": classifications}
 
     def test_identical_fault_plan_identical_outcome(self):
-        """Same seeded plan, three executors, two runs each: same final
+        """Same seeded plan, four executors, two runs each: same final
         instances, same retry counts, same error classification."""
         outcomes = {kind: [self.run_kind(kind), self.run_kind(kind)]
                     for kind in self.KINDS}

@@ -121,9 +121,13 @@ class TestShapeStructure:
 
 
 class TestMaterializedRuns:
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_run_matches_offline_simulation(self, shape):
-        spec = spec_of(shape)
+    # fanout 11 makes node order ("Fork2" before "Fork10") differ from
+    # the sorted role order the executors pass inputs in
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(spec_of(shape), id=shape) for shape in SHAPES),
+        pytest.param(spec_of("fork_join", fanout=11),
+                     id="fork_join-fanout11")])
+    def test_run_matches_offline_simulation(self, spec):
         env = materialize_scenario(spec)
         report = env.run(env.flow_catalog.select(MAIN_FLOW))
         assert not report.failures
