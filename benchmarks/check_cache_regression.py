@@ -1,12 +1,17 @@
 """CI gate: the derivation cache must fully coalesce a warm re-run.
 
 Runs the Fig. 5 complex flow twice in one process with the derivation
-cache enabled and fails (exit 1) when:
+cache enabled, then saves the environment once per history backend,
+reloads it, re-registers the standard encapsulations and runs the flow
+a third time.  Fails (exit 1) when:
 
 * the warm run executes ANY tool invocation (the acceptance criterion:
   a warm re-run performs zero tool runs and returns the same ids);
 * the warm run does not emit one ``cache_hit`` event per coalesced
   invocation;
+* a reloaded run executes any tool invocation, does not return the
+  cold run's ids, or reports no time saved (the durations ride the
+  saved memo);
 * the structural numbers (cold invocations, instances created, warm
   hits) drift more than the tolerance from the checked-in baseline in
   ``benchmarks/artifacts/cache_baseline.json``;
@@ -26,6 +31,7 @@ import argparse
 import json
 import pathlib
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -35,8 +41,35 @@ BASELINE = (pathlib.Path(__file__).parent / "artifacts"
 TOLERANCE = 0.25
 
 
+BACKENDS = ("json", "sqlite")
+
+
+def reload_leg(env, layout_id, reference_id, backend):
+    """Save, reload and re-run the Fig. 5 flow with ``cache=reuse``."""
+    from test_bench_fig05_complex_flow import build_fig5_flow
+    from repro.persistence import load_environment, save_environment
+    from repro.tools import register_standard_encapsulations
+
+    with tempfile.TemporaryDirectory() as directory:
+        save_environment(env, directory, backend=backend)
+        reloaded = load_environment(directory)
+        register_standard_encapsulations(reloaded)
+        for name in ("tools", "models", "stimuli_inv"):
+            setattr(reloaded, name, getattr(env, name))
+        try:
+            report = reloaded.run(
+                build_fig5_flow(reloaded, layout_id, reference_id),
+                cache="reuse")
+        finally:
+            reloaded.db.store.close()
+    return {"invocations": len(report.results),
+            "reused": sorted(report.reused),
+            "time_saved": report.time_saved}
+
+
 def run_once():
-    """Cold + warm Fig. 5 execution in one environment; returns stats."""
+    """Cold + warm Fig. 5 execution in one environment, then a reloaded
+    run per backend; returns stats."""
     from conftest import fresh_env
     from test_bench_fig05_complex_flow import (build_fig5_flow,
                                                build_layout_instance)
@@ -69,6 +102,13 @@ def run_once():
     warm_elapsed = time.perf_counter() - warm_started
     hit_events = sum(1 for e in sink.events()
                      if e.event_type == CACHE_HIT)
+    reloads = {}
+    for backend in BACKENDS:
+        leg = reload_leg(env, layout_id, reference.instance_id, backend)
+        reloads[backend] = {
+            "invocations": leg["invocations"],
+            "same_ids": leg["reused"] == sorted(cold.created),
+            "time_saved": leg["time_saved"]}
 
     return {
         "cold_invocations": len(cold.results),
@@ -80,6 +120,7 @@ def run_once():
         "same_ids": sorted(warm.reused) == sorted(cold.created),
         "cold_elapsed": cold_elapsed,
         "warm_elapsed": warm_elapsed,
+        "reloads": reloads,
     }
 
 
@@ -103,6 +144,16 @@ def check(stats: dict, baseline: dict | None) -> list[str]:
         failures.append(
             f"warm run ({stats['warm_elapsed']:.3f}s) slower than "
             f"cold ({stats['cold_elapsed']:.3f}s) beyond tolerance")
+    for backend, leg in stats["reloads"].items():
+        if leg["invocations"] != 0:
+            failures.append(
+                f"{backend} reload executed {leg['invocations']} tool "
+                "invocations; expected 0 (full coalescing)")
+        if not leg["same_ids"]:
+            failures.append(f"{backend} reload did not return the cold "
+                            "run's instance ids")
+        if leg["time_saved"] <= 0:
+            failures.append(f"{backend} reload reported no time saved")
     if baseline is not None:
         for key in ("cold_invocations", "cold_created", "warm_hits",
                     "warm_reused"):
@@ -124,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.write_baseline:
         BASELINE.parent.mkdir(exist_ok=True)
         recorded = {k: v for k, v in stats.items()
-                    if not k.endswith("_elapsed")}
+                    if not k.endswith("_elapsed") and k != "reloads"}
         BASELINE.write_text(json.dumps(recorded, indent=1,
                                        sort_keys=True) + "\n",
                             encoding="utf-8")

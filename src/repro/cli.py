@@ -46,6 +46,7 @@ from .execution.cache import CACHE_OFF, CACHE_POLICIES
 from .execution.context import DesignEnvironment
 from .execution.faults import FaultPlan
 from .execution.resilience import ResiliencePolicy
+from .execution.shared_memo import SharedDerivationMemo
 from .history.consistency import consistency_report
 from .history.database import BrowseFilter
 from .history.query import dependents_of_type
@@ -62,7 +63,7 @@ from .obs import (EVENT_TYPES, HealthThresholds, JSONLSink,
                   replay_into, timeline_model, tool_baselines,
                   validate_chrome_trace, validate_spans)
 from .obs.health import DEFAULT_K, DEFAULT_MIN_SAMPLES, DEFAULT_WINDOW
-from .persistence import (CACHE_FILE, LEDGER_FILE, PROFILE_FILE,
+from .persistence import (LEDGER_FILE, MEMO_FILE, PROFILE_FILE,
                           SLOW_QUERY_FILE, TRACE_FILE,
                           load_environment, migrate_environment,
                           save_environment)
@@ -375,12 +376,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     env = _load(args.directory)
     stats = history_statistics(env.db)
     cache_summary = None
-    cache_path = pathlib.Path(args.directory) / CACHE_FILE
-    if cache_path.exists():
-        snapshot = json.loads(cache_path.read_text(encoding="utf-8"))
-        entries = snapshot.get("entries", {})
-        groups = sum(len(e.get("groups", ())) for e in entries.values())
-        cache_summary = {"keys": len(entries), "results": groups}
+    memo_path = pathlib.Path(args.directory) / MEMO_FILE
+    if memo_path.exists():
+        results: dict[str, set[frozenset[tuple[str, str]]]] = {}
+        for key, outputs, _ in SharedDerivationMemo(memo_path).poll():
+            results.setdefault(key, set()).add(frozenset(outputs))
+        cache_summary = {"keys": len(results),
+                         "results": sum(map(len, results.values()))}
     records = RunLedger(
         pathlib.Path(args.directory) / LEDGER_FILE).records()
     metrics = None

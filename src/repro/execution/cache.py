@@ -11,24 +11,19 @@ index over a :class:`~repro.history.database.HistoryDatabase`; an
 executor that is about to run a tool asks the cache first, and on a hit
 reuses the recorded instances instead of calling the tool again.
 
-A hit is only taken when every remembered instance is still up to date
+Only the run that executed a tool computes its key, under the
+``readwrite`` policy (:meth:`DerivationCache.store`).  The index is held
+in memory and, for saved environments, in the shared memo
+(:mod:`repro.execution.shared_memo`), its only saved copy.
+
+:meth:`DerivationCache.fetch` alone decides whether a remembered run may
+be reused.  It takes a group of remembered instances only when they
+re-derive the lookup key from their own derivation records under the
+current code, and when every one of them is still up to date
 (:func:`repro.history.consistency.all_up_to_date`), so version-wise
 staleness — an edited input anywhere upstream — silently degrades to a
 miss and a fresh run, exactly the paper's consistency-maintenance rules
 applied in reverse.
-
-The index is populated three ways:
-
-* **on record** — the cache registers as a record listener on the
-  database, so every instance written while the cache is attached is
-  indexed immediately;
-* **lazily for pre-existing histories** — the first lookup sweeps any
-  instances the listener never saw (e.g. a history loaded from disk)
-  and indexes their recorded derivations under current fingerprints;
-* **from a persisted snapshot** — :mod:`repro.persistence` saves the
-  index as ``cache.json``; a snapshot is only believed when the current
-  encapsulation registry's :meth:`signature` matches the one it was
-  built against, otherwise it is dropped and rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -40,10 +35,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, ReproError
 from ..history.consistency import all_up_to_date
 from ..history.database import HistoryDatabase
-from ..history.instance import EntityInstance
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
 from .shared_memo import SharedDerivationMemo
 
@@ -113,9 +107,11 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    """All remembered runs for one derivation key, newest last."""
+    """All remembered runs for one derivation key, oldest first."""
 
-    groups: list[tuple[tuple[str, str], ...]] = field(default_factory=list)
+    #: member set -> ``(entity_type, instance_id)`` pairs as recorded
+    groups: dict[frozenset[tuple[str, str]],
+                 tuple[tuple[str, str], ...]] = field(default_factory=dict)
     duration: float = 0.0
 
 
@@ -129,53 +125,31 @@ class DerivationCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
-        self._seen: set[str] = set()
-        self._dirty: list[EntityInstance] = []
-        self._synced = False
-        self._attached = False
-        self._pending: dict[str, Any] | None = None
         self.memo: SharedDerivationMemo | None = None
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def attach(self) -> "DerivationCache":
-        """Start indexing every instance the database records."""
-        if not self._attached:
-            self.db.add_record_listener(self._on_record)
-            self._attached = True
-        return self
-
-    def detach(self) -> None:
-        if self._attached:
-            self.db.remove_record_listener(self._on_record)
-            self._attached = False
 
     def attach_shared_memo(
             self, path: str | pathlib.Path) -> SharedDerivationMemo:
-        """Share remembered runs with other processes via ``path``.
+        """Keep the index in the shared memo at ``path``.
 
-        Freshly stored runs are appended to the memo log and entries
-        other processes appended are absorbed on every :meth:`sync` —
-        concurrent runs (and procpool coordinators of concurrent runs)
-        observe each other's hits.  Memo entries naming instances this
-        history has never recorded are ignored at :meth:`fetch` time.
+        Runs this cache remembers but that memo may not (an index built
+        in memory, or absorbed from another directory's memo) are
+        appended to it first.  From then on every stored run is
+        appended, and entries other processes append are absorbed on
+        every :meth:`sync` — concurrent runs (and procpool coordinators
+        of concurrent runs) observe each other's hits.
         """
+        path = pathlib.Path(path)
         with self._lock:
-            self.memo = SharedDerivationMemo(
-                path, lambda: self.registry.signature())
-            return self.memo
-
-    def _on_record(self, instance: EntityInstance) -> None:
-        """Record listener: capture freshly written instances.
-
-        Sibling outputs of one multi-output run arrive one at a time, so
-        keys (which embed the full output signature) cannot be computed
-        here; instances queue up and are grouped and indexed in batch at
-        the next :meth:`sync`.
-        """
-        with self._lock:
-            self._dirty.append(instance)
+            if self.memo is not None \
+                    and self.memo.path.resolve() == path.resolve():
+                return self.memo
+            self.sync()
+            memo = SharedDerivationMemo(path)
+            for key, entry in self._entries.items():
+                for group in entry.groups.values():
+                    memo.append(key, group, entry.duration)
+            self.memo = memo
+            return memo
 
     # ------------------------------------------------------------------
     # derivation keys
@@ -234,147 +208,68 @@ class DerivationCache:
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(spec.encode("utf-8")).hexdigest()
 
+    def _derives(self, key: str, ids: list[str]) -> bool:
+        """Whether the instances ``ids`` are one run that ``key`` names.
+
+        The key is re-derived from the instances' own derivation record
+        (tool instance and input contents) under the current code, so a
+        memo line naming ids that this history recorded for another run
+        — or never recorded at all — does not match.
+        """
+        if any(instance_id not in self.db for instance_id in ids):
+            return False
+        members = [self.db.get(instance_id) for instance_id in ids]
+        derivation = members[0].derivation
+        if derivation is None or any(member.derivation != derivation
+                                     for member in members):
+            return False
+        combo: dict[str, list[str]] = {}
+        for role, input_id in derivation.inputs:
+            combo.setdefault(role, []).append(input_id)
+        try:
+            if derivation.tool is None:
+                derived = self.composition_key(members[0].entity_type,
+                                               combo)
+            else:
+                derived = self.tool_run_key(
+                    derivation.tool, combo,
+                    sorted({member.entity_type for member in members}))
+        except ReproError:
+            return False  # no longer derivable (code unregistered, ...)
+        return derived == key
+
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _key_store(self):
-        """The history store's persistent key index, when it has one."""
-        store = getattr(self.db, "store", None)
-        if store is not None and store.supports_key_index:
-            return store
-        return None
-
-    def _load_key_index(self) -> bool:
-        """Adopt the store-persisted key index if its signature holds.
-
-        The SQLite backend persists key -> outputs rows next to the
-        instances; when the encapsulation registry's signature matches
-        the one the rows were built against, reopening a history skips
-        the first-use full sweep entirely.
-        """
-        store = self._key_store()
-        if store is None:
-            return False
-        if store.key_index_signature() != self.registry.signature():
-            return False
-        for key, pairs, duration in store.iter_key_groups():
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > entry.duration:
-                entry.duration = duration
-            members = frozenset(pairs)
-            if not any(frozenset(g) == members for g in entry.groups):
-                entry.groups.append(pairs)
-            self._seen.update(instance_id for _, instance_id in pairs)
-        return True
+    def _remember(self, key: str, pairs: tuple[tuple[str, str], ...],
+                  duration: float) -> None:
+        entry = self._entries.setdefault(key, _Entry())
+        entry.groups.setdefault(frozenset(pairs), pairs)
+        entry.duration = max(entry.duration, duration)
 
     def sync(self) -> int:
-        """Materialize the index from captured and pre-existing records.
+        """Absorb the runs appended to the shared memo since last time.
 
-        Drains the record listener's queue and — on first use — sweeps
-        the whole database, so histories that predate the cache (or were
-        loaded from disk) participate.  Instances are grouped into tool
-        runs by ``(invocation, tool, inputs)`` before keys are computed,
-        so multi-output siblings land in one group under one key.
-        Returns the number of instances newly indexed.
-
-        On a store with a persistent key index (the SQLite backend) the
-        first-use sweep is replaced by loading that index when its
-        registry signature still matches; a full sweep (re)builds it.
+        Returns the number of memo entries read.  An unreadable memo
+        degrades the cache to a process-local one.
         """
         with self._lock:
-            self._absorb_pending()
-            self._absorb_memo()
-            batch: Iterable[EntityInstance] = self._dirty
-            self._dirty = []
-            if not self._synced:
-                self._synced = True
-                if not self._load_key_index():
-                    batch = self.db.iter_instances()
-                    store = self._key_store()
-                    if store is not None:
-                        store.reset_key_index(self.registry.signature())
-            groups: dict[tuple[Any, ...], list[EntityInstance]] = {}
-            added = 0
-            for instance in batch:
-                if instance.instance_id in self._seen:
-                    continue
-                self._seen.add(instance.instance_id)
-                added += 1
-                derivation = instance.derivation
-                if derivation is None:
-                    continue
-                groups.setdefault(
-                    (derivation.invocation, derivation.tool,
-                     derivation.inputs), []).append(instance)
-            for (_, tool, inputs), members in groups.items():
-                members.sort(key=lambda i: (i.timestamp, i.instance_id))
-                combo: dict[str, list[str]] = {}
-                for role, input_id in inputs:
-                    combo.setdefault(role, []).append(input_id)
-                try:
-                    if tool is None:
-                        key = self.composition_key(
-                            members[0].entity_type, combo)
-                    else:
-                        key = self.tool_run_key(
-                            tool, combo,
-                            sorted({m.entity_type for m in members}))
-                except Exception:
-                    # underivable record (unregistered encapsulation,
-                    # vanished blob, ...): stays uncached
-                    continue
-                pairs = tuple((m.entity_type, m.instance_id)
-                              for m in members)
-                self._remember(key, pairs)
-            return added
-
-    def _remember(self, key: str,
-                  pairs: tuple[tuple[str, str], ...]) -> None:
-        entry = self._entries.setdefault(key, _Entry())
-        members = frozenset(pairs)
-        if not any(frozenset(g) == members for g in entry.groups):
-            entry.groups.append(pairs)
-        store = self._key_store()
-        if store is not None and self._synced:
-            store.put_key_group(key, pairs, entry.duration)
-
-    def _absorb_memo(self) -> None:
-        """Adopt runs other processes published to the shared memo.
-
-        Memo entries feed ``_entries`` only — never ``_seen`` or the
-        store-persisted key index, which both describe *this* history's
-        records.  Entries for instances absent from this history stay
-        inert until :meth:`fetch` skips them.
-        """
-        if self.memo is None:
-            return
-        try:
-            polled = self.memo.poll()
-        except OSError:
-            return  # unreadable memo: degrade to a process-local cache
-        for key, pairs, duration in polled:
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > entry.duration:
-                entry.duration = duration
-            members = frozenset(pairs)
-            if not any(frozenset(g) == members for g in entry.groups):
-                entry.groups.append(pairs)
+            if self.memo is None:
+                return 0
+            try:
+                polled = self.memo.poll()
+            except OSError:
+                return 0
+            for key, pairs, duration in polled:
+                self._remember(key, pairs, duration)
+            return len(polled)
 
     def invalidate(self) -> None:
-        """Drop the whole index (it will lazily rebuild on next use)."""
+        """Drop the in-memory index; the memo is re-read on next use."""
         with self._lock:
             self._entries.clear()
-            self._seen.clear()
-            self._dirty = []
-            self._synced = False
-            self._pending = None
             if self.memo is not None:
                 self.memo.rewind()
-            store = self._key_store()
-            if store is not None:
-                # blank signature: the next sync() sweeps and rebuilds
-                # instead of believing the dropped rows
-                store.reset_key_index("")
 
     def __len__(self) -> int:
         with self._lock:
@@ -387,35 +282,24 @@ class DerivationCache:
               output_types: Iterable[str]) -> CacheHit | None:
         """Newest remembered run for ``key`` that is still reusable.
 
-        Validates that the remembered instances exist, are up to date
-        version-wise, and cover the requested output types; stale or
-        incomplete groups are skipped (and counted as invalidated).
-        Updates hit/miss statistics.
+        Groups are tried newest first, in the order they were stored.
+        One is taken only when it covers the requested output types,
+        its instances re-derive ``key`` (:meth:`_derives`) and they are
+        up to date version-wise; a stale group is skipped and counted
+        as invalidated.  Updates hit/miss statistics.
         """
         wanted = sorted(output_types)
         with self._lock:
             self.sync()
-            entry = self._entries.get(key)
-            groups = list(entry.groups) if entry is not None else []
-            duration = entry.duration if entry is not None else 0.0
-
-        def recency(group: tuple[tuple[str, str], ...]) -> float:
-            # rank by actual member timestamps, not list position: a
-            # persisted snapshot may interleave with swept history in
-            # either order
-            stamps = [self.db.get(instance_id).timestamp
-                      for _, instance_id in group
-                      if instance_id in self.db]
-            return max(stamps) if stamps else -1.0
-
-        for group in sorted(groups, key=recency, reverse=True):
+            entry = self._entries.get(key) or _Entry()
+            groups = list(entry.groups.values())
+            duration = entry.duration
+        for group in reversed(groups):
             types = sorted(entity_type for entity_type, _ in group)
             if types != wanted:
                 continue
             ids = [instance_id for _, instance_id in group]
-            if any(instance_id not in self.db for instance_id in ids):
-                # a shared-memo entry from a run whose records this
-                # history never received: unusable here, not stale
+            if not self._derives(key, ids):
                 continue
             if not all_up_to_date(self.db, ids):
                 with self._lock:
@@ -439,71 +323,23 @@ class DerivationCache:
               duration: float = 0.0) -> None:
         """Index one freshly executed run under its key.
 
-        The record listener has usually indexed the instances already;
-        this entry point additionally remembers the measured duration
-        (the basis of ``time saved`` reporting) and covers databases the
-        cache is not attached to.
+        ``duration`` is the run's measured time, the basis of ``time
+        saved`` reporting.  The run is appended to the shared memo too,
+        when one is attached.
         """
         group = tuple(outputs)
         if not group:
             return
         with self._lock:
+            # absorb other writers' older lines first, so the index
+            # keeps the memo's order (fetch tries the newest first)
             self.sync()
-            self._seen.update(instance_id for _, instance_id in group)
-            entry = self._entries.setdefault(key, _Entry())
-            if duration > 0.0:
-                entry.duration = duration
-            self._remember(key, group)
+            self._remember(key, group, duration)
             if self.memo is not None:
                 try:
                     self.memo.append(key, group, duration)
                 except OSError:
                     pass  # unwritable memo: stay process-local
 
-    # ------------------------------------------------------------------
-    # persistence (used by repro.persistence)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        with self._lock:
-            self.sync()
-            return {
-                "signature": self.registry.signature(),
-                "seen": sorted(self._seen),
-                "entries": {
-                    key: {"duration": entry.duration,
-                          "groups": [[[t, i] for t, i in group]
-                                     for group in entry.groups]}
-                    for key, entry in sorted(self._entries.items())
-                },
-            }
-
-    def restore(self, payload: dict[str, Any]) -> None:
-        """Adopt a persisted index snapshot.
-
-        Deferred until first use: encapsulations are registered *after*
-        an environment loads, so the signature check must wait for them.
-        """
-        with self._lock:
-            self._pending = payload
-
-    def _absorb_pending(self) -> None:
-        payload, self._pending = self._pending, None
-        if not payload:
-            return
-        if payload.get("signature") != self.registry.signature():
-            # encapsulation code changed since the snapshot: every key
-            # in it embeds a dead fingerprint, so rebuild from history
-            return
-        for key, spec in payload.get("entries", {}).items():
-            entry = self._entries.setdefault(key, _Entry())
-            entry.duration = float(spec.get("duration", 0.0))
-            for group in spec.get("groups", ()):
-                pairs = tuple((entity_type, instance_id)
-                              for entity_type, instance_id in group)
-                if pairs and pairs not in entry.groups:
-                    entry.groups.append(pairs)
-        self._seen.update(payload.get("seen", ()))
-
     def __repr__(self) -> str:
-        return (f"DerivationCache({len(self._entries)} keys, "
-                f"{len(self._seen)} instances indexed)")
+        return f"DerivationCache({len(self._entries)} keys)"

@@ -78,9 +78,9 @@ class DesignEnvironment:
         # creates (None: no profiling overhead anywhere).  The CLI's
         # ``repro run --profile`` sets and starts one for the run.
         self.profiler = None
-        # Cross-process shared derivation memo: set by
-        # enable_shared_memo (persistence does so for saved
-        # environments) and attached to the cache on first use.
+        # Cross-process shared derivation memo, the cache's saved
+        # index: set by enable_shared_memo (persistence does so for
+        # saved environments) and attached to the cache on first use.
         self._shared_memo_path: pathlib.Path | None = None
 
     def attach_ledger(self, path: str | pathlib.Path) -> RunLedger:
@@ -95,15 +95,14 @@ class DesignEnvironment:
 
     @property
     def cache(self) -> DerivationCache:
-        """The environment's derivation cache (created and attached lazily).
+        """The environment's derivation cache (created lazily).
 
-        Attaching registers a record listener on the history database, so
-        results produced by *any* executor of this environment become
-        reusable; executors only consult it when asked to (``cache=``).
+        Results of ``readwrite`` runs by *any* executor of this
+        environment become reusable; executors only consult it when
+        asked to (``cache=``).
         """
         if self._cache is None:
             self._cache = DerivationCache(self.db, self.registry)
-            self._cache.attach()
         if self._shared_memo_path is not None \
                 and self._cache.memo is None:
             self._cache.attach_shared_memo(self._shared_memo_path)
@@ -114,14 +113,14 @@ class DesignEnvironment:
         """Share remembered derivations across processes and runs.
 
         Points the environment's cache at an append-only memo log at
-        ``path`` (created on first write).  Concurrent runs — and the
-        worker lanes of a :class:`ProcessFlowExecutor` coordinator —
-        publish every cache store there and absorb each other's
-        entries on lookup, guarded by the same registry signature that
-        invalidates the in-memory cache when tool code changes.
+        ``path`` (created on first write), carrying over the runs the
+        cache remembers.  Concurrent runs — and the worker lanes of a
+        :class:`ProcessFlowExecutor` coordinator — publish every cache
+        store there and absorb each other's entries on lookup.
         """
+        cache = self.cache  # absorbs the memo it is attached to now
         self._shared_memo_path = pathlib.Path(path)
-        return self.cache.attach_shared_memo(self._shared_memo_path)
+        return cache.attach_shared_memo(self._shared_memo_path)
 
     # ------------------------------------------------------------------
     # installation (source entities enter from outside the flows)

@@ -247,9 +247,11 @@ class EncapsulationRegistry:
     def signature(self) -> str:
         """Digest over every registered encapsulation/composition.
 
-        A persisted derivation-cache index is only trustworthy while the
-        code it was built against is unchanged; this signature is the
-        cheap way to check that at load time.
+        Two registries with equal signatures run the same code for every
+        tool type, tool instance and composition.  The derivation cache
+        does not use it: each derivation key embeds the fingerprint of
+        the one encapsulation it names, so a change to any other tool
+        leaves the key intact.
         """
         parts = []
         for tool_type, enc in sorted(self._by_type.items()):

@@ -1,14 +1,13 @@
 """Cross-process shared derivation memo (file-locked append log).
 
-The :class:`~repro.execution.cache.DerivationCache` is an in-process
-index; the moment flows execute on real worker *processes* — or two
-``repro run`` invocations share one environment directory — remembered
-tool runs must survive process boundaries.  The memo is the smallest
-structure that does: an append-only JSONL log (``memo.jsonl`` under the
+The memo is the :class:`~repro.execution.cache.DerivationCache` index's
+only saved copy: an append-only JSONL log (``memo.jsonl`` under the
 environment directory) where each line records one derivation-key ->
-outputs group, stamped with the encapsulation registry's sha256
-signature so stale code silently invalidates old lines, exactly like
-the persisted ``cache.json`` snapshot.
+outputs group and the run's duration.  Worker *processes* and
+concurrent ``repro run`` invocations sharing one environment directory
+see each other's remembered tool runs through it.  A line is a claim,
+not a proof: the cache re-derives the key from the named instances'
+derivation records before it reuses them.
 
 Safety model (single-writer append, shared readers):
 
@@ -18,10 +17,11 @@ Safety model (single-writer append, shared readers):
 * readers take a **shared** lock, read from their last byte offset to
   the end of file, and only advance past *complete* lines — a reader
   racing a writer at worst re-reads the same tail next poll, it never
-  adopts a torn line;
-* lines whose ``sig`` does not match the current registry signature are
-  skipped (still consuming their bytes), so two runs with different
-  tool code share one log without poisoning each other.
+  adopts a torn line.
+
+Lines in the older format also carry a ``sig`` field (a registry
+signature); it is ignored, since every key already embeds the code
+fingerprint of the tool that ran.
 
 On platforms without ``fcntl`` the memo degrades to an O_EXCL spin
 lock around the same protocol.
@@ -33,7 +33,7 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Callable
+from typing import Any
 
 try:
     import fcntl
@@ -88,19 +88,11 @@ class _FileLock:
 
 
 class SharedDerivationMemo:
-    """Append-only derivation memo shared between processes.
+    """Append-only derivation memo shared between processes."""
 
-    ``signature`` is a zero-argument callable returning the current
-    :meth:`~repro.execution.encapsulation.EncapsulationRegistry.signature`
-    — evaluated per call, because encapsulations register *after* an
-    environment loads and the signature must reflect the final registry.
-    """
-
-    def __init__(self, path: str | pathlib.Path,
-                 signature: Callable[[], str]) -> None:
+    def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
         self.lock_path = self.path.with_name(self.path.name + ".lock")
-        self._signature = signature
         self._offset = 0
 
     # ------------------------------------------------------------------
@@ -112,7 +104,7 @@ class SharedDerivationMemo:
         line = json.dumps(
             {"duration": duration, "key": key,
              "outputs": [[t, i] for t, i in outputs],
-             "sig": self._signature(), "v": MEMO_SCHEMA_VERSION},
+             "v": MEMO_SCHEMA_VERSION},
             sort_keys=True, separators=(",", ":"))
         with _FileLock(self.lock_path, exclusive=True):
             with open(self.path, "a", encoding="utf-8") as handle:
@@ -126,10 +118,8 @@ class SharedDerivationMemo:
     def poll(self) -> list[MemoEntry]:
         """Entries appended (by anyone) since the last poll.
 
-        Only complete, signature-matching lines are returned; a torn
-        trailing line (a writer mid-append on a non-POSIX box) is left
-        for the next poll.  Lines written against different tool code
-        are consumed but not returned.
+        Only complete lines are returned; a torn trailing line (a
+        writer mid-append on a non-POSIX box) is left for the next poll.
         """
         if not self.path.exists():
             return []
@@ -138,7 +128,6 @@ class SharedDerivationMemo:
                 handle.seek(self._offset)
                 chunk = handle.read()
         entries: list[MemoEntry] = []
-        signature = self._signature()
         consumed = 0
         for raw in chunk.split(b"\n"):
             end = consumed + len(raw) + 1
@@ -153,8 +142,6 @@ class SharedDerivationMemo:
                 continue  # foreign garbage: skip, bytes consumed
             if record.get("v") != MEMO_SCHEMA_VERSION:
                 continue
-            if record.get("sig") != signature:
-                continue  # written against different tool code
             outputs = tuple((str(t), str(i))
                             for t, i in record.get("outputs", ()))
             if not outputs:

@@ -94,9 +94,6 @@ class HistoryDatabase:
         # reopened (possibly huge) history never needs a warm-up scan
         self._type_counters: dict[str, itertools.count] = {}
         self._invocation_counter: itertools.count | None = None
-        # secondary-index maintainers (e.g. the derivation cache) called
-        # with every newly added instance; see add_record_listener()
-        self._record_listeners: list[Callable[[EntityInstance], None]] = []
 
     @property
     def backend(self) -> str:
@@ -217,8 +214,6 @@ class HistoryDatabase:
             span_id=trace.span_id if trace is not None else "",
         )
         self._index(instance)
-        for listener in self._record_listeners:
-            listener(instance)
         if self.bus.enabled:
             payload = {"entity_type": entity_type,
                        "instance_id": instance.instance_id,
@@ -234,22 +229,6 @@ class HistoryDatabase:
                 machine=(annotations or {}).get("machine", ""),
                 payload=payload)
         return instance
-
-    def add_record_listener(
-            self, listener: Callable[[EntityInstance], None]) -> None:
-        """Call ``listener(instance)`` for every instance added from now.
-
-        Listeners maintain secondary indexes (the derivation cache's
-        key -> instance-ids map); they run synchronously inside the write
-        path, after the instance is indexed.
-        """
-        if listener not in self._record_listeners:
-            self._record_listeners.append(listener)
-
-    def remove_record_listener(
-            self, listener: Callable[[EntityInstance], None]) -> None:
-        if listener in self._record_listeners:
-            self._record_listeners.remove(listener)
 
     def _index(self, instance: EntityInstance) -> None:
         # the store maintains the type, forward/reverse dependency and

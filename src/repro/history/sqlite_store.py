@@ -11,11 +11,12 @@ one SQLite file (WAL journal) with:
 * a redundant ``edges`` table — both dependency directions indexed —
   maintained incrementally on every write (the dask scheduler idiom:
   constant-time edge access in exchange for redundant state);
-* a ``derivation_keys`` table persisting the re-execution cache's
-  key -> outputs index, signature-guarded so stale encapsulation
-  fingerprints are dropped rather than believed;
 * content-addressed ``blobs`` (canonical JSON text keyed by full
   sha256) with a legacy short-ref alias table.
+
+Files written by older builds also hold ``meta`` and
+``derivation_keys`` tables (a copy of the re-execution cache's key
+index); they are left unread.
 
 Reads decode rows lazily into :class:`EntityInstance` objects and
 memoize them, so a backward trace over a 10^5-instance history touches
@@ -31,7 +32,7 @@ import pathlib
 import sqlite3
 import threading
 import time
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from ..errors import HistoryError
 from ..obs.profiling import statement_fingerprint
@@ -43,9 +44,6 @@ from .store import (BACKEND_SQLITE, HistoryStore, parse_invocation,
 COMMIT_EVERY = 5000
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta(
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS instances(
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
     instance_id TEXT UNIQUE NOT NULL,
@@ -66,11 +64,6 @@ CREATE INDEX IF NOT EXISTS idx_edges_forward
     ON edges(antecedent, seq);
 CREATE INDEX IF NOT EXISTS idx_edges_reverse
     ON edges(consumer, seq);
-CREATE TABLE IF NOT EXISTS derivation_keys(
-    key TEXT NOT NULL,
-    outputs TEXT NOT NULL,
-    duration REAL NOT NULL DEFAULT 0,
-    PRIMARY KEY(key, outputs));
 CREATE TABLE IF NOT EXISTS blobs(
     digest TEXT PRIMARY KEY,
     canonical TEXT NOT NULL,
@@ -79,10 +72,6 @@ CREATE TABLE IF NOT EXISTS blob_aliases(
     alias TEXT PRIMARY KEY,
     digest TEXT NOT NULL);
 """
-
-#: ``meta`` key holding the encapsulation-registry signature the
-#: derivation-key index was built against.
-KEY_INDEX_SIGNATURE = "key_index_signature"
 
 #: The read statements ``repro profile queries`` audits with
 #: ``EXPLAIN QUERY PLAN``: every hot lookup this store issues, plus the
@@ -123,7 +112,6 @@ class SqliteHistoryStore(HistoryStore):
 
     kind = BACKEND_SQLITE
     blob_backend = True
-    supports_key_index = True
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
@@ -377,47 +365,6 @@ class SqliteHistoryStore(HistoryStore):
             row = self._fetchone(
                 "SELECT MAX(invocation_num) FROM instances")
         return row[0] or 0
-
-    # -- derivation-key index ---------------------------------------------
-    def key_index_signature(self) -> str | None:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT value FROM meta WHERE key = ?",
-                (KEY_INDEX_SIGNATURE,))
-        return row[0] if row is not None else None
-
-    def reset_key_index(self, signature: str) -> None:
-        with self._lock:
-            self._execute("DELETE FROM derivation_keys")
-            self._execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES(?, ?)",
-                (KEY_INDEX_SIGNATURE, signature))
-            self._wrote()
-
-    def put_key_group(self, key: str,
-                      outputs: Iterable[tuple[str, str]],
-                      duration: float = 0.0) -> None:
-        encoded = json.dumps([[t, i] for t, i in outputs],
-                             sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            self._execute(
-                "INSERT INTO derivation_keys(key, outputs, duration)"
-                " VALUES(?, ?, ?) ON CONFLICT(key, outputs)"
-                " DO UPDATE SET duration = MAX(duration, excluded.duration)",
-                (key, encoded, duration))
-            self._wrote()
-
-    def iter_key_groups(self) -> Iterator[
-            tuple[str, tuple[tuple[str, str], ...], float]]:
-        with self._lock:
-            rows = self._fetchall(
-                "SELECT key, outputs, duration FROM derivation_keys"
-                " ORDER BY key, outputs")
-        for key, outputs, duration in rows:
-            pairs = tuple((entity_type, instance_id)
-                          for entity_type, instance_id
-                          in json.loads(outputs))
-            yield key, pairs, duration
 
     # -- content-addressed blobs --------------------------------------------
     def put_blob(self, digest: str, canonical: str, size: int) -> None:

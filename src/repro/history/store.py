@@ -13,10 +13,12 @@ Two implementations exist:
 * :class:`InMemoryHistoryStore` — plain dictionaries, the compatibility
   default behind the JSON persistence format (``history.json``);
 * :class:`~repro.history.sqlite_store.SqliteHistoryStore` — an indexed
-  SQLite-WAL file with persistent dependency indexes, a derivation-key
-  index for the re-execution cache and content-addressed blob storage,
-  so opening a million-instance history costs the rows a query touches,
-  not a full parse.
+  SQLite-WAL file with persistent dependency indexes and
+  content-addressed blob storage, so opening a million-instance history
+  costs the rows a query touches, not a full parse.
+
+The re-execution cache keeps its key index in the shared memo
+(:mod:`repro.execution.shared_memo`), not in a store.
 
 :class:`~repro.history.database.HistoryDatabase` routes every read and
 write through this interface; the query layers on top
@@ -26,7 +28,7 @@ write through this interface; the query layers on top
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .instance import EntityInstance
 
@@ -62,9 +64,6 @@ class HistoryStore:
     #: True when the store also persists content-addressed blobs (the
     #: :class:`~repro.history.datastore.DataStore` then writes through).
     blob_backend: bool = False
-    #: True when the store persists the derivation-key index consulted
-    #: by :class:`~repro.execution.cache.DerivationCache`.
-    supports_key_index: bool = False
     #: Optional query-observability hook (duck-typed to
     #: :class:`~repro.obs.profiling.QueryRecorder` — this module never
     #: imports obs).  ``None`` keeps every read on the untimed fast
@@ -119,23 +118,6 @@ class HistoryStore:
 
     def highest_invocation(self) -> int:
         """Largest numeric invocation suffix seen (0 when none)."""
-        raise NotImplementedError
-
-    # -- derivation-key index (optional) -----------------------------------
-    def key_index_signature(self) -> str | None:
-        """Registry signature the persisted key index was built against."""
-        return None
-
-    def reset_key_index(self, signature: str) -> None:
-        raise NotImplementedError
-
-    def put_key_group(self, key: str,
-                      outputs: Iterable[tuple[str, str]],
-                      duration: float = 0.0) -> None:
-        raise NotImplementedError
-
-    def iter_key_groups(self) -> Iterator[
-            tuple[str, tuple[tuple[str, str], ...], float]]:
         raise NotImplementedError
 
     # -- content-addressed blobs (optional) ---------------------------------

@@ -47,7 +47,6 @@ HISTORY_FILE = "history.json"
 HISTORY_SQLITE_FILE = "history.sqlite"
 FLOWS_FILE = "flows.json"
 META_FILE = "environment.json"
-CACHE_FILE = "cache.json"
 TRACE_FILE = "trace.jsonl"
 LEDGER_FILE = "ledger.jsonl"
 MEMO_FILE = "memo.jsonl"
@@ -96,7 +95,9 @@ def save_environment(env: DesignEnvironment,
     ``sqlite``); ``None`` keeps the backend the environment's database
     already uses.  Saving with a different backend converts the history
     on the way out and removes the superseded history file, so the
-    directory always has exactly one authoritative history.
+    directory always has exactly one authoritative history.  The
+    derivation cache's index lives in the directory's ``memo.jsonl``,
+    which the environment's cache appends to from then on.
     """
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -129,10 +130,14 @@ def save_environment(env: DesignEnvironment,
         json.dumps({"format": FORMAT_VERSION, "user": env.user,
                     "history_backend": backend},
                    indent=1), encoding="utf-8")
-    if env._cache is not None:
-        (root / CACHE_FILE).write_text(
-            json.dumps(env._cache.to_dict(), indent=1, sort_keys=True),
-            encoding="utf-8")
+    # the directory's memo is the cache's saved index: point the cache
+    # there, first appending what it remembers from memory or from
+    # another directory's memo
+    memo_path = root / MEMO_FILE
+    if env._cache is None and env._shared_memo_path in (None, memo_path):
+        env._shared_memo_path = memo_path  # nothing to carry over
+    else:
+        env.enable_shared_memo(memo_path)
     return root
 
 
@@ -175,13 +180,6 @@ def load_environment(directory: str | pathlib.Path, *,
             flow = DynamicFlow.from_dict(schema, spec["graph"])
             env.flow_catalog.register_flow(
                 name, flow, description=spec.get("description", ""))
-    cache_path = root / CACHE_FILE
-    if cache_path.exists():
-        # restore() only stages the snapshot; it is trusted (absorbed)
-        # at first use, once the encapsulation registry's signature can
-        # be compared — tool code registers after load returns.
-        env.cache.restore(
-            json.loads(cache_path.read_text(encoding="utf-8")))
     # The run ledger is on by default for saved environments: every
     # executed flow appends one record to ledger.jsonl.  A read-only
     # directory disables recording (reads via `repro ledger`/`repro
@@ -189,11 +187,12 @@ def load_environment(directory: str | pathlib.Path, *,
     # environment with no longitudinal history yet — never an error.
     if os.access(root, os.W_OK):
         env.attach_ledger(root / LEDGER_FILE)
-        # Likewise the cross-process derivation memo: concurrent runs
-        # (and procpool worker lanes) of this environment publish and
-        # absorb remembered derivations through memo.jsonl.  The memo
-        # is attached lazily with the cache, so environments that never
-        # touch the cache never create the file.
+        # Likewise the cross-process derivation memo, the cache's saved
+        # index: concurrent runs (and procpool worker lanes) of this
+        # environment publish and absorb remembered derivations through
+        # memo.jsonl.  The memo is attached lazily with the cache, so
+        # environments that never touch the cache never create the
+        # file.  A cache.json left by older builds is not read.
         env._shared_memo_path = root / MEMO_FILE
     return env
 

@@ -1,15 +1,15 @@
 """Tests for the derivation-keyed incremental re-execution cache."""
 
 import json
+import sqlite3
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.execution import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
-                             DerivationCache, DesignEnvironment,
-                             encapsulation, fingerprint_callable,
-                             normalize_policy)
-from repro.persistence import (CACHE_FILE, load_environment,
+                             DesignEnvironment, encapsulation,
+                             fingerprint_callable, normalize_policy)
+from repro.persistence import (MEMO_FILE, load_environment,
                                save_environment)
 from repro.schema import standard as S
 from repro.tools import register_standard_encapsulations
@@ -51,6 +51,15 @@ def simulate_flow(env):
     return flow, goal
 
 
+def rebuilt_flow(env, flow):
+    """A fresh copy of a simulate flow, bound to the same instances."""
+    return build_performance_flow(
+        env, netlist_id=flow.sole_node_of_type(S.NETLIST).bindings[0],
+        models_id=flow.sole_node_of_type(S.DEVICE_MODELS).bindings[0],
+        stimuli_id=flow.sole_node_of_type(S.STIMULI).bindings[0],
+        simulator_id=flow.sole_node_of_type(S.SIMULATOR).bindings[0])
+
+
 class TestPolicies:
     def test_normalize(self):
         assert normalize_policy(None) == CACHE_OFF
@@ -75,6 +84,27 @@ class TestPolicies:
         # rerun with force still executes, exactly as without a cache
         counting_env.run(flow, force=True, cache="off")
         assert len(counting_env.calls) == 2
+
+    @pytest.mark.parametrize(
+        "first, remembered",
+        [("readwrite", True), ("reuse", False), ("off", False)],
+        ids=["readwrite", "reuse", "off"])
+    def test_only_readwrite_indexes_results(self, counting_env, first,
+                                            remembered):
+        """What ``repro run --help`` promises: ``reuse`` and ``off`` runs
+        never make their own results reusable."""
+        counting_env.cache  # constructed before an off run, too
+        flow, _ = simulate_flow(counting_env)
+        counting_env.run(flow, cache=first)
+        calls = len(counting_env.calls)
+        flow2, _ = rebuilt_flow(counting_env, flow)
+        second = counting_env.run(flow2, cache="reuse")
+        if remembered:
+            assert second.cache_hits == 2 and second.runs == 0
+            assert len(counting_env.calls) == calls
+        else:
+            assert second.cache_hits == 0 and second.runs == 2
+            assert len(counting_env.calls) == calls + 1
 
 
 class TestReuse:
@@ -177,31 +207,36 @@ class TestInvalidation:
         assert report.cache_hits == 0
         assert len(counting_env.calls) == calls + 1
 
-    def test_reregistered_tool_invalidates(self, counting_env):
+    @pytest.mark.parametrize("backend", [None, "json", "sqlite"],
+                             ids=["in-process", "json", "sqlite"])
+    def test_reregistered_tool_invalidates(self, counting_env, tmp_path,
+                                           backend):
         flow, _ = simulate_flow(counting_env)
         counting_env.run(flow, cache="readwrite")
         calls = len(counting_env.calls)
+        env = counting_env
+        if backend is not None:
+            # the changed code arrives with a reload, as in a new
+            # `repro run` after editing the tool
+            save_environment(counting_env, tmp_path, backend=backend)
+            env = load_environment(tmp_path)
 
         def rewritten(ctx, inputs):
             counting_env.calls.append(("simulator-v2", sorted(inputs)))
             return {"made-by": "v2"}
 
-        counting_env.registry.register(
-            S.SIMULATOR, encapsulation("s2", rewritten))
+        env.registry.register(S.SIMULATOR, encapsulation("s2", rewritten))
         # the pre-rewrite result must not satisfy the new key: the
         # simulator runs again even though its inputs are unchanged
-        flow2, _ = build_performance_flow(
-            counting_env,
-            netlist_id=flow.sole_node_of_type(S.NETLIST).bindings[0],
-            models_id=flow.sole_node_of_type(
-                S.DEVICE_MODELS).bindings[0],
-            stimuli_id=flow.sole_node_of_type(S.STIMULI).bindings[0],
-            simulator_id=flow.sole_node_of_type(S.SIMULATOR).bindings[0])
-        report = counting_env.run(flow2, cache="reuse")
+        flow2, goal2 = rebuilt_flow(env, flow)
+        report = env.run(flow2, cache="reuse")
         assert counting_env.calls[-1][0] == "simulator-v2"
         assert len(counting_env.calls) == calls + 1
+        assert env.db.data(goal2.produced[0]) == {"made-by": "v2"}
         # the circuit composition is untouched, so it still coalesces
         assert report.cache_hits == 1
+        if backend == "sqlite":
+            env.db.store.close()
 
     def test_stale_history_is_not_reused(self, stocked_env):
         """A cached result whose inputs were superseded is skipped."""
@@ -296,7 +331,7 @@ class TestPersistence:
             simulator_id=env.tools[S.SIMULATOR].instance_id)
         cold = env.run(flow, cache="readwrite")
         save_environment(env, tmp_path)
-        assert (tmp_path / CACHE_FILE).exists()
+        assert (tmp_path / MEMO_FILE).exists()
 
         reloaded = load_environment(tmp_path)
         register_standard_encapsulations(reloaded)
@@ -309,11 +344,31 @@ class TestPersistence:
         assert not warm.results
         assert sorted(warm.reused) == sorted(cold.created)
 
+    def test_saving_elsewhere_carries_the_index_over(self, tmp_path,
+                                                     stocked_env):
+        env = stocked_env
+        flow, _ = build_performance_flow(
+            env, netlist_id=env.netlist.instance_id,
+            models_id=env.models.instance_id,
+            stimuli_id=env.stimuli.instance_id,
+            simulator_id=env.tools[S.SIMULATOR].instance_id)
+        cold = env.run(flow, cache="readwrite")
+        save_environment(env, tmp_path / "a")
+        # the copy never touches its cache before it is saved elsewhere
+        save_environment(load_environment(tmp_path / "a"), tmp_path / "b")
+        assert (tmp_path / "b" / MEMO_FILE).read_text() == \
+            (tmp_path / "a" / MEMO_FILE).read_text()
+        reloaded = load_environment(tmp_path / "b")
+        register_standard_encapsulations(reloaded)
+        warm = reloaded.run(rebuilt_flow(reloaded, flow)[0], cache="reuse")
+        assert not warm.results
+        assert sorted(warm.reused) == sorted(cold.created)
+
     def test_reload_prefers_newest_group_after_force(self, tmp_path,
                                                      stocked_env):
-        # a forced re-run stores its group before the snapshot/sweep
-        # absorbs older history, so group list order is not recency
-        # order; fetch must rank by member timestamps
+        # a forced re-run stores a second group under the same key; the
+        # memo keeps both in the order they were stored, and fetch
+        # tries the newest first
         env = stocked_env
         flow, _ = build_performance_flow(
             env, netlist_id=env.netlist.instance_id,
@@ -333,14 +388,6 @@ class TestPersistence:
         forced = mid.run(flow2, cache="readwrite", force=True)
         save_environment(mid, tmp_path)
 
-        # simulate a snapshot written with inverted group order (as the
-        # pre-fix store() produced): recency ranking must still win
-        cache_file = tmp_path / CACHE_FILE
-        payload = json.loads(cache_file.read_text())
-        for entry in payload["entries"].values():
-            entry["groups"].reverse()
-        cache_file.write_text(json.dumps(payload))
-
         reloaded = load_environment(tmp_path)
         register_standard_encapsulations(reloaded)
         flow3, _ = build_performance_flow(
@@ -352,8 +399,11 @@ class TestPersistence:
         assert not warm.results
         assert sorted(warm.reused) == sorted(forced.created)
 
-    def test_snapshot_dropped_on_signature_mismatch(self, tmp_path,
-                                                    stocked_env):
+    def test_index_copies_of_older_directories_are_ignored(
+            self, tmp_path, stocked_env):
+        """The index copies older builds kept beside the memo — a
+        ``cache.json`` (here torn) and SQLite ``derivation_keys`` rows —
+        neither block loading nor produce hits."""
         env = stocked_env
         flow, _ = build_performance_flow(
             env, netlist_id=env.netlist.instance_id,
@@ -361,15 +411,34 @@ class TestPersistence:
             stimuli_id=env.stimuli.instance_id,
             simulator_id=env.tools[S.SIMULATOR].instance_id)
         env.run(flow, cache="readwrite")
-        save_environment(env, tmp_path)
-        payload = json.loads((tmp_path / CACHE_FILE).read_text())
-        payload["signature"] = "stale" * 12
-        cache = DerivationCache(env.db, env.registry)
-        cache.restore(payload)
-        cache.sync()
-        # snapshot untrusted -> durations forgotten, but the lazy sweep
-        # still rebuilds keys from the history itself
-        assert cache._pending is None
+        save_environment(env, tmp_path, backend="sqlite")
+        env.db.store.close()
+        memo = tmp_path / MEMO_FILE
+        lines = [json.loads(line) for line in memo.read_text().splitlines()]
+        memo.unlink()
+        (tmp_path / "cache.json").write_text('{"entries": {"k', "utf-8")
+        conn = sqlite3.connect(tmp_path / "history.sqlite")
+        conn.execute("CREATE TABLE IF NOT EXISTS derivation_keys("
+                     "key TEXT NOT NULL, outputs TEXT NOT NULL,"
+                     " duration REAL NOT NULL DEFAULT 0,"
+                     " PRIMARY KEY(key, outputs))")
+        conn.executemany(
+            "INSERT OR IGNORE INTO derivation_keys VALUES(?, ?, ?)",
+            [(line["key"], json.dumps(line["outputs"]), line["duration"])
+             for line in lines])
+        conn.commit()
+        conn.close()
+        reloaded = load_environment(tmp_path)
+        register_standard_encapsulations(reloaded)
+        flow2, _ = build_performance_flow(
+            reloaded, netlist_id=env.netlist.instance_id,
+            models_id=env.models.instance_id,
+            stimuli_id=env.stimuli.instance_id,
+            simulator_id=env.tools[S.SIMULATOR].instance_id)
+        report = reloaded.run(flow2, cache="reuse")
+        # no memo, so nothing is remembered: a miss is always correct
+        assert report.cache_hits == 0 and report.runs == 2
+        reloaded.db.store.close()
 
     def test_invocation_counter_survives_reload(self, tmp_path,
                                                 stocked_env):

@@ -236,9 +236,9 @@ class TestLedgerEndToEnd:
         return directory
 
     def test_runs_append_and_stats_report(self, proj, capsys):
-        for _ in range(2):
-            assert self.run("run", str(proj), "simulate",
-                            "--force") == 0
+        for policy in ("off", "readwrite"):
+            assert self.run("run", str(proj), "simulate", "--force",
+                            "--cache", policy) == 0
         records = RunLedger(proj / LEDGER_FILE).records()
         assert len(records) == 2
         assert records[0].flow == "simulate"
@@ -248,9 +248,13 @@ class TestLedgerEndToEnd:
         assert payload["ledger"]["runs"] == 2
         assert payload["ledger"]["last"]["executor"] == "sequential"
         assert payload["history"]["instances"] > 0
+        # only the readwrite run is remembered: the circuit composition
+        # and the simulation, one run each
+        assert payload["cache"] == {"keys": 2, "results": 2}
         assert self.run("stats", str(proj)) == 0
-        assert "run ledger: 2 recorded runs" in \
-            capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "run ledger: 2 recorded runs" in out
+        assert "derivation cache: 2 keys, 2 remembered results" in out
 
     def test_history_joins_run_record(self, proj, capsys):
         assert self.run("run", str(proj), "simulate", "--trace") == 0

@@ -1,12 +1,11 @@
 """Cross-process shared derivation memo: locking, absorption, sharing.
 
 The memo is an append-only JSONL log guarded by a file lock; concurrent
-writers (worker lanes, parallel CLI runs) must never corrupt it, every
-reader must eventually observe every writer's entries, and the
-registry-signature guard must reject entries recorded under different
-tool code.  The cache-level tests pin how :class:`DerivationCache`
-absorbs memo entries — only usable ones (instances present in this
-history) ever surface as hits.
+writers (worker lanes, parallel CLI runs) must never corrupt it, and
+every reader must eventually observe every writer's entries.  The
+cache-level tests pin how :class:`DerivationCache` uses memo entries —
+only a group whose instances re-derive its key in this history, under
+the current tool code, ever surfaces as a hit.
 """
 
 from __future__ import annotations
@@ -16,84 +15,110 @@ import multiprocessing
 import time
 
 from repro import DesignEnvironment
-from repro.execution import (FaultPlan, FaultSpec, ResiliencePolicy,
-                             SharedDerivationMemo, encapsulation)
+from repro.execution import (DerivationCache, FaultPlan, FaultSpec,
+                             ResiliencePolicy, SharedDerivationMemo,
+                             encapsulation)
 from repro.execution.shared_memo import MEMO_SCHEMA_VERSION
+from repro.persistence import load_environment, save_environment
+from repro.schema import standard as S
 from repro.schema.builder import SchemaBuilder
-
-SIG = "sig-a"
-
-
-def memo_at(path, signature=SIG):
-    return SharedDerivationMemo(path, lambda: signature)
+from repro.tools import register_standard_encapsulations, walking_ones
+from tests.conftest import build_performance_flow
 
 
 class TestMemoLog:
     def test_append_then_poll_roundtrip(self, tmp_path):
         path = tmp_path / "memo.jsonl"
-        writer = memo_at(path)
-        reader = memo_at(path)
+        writer = SharedDerivationMemo(path)
+        reader = SharedDerivationMemo(path)
         writer.append("k1", (("Out", "i1"),), duration=0.5)
         assert reader.poll() == [("k1", (("Out", "i1"),), 0.5)]
         # the offset advanced: nothing new, nothing re-read
         assert reader.poll() == []
         writer.append("k2", (("Out", "i2"),))
         assert [k for k, _, _ in reader.poll()] == ["k2"]
+        # a line in the older format, which also carried a registry
+        # signature, is still absorbed
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({
+                "duration": 0.25, "key": "k3", "outputs": [["Out", "i3"]],
+                "sig": "0" * 64, "v": MEMO_SCHEMA_VERSION}) + "\n")
+        assert reader.poll() == [("k3", (("Out", "i3"),), 0.25)]
+        assert "sig" not in path.read_text().splitlines()[0]
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert memo_at(tmp_path / "never-written.jsonl").poll() == []
+        memo = SharedDerivationMemo(tmp_path / "never-written.jsonl")
+        assert memo.poll() == []
 
     def test_rewind_rereads_everything(self, tmp_path):
         path = tmp_path / "memo.jsonl"
-        memo = memo_at(path)
+        memo = SharedDerivationMemo(path)
         memo.append("k1", (("Out", "i1"),))
         assert len(memo.poll()) == 1
         memo.rewind()
         assert len(memo.poll()) == 1
 
     def test_wrong_signature_skipped(self, tmp_path):
+        """One log shared by two versions of a tool's code: a reader
+        under the current code reuses the current code's lines and
+        skips the other's, which name other keys."""
         path = tmp_path / "memo.jsonl"
-        memo_at(path, "other-code").append("k1", (("Out", "i1"),))
-        memo_at(path).append("k2", (("Out", "i2"),))
-        assert [k for k, _, _ in memo_at(path).poll()] == ["k2"]
+        env = fan_env()
+        env.enable_shared_memo(path)
+        env.run(fan_flow(env), cache="readwrite")  # "other code" lines
+        env.registry.register(
+            "Tool", encapsulation("fan-tool",
+                                  lambda ctx, ins: {"ok": -ins["src"]["n"]}))
+        current = env.run(fan_flow(env), cache="readwrite")
+        assert len(current.results) == 4 and current.cache_hits == 0
+        reader = DerivationCache(env.db, env.registry)
+        reader.attach_shared_memo(path)
+        assert reader.sync() == 8
+        executor = env.executor()
+        executor.cache = reader
+        executor.cache_policy = "reuse"
+        report = executor.execute(fan_flow(env))
+        assert not report.results
+        assert report.cache_hits == 4
+        assert reader.stats.invalidated == 0  # skipped, never stale
 
     def test_wrong_schema_version_skipped(self, tmp_path):
         path = tmp_path / "memo.jsonl"
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({
-                "key": "k1", "outputs": [["Out", "i1"]], "sig": SIG,
+                "key": "k1", "outputs": [["Out", "i1"]],
                 "v": MEMO_SCHEMA_VERSION + 1}) + "\n")
-        memo_at(path).append("k2", (("Out", "i2"),))
-        assert [k for k, _, _ in memo_at(path).poll()] == ["k2"]
+        SharedDerivationMemo(path).append("k2", (("Out", "i2"),))
+        assert [k for k, _, _ in SharedDerivationMemo(path).poll()] == ["k2"]
 
     def test_torn_tail_left_for_next_poll(self, tmp_path):
         path = tmp_path / "memo.jsonl"
-        memo = memo_at(path)
+        memo = SharedDerivationMemo(path)
         memo.append("k1", (("Out", "i1"),))
-        reader = memo_at(path)
+        reader = SharedDerivationMemo(path)
         # a writer died mid-line: no trailing newline
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"key": "k2", "outp')
         assert [k for k, _, _ in reader.poll()] == ["k1"]
         # the torn line completes (as a valid record) later
         with path.open("a", encoding="utf-8") as handle:
-            handle.write('uts": [["Out", "i2"]], "sig": "%s", '
+            handle.write('uts": [["Out", "i2"]], '
                          '"v": %d, "duration": 0.0}\n'
-                         % (SIG, MEMO_SCHEMA_VERSION))
+                         % MEMO_SCHEMA_VERSION)
         assert [k for k, _, _ in reader.poll()] == ["k2"]
 
     def test_garbage_lines_are_consumed_not_fatal(self, tmp_path):
         path = tmp_path / "memo.jsonl"
         path.write_text("not json\n\x00\xff garbage\n", encoding="utf-8",
                         errors="ignore")
-        memo = memo_at(path)
+        memo = SharedDerivationMemo(path)
         assert memo.poll() == []
         memo.append("k1", (("Out", "i1"),))
         assert [k for k, _, _ in memo.poll()] == ["k1"]
 
 
 def _hammer(path, worker, count):
-    memo = SharedDerivationMemo(path, lambda: SIG)
+    memo = SharedDerivationMemo(path)
     for index in range(count):
         memo.append(f"w{worker}-k{index}",
                     (("Out", f"w{worker}-i{index}"),),
@@ -101,7 +126,7 @@ def _hammer(path, worker, count):
 
 
 def _handshake(path, mine, theirs, status):
-    memo = SharedDerivationMemo(path, lambda: SIG)
+    memo = SharedDerivationMemo(path)
     memo.append(mine, (("Out", mine),))
     seen: set[str] = set()
     deadline = time.monotonic() + 30.0
@@ -131,9 +156,8 @@ class TestCrossProcess:
         assert len(lines) == writers * per_writer
         for line in lines:  # every line is a complete, valid record
             record = json.loads(line)
-            assert record["sig"] == SIG
             assert record["v"] == MEMO_SCHEMA_VERSION
-        polled = memo_at(path).poll()
+        polled = SharedDerivationMemo(path).poll()
         assert len(polled) == writers * per_writer
         assert len({key for key, _, _ in polled}) == writers * per_writer
 
@@ -202,7 +226,6 @@ class TestCacheIntegration:
         env.enable_shared_memo(memo_path)
         env.run(fan_flow(env), cache="readwrite")
         # a second cache over the same history, cold except for the memo
-        from repro.execution import DerivationCache
         cold = DerivationCache(env.db, env.registry)
         cold.attach_shared_memo(memo_path)
         executor = env.executor()
@@ -228,21 +251,56 @@ class TestCacheIntegration:
         assert report.cache_hits == 0
 
     def test_signature_guard_rejects_changed_tool_code(self, tmp_path):
+        """Every key embeds the code fingerprint of the tool that ran,
+        so memo lines written under other tool code never match a
+        lookup, although this history holds the instances they name."""
         memo_path = tmp_path / "memo.jsonl"
         env = fan_env()
         env.enable_shared_memo(memo_path)
         env.run(fan_flow(env), cache="readwrite")
-        changed = DesignEnvironment(env.schema, user="tester")
-        changed.install_tool(
-            "Tool",
-            encapsulation("fan-tool",
-                          lambda ctx, ins: {"ok": -ins["src"]["n"]}),
-            name="t0")
-        memo = changed.cache.registry.signature  # sanity: differs
-        assert memo() != env.registry.signature()
-        foreign = SharedDerivationMemo(
-            memo_path, lambda: changed.registry.signature())
-        assert foreign.poll() == []
+        env.registry.register(
+            "Tool", encapsulation("fan-tool",
+                                  lambda ctx, ins: {"ok": -ins["src"]["n"]}))
+        cold = DerivationCache(env.db, env.registry)
+        cold.attach_shared_memo(memo_path)
+        assert cold.sync() == 4  # every line is read ...
+        executor = env.executor()
+        executor.cache = cold
+        executor.cache_policy = "reuse"
+        report = executor.execute(fan_flow(env))
+        assert len(report.results) == 4  # ... and none of them hits
+        assert report.cache_hits == 0
+
+    def test_memo_entry_never_serves_another_runs_instance(
+            self, tmp_path, stocked_env):
+        """Two runs of one saved directory record one instance id for
+        different stimuli, and only the second saves.  The first run's
+        memo line then names an instance this history holds for the
+        second run's inputs: reusing the first run's inputs must run
+        the simulator again."""
+        env = stocked_env
+        walk = env.install_data(S.STIMULI, walking_ones(("a", "b", "s")),
+                                name="walk")
+        save_environment(env, tmp_path)
+
+        def run(stimuli_id, cache):
+            loaded = load_environment(tmp_path)
+            register_standard_encapsulations(loaded)
+            flow, goal = build_performance_flow(
+                loaded, netlist_id=env.netlist.instance_id,
+                models_id=env.models.instance_id, stimuli_id=stimuli_id,
+                simulator_id=env.tools[S.SIMULATOR].instance_id)
+            return loaded, loaded.run(flow, cache=cache), goal.produced
+
+        first, _, first_ids = run(env.stimuli.instance_id, "readwrite")
+        second, _, second_ids = run(walk.instance_id, "readwrite")
+        assert first_ids == second_ids  # one id, two different runs
+        save_environment(second, tmp_path)
+        third, report, third_ids = run(env.stimuli.instance_id, "reuse")
+        assert report.cache_hits == 1  # only the shared circuit
+        assert [r.tool_type for r in report.results] == [S.SIMULATOR]
+        assert third.db.get(third_ids[0]).data_ref == \
+            first.db.get(first_ids[0]).data_ref
 
 
 class TestDeterminism:
