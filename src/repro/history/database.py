@@ -3,9 +3,9 @@
 Section 3.3: *"the task schema aids design data management by forming the
 data schema for a design meta-data (design history) database"*.  The
 database stores :class:`~repro.history.instance.EntityInstance` records
-(meta-data) against a :class:`~repro.history.datastore.DataStore`
-(physical data) and maintains the forward index that makes
-forward-chaining queries (section 4.2) cheap.
+(meta-data) and, through a :class:`~repro.history.datastore.DataStore`,
+their physical data in one :class:`~repro.history.store.HistoryStore`,
+whose forward index makes forward-chaining queries (section 4.2) cheap.
 
 Because *all design objects are created through the execution of flows*,
 the two write paths are:
@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable
 from ..errors import HistoryError, UnknownInstanceError
 from ..obs import INSTANCE_CREATED, NO_OP_BUS, EventBus, SpanContext
 from ..schema.schema import TaskSchema
-from .datastore import CodecRegistry, DataStore
+from .datastore import SHORT_REF_LENGTH, CodecRegistry, DataStore
 from .instance import DerivationRecord, EntityInstance
 from .store import HistoryStore, InMemoryHistoryStore
 
@@ -71,7 +71,9 @@ class HistoryDatabase:
     for the compatibility JSON format, or the indexed SQLite-WAL store
     (:class:`~repro.history.sqlite_store.SqliteHistoryStore`) — so the
     chaining/staleness query layers stay backend-agnostic while edge
-    lookups stay constant-time at any history size.
+    lookups stay constant-time at any history size.  The default
+    :class:`~repro.history.datastore.DataStore` keeps its blobs in the
+    same store.
     """
 
     def __init__(self, schema: TaskSchema, *,
@@ -82,12 +84,8 @@ class HistoryDatabase:
                  store: HistoryStore | None = None) -> None:
         self.schema = schema
         self.store = store if store is not None else InMemoryHistoryStore()
-        if datastore is not None:
-            self.datastore = datastore
-        else:
-            self.datastore = DataStore(
-                codecs,
-                backend=self.store if self.store.blob_backend else None)
+        self.datastore = (datastore if datastore is not None
+                          else DataStore(codecs, backend=self.store))
         self.bus = bus if bus is not None else NO_OP_BUS
         self._clock = clock if clock is not None else time.time
         # id counters are seeded lazily from the store's maxima, so a
@@ -231,8 +229,8 @@ class HistoryDatabase:
         return instance
 
     def _index(self, instance: EntityInstance) -> None:
-        # the store maintains the type, forward/reverse dependency and
-        # invocation indexes incrementally inside its write path
+        # the store maintains the type and forward dependency indexes
+        # incrementally inside its write path
         self.store.add(instance)
 
     # ------------------------------------------------------------------
@@ -299,9 +297,13 @@ class HistoryDatabase:
         return self.store.consumers_of(instance_id)
 
     def antecedents_of(self, instance_id: str) -> tuple[str, ...]:
-        """Instances the given instance's derivation directly uses."""
-        self.get(instance_id)
-        return self.store.antecedents_of(instance_id)
+        """Instances the given instance's derivation directly uses.
+
+        The derivation record is the reverse index: no store keeps
+        another copy of it.
+        """
+        derivation = self.get(instance_id).derivation
+        return () if derivation is None else derivation.all_antecedents()
 
     def update_metadata(self, instance_id: str, *,
                         name: str | None = None,
@@ -327,16 +329,25 @@ class HistoryDatabase:
     # persistence
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return {
+        payload = {
             "schema": self.schema.name,
             "instances": [i.to_dict()
                           for i in self.store.iter_instances()],
             "blobs": self.datastore.to_dict(),
         }
+        # load_dict re-derives each digest's prefix alias; any other
+        # legacy ref must be saved or its instances lose their data
+        aliases = {alias: digest for alias, digest
+                   in self.datastore.backend.blob_aliases()
+                   if alias != digest[:SHORT_REF_LENGTH]}
+        if aliases:
+            payload["aliases"] = aliases
+        return payload
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
+            handle.write(json.dumps(self.to_dict(), indent=1,
+                                    sort_keys=True))
 
     @classmethod
     def from_dict(cls, schema: TaskSchema, payload: dict[str, Any], *,
@@ -346,6 +357,8 @@ class HistoryDatabase:
                   store: HistoryStore | None = None) -> "HistoryDatabase":
         db = cls(schema, codecs=codecs, clock=clock, bus=bus, store=store)
         db.datastore.load_dict(payload.get("blobs", {}))
+        for alias, digest in payload.get("aliases", {}).items():
+            db.datastore.backend.put_blob_alias(alias, digest)
         for spec in payload.get("instances", ()):
             db._index(EntityInstance.from_dict(spec))
         # id/invocation counters seed themselves lazily from the
@@ -363,18 +376,19 @@ class HistoryDatabase:
                   ) -> "HistoryDatabase":
         """Copy this history verbatim into a different storage backend.
 
-        Instance ids, derivation records, timestamps, data refs and
-        legacy blob aliases are preserved exactly, so both copies answer
-        every derivation query identically (`repro migrate` relies on
-        this).
+        Instance ids, derivation records, timestamps, data refs, blob
+        text and legacy blob aliases are copied through the store
+        interface, without decoding a blob, so both copies answer every
+        derivation query identically (`repro migrate` relies on this).
         """
         db = HistoryDatabase(self.schema, codecs=codecs,
                              clock=self._clock, bus=self.bus, store=store)
-        db.datastore.load_dict(self.datastore.to_dict())
-        for alias, digest in self.datastore.aliases().items():
-            db.datastore._aliases.setdefault(alias, digest)
-            if db.datastore.backend is not None:
-                db.datastore.backend.put_blob_alias(alias, digest)
+        blobs = self.datastore.backend
+        for digest in blobs.blob_refs():
+            store.put_blob(digest, blobs.get_blob(digest),
+                           blobs.blob_size(digest))
+        for alias, digest in blobs.blob_aliases():
+            store.put_blob_alias(alias, digest)
         for instance in self.store.iter_instances():
             if instance.instance_id not in db.store:
                 db.store.add(instance)
@@ -387,8 +401,9 @@ class HistoryDatabase:
                 f"backend={self.store.kind!r})")
 
 
-def read_history_json(path: str) -> dict[str, Any]:
-    """Parse a JSON history file with a diagnosable failure mode.
+def read_history_json(path: str) -> Any:
+    """Parse a saved environment's JSON file with a diagnosable
+    failure mode.
 
     A truncated or corrupted file (killed writer, partial copy) names
     the offending path and byte offset instead of surfacing an opaque
@@ -402,6 +417,6 @@ def read_history_json(path: str) -> dict[str, Any]:
         offset = len(text[:error.pos].encode("utf-8"))
         total = len(text.encode("utf-8"))
         raise HistoryError(
-            f"corrupt history file {path}: {error.msg} at byte offset "
+            f"corrupt {path}: {error.msg} at byte offset "
             f"{offset} (of {total} bytes); the file is truncated or "
             "was written by an interrupted save") from error

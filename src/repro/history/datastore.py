@@ -5,7 +5,9 @@ different versions of the same design) has its own associated meta-data,
 it may share the actual (physical) data with other instances."*  A
 :class:`DataStore` is the reproduction's RCS/SCCS: blobs are keyed by a
 digest of their canonical form, so identical payloads are stored once and
-instances reference them by ``data_ref``.
+instances reference them by ``data_ref``.  The blobs themselves live in
+a :class:`~repro.history.store.HistoryStore`; the data store adds the
+codecs and a decode cache.
 
 Arbitrary Python design objects (netlists, layouts, compiled simulators)
 participate through a :class:`CodecRegistry`: each class registers a type
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import HistoryError
+from .store import InMemoryHistoryStore
 
 
 @dataclass(frozen=True)
@@ -109,132 +112,88 @@ SHORT_REF_LENGTH = 16
 
 
 class DataStore:
-    """Content-addressed blob store for design data.
+    """Codecs plus a decode cache over a store's content-addressed blobs.
 
     Blobs are keyed by the **full** sha256 hex digest of their canonical
-    form.  Earlier histories truncated digests to 16 hex characters;
-    those short refs still resolve through a prefix alias table, but new
+    form and kept, as canonical JSON text with their size, in
+    ``backend`` (a fresh
+    :class:`~repro.history.store.InMemoryHistoryStore` by default).
+    Earlier histories truncated digests to 16 hex characters; those
+    short refs still resolve through the store's alias table, but new
     refs are always full-length so downstream users (derivation cache
     keys in particular) cannot collide.
 
-    Without a ``backend`` the decoded objects live in process dicts and
-    persist through :meth:`to_dict` (the JSON history format).  With a
-    blob-capable :class:`~repro.history.store.HistoryStore` backend
-    (the SQLite backend), canonical JSON text is written through to the
-    store on every :meth:`put` and rows are decoded lazily on first
-    :meth:`get`; the in-process dicts then act as a decode cache, so
-    object identity within one session matches the in-memory behaviour.
+    Decoded objects are cached for the session, so :meth:`get` returns
+    the very object :meth:`put` stored, and a loaded blob is decoded
+    on its first :meth:`get` only.
     """
 
     def __init__(self, codecs: CodecRegistry | None = None, *,
                  backend=None) -> None:
         self.codecs = codecs if codecs is not None else GLOBAL_CODECS
-        self.backend = backend
-        self._blobs: dict[str, Any] = {}
-        self._sizes: dict[str, int] = {}
-        self._aliases: dict[str, str] = {}
+        self.backend = (backend if backend is not None
+                        else InMemoryHistoryStore())
+        self._decoded: dict[str, Any] = {}
 
     def _canonical(self, encoded: Any) -> str:
         return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
 
-    def _admit(self, digest: str, obj: Any, size: int,
-               canonical: str | None = None) -> None:
-        if digest not in self._blobs:
-            self._blobs[digest] = obj
-            self._sizes[digest] = size
-        self._aliases.setdefault(digest[:SHORT_REF_LENGTH], digest)
-        if self.backend is not None:
-            if canonical is None:
-                canonical = self._canonical(self.codecs.encode(obj))
-            self.backend.put_blob(digest, canonical, size)
-            self.backend.put_blob_alias(digest[:SHORT_REF_LENGTH], digest)
+    def _admit(self, canonical: str) -> str:
+        """Store canonical text under its digest; return the digest."""
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        self.backend.put_blob(digest, canonical, len(canonical))
+        self.backend.put_blob_alias(digest[:SHORT_REF_LENGTH], digest)
+        return digest
 
     def put(self, obj: Any) -> str:
         """Store an object; return its content digest (``data_ref``)."""
-        encoded = self.codecs.encode(obj)
-        canonical = self._canonical(encoded)
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        self._admit(digest, obj, len(canonical), canonical)
+        digest = self._admit(self._canonical(self.codecs.encode(obj)))
+        self._decoded.setdefault(digest, obj)
         return digest
+
+    def _full(self, data_ref: str) -> str | None:
+        if data_ref in self._decoded \
+                or self.backend.blob_size(data_ref) is not None:
+            return data_ref
+        return self.backend.resolve_blob_alias(data_ref)
 
     def resolve(self, data_ref: str) -> str:
         """Map a (possibly legacy short) ref to its full digest."""
-        if data_ref in self._blobs:
-            return data_ref
-        full = self._aliases.get(data_ref)
-        if full is not None:
-            return full
-        if self.backend is not None:
-            if self.backend.get_blob(data_ref) is not None:
-                return data_ref
-            full = self.backend.resolve_blob_alias(data_ref)
-            if full is not None:
-                return full
-        raise HistoryError(f"no data blob {data_ref!r}")
+        full = self._full(data_ref)
+        if full is None:
+            raise HistoryError(f"no data blob {data_ref!r}")
+        return full
 
     def get(self, data_ref: str) -> Any:
         full = self.resolve(data_ref)
-        if full in self._blobs:
-            return self._blobs[full]
-        # backend-resident blob not decoded yet this session
-        canonical = self.backend.get_blob(full)
-        if canonical is None:
-            raise HistoryError(f"no data blob {data_ref!r}")
-        obj = self.codecs.decode(json.loads(canonical))
-        self._blobs[full] = obj
-        self._sizes[full] = len(canonical)
-        self._aliases.setdefault(full[:SHORT_REF_LENGTH], full)
-        return obj
+        if full not in self._decoded:
+            canonical = self.backend.get_blob(full)
+            if canonical is None:
+                raise HistoryError(f"no data blob {data_ref!r}")
+            self._decoded[full] = self.codecs.decode(json.loads(canonical))
+        return self._decoded[full]
 
     def size(self, data_ref: str) -> int:
         """Canonical-form byte size of a stored blob."""
-        full = self.resolve(data_ref)
-        if full in self._sizes:
-            return self._sizes[full]
-        size = self.backend.blob_size(full)
-        if size is None:
-            raise HistoryError(f"no data blob {data_ref!r}")
-        return size
+        return self.backend.blob_size(self.resolve(data_ref))
 
     def __contains__(self, data_ref: str) -> bool:
-        if data_ref in self._blobs or data_ref in self._aliases:
-            return True
-        if self.backend is None:
-            return False
-        return (self.backend.get_blob(data_ref) is not None
-                or self.backend.resolve_blob_alias(data_ref) is not None)
+        return self._full(data_ref) is not None
 
     def __len__(self) -> int:
-        if self.backend is not None:
-            return len(self.backend.blob_refs())
-        return len(self._blobs)
+        return len(self.backend.blob_refs())
 
     def refs(self) -> tuple[str, ...]:
-        if self.backend is not None:
-            return self.backend.blob_refs()
-        return tuple(self._blobs)
-
-    def aliases(self) -> dict[str, str]:
-        """Every known short/legacy ref -> full digest mapping."""
-        return dict(self._aliases)
+        return self.backend.blob_refs()
 
     # -- persistence -----------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        if self.backend is not None:
-            return {ref: json.loads(self.backend.get_blob(ref))
-                    for ref in self.backend.blob_refs()}
-        return {ref: self.codecs.encode(obj)
-                for ref, obj in self._blobs.items()}
+        return {ref: json.loads(self.backend.get_blob(ref))
+                for ref in self.backend.blob_refs()}
 
     def load_dict(self, payload: dict[str, Any]) -> None:
         for ref, encoded in payload.items():
-            canonical = self._canonical(encoded)
-            digest = hashlib.sha256(
-                canonical.encode("utf-8")).hexdigest()
-            self._admit(digest, self.codecs.decode(encoded),
-                        len(canonical), canonical)
+            digest = self._admit(self._canonical(encoded))
             # refs recorded by truncating builds keep resolving
             if ref != digest:
-                self._aliases.setdefault(ref, digest)
-                if self.backend is not None:
-                    self.backend.put_blob_alias(ref, digest)
+                self.backend.put_blob_alias(ref, digest)

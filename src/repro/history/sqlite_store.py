@@ -8,20 +8,26 @@ one SQLite file (WAL journal) with:
 * an ``instances`` table keyed by instance id, with the numeric id
   suffix and invocation number stored as columns so id allocation
   after reopen is two ``MAX()`` lookups instead of a scan;
-* a redundant ``edges`` table — both dependency directions indexed —
-  maintained incrementally on every write (the dask scheduler idiom:
-  constant-time edge access in exchange for redundant state);
+* a redundant ``edges`` table indexed by antecedent, maintained
+  incrementally on every write (the dask scheduler idiom: constant-time
+  forward lookups in exchange for redundant state; the reverse
+  direction is each row's own derivation record);
 * content-addressed ``blobs`` (canonical JSON text keyed by full
-  sha256) with a legacy short-ref alias table.
+  sha256) with a legacy short-ref alias table — the same tables
+  :class:`~repro.history.store.InMemoryHistoryStore` keeps in
+  dictionaries.
 
 Files written by older builds also hold ``meta`` and
 ``derivation_keys`` tables (a copy of the re-execution cache's key
-index); they are left unread.
+index) and two indexes no statement reads (``idx_instances_invocation``
+and ``idx_edges_reverse``); they are left unread.
 
 Reads decode rows lazily into :class:`EntityInstance` objects and
 memoize them, so a backward trace over a 10^5-instance history touches
-only the rows on the trace path.  Writes batch into one transaction,
-committed by :meth:`flush` (persistence calls it on save) or every
+only the rows on the trace path.  Every statement runs through one of
+four helpers, each timed by :meth:`HistoryStore._timed` under the
+store's re-entrant lock.  Writes batch into one transaction, committed
+by :meth:`flush` (persistence calls it on save) or every
 ``COMMIT_EVERY`` rows, whichever comes first.
 """
 
@@ -31,13 +37,12 @@ import json
 import pathlib
 import sqlite3
 import threading
-import time
 from typing import Any, Iterator
 
 from ..errors import HistoryError
 from ..obs.profiling import statement_fingerprint
 from .instance import EntityInstance
-from .store import (BACKEND_SQLITE, HistoryStore, parse_invocation,
+from .store import (BACKEND_SQLITE, HistoryStore, _one, parse_invocation,
                     parse_serial)
 
 #: Pending writes are committed at least this often.
@@ -54,16 +59,12 @@ CREATE TABLE IF NOT EXISTS instances(
     payload TEXT NOT NULL);
 CREATE INDEX IF NOT EXISTS idx_instances_type
     ON instances(entity_type, seq);
-CREATE INDEX IF NOT EXISTS idx_instances_invocation
-    ON instances(invocation);
 CREATE TABLE IF NOT EXISTS edges(
     antecedent TEXT NOT NULL,
     consumer TEXT NOT NULL,
     seq INTEGER NOT NULL);
 CREATE INDEX IF NOT EXISTS idx_edges_forward
     ON edges(antecedent, seq);
-CREATE INDEX IF NOT EXISTS idx_edges_reverse
-    ON edges(consumer, seq);
 CREATE TABLE IF NOT EXISTS blobs(
     digest TEXT PRIMARY KEY,
     canonical TEXT NOT NULL,
@@ -88,10 +89,6 @@ AUDITED_QUERIES: tuple[tuple[str, str, tuple[Any, ...], bool], ...] = (
      "SELECT instance_id FROM instances WHERE entity_type = ?"
      " ORDER BY seq",
      ("x",), True),
-    ("instances-of-invocation",
-     "SELECT instance_id FROM instances WHERE invocation = ?"
-     " ORDER BY seq",
-     ("x",), True),
     ("consumers-forward",
      "SELECT consumer FROM edges WHERE antecedent = ? ORDER BY seq",
      ("x",), True),
@@ -111,7 +108,6 @@ class SqliteHistoryStore(HistoryStore):
     """History storage in one indexed SQLite-WAL file."""
 
     kind = BACKEND_SQLITE
-    blob_backend = True
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
@@ -140,13 +136,6 @@ class SqliteHistoryStore(HistoryStore):
                 f"{self.path} is not a history database: {error}"
             ) from error
 
-    # -- write batching ----------------------------------------------------
-    def _wrote(self) -> None:
-        self._pending += 1
-        if self._pending >= COMMIT_EVERY:
-            self._conn.commit()
-            self._pending = 0
-
     def flush(self) -> None:
         with self._lock:
             self._conn.commit()
@@ -157,53 +146,42 @@ class SqliteHistoryStore(HistoryStore):
             self._conn.commit()
             self._conn.close()
 
-    # -- query observability -----------------------------------------------
-    # Every statement funnels through one of these four helpers.  With
-    # no recorder attached they are a plain ``execute`` — the timing
-    # branch costs nothing on the default path.
+    # -- statements ----------------------------------------------------
+    # Single statements take the store's re-entrant lock here; add()
+    # holds it across its row and edge inserts.  A write joins the
+    # pending batch, which commits before the write that would exceed
+    # COMMIT_EVERY, so an instance row and its edges never straddle a
+    # commit.
     def _execute(self, statement: str,
                  params: tuple[Any, ...] = ()) -> sqlite3.Cursor:
-        recorder = self._recorder
-        if recorder is None:
-            return self._conn.execute(statement, params)
-        started = time.perf_counter()
-        cursor = self._conn.execute(statement, params)
-        recorder.record(statement, time.perf_counter() - started,
-                        rows=max(cursor.rowcount, 0))
-        return cursor
+        with self._lock:
+            if self._pending >= COMMIT_EVERY:
+                self.flush()
+            self._pending += 1
+            return self._timed(
+                statement, lambda: self._conn.execute(statement, params),
+                lambda cursor: max(cursor.rowcount, 0))
 
     def _executemany(self, statement: str,
                      rows: list[tuple[Any, ...]]) -> None:
-        recorder = self._recorder
-        if recorder is None:
-            self._conn.executemany(statement, rows)
-            return
-        started = time.perf_counter()
-        self._conn.executemany(statement, rows)
-        recorder.record(statement, time.perf_counter() - started,
-                        rows=len(rows))
+        self._timed(statement,
+                    lambda: self._conn.executemany(statement, rows),
+                    lambda _: len(rows))
 
     def _fetchone(self, statement: str,
                   params: tuple[Any, ...] = ()) -> Any:
-        recorder = self._recorder
-        if recorder is None:
-            return self._conn.execute(statement, params).fetchone()
-        started = time.perf_counter()
-        row = self._conn.execute(statement, params).fetchone()
-        recorder.record(statement, time.perf_counter() - started,
-                        rows=1 if row is not None else 0)
-        return row
+        with self._lock:
+            return self._timed(
+                statement,
+                lambda: self._conn.execute(statement, params).fetchone(),
+                _one)
 
     def _fetchall(self, statement: str,
                   params: tuple[Any, ...] = ()) -> list[Any]:
-        recorder = self._recorder
-        if recorder is None:
-            return self._conn.execute(statement, params).fetchall()
-        started = time.perf_counter()
-        rows = self._conn.execute(statement, params).fetchall()
-        recorder.record(statement, time.perf_counter() - started,
-                        rows=len(rows))
-        return rows
+        with self._lock:
+            return self._timed(
+                statement,
+                lambda: self._conn.execute(statement, params).fetchall())
 
     def query_plan_audit(self) -> tuple[dict[str, Any], ...]:
         """``EXPLAIN QUERY PLAN`` over every audited read statement.
@@ -266,17 +244,14 @@ class SqliteHistoryStore(HistoryStore):
                     if memo is not None:
                         memo.append(instance.instance_id)
             self._cache[instance.instance_id] = instance
-            self._wrote()
 
     def replace(self, instance: EntityInstance) -> None:
-        with self._lock:
-            self._execute(
-                "UPDATE instances SET payload = ? WHERE instance_id = ?",
-                (json.dumps(instance.to_dict(), sort_keys=True,
-                            separators=(",", ":")),
-                 instance.instance_id))
-            self._cache[instance.instance_id] = instance
-            self._wrote()
+        self._execute(
+            "UPDATE instances SET payload = ? WHERE instance_id = ?",
+            (json.dumps(instance.to_dict(), sort_keys=True,
+                        separators=(",", ":")),
+             instance.instance_id))
+        self._cache[instance.instance_id] = instance
 
     def get(self, instance_id: str) -> EntityInstance | None:
         with self._lock:
@@ -293,24 +268,18 @@ class SqliteHistoryStore(HistoryStore):
             return instance
 
     def __contains__(self, instance_id: str) -> bool:
-        with self._lock:
-            if instance_id in self._cache:
-                return True
-            row = self._fetchone(
-                "SELECT 1 FROM instances WHERE instance_id = ?",
-                (instance_id,))
-            return row is not None
+        if instance_id in self._cache:
+            return True
+        return self._fetchone(
+            "SELECT 1 FROM instances WHERE instance_id = ?",
+            (instance_id,)) is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._fetchone(
-                "SELECT COUNT(*) FROM instances")[0]
+        return self._fetchone("SELECT COUNT(*) FROM instances")[0]
 
     def iter_instances(self) -> Iterator[EntityInstance]:
-        with self._lock:
-            rows = self._fetchall(
-                "SELECT instance_id, payload FROM instances"
-                " ORDER BY seq")
+        rows = self._fetchall(
+            "SELECT instance_id, payload FROM instances ORDER BY seq")
         for instance_id, payload in rows:
             cached = self._cache.get(instance_id)
             if cached is not None:
@@ -321,13 +290,10 @@ class SqliteHistoryStore(HistoryStore):
                 yield instance
 
     def ids_of_type(self, entity_type: str) -> tuple[str, ...]:
-        with self._lock:
-            rows = self._fetchall(
-                "SELECT instance_id FROM instances WHERE entity_type = ?"
-                " ORDER BY seq", (entity_type,))
-        return tuple(row[0] for row in rows)
+        return tuple(row[0] for row in self._fetchall(
+            "SELECT instance_id FROM instances WHERE entity_type = ?"
+            " ORDER BY seq", (entity_type,)))
 
-    # -- dependency indexes ----------------------------------------------
     def consumers_of(self, instance_id: str) -> tuple[str, ...]:
         with self._lock:
             memo = self._consumers.get(instance_id)
@@ -339,74 +305,49 @@ class SqliteHistoryStore(HistoryStore):
                 self._consumers[instance_id] = memo
             return tuple(memo)
 
-    def antecedents_of(self, instance_id: str) -> tuple[str, ...]:
-        instance = self.get(instance_id)
-        if instance is None or instance.derivation is None:
-            return ()
-        return instance.derivation.all_antecedents()
-
-    def ids_for_invocation(self, invocation: str) -> tuple[str, ...]:
-        with self._lock:
-            rows = self._fetchall(
-                "SELECT instance_id FROM instances WHERE invocation = ?"
-                " ORDER BY seq", (invocation,))
-        return tuple(row[0] for row in rows)
-
     # -- id allocation support ---------------------------------------------
     def highest_serial(self, entity_type: str) -> int:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT MAX(serial) FROM instances WHERE entity_type = ?",
-                (entity_type,))
-        return row[0] or 0
+        return self._fetchone(
+            "SELECT MAX(serial) FROM instances WHERE entity_type = ?",
+            (entity_type,))[0] or 0
 
     def highest_invocation(self) -> int:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT MAX(invocation_num) FROM instances")
-        return row[0] or 0
+        return self._fetchone(
+            "SELECT MAX(invocation_num) FROM instances")[0] or 0
 
     # -- content-addressed blobs --------------------------------------------
     def put_blob(self, digest: str, canonical: str, size: int) -> None:
-        with self._lock:
-            self._execute(
-                "INSERT OR IGNORE INTO blobs(digest, canonical, size)"
-                " VALUES(?, ?, ?)", (digest, canonical, size))
-            self._wrote()
+        self._execute(
+            "INSERT OR IGNORE INTO blobs(digest, canonical, size)"
+            " VALUES(?, ?, ?)", (digest, canonical, size))
 
     def get_blob(self, digest: str) -> str | None:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT canonical FROM blobs WHERE digest = ?",
-                (digest,))
+        row = self._fetchone(
+            "SELECT canonical FROM blobs WHERE digest = ?", (digest,))
         return row[0] if row is not None else None
 
     def blob_size(self, digest: str) -> int | None:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT size FROM blobs WHERE digest = ?",
-                (digest,))
+        row = self._fetchone(
+            "SELECT size FROM blobs WHERE digest = ?", (digest,))
         return row[0] if row is not None else None
 
     def blob_refs(self) -> tuple[str, ...]:
-        with self._lock:
-            rows = self._fetchall(
-                "SELECT digest FROM blobs ORDER BY digest")
-        return tuple(row[0] for row in rows)
+        return tuple(row[0] for row in self._fetchall(
+            "SELECT digest FROM blobs ORDER BY digest"))
 
     def put_blob_alias(self, alias: str, digest: str) -> None:
-        with self._lock:
-            self._execute(
-                "INSERT OR IGNORE INTO blob_aliases(alias, digest)"
-                " VALUES(?, ?)", (alias, digest))
-            self._wrote()
+        self._execute(
+            "INSERT OR IGNORE INTO blob_aliases(alias, digest)"
+            " VALUES(?, ?)", (alias, digest))
 
     def resolve_blob_alias(self, alias: str) -> str | None:
-        with self._lock:
-            row = self._fetchone(
-                "SELECT digest FROM blob_aliases WHERE alias = ?",
-                (alias,))
+        row = self._fetchone(
+            "SELECT digest FROM blob_aliases WHERE alias = ?", (alias,))
         return row[0] if row is not None else None
+
+    def blob_aliases(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self._fetchall(
+            "SELECT alias, digest FROM blob_aliases ORDER BY alias"))
 
     def __repr__(self) -> str:
         return f"SqliteHistoryStore({str(self.path)!r})"

@@ -1,34 +1,35 @@
 """Pluggable storage backends for the design history database.
 
-The paper's history database answers three query families — backward
-chaining, forward chaining and staleness scans — all of which reduce to
-edge lookups over the instance-derivation DAG.  Following the dask
-scheduler idiom, a :class:`HistoryStore` keeps **redundant** forward and
-reverse dependency indexes so both directions are constant-time,
-maintained incrementally inside the write path rather than recomputed
-by whole-history scans.
+Every instance has its own meta-data record but may share physical
+data with others (paper footnote 5).  A :class:`HistoryStore` keeps
+both: instance rows with the indexes the queries read, and
+content-addressed blobs (canonical JSON text keyed by full sha256) with
+their legacy short-ref aliases.  Backward chaining reads each
+instance's derivation record, which already names its antecedents;
+forward chaining and staleness scans read a forward (antecedent ->
+consumers) index that each store extends inside :meth:`add` (the dask
+scheduler idiom: redundant state for constant-time edge access).
 
 Two implementations exist:
 
-* :class:`InMemoryHistoryStore` — plain dictionaries, the compatibility
-  default behind the JSON persistence format (``history.json``);
-* :class:`~repro.history.sqlite_store.SqliteHistoryStore` — an indexed
-  SQLite-WAL file with persistent dependency indexes and
-  content-addressed blob storage, so opening a million-instance history
-  costs the rows a query touches, not a full parse.
+* :class:`InMemoryHistoryStore` — plain dictionaries, the working set
+  behind the JSON persistence format (``history.json``);
+* :class:`~repro.history.sqlite_store.SqliteHistoryStore` — the same
+  rows and blobs as tables of an indexed SQLite-WAL file, so opening a
+  million-instance history costs the rows a query touches, not a full
+  parse.
 
-The re-execution cache keeps its key index in the shared memo
-(:mod:`repro.execution.shared_memo`), not in a store.
-
+Every read is timed by :meth:`HistoryStore._timed` when a query
+recorder is attached.  The re-execution cache keeps its key index in
+the shared memo (:mod:`repro.execution.shared_memo`), not in a store.
 :class:`~repro.history.database.HistoryDatabase` routes every read and
-write through this interface; the query layers on top
-(:mod:`repro.history.trace`, :mod:`repro.history.consistency`,
-:mod:`repro.history.query`) stay backend-agnostic.
+write through this interface, so the query layers on top stay
+backend-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from .instance import EntityInstance
 
@@ -50,20 +51,22 @@ def parse_invocation(invocation: str) -> int:
     return int(number) if number.isdigit() else 0
 
 
+def _one(row: Any) -> int:
+    """Row count of a single-row lookup (``None`` when nothing matched)."""
+    return 0 if row is None else 1
+
+
 class HistoryStore:
-    """Abstract storage backend: instance rows plus dependency indexes.
+    """Abstract storage backend: instance rows, the forward dependency
+    index and content-addressed blobs with their aliases.
 
     Implementations must preserve insertion order for
     :meth:`iter_instances` / :meth:`ids_of_type` and maintain the
-    forward (antecedent -> consumers) and reverse (consumer ->
-    antecedents) dependency indexes on every :meth:`add`.
+    forward (antecedent -> consumers) index on every :meth:`add`.
     """
 
     #: Backend name as selected by persistence (``json``/``sqlite``).
     kind: str = BACKEND_JSON
-    #: True when the store also persists content-addressed blobs (the
-    #: :class:`~repro.history.datastore.DataStore` then writes through).
-    blob_backend: bool = False
     #: Optional query-observability hook (duck-typed to
     #: :class:`~repro.obs.profiling.QueryRecorder` — this module never
     #: imports obs).  ``None`` keeps every read on the untimed fast
@@ -73,6 +76,18 @@ class HistoryStore:
     def set_query_recorder(self, recorder) -> None:
         """Route per-statement timings into ``recorder`` (None stops)."""
         self._recorder = recorder
+
+    def _timed(self, statement: str, read: Callable[[], Any],
+               rows: Callable[[Any], int] = len) -> Any:
+        """Run one store statement, timed under its fingerprint when a
+        recorder is attached; ``rows(result)`` is its row count."""
+        recorder = self._recorder
+        if recorder is None:
+            return read()
+        with recorder.timed(statement) as cell:
+            result = read()
+            cell[0] = rows(result)
+        return result
 
     # -- instance rows -------------------------------------------------
     def add(self, instance: EntityInstance) -> None:
@@ -98,17 +113,8 @@ class HistoryStore:
         """Instance ids of one *concrete* type (no subtype expansion)."""
         raise NotImplementedError
 
-    # -- dependency indexes ----------------------------------------------
     def consumers_of(self, instance_id: str) -> tuple[str, ...]:
         """Forward index: instances whose derivation uses this one."""
-        raise NotImplementedError
-
-    def antecedents_of(self, instance_id: str) -> tuple[str, ...]:
-        """Reverse index: instances this one's derivation uses."""
-        raise NotImplementedError
-
-    def ids_for_invocation(self, invocation: str) -> tuple[str, ...]:
-        """Sibling outputs recorded under one task invocation."""
         raise NotImplementedError
 
     # -- id allocation support ---------------------------------------------
@@ -120,8 +126,9 @@ class HistoryStore:
         """Largest numeric invocation suffix seen (0 when none)."""
         raise NotImplementedError
 
-    # -- content-addressed blobs (optional) ---------------------------------
+    # -- content-addressed blobs -------------------------------------------
     def put_blob(self, digest: str, canonical: str, size: int) -> None:
+        """Store a blob's canonical JSON text (a no-op when present)."""
         raise NotImplementedError
 
     def get_blob(self, digest: str) -> str | None:
@@ -132,12 +139,18 @@ class HistoryStore:
         raise NotImplementedError
 
     def blob_refs(self) -> tuple[str, ...]:
+        """Every blob digest, sorted."""
         raise NotImplementedError
 
     def put_blob_alias(self, alias: str, digest: str) -> None:
+        """Map a short or legacy ref to a digest (first mapping wins)."""
         raise NotImplementedError
 
     def resolve_blob_alias(self, alias: str) -> str | None:
+        raise NotImplementedError
+
+    def blob_aliases(self) -> tuple[tuple[str, str], ...]:
+        """Every ``(alias, digest)`` pair, sorted by alias."""
         raise NotImplementedError
 
     # -- lifecycle -------------------------------------------------------
@@ -151,11 +164,11 @@ class HistoryStore:
 class InMemoryHistoryStore(HistoryStore):
     """Dictionary-backed store: the JSON backend's working set.
 
-    Matches the pre-interface behaviour of
-    :class:`~repro.history.database.HistoryDatabase` exactly — plain
-    dicts, insertion-ordered, with the forward index maintained on every
-    write — plus the reverse/invocation indexes and serial maxima the
-    interface standardizes.
+    Insertion-ordered dicts hold the rows and the type and forward
+    indexes, extended on every write, next to the serial maxima for id
+    allocation and the blob and alias tables the SQLite store keeps on
+    disk.  Reads report under ``MEM ...`` pseudo-statements, so both
+    backends share one fingerprint scheme.
     """
 
     kind = BACKEND_JSON
@@ -164,9 +177,11 @@ class InMemoryHistoryStore(HistoryStore):
         self._instances: dict[str, EntityInstance] = {}
         self._by_type: dict[str, list[str]] = {}
         self._forward: dict[str, list[str]] = {}
-        self._by_invocation: dict[str, list[str]] = {}
         self._serial_max: dict[str, int] = {}
         self._invocation_max = 0
+        self._blobs: dict[str, str] = {}
+        self._blob_sizes: dict[str, int] = {}
+        self._aliases: dict[str, str] = {}
 
     # -- instance rows -------------------------------------------------
     def add(self, instance: EntityInstance) -> None:
@@ -181,11 +196,8 @@ class InMemoryHistoryStore(HistoryStore):
             for antecedent in derivation.all_antecedents():
                 self._forward.setdefault(antecedent, []).append(
                     instance.instance_id)
-            if derivation.invocation:
-                self._by_invocation.setdefault(
-                    derivation.invocation, []).append(instance.instance_id)
-                run = parse_invocation(derivation.invocation)
-                self._invocation_max = max(self._invocation_max, run)
+            run = parse_invocation(derivation.invocation)
+            self._invocation_max = max(self._invocation_max, run)
 
     def replace(self, instance: EntityInstance) -> None:
         self._instances[instance.instance_id] = instance
@@ -200,47 +212,22 @@ class InMemoryHistoryStore(HistoryStore):
         return len(self._instances)
 
     def iter_instances(self) -> Iterator[EntityInstance]:
-        recorder = self._recorder
-        if recorder is None:
-            return iter(tuple(self._instances.values()))
         # The materialization IS the scan: every history-wide walk
         # (staleness sweeps, ``repro history``) lands here, so the JSON
         # backend's full-scan cost shows up next to SQLite's statements
         # under one fingerprint scheme.
-        with recorder.timed("MEM SCAN instances") as cell:
-            rows = tuple(self._instances.values())
-            cell[0] = len(rows)
-        return iter(rows)
+        return iter(self._timed("MEM SCAN instances",
+                                lambda: tuple(self._instances.values())))
 
     def ids_of_type(self, entity_type: str) -> tuple[str, ...]:
-        recorder = self._recorder
-        if recorder is None:
-            return tuple(self._by_type.get(entity_type, ()))
-        with recorder.timed(
-                "MEM SELECT instances BY entity_type") as cell:
-            rows = tuple(self._by_type.get(entity_type, ()))
-            cell[0] = len(rows)
-        return rows
+        return self._timed(
+            "MEM SELECT instances BY entity_type",
+            lambda: tuple(self._by_type.get(entity_type, ())))
 
-    # -- dependency indexes ----------------------------------------------
     def consumers_of(self, instance_id: str) -> tuple[str, ...]:
-        recorder = self._recorder
-        if recorder is None:
-            return tuple(self._forward.get(instance_id, ()))
-        with recorder.timed(
-                "MEM SELECT consumers BY antecedent") as cell:
-            rows = tuple(self._forward.get(instance_id, ()))
-            cell[0] = len(rows)
-        return rows
-
-    def antecedents_of(self, instance_id: str) -> tuple[str, ...]:
-        instance = self._instances.get(instance_id)
-        if instance is None or instance.derivation is None:
-            return ()
-        return instance.derivation.all_antecedents()
-
-    def ids_for_invocation(self, invocation: str) -> tuple[str, ...]:
-        return tuple(self._by_invocation.get(invocation, ()))
+        return self._timed(
+            "MEM SELECT consumers BY antecedent",
+            lambda: tuple(self._forward.get(instance_id, ())))
 
     # -- id allocation support ---------------------------------------------
     def highest_serial(self, entity_type: str) -> int:
@@ -248,3 +235,31 @@ class InMemoryHistoryStore(HistoryStore):
 
     def highest_invocation(self) -> int:
         return self._invocation_max
+
+    # -- content-addressed blobs -------------------------------------------
+    def put_blob(self, digest: str, canonical: str, size: int) -> None:
+        self._blobs.setdefault(digest, canonical)
+        self._blob_sizes.setdefault(digest, size)
+
+    def get_blob(self, digest: str) -> str | None:
+        return self._timed("MEM SELECT canonical FROM blobs BY digest",
+                           lambda: self._blobs.get(digest), _one)
+
+    def blob_size(self, digest: str) -> int | None:
+        return self._timed("MEM SELECT size FROM blobs BY digest",
+                           lambda: self._blob_sizes.get(digest), _one)
+
+    def blob_refs(self) -> tuple[str, ...]:
+        return self._timed("MEM SCAN blobs",
+                           lambda: tuple(sorted(self._blobs)))
+
+    def put_blob_alias(self, alias: str, digest: str) -> None:
+        self._aliases.setdefault(alias, digest)
+
+    def resolve_blob_alias(self, alias: str) -> str | None:
+        return self._timed("MEM SELECT digest FROM blob_aliases BY alias",
+                           lambda: self._aliases.get(alias), _one)
+
+    def blob_aliases(self) -> tuple[tuple[str, str], ...]:
+        return self._timed("MEM SCAN blob_aliases",
+                           lambda: tuple(sorted(self._aliases.items())))

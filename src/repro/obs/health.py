@@ -51,6 +51,8 @@ _SEVERITY = {OK: 0, WARN: 1, FAIL: 2}
 
 #: Default tuning: drift gate ``k``·MAD (MAD scaled to sigma-equivalent),
 #: with floors so a tiny-but-stable baseline never gates on noise.
+#: ``repro health`` can override the window, ``k`` and the sample
+#: minimum (:class:`HealthThresholds`); the rest is fixed.
 DEFAULT_WINDOW = 20
 DEFAULT_K = 4.0
 DEFAULT_MIN_SAMPLES = 2
@@ -62,6 +64,40 @@ DEFAULT_REL_FLOOR = 0.25
 DEFAULT_ABS_FLOOR = 0.010
 #: MAD -> sigma-equivalent scale for normally distributed samples.
 MAD_SIGMA = 1.4826
+#: Baseline error rate above which a failing run only warns (the
+#: flow was already unstable; nothing *regressed*).
+ERROR_RATE_UNSTABLE = 0.25
+#: Minimum baseline hit rate before cache collapse can gate.
+CACHE_MIN_RATE = 0.25
+CACHE_FAIL_RATIO = 0.5
+CACHE_WARN_RATIO = 0.8
+#: Minimum baseline parallelism before efficiency loss can gate.
+PARALLELISM_MIN = 1.5
+PARALLELISM_FAIL_RATIO = 0.6
+PARALLELISM_WARN_RATIO = 0.8
+#: Worker-normalized efficiency gate (parallelism / pool size, the
+#: multicore-smoke figure brought ledger-side): baselines below the
+#: floor never gate — a flow without enough parallel work can't
+#: regress by staying serial.
+EFFICIENCY_MIN = 0.25
+EFFICIENCY_FAIL_RATIO = 0.6
+EFFICIENCY_WARN_RATIO = 0.8
+#: Worker-pool gates (procpool runs with per-worker telemetry):
+#: total busy seconds below the floor never gate (framework-scale
+#: tools finish in the noise band); imbalance is max/mean busy
+#: across workers; utilization drift compares against the median
+#: of same-executor baseline runs.
+WORKER_BUSY_FLOOR = 0.05
+WORKER_IMBALANCE_WARN = 2.5
+WORKER_IMBALANCE_FAIL = 4.0
+WORKER_MIN_UTILIZATION = 0.2
+WORKER_FAIL_RATIO = 0.6
+WORKER_WARN_RATIO = 0.8
+#: Absolute floor for the query-latency-drift gate: mean statement
+#: latencies live in the sub-millisecond band, so the tool-scale
+#: ``DEFAULT_ABS_FLOOR`` would never let it gate.  Sub-2ms mean drift
+#: is still treated as noise.
+QUERY_ABS_FLOOR = 0.002
 
 
 def _median(values: Sequence[float]) -> float:
@@ -111,11 +147,7 @@ class ToolBaseline:
 
 def tool_baselines(records: Sequence[RunRecord], *,
                    window: int = DEFAULT_WINDOW,
-                   alpha: float = DEFAULT_EWMA_ALPHA,
-                   k: float = DEFAULT_K,
-                   rel_floor: float = DEFAULT_REL_FLOOR,
-                   abs_floor: float = DEFAULT_ABS_FLOOR
-                   ) -> dict[str, ToolBaseline]:
+                   k: float = DEFAULT_K) -> dict[str, ToolBaseline]:
     """Per-tool-type baselines over the last ``window`` ledger records.
 
     The drift threshold is ``max(k * 1.4826 * MAD, rel_floor * median,
@@ -132,12 +164,12 @@ def tool_baselines(records: Sequence[RunRecord], *,
     for tool, means in samples.items():
         median = _median(means)
         mad = _mad(means, median)
-        threshold = max(k * MAD_SIGMA * mad, rel_floor * median,
-                        abs_floor)
+        threshold = max(k * MAD_SIGMA * mad, DEFAULT_REL_FLOOR * median,
+                        DEFAULT_ABS_FLOOR)
         baselines[tool] = ToolBaseline(
             tool=tool,
             samples=len(means),
-            ewma=_ewma(means, alpha),
+            ewma=_ewma(means, DEFAULT_EWMA_ALPHA),
             median=median,
             mad=mad,
             threshold=threshold,
@@ -162,48 +194,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class HealthThresholds:
-    """Tunable knobs shared by every check."""
+    """The knobs ``repro health`` sets; every other gate is a module
+    constant."""
 
     window: int = DEFAULT_WINDOW
     k: float = DEFAULT_K
     min_samples: int = DEFAULT_MIN_SAMPLES
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
-    rel_floor: float = DEFAULT_REL_FLOOR
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    #: Baseline error rate above which a failing run only warns (the
-    #: flow was already unstable; nothing *regressed*).
-    error_rate_unstable: float = 0.25
-    #: Minimum baseline hit rate before cache collapse can gate.
-    cache_min_rate: float = 0.25
-    cache_fail_ratio: float = 0.5
-    cache_warn_ratio: float = 0.8
-    #: Minimum baseline parallelism before efficiency loss can gate.
-    parallelism_min: float = 1.5
-    parallelism_fail_ratio: float = 0.6
-    parallelism_warn_ratio: float = 0.8
-    #: Worker-normalized efficiency gate (parallelism / pool size, the
-    #: multicore-smoke figure brought ledger-side): baselines below the
-    #: floor never gate — a flow without enough parallel work can't
-    #: regress by staying serial.
-    efficiency_min: float = 0.25
-    efficiency_fail_ratio: float = 0.6
-    efficiency_warn_ratio: float = 0.8
-    #: Worker-pool gates (procpool runs with per-worker telemetry):
-    #: total busy seconds below the floor never gate (framework-scale
-    #: tools finish in the noise band); imbalance is max/mean busy
-    #: across workers; utilization drift compares against the median
-    #: of same-executor baseline runs.
-    worker_busy_floor: float = 0.05
-    worker_imbalance_warn: float = 2.5
-    worker_imbalance_fail: float = 4.0
-    worker_min_utilization: float = 0.2
-    worker_fail_ratio: float = 0.6
-    worker_warn_ratio: float = 0.8
-    #: Absolute floor for the query-latency-drift gate: mean statement
-    #: latencies live in the sub-millisecond band, so the tool-scale
-    #: ``abs_floor`` would never let it gate.  Sub-2ms mean drift is
-    #: still treated as noise.
-    query_abs_floor: float = 0.002
 
 
 def _worst(verdicts: Sequence[str]) -> str:
@@ -216,10 +212,8 @@ def check_tool_duration_drift(current: RunRecord,
                               ) -> CheckResult:
     """Per-tool mean duration vs. the EWMA+MAD ledger baseline."""
     name = "tool-duration-drift"
-    baselines = tool_baselines(
-        baseline, window=thresholds.window, alpha=thresholds.ewma_alpha,
-        k=thresholds.k, rel_floor=thresholds.rel_floor,
-        abs_floor=thresholds.abs_floor)
+    baselines = tool_baselines(baseline, window=thresholds.window,
+                               k=thresholds.k)
     verdicts: list[str] = []
     details: list[str] = []
     for tool, stats in sorted(current.tools.items()):
@@ -285,7 +279,7 @@ def check_error_rate(current: RunRecord,
                    if r.error_tool == current.error_tool]
         if len(peers) >= thresholds.min_samples:
             rate = len(failing) / len(peers)
-            if rate <= thresholds.error_rate_unstable:
+            if rate <= ERROR_RATE_UNSTABLE:
                 return CheckResult(
                     name, FAIL,
                     f"run failed ({described}) while "
@@ -296,7 +290,7 @@ def check_error_rate(current: RunRecord,
                 f"run failed but {current.error_tool} was already "
                 f"unstable (baseline error rate {rate:.0%})")
     rate = sum(1 for r in baseline if r.errors) / len(baseline)
-    if rate <= thresholds.error_rate_unstable:
+    if rate <= ERROR_RATE_UNSTABLE:
         return CheckResult(
             name, FAIL,
             f"run failed ({described}) while baseline error rate was "
@@ -338,17 +332,17 @@ def check_cache_hit_rate(current: RunRecord,
     if len(rates) < thresholds.min_samples:
         return CheckResult(name, OK, "no cache baseline yet")
     base_rate = _median(rates)
-    if base_rate < thresholds.cache_min_rate:
+    if base_rate < CACHE_MIN_RATE:
         return CheckResult(
             name, OK,
             f"baseline hit rate {base_rate:.0%} too low to gate")
     rate = current.cache_hit_rate
-    if rate < thresholds.cache_fail_ratio * base_rate:
+    if rate < CACHE_FAIL_RATIO * base_rate:
         return CheckResult(
             name, FAIL,
             f"hit rate collapsed to {rate:.0%} "
             f"(baseline {base_rate:.0%} over {len(rates)} runs)")
-    if rate < thresholds.cache_warn_ratio * base_rate:
+    if rate < CACHE_WARN_RATIO * base_rate:
         return CheckResult(
             name, WARN,
             f"hit rate {rate:.0%} below baseline {base_rate:.0%}")
@@ -381,17 +375,17 @@ def check_parallelism_efficiency(current: RunRecord,
     verdicts: list[str] = []
     details: list[str] = []
     base = _median([r.parallelism for r in peers])
-    if base < thresholds.parallelism_min:
+    if base < PARALLELISM_MIN:
         details.append(
             f"baseline parallelism {base:.2f}x below gating floor")
     else:
         ratio = current.parallelism / base if base else 1.0
-        if ratio < thresholds.parallelism_fail_ratio:
+        if ratio < PARALLELISM_FAIL_RATIO:
             verdicts.append(FAIL)
             details.append(
                 f"parallelism {current.parallelism:.2f}x degraded "
                 f"from baseline {base:.2f}x over {len(peers)} runs")
-        elif ratio < thresholds.parallelism_warn_ratio:
+        elif ratio < PARALLELISM_WARN_RATIO:
             verdicts.append(WARN)
             details.append(
                 f"parallelism {current.parallelism:.2f}x below "
@@ -406,19 +400,19 @@ def check_parallelism_efficiency(current: RunRecord,
             and len(rates) >= thresholds.min_samples:
         efficiency = current.parallelism / current.pool_size
         base_eff = _median(rates)
-        if base_eff < thresholds.efficiency_min:
+        if base_eff < EFFICIENCY_MIN:
             details.append(
                 f"baseline efficiency {base_eff:.0%} below gating "
                 "floor")
         else:
             ratio = efficiency / base_eff if base_eff else 1.0
-            if ratio < thresholds.efficiency_fail_ratio:
+            if ratio < EFFICIENCY_FAIL_RATIO:
                 verdicts.append(FAIL)
                 details.append(
                     f"efficiency {efficiency:.0%} of "
                     f"{current.pool_size} slot(s) degraded from "
                     f"baseline {base_eff:.0%} over {len(rates)} runs")
-            elif ratio < thresholds.efficiency_warn_ratio:
+            elif ratio < EFFICIENCY_WARN_RATIO:
                 verdicts.append(WARN)
                 details.append(
                     f"efficiency {efficiency:.0%} below baseline "
@@ -454,14 +448,14 @@ def check_worker_utilization(current: RunRecord,
     verdicts: list[str] = []
     details: list[str] = []
     if len(current.workers) > 1 \
-            and busy_total >= thresholds.worker_busy_floor:
-        if imbalance >= thresholds.worker_imbalance_fail:
+            and busy_total >= WORKER_BUSY_FLOOR:
+        if imbalance >= WORKER_IMBALANCE_FAIL:
             verdicts.append(FAIL)
             details.append(
                 f"pool imbalance {imbalance:.1f}x: the busiest of "
                 f"{len(current.workers)} workers did "
                 f"{imbalance:.1f}x the mean busy time")
-        elif imbalance >= thresholds.worker_imbalance_warn:
+        elif imbalance >= WORKER_IMBALANCE_WARN:
             verdicts.append(WARN)
             details.append(
                 f"pool imbalance {imbalance:.1f}x across "
@@ -471,14 +465,14 @@ def check_worker_utilization(current: RunRecord,
              and not r.errors]
     if len(rates) >= thresholds.min_samples:
         base = _median(rates)
-        if base >= thresholds.worker_min_utilization:
+        if base >= WORKER_MIN_UTILIZATION:
             ratio = utilization / base if base else 1.0
-            if ratio < thresholds.worker_fail_ratio:
+            if ratio < WORKER_FAIL_RATIO:
                 verdicts.append(FAIL)
                 details.append(
                     f"utilization collapsed to {utilization:.0%} "
                     f"(baseline {base:.0%} over {len(rates)} runs)")
-            elif ratio < thresholds.worker_warn_ratio:
+            elif ratio < WORKER_WARN_RATIO:
                 verdicts.append(WARN)
                 details.append(
                     f"utilization {utilization:.0%} below baseline "
@@ -523,8 +517,8 @@ def check_tool_self_time_drift(current: RunRecord,
         median = _median(peers)
         mad = _mad(peers, median)
         threshold = max(thresholds.k * MAD_SIGMA * mad,
-                        thresholds.rel_floor * median,
-                        thresholds.abs_floor)
+                        DEFAULT_REL_FLOOR * median,
+                        DEFAULT_ABS_FLOOR)
         drift = float(stats.get("self_s", 0.0)) - median
         if drift > threshold:
             verdicts.append(FAIL)
@@ -582,8 +576,8 @@ def check_query_latency_drift(current: RunRecord,
     median = _median(peers)
     mad = _mad(peers, median)
     threshold = max(thresholds.k * MAD_SIGMA * mad,
-                    thresholds.rel_floor * median,
-                    thresholds.query_abs_floor)
+                    DEFAULT_REL_FLOOR * median,
+                    QUERY_ABS_FLOOR)
     drift = mean - median
     if drift > threshold:
         return CheckResult(

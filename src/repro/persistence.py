@@ -112,9 +112,7 @@ def save_environment(env: DesignEnvironment,
         if history_json.exists():
             history_json.unlink()
     else:
-        (root / HISTORY_FILE).write_text(
-            json.dumps(env.db.to_dict(), indent=1, sort_keys=True),
-            encoding="utf-8")
+        env.db.save(root / HISTORY_FILE)
         if not isinstance(env.db.store, SqliteHistoryStore):
             _remove_sqlite(root)
     flows = {}
@@ -151,12 +149,11 @@ def load_environment(directory: str | pathlib.Path, *,
     if not meta_path.exists():
         raise HistoryError(f"{root} is not a saved environment "
                            f"(missing {META_FILE})")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = read_history_json(meta_path)
     if meta.get("format") != FORMAT_VERSION:
         raise HistoryError(
             f"unsupported environment format {meta.get('format')!r}")
-    schema = schema_from_dict(
-        json.loads((root / SCHEMA_FILE).read_text(encoding="utf-8")))
+    schema = schema_from_dict(read_history_json(root / SCHEMA_FILE))
     backend = _check_backend(meta.get("history_backend", BACKEND_JSON))
     if backend == BACKEND_SQLITE:
         sqlite_path = root / HISTORY_SQLITE_FILE
@@ -175,8 +172,7 @@ def load_environment(directory: str | pathlib.Path, *,
             codecs=codecs, clock=clock, bus=env.bus)
     flows_path = root / FLOWS_FILE
     if flows_path.exists():
-        for name, spec in json.loads(
-                flows_path.read_text(encoding="utf-8")).items():
+        for name, spec in read_history_json(flows_path).items():
             flow = DynamicFlow.from_dict(schema, spec["graph"])
             env.flow_catalog.register_flow(
                 name, flow, description=spec.get("description", ""))
