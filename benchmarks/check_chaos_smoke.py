@@ -12,9 +12,13 @@ with a seeded fault plan (two transient Extractor crashes):
    faults leave no residue;
 4. with retries disabled the same plan must be fatal — exit 1.
 
-Everything runs through the CLI (``repro run <dir> fig6 --executor
-parallel --fault-plan ...``), so the flags, the ledger wiring, and the
-exit-code contract are all under test, not just the library layer.
+The four steps run twice: on the thread pool (``--executor parallel
+--machines 4``) and across the process boundary (``--executor
+procpool --workers 2``), and the procpool leg must record per-tool
+retry telemetry equal to the parallel leg's.  Everything runs through
+the CLI (``repro run <dir> fig6 --executor ... --fault-plan ...``), so
+the flags, the ledger wiring, and the exit-code contract are all under
+test, not just the library layer.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 BRANCHES = 4
 SEED = 7
 INJECTED_CRASHES = 2
+
+#: (leg name, executor flags): the same drill in threads and processes.
+LEGS = (
+    ("parallel", ("--executor", "parallel", "--machines", str(BRANCHES))),
+    ("procpool", ("--executor", "procpool", "--workers", "2")),
+)
 
 
 def build_project(root: pathlib.Path) -> None:
@@ -73,12 +83,11 @@ def write_plan(path: pathlib.Path) -> None:
               seed=SEED).save(path)
 
 
-def run_cli(directory: pathlib.Path, *extra: str) -> int:
+def run_cli(directory: pathlib.Path, executor: tuple[str, ...],
+            *extra: str) -> int:
     from repro.cli import main as repro_main
 
-    return repro_main(["run", str(directory), "fig6",
-                       "--executor", "parallel",
-                       "--machines", str(BRANCHES), *extra])
+    return repro_main(["run", str(directory), "fig6", *executor, *extra])
 
 
 def retry_counts(directory: pathlib.Path) -> str:
@@ -111,68 +120,84 @@ def netlist_count(directory: pathlib.Path) -> int:
     return len(env.db.browse(S.EXTRACTED_NETLIST))
 
 
+def drill(root: pathlib.Path, plan: pathlib.Path,
+          executor: tuple[str, ...], failures: list[str]) -> str:
+    """The four steps on one executor; returns the recorded telemetry."""
+    # 1. crash-then-recover: retries enabled must succeed
+    recovered = root / "recovered"
+    build_project(recovered)
+    code = run_cli(recovered, executor, "--retries", "3",
+                   "--fault-plan", str(plan))
+    print(f"with --retries 3: exit {code}")
+    if code != 0:
+        failures.append(f"retries enabled must recover, exited {code}")
+    counts = retry_counts(recovered)
+    print(f"  ledger telemetry: {counts}")
+    if json.loads(counts)["retries"] != INJECTED_CRASHES:
+        failures.append(
+            f"ledger must record {INJECTED_CRASHES} retries, "
+            f"got {counts}")
+    if netlist_count(recovered) != BRANCHES:
+        failures.append(
+            f"all {BRANCHES} branches must produce, got "
+            f"{netlist_count(recovered)}")
+
+    # 2. determinism: a same-seed re-run records identical telemetry
+    replay = root / "replay"
+    build_project(replay)
+    code = run_cli(replay, executor, "--retries", "3",
+                   "--fault-plan", str(plan))
+    if code != 0:
+        failures.append(f"same-seed replay exited {code}")
+    if retry_counts(replay) != counts:
+        failures.append(
+            "same-seed runs recorded different retry counts:\n"
+            f"  {counts}\n  {retry_counts(replay)}")
+    else:
+        print("  same-seed replay: retry telemetry byte-identical")
+
+    # 3. atomicity: recovered history == never-faulted history
+    pristine = root / "pristine"
+    build_project(pristine)
+    code = run_cli(pristine, executor)
+    if code != 0:
+        failures.append(f"fault-free run exited {code}")
+    if history_signature(recovered) != history_signature(pristine):
+        failures.append("recovered history differs from a fault-free run")
+    else:
+        print("  recovered history content-identical to fault-free run")
+
+    # 4. the same plan without a retry budget must be fatal
+    fragile = root / "fragile"
+    build_project(fragile)
+    code = run_cli(fragile, executor, "--fault-plan", str(plan))
+    print(f"without retries: exit {code}")
+    if code != 1:
+        failures.append(
+            f"retries disabled must fail with exit 1, got {code}")
+    return counts
+
+
 def main() -> int:
     failures: list[str] = []
+    telemetry: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as scratch:
         root = pathlib.Path(scratch)
         plan = root / "plan.json"
         write_plan(plan)
-
-        # 1. crash-then-recover: retries enabled must succeed
-        recovered = root / "recovered"
-        build_project(recovered)
-        code = run_cli(recovered, "--retries", "3",
-                       "--fault-plan", str(plan))
-        print(f"with --retries 3: exit {code}")
-        if code != 0:
-            failures.append(
-                f"retries enabled must recover, exited {code}")
-        counts = retry_counts(recovered)
-        print(f"  ledger telemetry: {counts}")
-        if json.loads(counts)["retries"] != INJECTED_CRASHES:
-            failures.append(
-                f"ledger must record {INJECTED_CRASHES} retries, "
-                f"got {counts}")
-        if netlist_count(recovered) != BRANCHES:
-            failures.append(
-                f"all {BRANCHES} branches must produce, got "
-                f"{netlist_count(recovered)}")
-
-        # 2. determinism: a same-seed re-run records identical telemetry
-        replay = root / "replay"
-        build_project(replay)
-        code = run_cli(replay, "--retries", "3",
-                       "--fault-plan", str(plan))
-        if code != 0:
-            failures.append(f"same-seed replay exited {code}")
-        if retry_counts(replay) != counts:
-            failures.append(
-                "same-seed runs recorded different retry counts:\n"
-                f"  {counts}\n  {retry_counts(replay)}")
-        else:
-            print("  same-seed replay: retry telemetry byte-identical")
-
-        # 3. atomicity: recovered history == never-faulted history
-        pristine = root / "pristine"
-        build_project(pristine)
-        code = run_cli(pristine)
-        if code != 0:
-            failures.append(f"fault-free run exited {code}")
-        if history_signature(recovered) != history_signature(pristine):
-            failures.append(
-                "recovered history differs from a fault-free run")
-        else:
-            print("  recovered history content-identical to "
-                  "fault-free run")
-
-        # 4. the same plan without a retry budget must be fatal
-        fragile = root / "fragile"
-        build_project(fragile)
-        code = run_cli(fragile, "--fault-plan", str(plan))
-        print(f"without retries: exit {code}")
-        if code != 1:
-            failures.append(
-                f"retries disabled must fail with exit 1, got {code}")
+        for name, executor in LEGS:
+            print(f"[{name}]")
+            leg_failures: list[str] = []
+            (root / name).mkdir()
+            telemetry[name] = drill(root / name, plan, executor,
+                                    leg_failures)
+            failures += [f"{name}: {failure}" for failure in leg_failures]
+    if telemetry["procpool"] != telemetry["parallel"]:
+        failures.append(
+            "procpool recorded other retry telemetry than parallel:\n"
+            f"  {telemetry['parallel']}\n  {telemetry['procpool']}")
+    else:
+        print("procpool retry telemetry equals the parallel leg's")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -13,12 +13,11 @@ Three parts, all mandatory:
 
 2. **Worker telemetry** — the traced procpool run must merge cleanly:
    the trace validates with no orphans, every tool span carries
-   worker-side phase children (decode/verify/tool_body/encode), one
-   lane span exists per worker, ``repro trace timeline`` renders the
-   trace, the ledger record carries per-worker stats, and — after a
-   second ``--force`` run builds a baseline — the
-   ``worker-utilization`` health check reports on the smoke ledger
-   without failing.
+   worker-side phase children (verify/tool_body), one lane span
+   exists per worker, ``repro trace timeline`` renders the trace, the
+   ledger record carries per-worker stats, and — after a second
+   ``--force`` run builds a baseline — the ``worker-utilization``
+   health check reports on the smoke ledger without failing.
 
 3. **Parallelism efficiency** — re-times the ``scale_pipeline``
    scenario from ``bench_multicore.py`` at 1 and 2 workers and gates

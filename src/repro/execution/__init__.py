@@ -21,8 +21,8 @@ from .faults import (CORRUPT, CRASH, FAULT_KINDS, HANG, SLOWDOWN,
                      CorruptData, FaultPlan, FaultSpec, run_with_fault)
 from .parallel import (BranchPlan, Machine, MachinePool,
                        ParallelFlowExecutor, plan_branches)
-from .procpool import (DEFAULT_BATCH_MAX, EnvelopeOutcome,
-                       InvocationEnvelope, ProcessFlowExecutor)
+from .procpool import (EnvelopeOutcome, InvocationEnvelope,
+                       ProcessFlowExecutor)
 from .resilience import (CLASSIFICATIONS, PERMANENT, QUARANTINED,
                          TRANSIENT, UPSTREAM, CallStats, CircuitBreaker,
                          InvocationFailure, ResiliencePolicy, RetryRule,
@@ -48,7 +48,6 @@ __all__ = [
     "CallStats",
     "CircuitBreaker",
     "CorruptData",
-    "DEFAULT_BATCH_MAX",
     "DerivationCache",
     "DesignEnvironment",
     "DurationModel",

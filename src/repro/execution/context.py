@@ -31,7 +31,7 @@ from .encapsulation import (EncapsulationRegistry, ToolEncapsulation)
 from .executor import ExecutionReport, FlowExecutor
 from .faults import FaultPlan
 from .parallel import MachinePool, ParallelFlowExecutor
-from .procpool import DEFAULT_BATCH_MAX, ProcessFlowExecutor
+from .procpool import ProcessFlowExecutor
 from .resilience import ResiliencePolicy
 from .scheduler import DurationModel, ScheduledFlowExecutor
 from .shared_memo import SharedDerivationMemo
@@ -234,14 +234,12 @@ class DesignEnvironment:
     def process_executor(self, workers: int = 2,
                          durations: DurationModel | None = None, *,
                          cache: str | None = None,
-                         batch_max: int = DEFAULT_BATCH_MAX,
                          resilience: ResiliencePolicy | None = None,
                          faults: FaultPlan | None = None
                          ) -> ProcessFlowExecutor:
         """Real multi-core execution on ``workers`` forked processes."""
         return ProcessFlowExecutor(
-            self.db, self.registry, workers=workers,
-            batch_max=batch_max, durations=durations,
+            self.db, self.registry, workers=workers, durations=durations,
             **self._executor_args(cache, resilience, faults))
 
     def run(self, flow: DynamicFlow | TaskGraph,

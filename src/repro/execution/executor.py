@@ -371,8 +371,8 @@ class _Unit:
     batch_offset: float = 0.0
     #: Coordinator-observed (send, receive) interval of the round trip
     #: that produced ``outcome``, on the tracer clock — the clamp
-    #: window for skew-corrected worker phase spans.  Retries
-    #: overwrite it, so the last (successful) attempt wins.
+    #: window for the worker's phase spans.  Retries overwrite it, so
+    #: the last (successful) attempt wins.
     window: tuple[float, float] | None = None
     #: The worker's reply (procpool).
     outcome: Any = None

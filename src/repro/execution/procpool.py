@@ -14,8 +14,9 @@ dispatches the scheduler's ready set to a pool of real
   fingerprint + resolved input payloads, re-resolved against the
   (fork-inherited) tool registry inside the worker;
 * ready invocations of one tool type are **batched** onto one worker
-  round-trip (``batch_max``), and every lane **steals** from the one
-  global ready deque, so an idle worker drains whatever is runnable;
+  round-trip (up to :data:`BATCH_MAX`), and every lane **steals** from
+  the one global ready deque, so an idle worker drains whatever is
+  runnable;
 * the resilience layer survives the thread→process move: a watchdog
   timeout *kills and respawns the worker process* (something the
   thread watchdog could never do), retries re-enqueue the envelope
@@ -36,7 +37,6 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -45,32 +45,24 @@ from typing import Any
 from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
                       TransientToolError)
 from ..history.database import HistoryDatabase
-from ..obs import (COMPOSE_TOOL, PHASE_DECODE, PHASE_ENCODE, PHASE_SPAN,
-                   PHASE_TOOL, PHASE_VERIFY, PROCESS_EXECUTOR,
-                   WORKER_STATS, ClockSync, EventBus, RunLedger,
-                   SamplingProfiler, Span, Tracer, WorkerRunStats,
-                   WorkerTelemetry, fit_phases, merge_profiles,
-                   worker_utilization)
+from ..obs import (COMPOSE_TOOL, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
+                   PROCESS_EXECUTOR, WORKER_STATS, ClockSync, EventBus,
+                   RunLedger, SamplingProfiler, Span, Tracer,
+                   WorkerRunStats, WorkerTelemetry, fit_phases,
+                   merge_profiles, worker_utilization)
 from .cache import CACHE_OFF, DerivationCache
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
 from .executor import (FlowExecutor, _Lane, _Prepared, _Run, _Unit,
-                       _derivation_inputs, _run_threads)
+                       _run_threads)
 from .faults import FaultPlan, FaultSpec, run_with_fault
 from .resilience import ResiliencePolicy, annotate_error
 from .scheduler import DurationModel
 
-DEFAULT_BATCH_MAX = 4
-
-#: Clock-handshake request sentinel on the worker pipe (``None`` stays
-#: the shutdown sentinel; envelope batches are lists, so neither can be
-#: mistaken for the other).
-_SYNC = "__clock_sync__"
-
-#: How long the coordinator waits for the handshake pong.  Generous:
-#: a fork under memory pressure can take a while to reach its loop, and
-#: an unsynced handle degrades gracefully (offset 0) rather than fail.
-SYNC_TIMEOUT = 10.0
+#: Most same-tool-type invocations one worker round trip carries.  One
+#: per trip was measured to cost ``pool_busy`` throughput, so batching
+#: stays (DESIGN §12).
+BATCH_MAX = 4
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +94,14 @@ class InvocationEnvelope:
     #: ``(role, payload)`` pairs; a payload is one design datum or (for
     #: batch encapsulations) a list of them.
     inputs: tuple[tuple[str, Any], ...]
-    #: ``(role, instance_id)`` provenance of each input, for debugging
-    #: and worker-side error messages — never re-resolved remotely.
-    input_digests: tuple[tuple[str, str], ...]
     user: str
     #: Scripted fault to fire *inside* the worker (drawn by the
     #: coordinator, where the plan's counters live), or None.
     fault: FaultSpec | None = None
     #: True when the coordinator has a live tracer: the worker then
-    #: records per-phase timing samples (decode/verify/tool/encode)
-    #: and ships them home on the outcome.  Untraced runs skip the
-    #: collection entirely.
+    #: records per-phase timing samples (verify/tool_body) and ships
+    #: them home on the outcome.  Untraced runs skip the collection
+    #: entirely.
     collect_phases: bool = False
     #: Sampling-profiler interval for the worker-side profiler, in
     #: seconds; 0 disables profiling for this envelope.  The worker
@@ -127,7 +116,7 @@ class InvocationEnvelope:
 
 @dataclass(frozen=True)
 class EnvelopeOutcome:
-    """What came back: a tool result or a transportable error triple."""
+    """What came back: a tool result or a transportable error."""
 
     envelope_id: int
     ok: bool
@@ -136,24 +125,22 @@ class EnvelopeOutcome:
     #: pickling and queueing, so durations stay comparable with the
     #: in-process executors.
     duration: float = 0.0
-    worker: str = ""
+    #: The process that ran the call: after a respawn it is no longer
+    #: the handle's current one.
     pid: int = 0
     error_class: str = ""
     error_message: str = ""
-    error_module: str = ""
     #: Worker-side phase samples ``(name, start, end)`` on the worker's
-    #: clock — only populated when the envelope asked for them; the
-    #: coordinator skew-corrects and merges them as child spans.
+    #: ``perf_counter``, which a forked worker shares with the
+    #: coordinator — only populated when the envelope asked for them;
+    #: the coordinator clamps and merges them as child spans.
     phases: tuple[tuple[str, float, float], ...] = ()
-    #: Pickled size of the result payload (the encode phase's probe);
-    #: 0 when phases were not collected.
-    result_bytes: int = 0
 
 
-def _decode_error(outcome: EnvelopeOutcome) -> BaseException:
+def _decode_error(outcome: EnvelopeOutcome, worker: str) -> BaseException:
     """Reconstruct a worker-reported error on the coordinator.
 
-    Exceptions cross the pipe as ``(module, class, message)`` strings —
+    Exceptions cross the pipe as ``(class, message)`` strings —
     arbitrary exception objects may not pickle, strings always do.
     Framework errors rebuild as their real types (so transient vs
     permanent classification survives the hop); anything unknown
@@ -170,7 +157,7 @@ def _decode_error(outcome: EnvelopeOutcome) -> BaseException:
             pass
     return ToolError(
         f"{outcome.error_class}: {outcome.error_message} "
-        f"(raised in worker {outcome.worker or '?'})")
+        f"(raised in worker {worker})")
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +171,8 @@ def _run_envelope(registry: EncapsulationRegistry,
     started = telemetry.clock()
     value: Any = None
     failure: BaseException | None = None
-    result_bytes = 0
     try:
-        with telemetry.phase(PHASE_DECODE):
-            inputs = {role: payload
-                      for role, payload in envelope.inputs}
+        inputs = dict(envelope.inputs)
         if envelope.kind == "compose":
             with telemetry.phase(PHASE_VERIFY):
                 compose = registry.composition(envelope.tool_type)
@@ -228,15 +212,6 @@ def _run_envelope(registry: EncapsulationRegistry,
                                              envelope.fault, body))
                 else:
                     value = run_with_fault(envelope.fault, body)
-        if envelope.collect_phases:
-            # The real result serialization happens in conn.send();
-            # this probe sizes the payload so the encode phase carries
-            # data, and stays off the untraced fast path entirely.
-            with telemetry.phase(PHASE_ENCODE):
-                try:
-                    result_bytes = len(pickle.dumps(value))
-                except Exception:  # noqa: BLE001 - size is best-effort
-                    result_bytes = 0
     except BaseException as error:  # transported, never fatal here
         failure = error
     duration = telemetry.clock() - started
@@ -244,28 +219,23 @@ def _run_envelope(registry: EncapsulationRegistry,
     if failure is not None:
         return EnvelopeOutcome(
             envelope_id=envelope.envelope_id, ok=False,
-            duration=duration, worker=telemetry.worker,
-            pid=os.getpid(), error_class=type(failure).__name__,
-            error_message=str(failure),
-            error_module=type(failure).__module__,
-            phases=telemetry.phases())
+            duration=duration, pid=os.getpid(),
+            error_class=type(failure).__name__,
+            error_message=str(failure), phases=telemetry.phases())
     return EnvelopeOutcome(
         envelope_id=envelope.envelope_id, ok=True, value=value,
-        duration=duration, worker=telemetry.worker, pid=os.getpid(),
-        phases=telemetry.phases(), result_bytes=result_bytes)
+        duration=duration, pid=os.getpid(), phases=telemetry.phases())
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
                  registry: EncapsulationRegistry, worker: str) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
 
-    ``None`` is the shutdown sentinel; the :data:`_SYNC` string is the
-    clock handshake (answered with this worker's monotonic clock and
-    pid); a broken pipe means the coordinator is gone and the worker
-    simply exits.  Every batch reply travels as ``(outcomes, stats)``
-    where ``stats`` is the telemetry counter snapshot — the coordinator
-    keeps the latest, so a killed worker costs at most one batch of
-    counters.
+    ``None`` is the shutdown sentinel; a broken pipe means the
+    coordinator is gone and the worker simply exits.  Every batch reply
+    travels as ``(outcomes, stats)`` where ``stats`` is the telemetry
+    counter snapshot — the coordinator keeps the latest, so a killed
+    worker costs at most one batch of counters.
     """
     telemetry = WorkerTelemetry(worker)
     # Created lazily on the first profiled envelope and kept for the
@@ -281,12 +251,6 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 return
             if batch is None:
                 return
-            if batch == _SYNC:
-                try:
-                    conn.send((telemetry.clock(), os.getpid()))
-                except (BrokenPipeError, OSError):
-                    return
-                continue
             telemetry.batches += 1
             if profiler is None:
                 for envelope in batch:
@@ -308,13 +272,11 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 conn.send(([
                     EnvelopeOutcome(
                         envelope_id=reply.envelope_id, ok=False,
-                        duration=reply.duration, worker=worker,
-                        pid=os.getpid(),
+                        duration=reply.duration, pid=os.getpid(),
                         error_class="ExecutionError",
                         error_message=(
                             "tool result could not cross the process "
                             f"boundary: {error}"),
-                        error_module="repro.errors",
                         phases=reply.phases)
                     for reply in replies], stats))
     finally:
@@ -332,17 +294,13 @@ class _WorkerHandle:
     """
 
     def __init__(self, name: str, registry: EncapsulationRegistry,
-                 context, clock: Any = time.perf_counter) -> None:
+                 context) -> None:
         self.name = name
         self.registry = registry
         self.context = context
-        self.clock = clock
         self.restarts = 0
         self.process: Any = None
         self.conn: Any = None
-        #: Clock handshake result for the *current* process; refreshed
-        #: on every (re)spawn, since a fresh fork is a fresh clock.
-        self.sync = ClockSync()
         #: Worker-reported counters: the latest snapshot from the live
         #: process, plus the folded totals of every process a watchdog
         #: killed before it — "respawns survived" means the numbers
@@ -358,42 +316,6 @@ class _WorkerHandle:
         self.process.start()
         child.close()
         self.conn = parent
-        self._handshake()
-
-    def _handshake(self) -> None:
-        """One ping/pong to estimate the worker-clock offset.
-
-        Failure is harmless: an unsynced handle keeps offset 0 (exact
-        on Linux, where ``perf_counter`` is the system-wide monotonic
-        clock) and phase clamping bounds any residual error.
-        """
-        self.sync = ClockSync()
-        try:
-            sent_at = self.clock()
-            self.conn.send(_SYNC)
-            if self.conn.poll(SYNC_TIMEOUT):
-                worker_clock, _pid = self.conn.recv()
-                self.sync = ClockSync.estimate(
-                    sent_at, float(worker_clock), self.clock())
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-
-    def _fold_stats(self) -> None:
-        """Bank the dying process's last snapshot before replacing it."""
-        base, snap = self.stats_base, self.last_stats
-        if not snap:
-            return
-        for key in ("batches", "envelopes"):
-            base[key] = base.get(key, 0) + int(snap.get(key, 0))
-        base["busy_time"] = (base.get("busy_time", 0.0)
-                             + float(snap.get("busy_time", 0.0)))
-        base["rss_kb"] = max(int(base.get("rss_kb", 0)),
-                             int(snap.get("rss_kb", 0)))
-        profile = merge_profiles(base.get("profile", {}),
-                                 snap.get("profile", {}))
-        if profile:
-            base["profile"] = profile
-        self.last_stats = {}
 
     def worker_stats(self) -> dict[str, Any]:
         """Cumulative worker-side counters across every respawn."""
@@ -409,13 +331,11 @@ class _WorkerHandle:
                                  snap.get("profile", {}))
         if profile:
             merged["profile"] = profile
-        elif "profile" in merged:
-            del merged["profile"]
         return merged
 
     def respawn(self) -> None:
         """Kill the current process (if any) and fork a fresh one."""
-        self._fold_stats()
+        self.stats_base, self.last_stats = self.worker_stats(), {}
         if self.process is not None and self.process.is_alive():
             self.process.kill()
             self.process.join()
@@ -493,8 +413,7 @@ class ProcessFlowExecutor(FlowExecutor):
 
     def __init__(self, db: HistoryDatabase,
                  registry: EncapsulationRegistry, *, user: str = "",
-                 workers: int = 2, batch_max: int = DEFAULT_BATCH_MAX,
-                 durations: DurationModel | None = None,
+                 workers: int = 2, durations: DurationModel | None = None,
                  bus: EventBus | None = None,
                  cache: DerivationCache | None = None,
                  cache_policy: str = CACHE_OFF,
@@ -506,9 +425,6 @@ class ProcessFlowExecutor(FlowExecutor):
         if workers < 1:
             raise ExecutionError(
                 f"need at least one worker process, got {workers}")
-        if batch_max < 1:
-            raise ExecutionError(
-                f"batch_max must be >= 1, got {batch_max}")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "the procpool executor requires the 'fork' start "
@@ -522,7 +438,6 @@ class ProcessFlowExecutor(FlowExecutor):
                          resilience=resilience, faults=faults,
                          profiler=profiler)
         self.workers = workers
-        self.batch_max = batch_max
         self.durations = durations if durations is not None \
             else DurationModel()
         # Coordinator-side aggregate: workers run their own in-process
@@ -550,8 +465,7 @@ class ProcessFlowExecutor(FlowExecutor):
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
         # lanes would snapshot their lock states into the child.
-        handles = [_WorkerHandle(f"worker{i}", self.registry,
-                                 self._context, clock=self.tracer.clock)
+        handles = [_WorkerHandle(f"worker{i}", self.registry, self._context)
                    for i in range(self.workers)]
         for handle in handles:
             handle.start()
@@ -566,9 +480,9 @@ class ProcessFlowExecutor(FlowExecutor):
         run.workers = self._collect_worker_stats(lanes, wall)
         if self.profiler is not None:
             # Fold every worker's cumulative aggregate (respawn bases
-            # included), then clamp busy time to the skew-corrected
-            # tool-phase durations so self time stays contained in the
-            # merged trace spans.  Runs before the ledger snapshot.
+            # included), then clamp busy time to the fitted tool-phase
+            # durations so self time stays contained in the merged
+            # trace spans.  Runs before the ledger snapshot.
             for handle in handles:
                 payload = handle.worker_stats().get("profile")
                 if payload:
@@ -580,11 +494,8 @@ class ProcessFlowExecutor(FlowExecutor):
         self._emit_worker_stats(run.graph, run.workers, wall)
 
     def _lane_attributes(self, lane: _Lane) -> dict[str, Any]:
-        handle = lane.host
-        return {"restarts": handle.restarts, "steals": lane.steals,
-                "cache_hits": lane.cache_hits,
-                "clock_offset": round(handle.sync.offset, 6),
-                "clock_rtt": round(handle.sync.rtt, 6)}
+        return {"restarts": lane.host.restarts, "steals": lane.steals,
+                "cache_hits": lane.cache_hits}
 
     def _collect_worker_stats(self, lanes: list[_Lane], wall: float
                               ) -> dict[str, WorkerRunStats]:
@@ -631,8 +542,6 @@ class ProcessFlowExecutor(FlowExecutor):
     def _batchable(self, tool_type: str | None) -> bool:
         """Same-tool-type claims may share one worker round trip —
         unless a watchdog budget applies, which is per invocation."""
-        if self.batch_max < 2:
-            return False
         if self.resilience is None:
             return True
         rule = self.resilience.rule_for(tool_type or COMPOSE_TOOL)
@@ -653,7 +562,7 @@ class ProcessFlowExecutor(FlowExecutor):
         # than workers — otherwise batching would serialize exactly the
         # parallelism it exists to exploit.
         share = -(-(len(ready) + 1) // self.workers)
-        limit = min(self.batch_max, max(1, share))
+        limit = min(BATCH_MAX, max(1, share))
         if self._batchable(tool_type):
             position = 0
             while position < len(ready) and len(claimed) < limit:
@@ -681,7 +590,6 @@ class ProcessFlowExecutor(FlowExecutor):
                          else fingerprint_callable(unit.fn)),
             output_types=ctx.output_types,
             inputs=tuple(sorted(unit.inputs.items())),
-            input_digests=_derivation_inputs(unit.combo),
             user=self.user,
             fault=(self.faults.next_fault(unit.tool_type)
                    if self.faults is not None else None),
@@ -776,7 +684,8 @@ class ProcessFlowExecutor(FlowExecutor):
                     elapsed += outcome.duration
                     if not outcome.ok:
                         self._settle(run, lane, unit,
-                                     _decode_error(outcome), pending)
+                                     _decode_error(outcome, handle.name),
+                                     pending)
                         continue
                     unit.outcome = outcome
                     unit.value = outcome.value
@@ -817,25 +726,24 @@ class ProcessFlowExecutor(FlowExecutor):
     def _trace_unit(self, lane: _Lane, prep: _Prepared, unit: _Unit,
                     span: Span) -> None:
         super()._trace_unit(lane, prep, unit, span)
-        span.set(worker=unit.outcome.worker or lane.name,
-                 worker_pid=unit.outcome.pid,
+        span.set(worker=lane.name, worker_pid=unit.outcome.pid,
                  tool_duration=round(unit.outcome.duration, 6))
-        self._merge_phases(lane.host, unit, span)
+        self._merge_phases(lane.name, unit, span)
 
-    def _merge_phases(self, handle: _WorkerHandle, unit: _Unit,
+    def _merge_phases(self, worker: str, unit: _Unit,
                       tool_span: Span) -> None:
         """Graft worker-side phase samples under the tool span.
 
-        Worker clocks are skew-corrected via the handshake offset and
-        then clamped into the coordinator-observed dispatch window, so
-        a bad offset estimate can distort a phase but never push it
-        outside its parent.  The tool span's start is pulled back to
-        the earliest phase so the children stay contained.
+        A forked worker times its phases on ``perf_counter``, the
+        coordinator's own clock, so samples need no offset; clamping
+        them into the coordinator-observed dispatch window keeps every
+        phase inside its parent.  The tool span's start is pulled back
+        to the earliest phase so the children stay contained.
         """
         outcome = unit.outcome
         if outcome is None:
             return
-        fitted = fit_phases(outcome.phases, handle.sync, unit.window)
+        fitted = fit_phases(outcome.phases, ClockSync(), unit.window)
         if not fitted:
             return
         if self.profiler is not None:
@@ -850,7 +758,6 @@ class ProcessFlowExecutor(FlowExecutor):
                     self._profile_caps[unit.tool_type] = \
                         self._profile_caps.get(
                             unit.tool_type, 0.0) + tool_body
-        worker = outcome.worker or handle.name
         for name, start, end in fitted:
             phase_span = self.tracer.start_span(
                 f"{name}:{unit.tool_type}", PHASE_SPAN,
@@ -860,12 +767,9 @@ class ProcessFlowExecutor(FlowExecutor):
             self.tracer.finish(phase_span, end=end)
         tool_span.start = min([tool_span.start]
                               + [s for _, s, _ in fitted])
-        if outcome.result_bytes:
-            tool_span.set(result_bytes=outcome.result_bytes)
 
 
 __all__ = [
-    "DEFAULT_BATCH_MAX",
     "EnvelopeOutcome",
     "InvocationEnvelope",
     "ProcessFlowExecutor",

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import collections
 import json
+import os
 import pathlib
 import time
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ObservabilityError
 from .events import Event
@@ -79,28 +80,33 @@ class CallbackSink(EventSink):
 class JSONLSink(EventSink):
     """Append-only JSON-lines event log.
 
-    One event per line, written eagerly and flushed so a crashed run
-    still leaves a readable prefix.  The file opens lazily on the first
-    event, so attaching the sink to an execution that emits nothing
-    creates no file.
+    One event per line, written eagerly so a crashed run still leaves a
+    readable prefix.  Each line reaches the file in one ``write`` on an
+    ``O_APPEND`` descriptor, so two writers on one file (two runs
+    tracing into one directory) never interleave their records.  The
+    file opens lazily on the first event, so attaching the sink to an
+    execution that emits nothing creates no file.
     """
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self._handle: IO[str] | None = None
+        self._fd: int | None = None
 
     def handle(self, event: Event) -> None:
-        if self._handle is None:
+        if self._fd is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        json.dump(event.to_dict(), self._handle, sort_keys=True)
-        self._handle.write("\n")
-        self._handle.flush()
+            self._fd = os.open(self.path,
+                               os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                               0o666)
+        data = (json.dumps(event.to_dict(), sort_keys=True)
+                + "\n").encode("utf-8")
+        while data:  # os.write may take only part of the line
+            data = data[os.write(self._fd, data):]
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "JSONLSink":
         return self

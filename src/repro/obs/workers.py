@@ -7,17 +7,17 @@ recorder that runs *inside* each forked worker and ships structured
 timing home with every batch reply:
 
 * :class:`WorkerTelemetry` captures per-invocation **phase samples**
-  (envelope decode, fingerprint verify, tool body, result encode) on
-  the worker's monotonic clock, plus cumulative counters (batches,
-  envelopes, busy seconds, rss high-water via ``resource.getrusage``);
-* :class:`ClockSync` is the coordinator's half of the spawn-time
-  handshake: one ping/pong over the worker pipe estimates the offset
-  between the worker clock and the coordinator's tracer clock
-  (midpoint method), so worker timestamps merge skew-corrected;
-* :func:`fit_phases` performs that merge: correct each worker-side
-  sample by the estimated offset, then clamp it into the coordinator's
-  observed dispatch window so the resulting spans always nest inside
-  their parents, whatever the residual skew;
+  (fingerprint verify, tool body) on the worker's ``perf_counter``,
+  plus cumulative counters (batches, envelopes, busy seconds, rss
+  high-water via ``resource.getrusage``);
+* :class:`ClockSync` maps a worker clock onto the coordinator's; a
+  forked worker reads the coordinator's own monotonic clock, so the
+  procpool coordinator passes the identity ``ClockSync()``, and
+  :meth:`ClockSync.estimate` serves a worker whose clock differs;
+* :func:`fit_phases` performs the merge: correct each worker-side
+  sample by the offset, then clamp it into the coordinator's observed
+  dispatch window so the resulting spans always nest inside their
+  parents, whatever the residual skew;
 * :class:`WorkerRunStats` is the per-worker summary the ledger, the
   Prometheus export and ``repro health`` consume.
 
@@ -33,16 +33,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 #: Phase names, in the order a worker executes them.
-PHASE_DECODE = "decode"
 PHASE_VERIFY = "verify"
 PHASE_TOOL = "tool_body"
-PHASE_ENCODE = "encode"
 
 WORKER_PHASES: tuple[str, ...] = (
-    PHASE_DECODE,
     PHASE_VERIFY,
     PHASE_TOOL,
-    PHASE_ENCODE,
 )
 
 #: One phase sample as it crosses the pipe: (name, start, end) on the
@@ -125,18 +121,19 @@ class WorkerTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# coordinator side: clock handshake + skew-corrected merge
+# coordinator side: clock offset + skew-corrected merge
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ClockSync:
-    """Result of one spawn-time clock handshake.
+    """How worker timestamps map onto the coordinator clock.
 
     ``offset`` maps worker timestamps onto the coordinator clock:
-    ``coordinator_time = worker_time - offset``.  The midpoint estimate
-    is exact to within half the round-trip (``rtt``); on Linux both
-    clocks are the same system-wide ``CLOCK_MONOTONIC``, so the offset
-    is usually near zero — the handshake exists for the day it isn't
-    (tracers with custom clocks, platforms with per-process clocks).
+    ``coordinator_time = worker_time - offset``.  The default is the
+    identity, which is exact for a forked worker: ``perf_counter`` is
+    the system-wide ``CLOCK_MONOTONIC`` on Linux, the same clock the
+    coordinator's tracer reads.  :meth:`estimate` derives an offset
+    from one ping for a worker whose clock differs; its midpoint
+    estimate is exact to within half the round-trip (``rtt``).
     """
 
     offset: float = 0.0
@@ -162,12 +159,12 @@ def fit_phases(phases: Sequence[PhaseSample], sync: ClockSync,
                ) -> tuple[PhaseSample, ...]:
     """Merge worker phase samples into the coordinator's timeline.
 
-    Each sample is skew-corrected by the handshake offset, then clamped
+    Each sample is skew-corrected by ``sync``'s offset, then clamped
     into ``window`` — the coordinator-observed (send, receive) interval
     of the round trip that carried it.  Clamping guarantees the derived
-    spans nest inside their parent task span even when the offset
-    estimate is off by up to the handshake round-trip; intervals are
-    truncated, never reordered, and ``end >= start`` always holds.
+    spans nest inside their parent task span whatever the offset
+    error; intervals are truncated, never reordered, and
+    ``end >= start`` always holds.
     """
     if not phases:
         return ()
@@ -274,8 +271,6 @@ def worker_imbalance(workers: dict[str, WorkerRunStats]) -> float:
 
 __all__ = [
     "ClockSync",
-    "PHASE_DECODE",
-    "PHASE_ENCODE",
     "PHASE_TOOL",
     "PHASE_VERIFY",
     "PhaseSample",

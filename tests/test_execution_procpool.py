@@ -17,7 +17,8 @@ import pytest
 
 from repro.errors import ExecutionError, ToolError
 from repro.execution import (DesignEnvironment, FaultPlan, FaultSpec,
-                             ResiliencePolicy, encapsulation)
+                             ResiliencePolicy, encapsulation, procpool)
+from repro.obs import RunLedger
 from repro.schema.builder import SchemaBuilder
 
 SLEEP = 0.03
@@ -156,6 +157,36 @@ class TestResilience:
         assert len(report.results) == 4
         assert report.timeouts == 1
         assert report.retries == 1
+
+    def test_late_worker_start_keeps_replies_in_step(self, monkeypatch):
+        """A worker that reaches its loop late still answers each round
+        trip with that round's replies.  A zero ``SYNC_TIMEOUT`` (the
+        wait of a spawn-time clock handshake, where one exists) forces
+        the case of a fork that needs longer than expected under
+        load."""
+        monkeypatch.setattr(procpool, "SYNC_TIMEOUT", 0.0, raising=False)
+        env = fan_env()
+        report = env.process_executor(workers=2).execute(fan_flow(env))
+        assert len(report.results) == 4
+
+    def test_worker_counters_survive_a_respawn(self, tmp_path):
+        """The killed process's counters are banked, not lost: one
+        batch before the hang, three in the replacement (the hung
+        round trip never replied, so it counts nowhere)."""
+        env = fan_env(sleep=0.005)
+        env.ledger = RunLedger(tmp_path / "ledger.jsonl")
+        policy = ResiliencePolicy(retries=2, timeout=0.5,
+                                  backoff_base=0.0, jitter=0.0)
+        faults = FaultPlan([FaultSpec("Tool", 2, kind="hang",
+                                      delay=30.0)], seed=1)
+        env.process_executor(
+            workers=1, resilience=policy,
+            faults=faults).execute(fan_flow(env))
+        record = RunLedger(tmp_path / "ledger.jsonl").records()[-1]
+        worker = record.workers["worker0"]
+        assert worker.batches == 4
+        assert worker.invocations == 4
+        assert worker.respawns == 1
 
     def test_worker_death_is_transient_and_respawned(self, tmp_path):
         flag = tmp_path / "died-once"

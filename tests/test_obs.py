@@ -1,5 +1,7 @@
 """Tests for the observability subsystem (events, sinks, metrics)."""
 
+import collections
+import multiprocessing
 import threading
 import time
 
@@ -15,8 +17,10 @@ from repro.obs import (CACHE_HIT, CACHE_MISS, COMPOSITION_RUN,
                        NODE_READY, SCHEMA_VERSION, TOOL_FINISHED,
                        TOOL_INVOKED, Event, EventBus, JSONLSink,
                        MetricsRegistry, NullSink, RingBufferSink,
-                       escape_label_value, read_events, replay_into,
-                       sanitize_metric_name, timer_stats_of)
+                       RunLedger, RunRecord, append_profile,
+                       escape_label_value, iter_jsonl_objects,
+                       read_events, replay_into, sanitize_metric_name,
+                       timer_stats_of)
 from repro.obs.metrics import _percentile
 from repro.schema import standard as S
 from tests.conftest import build_performance_flow
@@ -263,6 +267,64 @@ class TestJsonlRoundTrip:
     def test_missing_log_rejected(self, tmp_path):
         with pytest.raises(ObservabilityError):
             read_events(tmp_path / "absent.jsonl")
+
+
+#: Records several times a buffered file handle's 8 KiB buffer, so a
+#: writer that reaches the file in pieces shows up as interleaving.
+PAD = "x" * 64_000
+RECORDS_PER_WRITER = 300
+
+
+def _append_events(path, writer: str) -> None:
+    with JSONLSink(path) as sink:
+        for seq in range(RECORDS_PER_WRITER):
+            sink.handle(Event(seq=seq, event_type=FLOW_STARTED,
+                              timestamp=0.0, flow=writer,
+                              payload=(("pad", PAD),)))
+
+
+def _append_ledger(path, writer: str) -> None:
+    ledger = RunLedger(path)
+    for seq in range(RECORDS_PER_WRITER):
+        ledger.append(RunRecord(run_id=f"{writer}-{seq}", timestamp=0.0,
+                                flow=writer, executor="sequential",
+                                cache_policy="off", error=PAD))
+
+
+def _append_profiles(path, writer: str) -> None:
+    for seq in range(RECORDS_PER_WRITER):
+        append_profile(path, {"run_id": f"{writer}-{seq}",
+                              "flow": writer, "pad": PAD})
+
+
+def _append_on_signal(go, append, path, writer: str) -> None:
+    go.wait(timeout=60.0)
+    append(path, writer)
+
+
+class TestConcurrentAppends:
+    """Two processes appending to one log never interleave records."""
+
+    @pytest.mark.parametrize(
+        "append", [_append_events, _append_ledger, _append_profiles],
+        ids=["JSONLSink", "RunLedger.append", "append_profile"])
+    def test_writers_never_interleave_records(self, tmp_path, append):
+        log = tmp_path / "log.jsonl"
+        context = multiprocessing.get_context("fork")
+        go = context.Event()
+        writers = [context.Process(target=_append_on_signal,
+                                   args=(go, append, log, name))
+                   for name in ("a", "b")]
+        for writer in writers:
+            writer.start()
+        go.set()  # both forked: start writing together
+        for writer in writers:
+            writer.join(timeout=60.0)
+            assert writer.exitcode == 0
+        flows = collections.Counter(
+            spec["flow"] for _, spec in iter_jsonl_objects(log))
+        assert flows == {"a": RECORDS_PER_WRITER,
+                         "b": RECORDS_PER_WRITER}
 
 
 class TestSchedulerFedFromEvents:

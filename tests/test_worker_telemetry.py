@@ -1,17 +1,19 @@
 """Cross-process worker telemetry: spans, timeline, utilization health.
 
 Covers the PR 8 surface end to end: the in-worker recorder and its
-pickle-safe phase samples, the spawn-time clock handshake and the
-skew-corrected merge (property-tested: fitted phases always nest inside
-the dispatch window), the procpool integration (merged traces validate,
-every tool span carries worker-side phase children, containment holds
-up the whole span chain), the worker-lane timeline renderer, the
-``--follow`` event tail, the ledger's optional per-worker stats (old
-ledgers load unchanged), and the ``worker-utilization`` health check.
+pickle-safe phase samples, the clock-offset model and the skew-corrected
+merge (property-tested: fitted phases always nest inside the dispatch
+window), the clock a forked worker shares with the coordinator, the
+procpool integration (merged traces validate, every tool span carries
+worker-side phase children, containment holds up the whole span
+chain), the worker-lane timeline renderer, the ``--follow`` event
+tail, the ledger's optional per-worker stats (old ledgers load
+unchanged), and the ``worker-utilization`` health check.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
@@ -182,6 +184,37 @@ class TestClockSync:
         for (name, start, end), (orig, _, _) in zip(fitted, phases):
             assert name == orig
             assert window[0] <= start <= end <= window[1]
+
+
+def _answer_with_clock(conn) -> None:
+    while conn.recv() is not None:
+        conn.send(time.perf_counter())
+
+
+class TestForkedWorkerClock:
+    def test_forked_worker_reads_the_coordinator_clock(self):
+        """Procpool places worker phases without an offset: a forked
+        child's ``perf_counter`` read between the coordinator's send
+        and receive lies inside that window."""
+        context = multiprocessing.get_context("fork")
+        parent, child = context.Pipe()
+        worker = context.Process(target=_answer_with_clock,
+                                 args=(child,), daemon=True)
+        worker.start()
+        child.close()
+        try:
+            for _ in range(50):
+                sent = time.perf_counter()
+                parent.send(True)
+                assert parent.poll(10.0)
+                worker_clock = parent.recv()
+                received = time.perf_counter()
+                assert sent <= worker_clock <= received
+        finally:
+            parent.send(None)
+            worker.join(timeout=10.0)
+            parent.close()
+        assert not worker.is_alive()
 
 
 # ---------------------------------------------------------------------------
