@@ -8,6 +8,13 @@ whether such retracing need occur."*
 Staleness is defined version-wise: a derived instance is **stale** when
 some instance in its derivation history has a newer *successor version*
 (a descendant through editing tasks within the same entity family).
+Successors are found on the version tree alone.  Only a family the
+schema gives an editing dependency (section 4.2) can have newer
+versions, so every other instance is answered without reading the
+forward index; in a versioned family the walk follows that index only
+to consumers whose parent version is the current node.  A query
+therefore costs the size of the derivation history and of the version
+subtrees it touches, never the size of everything recorded downstream.
 :func:`refresh_plan` turns a stale instance's backward trace into an
 executable task graph with the stale inputs rebound to their newest
 versions and every affected intermediate cleared for recomputation;
@@ -22,9 +29,10 @@ from typing import Iterable, Protocol
 
 from ..core.taskgraph import TaskGraph
 from ..errors import ConsistencyError
+from ..schema.schema import TaskSchema
 from .database import HistoryDatabase
 from .instance import EntityInstance
-from .trace import backward_trace, lineage
+from .trace import _parent_version, backward_trace, lineage
 
 
 class FlowRunner(Protocol):
@@ -37,10 +45,13 @@ class FlowRunner(Protocol):
 def forward_closure(db: HistoryDatabase, instance_id: str) -> set[str]:
     """Ids reachable from an instance along the forward index.
 
-    A dirty-set propagation primitive: walks ``db.consumers_of`` (a
-    constant-time index lookup per edge on every backend) without
-    materializing trace edges or pulling unrelated antecedents the way
-    :func:`forward_trace` must for its richer DAG view.
+    A forward-chaining primitive (section 4.2): walks
+    ``db.consumers_of`` (a constant-time index lookup per edge on every
+    backend) without materializing trace edges or pulling unrelated
+    antecedents the way :func:`forward_trace` must for its richer DAG
+    view.  Staleness does not use it: the closure of a tool or a source
+    spans every run ever recorded from it, while successor versions
+    lie on the much smaller version tree.
     """
     seen = {instance_id}
     frontier = [instance_id]
@@ -52,30 +63,53 @@ def forward_closure(db: HistoryDatabase, instance_id: str) -> set[str]:
     return seen
 
 
+def _versioned_families(schema: TaskSchema) -> frozenset[str]:
+    """Root types of the families that editing tasks version (4.2)."""
+    return frozenset(schema.root_of(t) for t in schema.editing_entities())
+
+
+def _successors(db: HistoryDatabase, instance_id: str,
+                versioned: frozenset[str], prune: tuple[str, ...] = ()
+                ) -> list[EntityInstance]:
+    """Version-tree descendants of an instance, oldest first.
+
+    ``prune`` names instances left out together with their subtrees.
+    """
+    instance = db.get(instance_id)
+    family = db.schema.root_of(instance.entity_type)
+    if family not in versioned:
+        return []
+    seen = {instance_id, *prune}
+    out = []
+    frontier = [instance_id]
+    while frontier:
+        node = frontier.pop()
+        for consumer_id in db.consumers_of(node):
+            if consumer_id in seen:
+                continue
+            consumer = db.get(consumer_id)
+            if (db.schema.is_subtype(consumer.entity_type, family)
+                    and _parent_version(db, consumer, family) == node):
+                seen.add(consumer_id)
+                out.append(consumer)
+                frontier.append(consumer_id)
+    out.sort(key=lambda i: (i.timestamp, i.instance_id))
+    return out
+
+
 def successor_versions(db: HistoryDatabase, instance_id: str
                        ) -> tuple[EntityInstance, ...]:
     """Newer versions of an instance within its entity family.
 
     A successor is a forward-chained descendant whose version lineage
     passes through the given instance — i.e. it was reached by a chain of
-    editing tasks starting from it.  Only the forward closure is walked:
-    any instance whose lineage passes through ``instance_id`` is by
-    definition forward-reachable from it, so the closure loses no
-    candidates while skipping the full trace construction.
+    editing tasks starting from it.  The search walks down the version
+    tree: from each node it keeps only the consumers whose parent
+    version is that node, and a family without an editing dependency
+    in the schema has no successors at all.
     """
-    instance = db.get(instance_id)
-    family = db.schema.root_of(instance.entity_type)
-    out = []
-    for other_id in forward_closure(db, instance_id):
-        if other_id == instance_id:
-            continue
-        other = db.get(other_id)
-        if not db.schema.is_subtype(other.entity_type, family):
-            continue
-        if instance_id in lineage(db, other_id, family):
-            out.append(other)
-    out.sort(key=lambda i: (i.timestamp, i.instance_id))
-    return tuple(out)
+    return tuple(_successors(db, instance_id,
+                             _versioned_families(db.schema)))
 
 
 def newest_version(db: HistoryDatabase, instance_id: str) -> EntityInstance:
@@ -105,19 +139,25 @@ def stale_inputs(db: HistoryDatabase, instance_id: str
     Successor versions whose lineage passes through the instance itself
     are likewise not counted against it.
     """
+    return _stale_inputs(db, instance_id, _versioned_families(db.schema))
+
+
+def _stale_inputs(db: HistoryDatabase, instance_id: str,
+                  versioned: frozenset[str]) -> tuple[StaleInput, ...]:
     own_lineage = set(lineage(db, instance_id))
     trace = backward_trace(db, instance_id)
-    in_trace = set(trace.instances())
+    members = trace.instances()
+    in_trace = set(members)
     out = []
-    for used_id in trace.instances():
+    for used_id in members:
         if used_id == instance_id or used_id in own_lineage:
             continue
+        # pruning the instance drops the successors whose lineage passes
+        # through it; a successor already inside the derivation means
+        # the derivation passes through the newer version: not stale
         candidates = [
-            s for s in successor_versions(db, used_id)
-            if instance_id not in lineage(db, s.instance_id)
-            # a successor already inside the derivation means the
-            # derivation passes through the newer version: not stale
-            and s.instance_id not in in_trace]
+            s for s in _successors(db, used_id, versioned, (instance_id,))
+            if s.instance_id not in in_trace]
         if candidates:
             out.append(StaleInput(used_id, candidates[-1].instance_id))
     return tuple(out)
@@ -141,8 +181,10 @@ def all_up_to_date(db: HistoryDatabase,
     still current.  Unknown ids (e.g. an index restored against a
     different history) count as not up to date rather than raising.
     """
+    versioned = _versioned_families(db.schema)
     for instance_id in instance_ids:
-        if instance_id not in db or is_stale(db, instance_id):
+        if instance_id not in db or _stale_inputs(db, instance_id,
+                                                  versioned):
             return False
     return True
 
@@ -191,11 +233,12 @@ def retrace(db: HistoryDatabase, instance_id: str, runner: FlowRunner,
 def consistency_report(db: HistoryDatabase, entity_type: str | None = None
                        ) -> dict[str, tuple[StaleInput, ...]]:
     """Map every stale instance (optionally of one type) to its reasons."""
+    versioned = _versioned_families(db.schema)
     report: dict[str, tuple[StaleInput, ...]] = {}
     for instance in db.browse(entity_type):
         if instance.derivation is None:
             continue
-        reasons = stale_inputs(db, instance.instance_id)
+        reasons = _stale_inputs(db, instance.instance_id, versioned)
         if reasons:
             report[instance.instance_id] = reasons
     return report

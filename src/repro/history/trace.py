@@ -24,6 +24,7 @@ from ..core.taskgraph import TaskGraph
 from ..errors import HistoryError
 from ..schema.dependency import DepKind
 from .database import HistoryDatabase
+from .instance import EntityInstance
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,11 @@ class FlowTrace:
             instance = self.db.get(instance_id)
             if not schema.is_subtype(instance.entity_type, family_root):
                 continue
-            parent_id = None
-            tool_id = None
-            if instance.derivation is not None:
-                tool_id = instance.derivation.tool
-                for _, input_id in instance.derivation.inputs:
-                    input_instance = self.db.get(input_id)
-                    if schema.is_subtype(input_instance.entity_type,
-                                         family_root):
-                        parent_id = input_id
-                        break
-            nodes.append(VersionNode(instance_id, parent_id, tool_id))
+            tool_id = (instance.derivation.tool
+                       if instance.derivation is not None else None)
+            nodes.append(VersionNode(
+                instance_id, _parent_version(self.db, instance, family_root),
+                tool_id))
         return tuple(nodes)
 
     def to_task_graph(self, name: str = "recalled-flow") -> TaskGraph:
@@ -240,6 +235,24 @@ def full_trace(db: HistoryDatabase, instance_id: str) -> FlowTrace:
     return trace
 
 
+def _parent_version(db: HistoryDatabase, instance: EntityInstance,
+                    family_root: str) -> str | None:
+    """The version an instance was edited from, if any.
+
+    Section 4.2's editing task read off one derivation record: the
+    parent version is the first data input whose type belongs to the
+    family.  :func:`lineage` and :meth:`FlowTrace.version_tree` climb
+    this link; staleness queries walk it downward.
+    """
+    if instance.derivation is None:
+        return None
+    schema = db.schema
+    for _, input_id in instance.derivation.inputs:
+        if schema.is_subtype(db.get(input_id).entity_type, family_root):
+            return input_id
+    return None
+
+
 def lineage(db: HistoryDatabase, instance_id: str,
             family_root: str | None = None) -> tuple[str, ...]:
     """Chain of ancestor versions of an instance (oldest first).
@@ -247,24 +260,17 @@ def lineage(db: HistoryDatabase, instance_id: str,
     Follows editing derivations within the instance's entity family.
     """
     instance = db.get(instance_id)
-    schema = db.schema
     root = family_root if family_root is not None \
-        else schema.root_of(instance.entity_type)
+        else db.schema.root_of(instance.entity_type)
     chain = [instance_id]
-    current = instance
-    while current.derivation is not None:
-        parent_id = None
-        for _, input_id in current.derivation.inputs:
-            candidate = db.get(input_id)
-            if schema.is_subtype(candidate.entity_type, root):
-                parent_id = input_id
-                break
-        if parent_id is None:
-            break
-        if parent_id in chain:
+    seen = {instance_id}
+    parent_id = _parent_version(db, instance, root)
+    while parent_id is not None:
+        if parent_id in seen:
             raise HistoryError(
                 f"version lineage of {instance_id!r} contains a cycle")
         chain.append(parent_id)
-        current = db.get(parent_id)
+        seen.add(parent_id)
+        parent_id = _parent_version(db, db.get(parent_id), root)
     chain.reverse()
     return tuple(chain)
