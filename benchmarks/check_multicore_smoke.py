@@ -6,7 +6,8 @@ Three parts, all mandatory:
    saved Fig. 6 parallel flow with ``--executor procpool --workers 2``
    and over a second, identical project sequentially.  The procpool
    run must exit 0, produce every branch, record ``procpool`` in the
-   ledger, leave the shared memo behind, and leave a history whose
+   ledger, leave the shared memo behind with one complete v1 line per
+   unit it ran (the ledger's ``runs``), and leave a history whose
    (entity type, content digest) multiset is byte-identical to the
    sequential run — multi-core execution must never change what gets
    designed.
@@ -65,6 +66,32 @@ def last_record(directory: pathlib.Path):
     from repro.obs import RunLedger
 
     return RunLedger(directory / "ledger.jsonl").records()[-1]
+
+
+def check_memo(path: pathlib.Path, runs: int,
+               failures: list[str]) -> None:
+    """The caching run published one complete v1 line per unit run."""
+    from repro.execution import SharedDerivationMemo
+
+    if not path.exists():
+        failures.append(
+            "a caching procpool run over a saved project must "
+            "leave the shared derivation memo behind")
+        return
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    # the memo's own reader returns only complete, well-formed lines of
+    # the current schema version
+    records = SharedDerivationMemo(path).poll()
+    print(f"  memo: {len(lines)} lines, {len(records)} complete v1 "
+          f"records, ledger runs={runs}")
+    if not text.endswith("\n") or len(records) != len(lines):
+        failures.append(
+            "every shared memo line must be a complete v1 record")
+    if len(lines) != runs:
+        failures.append(
+            f"the memo must hold one line per unit run ({runs}), "
+            f"got {len(lines)}")
 
 
 def check_worker_telemetry(pooled: pathlib.Path,
@@ -176,10 +203,7 @@ def main() -> int:
             failures.append(
                 f"ledger must record executor 'procpool', got "
                 f"{record.executor!r}")
-        if not (pooled / "memo.jsonl").exists():
-            failures.append(
-                "a caching procpool run over a saved project must "
-                "leave the shared derivation memo behind")
+        check_memo(pooled / "memo.jsonl", record.runs, failures)
         # 1b. byte-identical history vs the sequential executor
         sequential = root / "sequential"
         build_project(sequential)

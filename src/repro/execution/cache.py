@@ -14,7 +14,8 @@ reuses the recorded instances instead of calling the tool again.
 Only the run that executed a tool computes its key, under the
 ``readwrite`` policy (:meth:`DerivationCache.store`).  The index is held
 in memory and, for saved environments, in the shared memo
-(:mod:`repro.execution.shared_memo`), its only saved copy.
+(:mod:`repro.execution.shared_memo`), its only saved copy, which each
+run writes once, when it ends (:meth:`DerivationCache.publish`).
 
 :meth:`DerivationCache.fetch` alone decides whether a remembered run may
 be reused.  It takes a group of remembered instances only when they
@@ -39,7 +40,7 @@ from ..errors import ExecutionError, ReproError
 from ..history.consistency import all_up_to_date
 from ..history.database import HistoryDatabase
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
-from .shared_memo import SharedDerivationMemo
+from .shared_memo import MemoEntry, SharedDerivationMemo
 
 # -- cache policies ----------------------------------------------------------
 CACHE_OFF = "off"            #: no lookups, no indexing of this run
@@ -126,6 +127,8 @@ class DerivationCache:
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
         self.memo: SharedDerivationMemo | None = None
+        #: memo lines of the runs stored since the last publish
+        self._unpublished: list[MemoEntry] = []
 
     def attach_shared_memo(
             self, path: str | pathlib.Path) -> SharedDerivationMemo:
@@ -133,21 +136,26 @@ class DerivationCache:
 
         Runs this cache remembers but that memo may not (an index built
         in memory, or absorbed from another directory's memo) are
-        appended to it first.  From then on every stored run is
-        appended, and entries other processes append are absorbed on
-        every :meth:`sync` — concurrent runs (and procpool coordinators
-        of concurrent runs) observe each other's hits.
+        appended to it first, in one batch.  From then on every
+        :meth:`publish` appends the runs stored since the last one, and
+        entries other processes append are absorbed on every
+        :meth:`sync` — concurrent runs (and procpool coordinators of
+        concurrent runs) observe each other's hits.
         """
         path = pathlib.Path(path)
         with self._lock:
             if self.memo is not None \
                     and self.memo.path.resolve() == path.resolve():
                 return self.memo
-            self.sync()
+            # queued lines go to the old memo; the carry-over below
+            # writes them to the new one, so a later publish must not
+            self.publish()
             memo = SharedDerivationMemo(path)
-            for key, entry in self._entries.items():
-                for group in entry.groups.values():
-                    memo.append(key, group, entry.duration)
+            carried = [(key, group, entry.duration)
+                       for key, entry in self._entries.items()
+                       for group in entry.groups.values()]
+            if carried:
+                memo.append(carried)
             self.memo = memo
             return memo
 
@@ -324,22 +332,34 @@ class DerivationCache:
         """Index one freshly executed run under its key.
 
         ``duration`` is the run's measured time, the basis of ``time
-        saved`` reporting.  The run is appended to the shared memo too,
-        when one is attached.
+        saved`` reporting.  The run is reusable in this process at
+        once; with a shared memo attached, its line waits for the next
+        :meth:`publish`.
         """
         group = tuple(outputs)
         if not group:
             return
         with self._lock:
-            # absorb other writers' older lines first, so the index
-            # keeps the memo's order (fetch tries the newest first)
-            self.sync()
             self._remember(key, group, duration)
             if self.memo is not None:
-                try:
-                    self.memo.append(key, group, duration)
-                except OSError:
-                    pass  # unwritable memo: stay process-local
+                self._unpublished.append((key, group, duration))
+
+    def publish(self) -> None:
+        """Append the runs stored since the last publish to the memo.
+
+        Lines other writers appended meanwhile are absorbed first.  The
+        batch is one memo append: one exclusive lock, one write, one
+        ``fsync``.  The executor publishes once per run, when it ends.
+        """
+        with self._lock:
+            self.sync()
+            batch, self._unpublished = self._unpublished, []
+            if not batch or self.memo is None:
+                return
+            try:
+                self.memo.append(batch)
+            except OSError:
+                pass  # unwritable memo: stay process-local
 
     def __repr__(self) -> str:
         return f"DerivationCache({len(self._entries)} keys)"

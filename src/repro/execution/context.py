@@ -114,9 +114,10 @@ class DesignEnvironment:
 
         Points the environment's cache at an append-only memo log at
         ``path`` (created on first write), carrying over the runs the
-        cache remembers.  Concurrent runs — and the worker lanes of a
-        :class:`ProcessFlowExecutor` coordinator — publish every cache
-        store there and absorb each other's entries on lookup.
+        cache remembers.  Concurrent runs publish their cache stores
+        there, once per ``execute()``, and absorb each other's entries
+        on lookup; a :class:`ProcessFlowExecutor` does so from its
+        coordinator, since its worker processes never touch the cache.
         """
         cache = self.cache  # absorbs the memo it is attached to now
         self._shared_memo_path = pathlib.Path(path)

@@ -20,11 +20,12 @@ drives:
 * **the run lifecycle** (:meth:`FlowExecutor.execute`): cache-policy
   override, readiness check, ``force`` reset, the root span, the
   ``flow_started`` / ``flow_finished`` / ``execution_failed`` events, one
-  ledger record on success and on error, quarantined tools, wall time;
+  shared-memo publish and one ledger record on success and on error,
+  quarantined tools, wall time;
 * **the invocation pipeline**, prepare → dispatch → record, shared by
   tool and composition invocations: prepare resolves inputs, computes
   derivation keys and takes cache hits; dispatch runs the cold calls;
-  record writes history, publishes to the cache and builds the report
+  record writes history, stores in the cache and builds the report
   entries with their spans and events;
 * **the ready-queue drain loop** over the invocation graph's redundant
   predecessor/successor maps.
@@ -518,7 +519,12 @@ class FlowExecutor:
                 self._check_ready(graph, run.needed)
                 self._start(run, targets)
                 if run.order:
-                    self._run_lanes(run)
+                    try:
+                        self._run_lanes(run)
+                    finally:
+                        # one memo append per run, failed ones included
+                        if run.writes:
+                            run.cache.publish()
                 if self.resilience is not None:
                     report.quarantined = sorted(
                         set(report.quarantined)

@@ -3,21 +3,30 @@
 The memo is the :class:`~repro.execution.cache.DerivationCache` index's
 only saved copy: an append-only JSONL log (``memo.jsonl`` under the
 environment directory) where each line records one derivation-key ->
-outputs group and the run's duration.  Worker *processes* and
-concurrent ``repro run`` invocations sharing one environment directory
-see each other's remembered tool runs through it.  A line is a claim,
-not a proof: the cache re-derives the key from the named instances'
-derivation records before it reuses them.
+outputs group and the run's duration.  Concurrent ``repro run``
+invocations sharing one environment directory see each other's
+remembered tool runs through it; in a procpool run the coordinator
+reads and writes it, never the worker processes.  A writing run's lines
+appear when its ``execute()`` returns.  A line is a claim, not a proof:
+the cache re-derives the key from the named instances' derivation
+records before it reuses them.
 
-Safety model (single-writer append, shared readers):
+Safety model (batched appends, shared readers):
 
-* every append takes an **exclusive** ``flock`` on a sidecar lock file,
-  writes one complete line, flushes, and releases — concurrent writers
-  serialize and lines never interleave;
-* readers take a **shared** lock, read from their last byte offset to
-  the end of file, and only advance past *complete* lines — a reader
-  racing a writer at worst re-reads the same tail next poll, it never
-  adopts a torn line.
+* each run's lines go out as one batch: an **exclusive** ``flock`` on a
+  sidecar lock file, one write, one ``fsync``, release — concurrent
+  writers serialize, batches never interleave, and every line is
+  durable before the writing run's ``execute()`` returns;
+* a writer that finds the log ending mid-line (another writer died
+  mid-batch) writes a newline first, so the torn line is consumed as
+  garbage and the batch loses none of its own lines;
+* readers ``stat`` the log first and return at once when it has not
+  grown past their byte offset; otherwise they take a **shared** lock,
+  read to the end of file, and only advance past *complete* lines — a
+  reader racing a writer at worst re-reads the same tail next poll, it
+  never adopts a torn line;
+* a complete line that does not decode, or decodes to another schema
+  version or shape, is consumed and skipped.
 
 Lines in the older format also carry a ``sig`` field (a registry
 signature); it is ignored, since every key already embeds the code
@@ -33,7 +42,7 @@ import json
 import os
 import pathlib
 import time
-from typing import Any
+from typing import Any, Sequence
 
 try:
     import fcntl
@@ -98,17 +107,28 @@ class SharedDerivationMemo:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def append(self, key: str, outputs: tuple[tuple[str, str], ...],
-               duration: float = 0.0) -> None:
-        """Publish one freshly executed run for other processes."""
-        line = json.dumps(
-            {"duration": duration, "key": key,
-             "outputs": [[t, i] for t, i in outputs],
-             "v": MEMO_SCHEMA_VERSION},
-            sort_keys=True, separators=(",", ":"))
+    def append(self, entries: Sequence[MemoEntry]) -> None:
+        """Publish freshly executed runs for other processes.
+
+        One exclusive lock, one write and one ``fsync`` for the whole
+        batch, so its lines land contiguous and durable.
+        """
+        batch = "".join(
+            json.dumps(
+                {"duration": duration, "key": key,
+                 "outputs": [[t, i] for t, i in outputs],
+                 "v": MEMO_SCHEMA_VERSION},
+                sort_keys=True, separators=(",", ":")) + "\n"
+            for key, outputs, duration in entries).encode("utf-8")
         with _FileLock(self.lock_path, exclusive=True):
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with open(self.path, "a+b") as handle:
+                # close a line torn by a writer that died mid-batch, or
+                # it would swallow this batch's first line
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        batch = b"\n" + batch
+                handle.write(batch)
                 handle.flush()
                 os.fsync(handle.fileno())
 
@@ -119,9 +139,14 @@ class SharedDerivationMemo:
         """Entries appended (by anyone) since the last poll.
 
         Only complete lines are returned; a torn trailing line (a
-        writer mid-append on a non-POSIX box) is left for the next poll.
+        writer mid-append on a non-POSIX box, or one that died
+        mid-batch) is left for the next poll.  A log that has not grown
+        past the read offset is not opened.
         """
-        if not self.path.exists():
+        try:
+            if os.stat(self.path).st_size <= self._offset:
+                return []
+        except FileNotFoundError:
             return []
         with _FileLock(self.lock_path, exclusive=False):
             with open(self.path, "rb") as handle:
@@ -134,20 +159,21 @@ class SharedDerivationMemo:
             if end > len(chunk):
                 break  # incomplete trailing line: re-read next poll
             consumed = end
-            if not raw.strip():
-                continue
             try:
                 record = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue  # foreign garbage: skip, bytes consumed
-            if record.get("v") != MEMO_SCHEMA_VERSION:
+                if record.get("v") != MEMO_SCHEMA_VERSION:
+                    continue
+                outputs = tuple((str(t), str(i))
+                                for t, i in record.get("outputs", ()))
+                entry = (str(record.get("key", "")), outputs,
+                         float(record.get("duration", 0.0)))
+            except (ValueError, TypeError, AttributeError):
+                # foreign garbage, skipped with its bytes consumed:
+                # undecodable bytes or JSON, a non-object, outputs that
+                # are not pairs, a non-numeric duration
                 continue
-            outputs = tuple((str(t), str(i))
-                            for t, i in record.get("outputs", ()))
-            if not outputs:
-                continue
-            entries.append((str(record.get("key", "")), outputs,
-                            float(record.get("duration", 0.0))))
+            if outputs:
+                entries.append(entry)
         self._offset += consumed
         return entries
 

@@ -184,11 +184,12 @@ def load_environment(directory: str | pathlib.Path, *,
     if os.access(root, os.W_OK):
         env.attach_ledger(root / LEDGER_FILE)
         # Likewise the cross-process derivation memo, the cache's saved
-        # index: concurrent runs (and procpool worker lanes) of this
-        # environment publish and absorb remembered derivations through
-        # memo.jsonl.  The memo is attached lazily with the cache, so
-        # environments that never touch the cache never create the
-        # file.  A cache.json left by older builds is not read.
+        # index: concurrent runs of this environment (a procpool run
+        # through its coordinator, never its workers) publish and
+        # absorb remembered derivations through memo.jsonl.  The memo
+        # is attached lazily with the cache, so environments that never
+        # touch the cache never create the file.  A cache.json left by
+        # older builds is not read.
         env._shared_memo_path = root / MEMO_FILE
     return env
 

@@ -10,14 +10,19 @@ the current tool code, ever surfaces as a hit.
 
 from __future__ import annotations
 
+import builtins
 import json
 import multiprocessing
+import os
 import time
+
+import pytest
 
 from repro import DesignEnvironment
 from repro.execution import (DerivationCache, FaultPlan, FaultSpec,
-                             ResiliencePolicy, SharedDerivationMemo,
-                             encapsulation)
+                             FlowExecutor, ResiliencePolicy,
+                             SharedDerivationMemo, encapsulation,
+                             shared_memo)
 from repro.execution.shared_memo import MEMO_SCHEMA_VERSION
 from repro.persistence import load_environment, save_environment
 from repro.schema import standard as S
@@ -31,11 +36,11 @@ class TestMemoLog:
         path = tmp_path / "memo.jsonl"
         writer = SharedDerivationMemo(path)
         reader = SharedDerivationMemo(path)
-        writer.append("k1", (("Out", "i1"),), duration=0.5)
+        writer.append([("k1", (("Out", "i1"),), 0.5)])
         assert reader.poll() == [("k1", (("Out", "i1"),), 0.5)]
         # the offset advanced: nothing new, nothing re-read
         assert reader.poll() == []
-        writer.append("k2", (("Out", "i2"),))
+        writer.append([("k2", (("Out", "i2"),), 0.0)])
         assert [k for k, _, _ in reader.poll()] == ["k2"]
         # a line in the older format, which also carried a registry
         # signature, is still absorbed
@@ -53,7 +58,7 @@ class TestMemoLog:
     def test_rewind_rereads_everything(self, tmp_path):
         path = tmp_path / "memo.jsonl"
         memo = SharedDerivationMemo(path)
-        memo.append("k1", (("Out", "i1"),))
+        memo.append([("k1", (("Out", "i1"),), 0.0)])
         assert len(memo.poll()) == 1
         memo.rewind()
         assert len(memo.poll()) == 1
@@ -88,13 +93,13 @@ class TestMemoLog:
             handle.write(json.dumps({
                 "key": "k1", "outputs": [["Out", "i1"]],
                 "v": MEMO_SCHEMA_VERSION + 1}) + "\n")
-        SharedDerivationMemo(path).append("k2", (("Out", "i2"),))
+        SharedDerivationMemo(path).append([("k2", (("Out", "i2"),), 0.0)])
         assert [k for k, _, _ in SharedDerivationMemo(path).poll()] == ["k2"]
 
     def test_torn_tail_left_for_next_poll(self, tmp_path):
         path = tmp_path / "memo.jsonl"
         memo = SharedDerivationMemo(path)
-        memo.append("k1", (("Out", "i1"),))
+        memo.append([("k1", (("Out", "i1"),), 0.0)])
         reader = SharedDerivationMemo(path)
         # a writer died mid-line: no trailing newline
         with path.open("a", encoding="utf-8") as handle:
@@ -113,21 +118,76 @@ class TestMemoLog:
                         errors="ignore")
         memo = SharedDerivationMemo(path)
         assert memo.poll() == []
-        memo.append("k1", (("Out", "i1"),))
+        memo.append([("k1", (("Out", "i1"),), 0.0)])
         assert [k for k, _, _ in memo.poll()] == ["k1"]
+
+    @pytest.mark.parametrize("record", [
+        [1, 2],
+        {"key": "k0", "outputs": 5, "v": MEMO_SCHEMA_VERSION},
+        {"key": "k0", "outputs": [["Out"]], "v": MEMO_SCHEMA_VERSION},
+        {"duration": "slow", "key": "k0", "outputs": [["Out", "i0"]],
+         "v": MEMO_SCHEMA_VERSION},
+        {"duration": None, "key": "k0", "outputs": [["Out", "i0"]],
+         "v": MEMO_SCHEMA_VERSION},
+    ], ids=["non-object", "outputs-number", "outputs-not-pairs",
+            "duration-text", "duration-null"])
+    def test_wrong_shape_lines_are_consumed_not_fatal(self, tmp_path,
+                                                      record):
+        """Valid JSON of the wrong shape is skipped like garbage, so it
+        cannot break every later lookup of its directory."""
+        path = tmp_path / "memo.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        SharedDerivationMemo(path).append([("k1", (("Out", "i1"),), 0.5)])
+        memo = SharedDerivationMemo(path)
+        assert memo.poll() == [("k1", (("Out", "i1"),), 0.5)]
+        assert memo.poll() == []
+        # a cache over the same log still reuses the runs after it
+        env = fan_env()
+        env.enable_shared_memo(path)
+        env.run(fan_flow(env), cache="readwrite")
+        cold = DerivationCache(env.db, env.registry)
+        cold.attach_shared_memo(path)
+        executor = env.executor()
+        executor.cache = cold
+        executor.cache_policy = "reuse"
+        report = executor.execute(fan_flow(env))
+        assert not report.results
+        assert report.cache_hits == 4
+
+    def test_append_after_torn_tail_keeps_its_first_line(self, tmp_path):
+        path = tmp_path / "memo.jsonl"
+        memo = SharedDerivationMemo(path)
+        memo.append([("k1", (("Out", "i1"),), 0.0)])
+        reader = SharedDerivationMemo(path)
+        assert [k for k, _, _ in reader.poll()] == ["k1"]
+        # a writer died mid-batch: no trailing newline
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"key": "k2", "outp')
+        memo.append([("k3", (("Out", "i3"),), 0.0),
+                     ("k4", (("Out", "i4"),), 0.0)])
+        assert [k for k, _, _ in reader.poll()] == ["k3", "k4"]
+        assert [k for k, _, _ in SharedDerivationMemo(path).poll()] == \
+            ["k1", "k3", "k4"]
 
 
 def _hammer(path, worker, count):
     memo = SharedDerivationMemo(path)
     for index in range(count):
-        memo.append(f"w{worker}-k{index}",
-                    (("Out", f"w{worker}-i{index}"),),
-                    duration=0.001)
+        memo.append([(f"w{worker}-k{index}",
+                     (("Out", f"w{worker}-i{index}"),), 0.001)])
+
+
+def _hammer_batches(path, worker, batches, size):
+    memo = SharedDerivationMemo(path)
+    for batch in range(batches):
+        memo.append([(f"w{worker}-b{batch}-e{entry}",
+                      (("Out", f"w{worker}-b{batch}-e{entry}"),), 0.001)
+                     for entry in range(size)])
 
 
 def _handshake(path, mine, theirs, status):
     memo = SharedDerivationMemo(path)
-    memo.append(mine, (("Out", mine),))
+    memo.append([(mine, (("Out", mine),), 0.0)])
     seen: set[str] = set()
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -160,6 +220,27 @@ class TestCrossProcess:
         polled = SharedDerivationMemo(path).poll()
         assert len(polled) == writers * per_writer
         assert len({key for key, _, _ in polled}) == writers * per_writer
+
+    def test_concurrent_batches_land_contiguous(self, tmp_path):
+        path = tmp_path / "memo.jsonl"
+        context = multiprocessing.get_context("fork")
+        writers, batches, size = 4, 10, 5
+        processes = [context.Process(target=_hammer_batches,
+                                     args=(path, worker, batches, size))
+                     for worker in range(writers)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60)
+            assert process.exitcode == 0
+        keys = [json.loads(line)["key"] for line
+                in path.read_text(encoding="utf-8").splitlines()]
+        assert len(set(keys)) == len(keys) == writers * batches * size
+        # the log is whole batches back to back, each in its own order
+        for start in range(0, len(keys), size):
+            batch = keys[start].rsplit("-e", 1)[0]
+            assert keys[start:start + size] == \
+                [f"{batch}-e{entry}" for entry in range(size)]
 
     def test_two_processes_observe_each_other(self, tmp_path):
         path = tmp_path / "memo.jsonl"
@@ -209,6 +290,137 @@ def fan_flow(env):
         flow.connect(out, tool_node)
         flow.connect(out, spec_node, role="src")
     return flow
+
+
+PRESETS = ("executor", "parallel_executor", "scheduled_executor",
+           "process_executor")
+
+
+@pytest.fixture
+def memo_io(monkeypatch):
+    """Every lock, log open and ``fsync`` the shared memo makes."""
+    calls: list[str] = []
+    enter = shared_memo._FileLock.__enter__
+    fsync = os.fsync
+
+    def lock(self):
+        calls.append("exclusive" if self.exclusive else "shared")
+        return enter(self)
+
+    def open_log(*args, **kwargs):
+        calls.append("open")
+        return builtins.open(*args, **kwargs)
+
+    def sync(fd):
+        calls.append("fsync")
+        fsync(fd)
+
+    monkeypatch.setattr(shared_memo._FileLock, "__enter__", lock)
+    monkeypatch.setattr(shared_memo, "open", open_log, raising=False)
+    monkeypatch.setattr(os, "fsync", sync)
+    return calls
+
+
+class TestRunBatches:
+    """A run publishes its memo lines in one locked, fsync'd append when
+    it ends, on every executor preset; a poll of an unchanged log
+    touches no file."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_one_locked_fsync_per_run(self, tmp_path, memo_io, preset):
+        path = tmp_path / "memo.jsonl"
+        env = fan_env()
+        env.enable_shared_memo(path)
+        executor_of = getattr(env, preset)
+        report = executor_of(cache="readwrite").execute(fan_flow(env))
+        assert len(report.results) == 4
+        assert memo_io.count("fsync") == 1
+        assert memo_io.count("exclusive") == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+        memo_io.clear()
+        report = executor_of(cache="reuse").execute(fan_flow(env))
+        assert report.cache_hits == 4
+        assert memo_io.count("fsync") == memo_io.count("exclusive") == 0
+        memo_io.clear()
+        assert env.cache.memo.poll() == []
+        assert memo_io == []
+
+    def test_attach_carries_runs_over_in_one_append(self, tmp_path,
+                                                    memo_io):
+        env = fan_env()
+        env.run(fan_flow(env), cache="readwrite")  # remembered in memory
+        assert memo_io == []
+        env.enable_shared_memo(tmp_path / "memo.jsonl")
+        assert memo_io.count("fsync") == memo_io.count("exclusive") == 1
+        lines = (tmp_path / "memo.jsonl").read_text().splitlines()
+        assert len(lines) == 4
+
+    def test_reattach_writes_a_queued_line_once_per_memo(self, tmp_path):
+        env = fan_env()
+        env.enable_shared_memo(tmp_path / "a.jsonl")
+        env.cache.store("k1", [("Out", "i1")])  # queued, not published
+        env.enable_shared_memo(tmp_path / "b.jsonl")
+        env.cache.publish()
+        for name in ("a.jsonl", "b.jsonl"):
+            memo = SharedDerivationMemo(tmp_path / name)
+            assert [key for key, _, _ in memo.poll()] == ["k1"]
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_failed_run_publishes_what_finished(self, tmp_path, preset):
+        """Without resilience the first tool error aborts the run; the
+        invocations recorded before it are still published."""
+        path = tmp_path / "memo.jsonl"
+        env = fan_env()
+        env.enable_shared_memo(path)
+        crash_on = {3}
+
+        def fragile(ctx, inputs):
+            if inputs["src"]["n"] in crash_on:
+                raise RuntimeError("tool crashed")
+            return {"ok": inputs["src"]["n"]}
+
+        env.registry.register("Tool", encapsulation("fan-tool", fragile))
+        with pytest.raises(RuntimeError, match="tool crashed"):
+            getattr(env, preset)(cache="readwrite").execute(fan_flow(env))
+        finished = {instance.instance_id for instance in env.db.instances()
+                    if instance.entity_type == "Out"}
+        published = [instance_id for _, outputs, _
+                     in SharedDerivationMemo(path).poll()
+                     for _, instance_id in outputs]
+        assert sorted(published) == sorted(finished)
+        if preset == "executor":  # one lane: every earlier spec ran
+            assert len(finished) == 3
+        # the same code, now healthy: a cold cache reuses the finished
+        crash_on.clear()
+        cold = DerivationCache(env.db, env.registry)
+        cold.attach_shared_memo(path)
+        executor = getattr(env, preset)()
+        executor.cache = cold
+        executor.cache_policy = "reuse"
+        report = executor.execute(fan_flow(env))
+        assert report.cache_hits == len(finished)
+        assert len(report.results) == 4 - len(finished)
+
+    def test_interrupted_drain_publishes_what_finished(self, tmp_path,
+                                                       monkeypatch):
+        """An interrupt that escapes the lane drain itself, between two
+        claims, still publishes the invocations recorded before it."""
+        path = tmp_path / "memo.jsonl"
+        env = fan_env()
+        env.enable_shared_memo(path)
+        claim = FlowExecutor._claim
+        claims = []
+
+        def interrupted(self, run, lane):
+            claims.append(lane.name)
+            if len(claims) == 3:
+                raise KeyboardInterrupt
+            return claim(self, run, lane)
+
+        monkeypatch.setattr(FlowExecutor, "_claim", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            env.run(fan_flow(env), cache="readwrite")
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestCacheIntegration:
