@@ -11,7 +11,11 @@ parallel flow:
 3. validates both Prometheus exporters (the ledger-derived
    ``repro_run_*`` series and ``MetricsRegistry.render_prometheus()``)
    against the minimal text-format validator below;
-4. measures ledger-write overhead (best-of-N wall time with vs. without
+4. survives a killed ledger writer: on a scratch ledger, two healthy
+   runs, then the partial record a writer killed mid-line leaves, then
+   two more healthy runs — all four records must read back and
+   ``repro health`` must exit 0;
+5. measures ledger-write overhead (best-of-N wall time with vs. without
    a ledger attached) and fails when it exceeds ``OVERHEAD_BUDGET``.
 
 The drift gate is structural (an injected 4x slowdown against a tight
@@ -165,6 +169,39 @@ def health_exit(root: pathlib.Path) -> int:
     return repro_main(["health", str(root / "ledger.jsonl")])
 
 
+def torn_ledger_failures() -> list[str]:
+    """Step 4: the run after a killed writer cuts its partial record."""
+    from repro.errors import ObservabilityError
+    from repro.obs import RunLedger
+
+    failures: list[str] = []
+    with tempfile.TemporaryDirectory() as scratch:
+        root = pathlib.Path(scratch)
+        ledger_path = root / "ledger.jsonl"
+        for _ in range(2):
+            run_once(ledger_path, LATENCY)
+        last = ledger_path.read_bytes().splitlines()[-1]
+        with open(ledger_path, "ab") as handle:  # killed mid-line
+            handle.write(last[:50])
+        for _ in range(2):
+            run_once(ledger_path, LATENCY)
+        try:
+            readable = len(RunLedger(ledger_path).records())
+        except ObservabilityError as error:
+            readable = 0
+            failures.append(f"torn ledger unreadable: {error}")
+        status = health_exit(root)
+    print(f"after a killed ledger writer: {readable} readable records, "
+          f"repro health exit {status}")
+    if readable != 4:
+        failures.append(
+            f"expected 4 records around a torn line, found {readable}")
+    if status != 0:
+        failures.append(
+            f"health must pass around a torn line, exited {status}")
+    return failures
+
+
 def measure_overhead() -> tuple[float, float, float]:
     """(without, with, fraction): best-of-N wall times and overhead."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -225,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"prometheus export: {len(ledger_text.splitlines())} "
               f"ledger lines, {len(registry_text.splitlines())} "
               "registry lines validated")
+
+    failures.extend(torn_ledger_failures())
 
     if not args.skip_overhead:
         bare, recorded, overhead = measure_overhead()

@@ -39,11 +39,12 @@ import pathlib
 import shutil
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ReproError
 from .execution.cache import CACHE_OFF, CACHE_POLICIES
 from .execution.context import DesignEnvironment
+from .execution.executor import FlowExecutor
 from .execution.faults import FaultPlan
 from .execution.resilience import ResiliencePolicy
 from .execution.shared_memo import SharedDerivationMemo
@@ -222,6 +223,19 @@ def _run_resilience(args: argparse.Namespace
     return resilience, faults
 
 
+def _preset(env: DesignEnvironment, args: argparse.Namespace,
+            **settings: Any) -> FlowExecutor:
+    """The ``--executor`` preset, sized by ``--machines``/``--workers``;
+    ``settings`` go to the environment's executor factory."""
+    if args.executor == "parallel":
+        return env.parallel_executor(machines=args.machines, **settings)
+    if args.executor == "scheduled":
+        return env.scheduled_executor(machines=args.machines, **settings)
+    if args.executor == "procpool":
+        return env.process_executor(workers=args.workers, **settings)
+    return env.executor(**settings)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.executor in ("scheduled", "procpool") and args.target:
         print("error: --target is not supported with "
@@ -264,27 +278,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     resilience, faults = _run_resilience(args)
     cache = None if args.cache == "off" else args.cache
     try:
-        if args.executor == "parallel":
-            executor = env.parallel_executor(
-                machines=args.machines, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, targets=args.target or None,
-                                      force=args.force)
-        elif args.executor == "scheduled":
-            executor = env.scheduled_executor(
-                machines=args.machines, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, force=args.force)
-        elif args.executor == "procpool":
-            executor = env.process_executor(
-                workers=args.workers, cache=cache,
-                resilience=resilience, faults=faults)
-            report = executor.execute(flow, force=args.force)
-        else:
-            executor = env.executor(cache=cache, resilience=resilience,
-                                    faults=faults)
-            report = executor.execute(flow, targets=args.target or None,
-                                      force=args.force)
+        executor = _preset(env, args, cache=cache, resilience=resilience,
+                           faults=faults)
+        report = executor.execute(flow, targets=args.target or None,
+                                  force=args.force)
     except ReproError as error:
         # Execution failure (as opposed to CLI usage failure, exit 2):
         # the ledger has the error-path record; exit 1 so scripted
@@ -308,11 +305,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  trace {env.tracer.last_trace_id} appended to "
               f"{trace_sink.path}")
     if profiler is not None:
-        records = env.ledger.records() if env.ledger is not None else ()
         target = pathlib.Path(args.directory) / PROFILE_FILE
         append_profile(target, profile_record(
-            profiler.aggregate,
-            run_id=records[-1].run_id if records else "",
+            profiler.aggregate, run_id=report.run_id,
             trace_id=env.tracer.last_trace_id if args.trace else "",
             flow=args.flow, executor=args.executor,
             query=profiler.query_recorder.summary() or None))
@@ -779,18 +774,7 @@ def _corpus_run(args: argparse.Namespace) -> int:
         save_environment(env, scenario_dir, backend=args.backend)
         env = _load(str(scenario_dir))
         flow = env.flow_catalog.select(entry["flow"])
-        if args.executor == "parallel":
-            executor = env.parallel_executor(machines=args.machines,
-                                             cache=cache)
-        elif args.executor == "scheduled":
-            executor = env.scheduled_executor(machines=args.machines,
-                                              cache=cache)
-        elif args.executor == "procpool":
-            executor = env.process_executor(workers=args.workers,
-                                            cache=cache)
-        else:
-            executor = env.executor(cache=cache)
-        report = executor.execute(flow)
+        report = _preset(env, args, cache=cache).execute(flow)
         save_environment(env, scenario_dir)
         digest = signature_digest(history_signature(env))
         expected = entry["expected"]

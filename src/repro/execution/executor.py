@@ -133,6 +133,9 @@ class ExecutionReport:
     failures: list[InvocationFailure] = field(default_factory=list)
     #: Tool types the circuit breaker had quarantined by run end.
     quarantined: list[str] = field(default_factory=list)
+    #: The run's ledger record id; empty when no ledger is attached or
+    #: the append failed.
+    run_id: str = ""
 
     @property
     def created(self) -> tuple[str, ...]:
@@ -634,7 +637,7 @@ class FlowExecutor:
         if self.ledger is None:
             return
         context = span.context
-        self.ledger.record_run(
+        record = self.ledger.record_run(
             report, executor=self.kind, cache_policy=self.cache_policy,
             trace_id=context.trace_id if context is not None else "",
             error=error,
@@ -642,6 +645,8 @@ class FlowExecutor:
             profile=(self.profiler.summary()
                      if self.profiler is not None else None),
             pool_size=self.lanes)
+        if record is not None:
+            report.run_id = record.run_id
 
     def _needed_nodes(self, graph: TaskGraph,
                       targets: Sequence[str] | None) -> set[str]:

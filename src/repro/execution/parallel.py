@@ -19,18 +19,14 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
-from ..obs import (LANE_ASSIGNED, PARALLEL_EXECUTOR, WAVE_SPAN, EventBus,
-                   RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache
+from ..obs import LANE_ASSIGNED, PARALLEL_EXECUTOR, WAVE_SPAN
 from .encapsulation import EncapsulationRegistry
 from .executor import FlowExecutor, _Lane, _run_threads
-from .faults import FaultPlan
-from .resilience import ResiliencePolicy
 
 
 @dataclass
@@ -102,22 +98,11 @@ class _PooledExecutor(FlowExecutor):
     """Presets whose lanes are the machines of a :class:`MachinePool`."""
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 pool: MachinePool | None = None,
-                 machines: int = 2,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        super().__init__(db, registry, user=user, machine="", bus=bus,
-                         cache=cache, cache_policy=cache_policy,
-                         tracer=tracer, ledger=ledger,
-                         resilience=resilience, faults=faults,
-                         profiler=profiler)
+                 registry: EncapsulationRegistry, *,
+                 pool: MachinePool | None = None, machines: int = 2,
+                 **settings: Any) -> None:
+        """``settings`` are :class:`FlowExecutor`'s keywords."""
+        super().__init__(db, registry, machine="", **settings)
         self.pool = pool if pool is not None else MachinePool.local(machines)
 
     @property

@@ -46,17 +46,16 @@ from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
                       TransientToolError)
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
-                   PROCESS_EXECUTOR, WORKER_STATS, ClockSync, EventBus,
-                   RunLedger, SamplingProfiler, Span, Tracer,
-                   WorkerRunStats, WorkerTelemetry, fit_phases,
-                   merge_profiles, worker_utilization)
-from .cache import CACHE_OFF, DerivationCache
+                   PROCESS_EXECUTOR, WORKER_STATS, ClockSync,
+                   SamplingProfiler, Span, WorkerRunStats,
+                   WorkerTelemetry, fit_phases, merge_profiles,
+                   worker_utilization)
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
 from .executor import (FlowExecutor, _Lane, _Prepared, _Run, _Unit,
                        _run_threads)
-from .faults import FaultPlan, FaultSpec, run_with_fault
-from .resilience import ResiliencePolicy, annotate_error
+from .faults import FaultSpec, run_with_fault
+from .resilience import annotate_error
 from .scheduler import DurationModel
 
 #: Most same-tool-type invocations one worker round trip carries.  One
@@ -76,7 +75,9 @@ class InvocationEnvelope:
     picklable values; the one exception is the encapsulation itself,
     which the worker re-resolves from its fork-inherited registry and
     verifies against ``fingerprint`` — the envelope names *code by
-    content*, it never ships code.
+    content*, it never ships code.  Settings that hold for the whole
+    run reach the worker when it is forked (:func:`_worker_main`), so
+    an envelope carries only what differs between calls.
     """
 
     envelope_id: int
@@ -98,20 +99,6 @@ class InvocationEnvelope:
     #: Scripted fault to fire *inside* the worker (drawn by the
     #: coordinator, where the plan's counters live), or None.
     fault: FaultSpec | None = None
-    #: True when the coordinator has a live tracer: the worker then
-    #: records per-phase timing samples (verify/tool_body) and ships
-    #: them home on the outcome.  Untraced runs skip the collection
-    #: entirely.
-    collect_phases: bool = False
-    #: Sampling-profiler interval for the worker-side profiler, in
-    #: seconds; 0 disables profiling for this envelope.  The worker
-    #: keeps one profiler per process incarnation and ships its
-    #: cumulative aggregate on every batch reply.
-    profile_interval: float = 0.0
-    #: Enable ``tracemalloc`` high-water tracking in the worker (the
-    #: coordinator mirrors its own ``--profile-memory`` flag; off by
-    #: default because tracemalloc multiplies tool-body cost).
-    profile_memory: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,8 @@ class EnvelopeOutcome:
     error_message: str = ""
     #: Worker-side phase samples ``(name, start, end)`` on the worker's
     #: ``perf_counter``, which a forked worker shares with the
-    #: coordinator — only populated when the envelope asked for them;
-    #: the coordinator clamps and merges them as child spans.
+    #: coordinator — only populated when the run is traced; the
+    #: coordinator clamps and merges them as child spans.
     phases: tuple[tuple[str, float, float], ...] = ()
 
 
@@ -165,38 +152,26 @@ def _decode_error(outcome: EnvelopeOutcome, worker: str) -> BaseException:
 # ---------------------------------------------------------------------------
 def _run_envelope(registry: EncapsulationRegistry,
                   envelope: InvocationEnvelope,
-                  telemetry: WorkerTelemetry,
-                  profiler=None) -> EnvelopeOutcome:
-    telemetry.begin_envelope(collect=envelope.collect_phases)
+                  telemetry: WorkerTelemetry, collect_phases: bool,
+                  profiler: SamplingProfiler | None) -> EnvelopeOutcome:
+    telemetry.begin_envelope(collect=collect_phases)
     started = telemetry.clock()
     value: Any = None
     failure: BaseException | None = None
     try:
         inputs = dict(envelope.inputs)
-        if envelope.kind == "compose":
-            with telemetry.phase(PHASE_VERIFY):
+        with telemetry.phase(PHASE_VERIFY):
+            if envelope.kind == "compose":
                 compose = registry.composition(envelope.tool_type)
-                if fingerprint_callable(compose) != envelope.fingerprint:
-                    raise ExecutionError(
-                        f"composition for {envelope.tool_type!r} "
-                        "changed between dispatch and execution "
-                        "(fingerprint mismatch)")
-            with telemetry.phase(PHASE_TOOL):
+                code = f"composition for {envelope.tool_type!r}"
+                fingerprint = fingerprint_callable(compose)
+                key = COMPOSE_TOOL
                 body = lambda: compose(inputs)  # noqa: E731
-                if profiler is not None:
-                    value = profiler.run(COMPOSE_TOOL,
-                                         lambda: run_with_fault(
-                                             envelope.fault, body))
-                else:
-                    value = run_with_fault(envelope.fault, body)
-        else:
-            with telemetry.phase(PHASE_VERIFY):
+            else:
                 enc = registry.resolve(envelope.tool_type,
                                        envelope.tool_instance_id)
-                if enc.fingerprint() != envelope.fingerprint:
-                    raise ExecutionError(
-                        f"encapsulation {enc.name!r} changed between "
-                        "dispatch and execution (fingerprint mismatch)")
+                code = f"encapsulation {enc.name!r}"
+                fingerprint = enc.fingerprint()
                 ctx = ToolContext(
                     tool_type=envelope.tool_type,
                     tool_instance_id=envelope.tool_instance_id or "",
@@ -204,14 +179,18 @@ def _run_envelope(registry: EncapsulationRegistry,
                     output_types=envelope.output_types,
                     options=enc.options(),
                     user=envelope.user)
-            with telemetry.phase(PHASE_TOOL):
+                key = envelope.tool_type
                 body = lambda: enc.run(ctx, inputs)  # noqa: E731
-                if profiler is not None:
-                    value = profiler.run(envelope.tool_type,
-                                         lambda: run_with_fault(
-                                             envelope.fault, body))
-                else:
-                    value = run_with_fault(envelope.fault, body)
+            if fingerprint != envelope.fingerprint:
+                raise ExecutionError(
+                    f"{code} changed between dispatch and execution "
+                    "(fingerprint mismatch)")
+        with telemetry.phase(PHASE_TOOL):
+            if profiler is None:
+                value = run_with_fault(envelope.fault, body)
+            else:
+                value = profiler.run(key, lambda: run_with_fault(
+                    envelope.fault, body))
     except BaseException as error:  # transported, never fatal here
         failure = error
     duration = telemetry.clock() - started
@@ -228,8 +207,14 @@ def _run_envelope(registry: EncapsulationRegistry,
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
-                 registry: EncapsulationRegistry, worker: str) -> None:
+                 registry: EncapsulationRegistry, worker: str,
+                 collect_phases: bool, profile_interval: float,
+                 profile_memory: bool) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
+
+    The run's settings arrive once, at fork: ``collect_phases`` (the
+    run is traced: ship phase samples home), ``profile_interval`` (0
+    runs no profiler) and ``profile_memory`` (``tracemalloc`` peaks).
 
     ``None`` is the shutdown sentinel; a broken pipe means the
     coordinator is gone and the worker simply exits.  Every batch reply
@@ -238,11 +223,15 @@ def _worker_main(conn: multiprocessing.connection.Connection,
     worker costs at most one batch of counters.
     """
     telemetry = WorkerTelemetry(worker)
-    # Created lazily on the first profiled envelope and kept for the
-    # life of this process; every batch reply carries the *cumulative*
-    # aggregate, so the coordinator's replace-latest/fold-on-respawn
-    # stats protocol works unchanged for profiles.
+    # One profiler for the life of this process; every batch reply
+    # carries the *cumulative* aggregate, so the coordinator's
+    # replace-latest/fold-on-respawn stats protocol works unchanged for
+    # profiles.
     profiler: SamplingProfiler | None = None
+    if profile_interval > 0:
+        profiler = SamplingProfiler(profile_interval,
+                                    track_memory=profile_memory)
+        profiler.start()
     try:
         while True:
             try:
@@ -252,16 +241,8 @@ def _worker_main(conn: multiprocessing.connection.Connection,
             if batch is None:
                 return
             telemetry.batches += 1
-            if profiler is None:
-                for envelope in batch:
-                    if envelope.profile_interval > 0:
-                        profiler = SamplingProfiler(
-                            envelope.profile_interval,
-                            track_memory=envelope.profile_memory)
-                        profiler.start()
-                        break
             replies = [_run_envelope(registry, envelope, telemetry,
-                                     profiler)
+                                     collect_phases, profiler)
                        for envelope in batch]
             stats = telemetry.stats()
             if profiler is not None:
@@ -294,10 +275,12 @@ class _WorkerHandle:
     """
 
     def __init__(self, name: str, registry: EncapsulationRegistry,
-                 context) -> None:
+                 context, settings: tuple[bool, float, bool]) -> None:
         self.name = name
         self.registry = registry
         self.context = context
+        #: The run's settings for :func:`_worker_main`, on every fork.
+        self.settings = settings
         self.restarts = 0
         self.process: Any = None
         self.conn: Any = None
@@ -311,7 +294,8 @@ class _WorkerHandle:
     def start(self) -> None:
         parent, child = self.context.Pipe()
         self.process = self.context.Process(
-            target=_worker_main, args=(child, self.registry, self.name),
+            target=_worker_main,
+            args=(child, self.registry, self.name, *self.settings),
             name=f"repro-{self.name}", daemon=True)
         self.process.start()
         child.close()
@@ -412,16 +396,10 @@ class ProcessFlowExecutor(FlowExecutor):
     lane_spans = True
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 workers: int = 2, durations: DurationModel | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
+                 registry: EncapsulationRegistry, *, workers: int = 2,
+                 durations: DurationModel | None = None,
+                 **settings: Any) -> None:
+        """``settings`` are :class:`FlowExecutor`'s keywords."""
         if workers < 1:
             raise ExecutionError(
                 f"need at least one worker process, got {workers}")
@@ -432,11 +410,7 @@ class ProcessFlowExecutor(FlowExecutor):
                 "cannot be pickled to a spawned worker); this "
                 "platform offers only: "
                 + ", ".join(multiprocessing.get_all_start_methods()))
-        super().__init__(db, registry, user=user, machine="", bus=bus,
-                         cache=cache, cache_policy=cache_policy,
-                         tracer=tracer, ledger=ledger,
-                         resilience=resilience, faults=faults,
-                         profiler=profiler)
+        super().__init__(db, registry, machine="", **settings)
         self.workers = workers
         self.durations = durations if durations is not None \
             else DurationModel()
@@ -462,10 +436,15 @@ class ProcessFlowExecutor(FlowExecutor):
     # ------------------------------------------------------------------
     def _run_lanes(self, run: _Run) -> None:
         self._profile_caps = {}
+        profiler = self.profiler
+        settings = (self.tracer.enabled,
+                    profiler.interval if profiler is not None else 0.0,
+                    profiler is not None and profiler.track_memory)
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
         # lanes would snapshot their lock states into the child.
-        handles = [_WorkerHandle(f"worker{i}", self.registry, self._context)
+        handles = [_WorkerHandle(f"worker{i}", self.registry,
+                                 self._context, settings)
                    for i in range(self.workers)]
         for handle in handles:
             handle.start()
@@ -579,7 +558,6 @@ class ProcessFlowExecutor(FlowExecutor):
         """The wire form of one attempt; every attempt draws its own
         scripted fault, as the in-process boundary counts them."""
         ctx = unit.ctx
-        profiler = self.profiler
         return InvocationEnvelope(
             envelope_id=next(self._envelope_ids),
             kind="tool" if unit.tool_id is not None else "compose",
@@ -592,12 +570,7 @@ class ProcessFlowExecutor(FlowExecutor):
             inputs=tuple(sorted(unit.inputs.items())),
             user=self.user,
             fault=(self.faults.next_fault(unit.tool_type)
-                   if self.faults is not None else None),
-            collect_phases=self.tracer.enabled,
-            profile_interval=(profiler.interval
-                              if profiler is not None else 0.0),
-            profile_memory=bool(profiler is not None
-                                and profiler.track_memory))
+                   if self.faults is not None else None))
 
     def _timeout_for(self, unit: _Unit) -> float | None:
         if self.resilience is None:

@@ -22,20 +22,18 @@ Three pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, SCHEDULED_EXECUTOR,
-                   TOOL_FINISHED, Event, EventBus, RunLedger, Tracer)
-from .cache import CACHE_OFF, DerivationCache
+                   TOOL_FINISHED, Event)
 from .encapsulation import EncapsulationRegistry
 from .executor import (ExecutionReport, InvocationResult,
                        _InvocationNode, _invocation_graph)
-from .faults import FaultPlan
-from .parallel import MachinePool, _PooledExecutor
-from .resilience import ResiliencePolicy
+from .parallel import _PooledExecutor
 
 DEFAULT_DURATION = 1.0
 
@@ -200,22 +198,12 @@ class ScheduledFlowExecutor(_PooledExecutor):
     lane_spans = True
 
     def __init__(self, db: HistoryDatabase,
-                 registry: EncapsulationRegistry, *, user: str = "",
-                 pool: MachinePool | None = None, machines: int = 2,
+                 registry: EncapsulationRegistry, *,
                  durations: DurationModel | None = None,
-                 bus: EventBus | None = None,
-                 cache: DerivationCache | None = None,
-                 cache_policy: str = CACHE_OFF,
-                 tracer: Tracer | None = None,
-                 ledger: RunLedger | None = None,
-                 resilience: ResiliencePolicy | None = None,
-                 faults: FaultPlan | None = None,
-                 profiler=None) -> None:
-        super().__init__(db, registry, user=user, pool=pool,
-                         machines=machines, bus=bus, cache=cache,
-                         cache_policy=cache_policy, tracer=tracer,
-                         ledger=ledger, resilience=resilience,
-                         faults=faults, profiler=profiler)
+                 **settings: Any) -> None:
+        """``settings`` are ``pool``/``machines`` and
+        :class:`FlowExecutor`'s keywords."""
+        super().__init__(db, registry, **settings)
         self.durations = durations if durations is not None \
             else DurationModel()
 

@@ -31,7 +31,7 @@ from typing import Any, Sequence
 from ..errors import ObservabilityError
 from .events import COMPOSE_TOOL
 from .metrics import TimerStats, escape_label_value, timer_stats_of
-from .sinks import iter_jsonl_objects
+from .sinks import append_jsonl, iter_jsonl_objects
 from .workers import WorkerRunStats, worker_utilization
 
 LEDGER_SCHEMA_VERSION = "ledger.v1"
@@ -405,10 +405,11 @@ class RunLedger:
 
     One instance per environment directory; appends are serialized
     under a lock (coordinating executors may finish concurrently) and
-    each record is written and flushed in one call, so a crashed
+    go through :func:`~repro.obs.sinks.append_line`, so a crashed
     process leaves at worst one truncated trailing line — which the
-    tolerant reader forgives.  A missing file is an empty ledger, never
-    an error: environments predating the ledger load unchanged.
+    tolerant reader forgives, and the next append cuts.  A missing file
+    is an empty ledger, never an error: environments predating the
+    ledger load unchanged.
     """
 
     def __init__(self, path: str | pathlib.Path) -> None:
@@ -418,10 +419,7 @@ class RunLedger:
     def append(self, record: RunRecord) -> RunRecord:
         line = render_json(record.to_dict())
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            append_jsonl(self.path, line)
         return record
 
     def record_run(self, report: Any, *, executor: str,

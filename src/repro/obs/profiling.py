@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from ..errors import ObservabilityError
 from .ledger import render_json
-from .sinks import iter_jsonl_objects
+from .sinks import append_jsonl, iter_jsonl_objects
 
 #: Default wall-clock spacing between stack sweeps (5 ms).
 DEFAULT_PROFILE_INTERVAL = 0.005
@@ -486,9 +486,7 @@ class QueryRecorder:
             "rows": rows,
         })
         try:
-            self.slow_log.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.slow_log, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            append_jsonl(self.slow_log, line)
         except OSError:
             pass
 
@@ -547,10 +545,7 @@ def profile_record(aggregate: ProfileAggregate, *, run_id: str = "",
 def append_profile(path: str | pathlib.Path,
                    record: Mapping[str, Any]) -> None:
     """Append one profile record to a JSONL log (canonical form)."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "a", encoding="utf-8") as handle:
-        handle.write(render_json(dict(record)) + "\n")
+    append_jsonl(path, render_json(dict(record)))
 
 
 def read_profiles(path: str | pathlib.Path

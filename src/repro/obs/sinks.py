@@ -18,11 +18,17 @@ import collections
 import json
 import os
 import pathlib
+import stat
 import time
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ObservabilityError
 from .events import Event
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None  # type: ignore[assignment]
 
 
 class EventSink:
@@ -77,15 +83,66 @@ class CallbackSink(EventSink):
         self._fn(event)
 
 
+def open_log(path: pathlib.Path) -> int:
+    """Open a log for :func:`append_line`, creating it and its parent."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
+
+
+def append_line(fd: int, line: str) -> None:
+    """Append one record line to the JSON-lines log open on ``fd``.
+
+    Every log writer goes through here.  An exclusive ``flock`` on the
+    log's own descriptor serializes writers, so two processes never
+    interleave records.  Under it, an unterminated tail of a regular
+    file — the partial line of a writer killed mid-append — is cut back
+    to the last newline; appended after it, this record would be glued
+    onto the torn line and both would be lost to readers.  A pipe or
+    terminal (``--events /dev/stdout``) has no tail to cut.
+    """
+    data = (line + "\n").encode("utf-8")
+    if fcntl is not None:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    try:
+        end = keep = (os.lseek(fd, 0, os.SEEK_END)
+                      if stat.S_ISREG(os.fstat(fd).st_mode) else 0)
+        block = 1  # an intact log ends in a newline: one byte tells
+        while keep:  # back to the last newline
+            start = max(0, keep - block)
+            os.lseek(fd, start, os.SEEK_SET)
+            newline = os.read(fd, keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep, block = start, 4096
+        if keep < end:
+            os.ftruncate(fd, keep)
+        while data:  # os.write may take only part of the line
+            data = data[os.write(fd, data):]
+    finally:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+
+
+def append_jsonl(path: str | pathlib.Path, line: str) -> None:
+    """:func:`append_line` on the log at ``path``."""
+    fd = open_log(pathlib.Path(path))
+    try:
+        append_line(fd, line)
+    finally:
+        os.close(fd)
+
+
 class JSONLSink(EventSink):
     """Append-only JSON-lines event log.
 
     One event per line, written eagerly so a crashed run still leaves a
-    readable prefix.  Each line reaches the file in one ``write`` on an
-    ``O_APPEND`` descriptor, so two writers on one file (two runs
-    tracing into one directory) never interleave their records.  The
-    file opens lazily on the first event, so attaching the sink to an
-    execution that emits nothing creates no file.
+    readable prefix.  Each line goes through :func:`append_line`, so two
+    writers on one file (two runs tracing into one directory) never
+    interleave their records, and a line torn by a killed writer is cut
+    before the next one lands.  The file opens lazily on the first
+    event, so attaching the sink to an execution that emits nothing
+    creates no file.
     """
 
     def __init__(self, path: str | pathlib.Path) -> None:
@@ -94,14 +151,8 @@ class JSONLSink(EventSink):
 
     def handle(self, event: Event) -> None:
         if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(self.path,
-                               os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                               0o666)
-        data = (json.dumps(event.to_dict(), sort_keys=True)
-                + "\n").encode("utf-8")
-        while data:  # os.write may take only part of the line
-            data = data[os.write(self._fd, data):]
+            self._fd = open_log(self.path)
+        append_line(self._fd, json.dumps(event.to_dict(), sort_keys=True))
 
     def close(self) -> None:
         if self._fd is not None:
@@ -140,8 +191,7 @@ def iter_jsonl_objects(path: str | pathlib.Path, *,
                 spec = json.loads(line)
             except json.JSONDecodeError as error:
                 problem = ObservabilityError(
-                    f"{log}:{lineno}: corrupt event line "
-                    f"({error})")
+                    f"{log}:{lineno}: corrupt line ({error})")
                 if strict:
                     raise problem from None
                 pending = problem
@@ -203,7 +253,7 @@ def follow_jsonl_objects(path: str | pathlib.Path, *,
                         spec = json.loads(line)
                     except json.JSONDecodeError as error:
                         raise ObservabilityError(
-                            f"{log}:{lineno}: corrupt event line "
+                            f"{log}:{lineno}: corrupt line "
                             f"({error})") from None
                     if not isinstance(spec, dict):
                         raise ObservabilityError(

@@ -15,7 +15,11 @@ import threading
 import pytest
 
 from repro.errors import ExecutionError
-from repro.obs import MetricsRegistry
+from repro.execution import (DerivationCache, FaultPlan, FlowExecutor,
+                             ParallelFlowExecutor, ProcessFlowExecutor,
+                             ResiliencePolicy, ScheduledFlowExecutor)
+from repro.obs import (EventBus, MetricsRegistry, RunLedger,
+                       SamplingProfiler, Tracer)
 from repro.scenarios import (MAIN_FLOW, ScenarioSpec, expected_signature,
                              history_signature, materialize_scenario,
                              scenario_nodes)
@@ -149,3 +153,49 @@ def test_sequential_preset_keeps_topological_order():
               for result in report.results]
     assert len(firsts) > 3
     assert firsts == sorted(firsts)
+
+
+#: Every setting a preset takes from the core, as FlowExecutor holds it.
+SHARED_SETTINGS = ("user", "bus", "tracer", "ledger", "resilience",
+                   "faults", "profiler", "cache", "cache_policy")
+
+
+def setting_cases(env, tmp_path):
+    cache = DerivationCache(env.db, env.registry)
+    return {
+        "user": {"user": "alice"},
+        "bus": {"bus": EventBus()},
+        "tracer": {"tracer": Tracer()},
+        "ledger": {"ledger": RunLedger(tmp_path / "ledger.jsonl")},
+        "resilience": {"resilience": ResiliencePolicy(retries=2)},
+        "faults": {"faults": FaultPlan([], seed=3)},
+        "profiler": {"profiler": SamplingProfiler(0.01)},
+        # no policy: an omitted one resolves the core's way
+        "cache": {"cache": cache},
+        "cache_policy": {"cache": cache, "cache_policy": "reuse"},
+    }
+
+
+def held_settings(executor):
+    return {name: getattr(executor, name) for name in SHARED_SETTINGS}
+
+
+@pytest.mark.parametrize("preset", [ParallelFlowExecutor,
+                                    ScheduledFlowExecutor,
+                                    ProcessFlowExecutor])
+class TestPresetSettings:
+    """A preset declares only its own parameters; every other setting
+    reaches the core under the same keyword and means the same."""
+
+    @pytest.mark.parametrize("setting", SHARED_SETTINGS)
+    def test_setting_reaches_the_core(self, preset, setting, tmp_path):
+        env = independent_env()
+        kwargs = setting_cases(env, tmp_path)[setting]
+        core = FlowExecutor(env.db, env.registry, **kwargs)
+        built = preset(env.db, env.registry, **kwargs)
+        assert held_settings(built) == held_settings(core)
+
+    def test_misspelled_setting_is_rejected(self, preset):
+        env = independent_env()
+        with pytest.raises(TypeError):
+            preset(env.db, env.registry, cache_polcy="reuse")

@@ -241,6 +241,55 @@ class TestResilience:
             env.process_executor(workers=1).execute(fan_flow(env))
 
 
+class TestCodeGuard:
+    """An envelope names its code by fingerprint, and only the worker
+    checks that it runs that code: here the coordinator registers other
+    code after the fork, so the two disagree."""
+
+    @pytest.mark.parametrize("kind", ["tool", "compose"])
+    def test_code_changed_after_fork_is_refused(self, stocked_env,
+                                                monkeypatch, kind):
+        from tests.conftest import build_performance_flow
+
+        env, registry = stocked_env, stocked_env.registry
+        simulator = env.db.latest("Simulator").instance_id
+        flow, goal = build_performance_flow(
+            env, netlist_id=env.netlist.instance_id,
+            models_id=env.models.instance_id,
+            stimuli_id=env.stimuli.instance_id, simulator_id=simulator)
+        if kind == "tool":
+            forked = registry.resolve("Simulator", simulator)
+            code = f"encapsulation {forked.name!r}"
+
+            def other(ctx, inputs):  # same behaviour, other code
+                return forked.run(ctx, inputs)
+
+            def swap():
+                registry.register_for_instance(
+                    simulator, encapsulation(forked.name, other))
+        else:
+            composed = registry.composition("Circuit")
+            code = "composition for 'Circuit'"
+
+            def swap():
+                registry.register_composition(
+                    "Circuit", lambda inputs: composed(inputs))
+        start = procpool._WorkerHandle.start
+
+        def start_then_swap(handle):
+            start(handle)
+            swap()
+
+        monkeypatch.setattr(procpool._WorkerHandle, "start",
+                            start_then_swap)
+        with pytest.raises(ExecutionError) as caught:
+            env.process_executor(workers=1).execute(flow)
+        assert str(caught.value) == (
+            f"{code} changed between dispatch and execution "
+            "(fingerprint mismatch)")
+        assert not goal.produced
+
+
 class TestQueueWait:
     """Queue-wait accounting, one definition on every preset.
 

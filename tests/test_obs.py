@@ -1,7 +1,9 @@
 """Tests for the observability subsystem (events, sinks, metrics)."""
 
 import collections
+import json
 import multiprocessing
+import os
 import threading
 import time
 
@@ -16,8 +18,8 @@ from repro.obs import (CACHE_HIT, CACHE_MISS, COMPOSITION_RUN,
                        FLOW_STARTED, INSTANCE_CREATED, LANE_ASSIGNED,
                        NODE_READY, SCHEMA_VERSION, TOOL_FINISHED,
                        TOOL_INVOKED, Event, EventBus, JSONLSink,
-                       MetricsRegistry, NullSink, RingBufferSink,
-                       RunLedger, RunRecord, append_profile,
+                       MetricsRegistry, NullSink, QueryRecorder,
+                       RingBufferSink, RunLedger, RunRecord, append_profile,
                        escape_label_value, iter_jsonl_objects,
                        read_events, replay_into, sanitize_metric_name,
                        timer_stats_of)
@@ -325,6 +327,64 @@ class TestConcurrentAppends:
             spec["flow"] for _, spec in iter_jsonl_objects(log))
         assert flows == {"a": RECORDS_PER_WRITER,
                          "b": RECORDS_PER_WRITER}
+
+
+def _event_record(path, name: str) -> None:
+    with JSONLSink(path) as sink:
+        sink.handle(Event(seq=1, event_type=FLOW_STARTED, timestamp=0.0,
+                          flow=name))
+
+
+def _ledger_record(path, name: str) -> None:
+    RunLedger(path).append(RunRecord(run_id=name, timestamp=0.0,
+                                     flow="f", executor="sequential",
+                                     cache_policy="off"))
+
+
+def _profile_record(path, name: str) -> None:
+    append_profile(path, {"run_id": name, "flow": "f", "samples": 0})
+
+
+def _slow_query_record(path, name: str) -> None:
+    QueryRecorder(slow_threshold=0.0, slow_log=path).record(name, 1.0)
+
+
+class TestTornTail:
+    """A killed writer's partial last line is cut by the next append:
+    glued onto it, the next record would be lost, and the one after it
+    would leave a corrupt line mid-log that every reader rejects."""
+
+    @pytest.mark.parametrize(
+        "append, field",
+        [(_event_record, "flow"), (_ledger_record, "run_id"),
+         (_profile_record, "run_id"), (_slow_query_record, "statement")],
+        ids=["JSONLSink", "RunLedger.append", "append_profile",
+             "QueryRecorder"])
+    @pytest.mark.parametrize("torn", [40, 10_000])
+    def test_next_append_cuts_a_torn_tail(self, tmp_path, append, field,
+                                          torn):
+        log = tmp_path / "log.jsonl"
+        append(log, "first")
+        with open(log, "ab") as handle:  # a writer killed mid-line
+            handle.write(b'{"pad": "' + b"x" * torn)
+        append(log, "second")
+        append(log, "third")
+        assert [spec[field] for _, spec
+                in iter_jsonl_objects(log, strict=False)] == [
+            "first", "second", "third"]
+
+    def test_a_pipe_has_no_tail_to_cut(self, tmp_path):
+        """An event log on a pipe (``--events /dev/stdout | ...``)
+        takes its lines unmended."""
+        fifo = tmp_path / "events"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _event_record(fifo, "piped")
+            line = os.read(reader, 65536)
+        finally:
+            os.close(reader)
+        assert json.loads(line)["flow"] == "piped"
 
 
 class TestSchedulerFedFromEvents:

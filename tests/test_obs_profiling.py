@@ -892,6 +892,34 @@ class TestProfileCli:
         assert ledger.run_id == record["run_id"]
         assert ledger.profile["tools"][S.EXTRACTOR]["calls"] >= 1
 
+    def test_profile_names_its_own_run(self, tmp_path, capsys,
+                                       monkeypatch):
+        """Another run's ledger record landing while this run saves (a
+        concurrent ``repro run`` on the directory) does not lend this
+        run's profile its id."""
+        from repro import cli
+
+        directory = saved_project(tmp_path, "proj")
+        save = cli.save_environment
+
+        def save_then_other_run_finishes(*args, **kwargs):
+            save(*args, **kwargs)
+            RunLedger(directory / "ledger.jsonl").append(RunRecord(
+                run_id="otherrun0000", timestamp=0.0, flow="other",
+                executor="sequential", cache_policy="off"))
+
+        monkeypatch.setattr(cli, "save_environment",
+                            save_then_other_run_finishes)
+        assert main(["run", str(directory), "extract",
+                     "--profile"]) == 0
+        own = RunLedger(directory / "ledger.jsonl").records()[-2]
+        record = read_profiles(directory / PROFILE_FILE)[-1]
+        assert record["run_id"] == own.run_id
+        capsys.readouterr()
+        assert main(["profile", "show", str(directory),
+                     "--run", own.run_id[:4]]) == 0
+        assert own.run_id in capsys.readouterr().out
+
     def test_profile_show_and_flamegraph_and_export(self, tmp_path,
                                                     capsys):
         directory = saved_project(tmp_path, "proj")
