@@ -10,7 +10,9 @@ parallel flow:
    ``tool-duration-drift`` check failing;
 3. validates both Prometheus exporters (the ledger-derived
    ``repro_run_*`` series and ``MetricsRegistry.render_prometheus()``)
-   against the minimal text-format validator below;
+   against the minimal text-format validator below, apart and as the
+   one exposition ``repro ledger export --format prometheus --events``
+   concatenates for a scrape;
 4. survives a killed ledger writer: on a scratch ledger, two healthy
    runs, then the partial record a writer killed mid-line leaves, then
    two more healthy runs — all four records must read back and
@@ -27,6 +29,8 @@ sleep-dominated flow, which is stable across loaded CI machines.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import pathlib
 import re
 import sys
@@ -148,15 +152,15 @@ def build_branches(env):
 
 
 def run_once(ledger_path: pathlib.Path | None, latency: float,
-             metrics=None) -> float:
+             sinks=()) -> float:
     """One parallel Fig. 6 run; returns its wall time in seconds."""
     from repro.execution import MachinePool
 
     env = make_env(latency)
     if ledger_path is not None:
         env.attach_ledger(ledger_path)
-    if metrics is not None:
-        env.bus.subscribe(metrics)
+    for sink in sinks:
+        env.bus.subscribe(sink)
     executor = env.parallel_executor(pool=MachinePool.local(BRANCHES))
     report = executor.execute(build_branches(env))
     return report.wall_time
@@ -220,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the timing-sensitive overhead bound")
     args = parser.parse_args(argv)
 
-    from repro.obs import (MetricsRegistry, RunLedger,
+    from repro.cli import main as repro_main
+    from repro.obs import (JSONLSink, MetricsRegistry, RunLedger,
                            render_prometheus_ledger)
 
     failures: list[str] = []
@@ -228,9 +233,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         root = pathlib.Path(scratch)
         ledger_path = root / "ledger.jsonl"
+        events = JSONLSink(root / "events.jsonl")
 
         for round_number in (1, 2):
-            run_once(ledger_path, LATENCY, metrics)
+            run_once(ledger_path, LATENCY, (metrics, events))
         healthy = health_exit(root)
         print(f"healthy baseline: repro health exit {healthy}")
         if healthy != 0:
@@ -238,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"health must pass an unchanged re-run, exited {healthy}")
 
         # the injected regression: every tool invocation delayed
-        run_once(ledger_path, LATENCY * SLOWDOWN, metrics)
+        run_once(ledger_path, LATENCY * SLOWDOWN, (metrics, events))
+        events.close()
         degraded = health_exit(root)
         print(f"after {SLOWDOWN:.0f}x slowdown: repro health exit "
               f"{degraded}")
@@ -259,9 +266,19 @@ def main(argv: list[str] | None = None) -> int:
             failures.append("metrics registry exported no families")
         for problem in validate_prometheus(registry_text):
             failures.append(f"registry exposition: {problem}")
+        scrape = io.StringIO()
+        with contextlib.redirect_stdout(scrape):
+            status = repro_main(["ledger", "export", str(root),
+                                 "--format", "prometheus",
+                                 "--events", str(events.path)])
+        if status != 0:
+            failures.append(f"repro ledger export exited {status}")
+        for problem in validate_prometheus(scrape.getvalue()):
+            failures.append(f"ledger export --events: {problem}")
         print(f"prometheus export: {len(ledger_text.splitlines())} "
               f"ledger lines, {len(registry_text.splitlines())} "
-              "registry lines validated")
+              f"registry lines, {len(scrape.getvalue().splitlines())} "
+              "lines of ledger export --events validated")
 
     failures.extend(torn_ledger_failures())
 

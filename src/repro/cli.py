@@ -505,11 +505,12 @@ def cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ledger_path(path: str) -> pathlib.Path:
-    """Accept either a ledger file or an environment directory."""
+def _log_path(path: str, name: str) -> pathlib.Path:
+    """Accept either a log file or the environment directory that holds
+    it under ``name``."""
     candidate = pathlib.Path(path)
     if candidate.is_dir():
-        return candidate / LEDGER_FILE
+        return candidate / name
     return candidate
 
 
@@ -519,7 +520,7 @@ def _thresholds(args: argparse.Namespace) -> HealthThresholds:
 
 
 def cmd_health(args: argparse.Namespace) -> int:
-    ledger = RunLedger(_ledger_path(args.path))
+    ledger = RunLedger(_log_path(args.path, LEDGER_FILE))
     records = ledger.records()
     thresholds = _thresholds(args)
     report = evaluate_health(records, thresholds=thresholds)
@@ -539,7 +540,7 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
-    ledger = RunLedger(_ledger_path(args.path))
+    ledger = RunLedger(_log_path(args.path, LEDGER_FILE))
     records = ledger.records()
     if args.ledger_command == "show":
         if args.flow:
@@ -626,16 +627,8 @@ def cmd_schema(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_log(path: str) -> pathlib.Path:
-    """Accept either a trace file or an environment directory."""
-    candidate = pathlib.Path(path)
-    if candidate.is_dir():
-        return candidate / TRACE_FILE
-    return candidate
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
-    spans = list(read_spans(_trace_log(args.path), strict=False))
+    spans = list(read_spans(_log_path(args.path, TRACE_FILE), strict=False))
     if not spans:
         print("no spans recorded", file=sys.stderr)
         return 2
@@ -674,14 +667,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_log(path: str) -> pathlib.Path:
-    """Accept either a profiles file or an environment directory."""
-    candidate = pathlib.Path(path)
-    if candidate.is_dir():
-        return candidate / PROFILE_FILE
-    return candidate
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     if args.profile_command == "queries":
         env = _load(args.directory)
@@ -714,7 +699,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                                                      strict=False))
             print(f"slow-query log: {slow} entries in {slow_log}")
         return 1 if regressions else 0
-    record = find_profile(read_profiles(_profile_log(args.path)),
+    record = find_profile(read_profiles(_log_path(args.path, PROFILE_FILE)),
                           args.run)
     if args.profile_command == "show":
         print(render_profile(record))

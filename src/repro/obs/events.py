@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import ObservabilityError
@@ -65,6 +65,17 @@ EVENT_TYPES = frozenset({
     TOOL_QUARANTINED,
     WORKER_STATS,
 })
+
+def check_schema_version(spec: dict[str, Any], current: str, kind: str) -> str:
+    """The record's schema version (``current`` when unstamped); a
+    different major version than this build writes is rejected."""
+    version = spec.get("schema_version", current)
+    if version.partition(".")[0] != current.partition(".")[0]:
+        raise ObservabilityError(
+            f"unsupported {kind} schema version {version!r} "
+            f"(this build reads {current!r})")
+    return version
+
 
 #: Tool-type key used for composition (tool-less) invocations, matching
 #: the key :class:`~repro.execution.scheduler.DurationModel` uses.
@@ -115,11 +126,7 @@ class Event:
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "Event":
-        version = spec.get("schema_version", SCHEMA_VERSION)
-        if version.partition(".")[0] != SCHEMA_VERSION.partition(".")[0]:
-            raise ObservabilityError(
-                f"unsupported event schema version {version!r} "
-                f"(this build reads {SCHEMA_VERSION!r})")
+        version = check_schema_version(spec, SCHEMA_VERSION, "event")
         payload = spec.get("payload", {})
         return cls(
             seq=int(spec["seq"]),
@@ -155,22 +162,18 @@ class Event:
         return " ".join(parts)
 
 
-@dataclass
-class EventBus:
-    """Dispatches events to subscribed sinks, in emission order.
+class SinkFanout:
+    """The sinks one emitter dispatches to, under one lock.
 
-    Thread-safe: sequence allocation and sink dispatch happen under one
-    lock, so the ``seq`` order equals the order sinks observe even when
-    parallel lanes emit concurrently.  With no sinks subscribed,
-    :meth:`emit` returns immediately (the default for uninstrumented
-    executors).
+    :class:`EventBus` and :class:`~repro.obs.tracing.Tracer` share it.
+    Emitters test :attr:`enabled` (or ``_sinks`` directly) before they
+    build a record, so with no sinks subscribed each emission point
+    costs one truth test.
     """
 
-    clock: Callable[[], float] = time.time
-    _sinks: list[Any] = field(default_factory=list)
-    _seq: "itertools.count[int]" = field(
-        default_factory=lambda: itertools.count(1))
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self) -> None:
+        self._sinks: list[Any] = []
+        self._lock = threading.Lock()
 
     @property
     def enabled(self) -> bool:
@@ -178,10 +181,10 @@ class EventBus:
         return bool(self._sinks)
 
     def subscribe(self, sink: Any) -> Any:
-        """Attach a sink (anything with ``handle(event)``)."""
+        """Attach a sink (anything with ``handle(record)``)."""
         if not callable(getattr(sink, "handle", None)):
             raise ObservabilityError(
-                f"sink {sink!r} has no handle(event) method")
+                f"sink {sink!r} has no handle(record) method")
         with self._lock:
             if sink not in self._sinks:
                 self._sinks.append(sink)
@@ -191,6 +194,30 @@ class EventBus:
         with self._lock:
             if sink in self._sinks:
                 self._sinks.remove(sink)
+
+    def close(self) -> None:
+        """Close every sink that supports closing."""
+        with self._lock:
+            for sink in self._sinks:
+                close = getattr(sink, "close", None)
+                if callable(close):
+                    close()
+
+
+class EventBus(SinkFanout):
+    """Dispatches events to subscribed sinks, in emission order.
+
+    Thread-safe: sequence allocation and sink dispatch happen under one
+    lock, so the ``seq`` order equals the order sinks observe even when
+    parallel lanes emit concurrently.  With no sinks subscribed,
+    :meth:`emit` returns immediately (the default for uninstrumented
+    executors).
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.time) -> None:
+        super().__init__()
+        self.clock = clock
+        self._seq = itertools.count(1)
 
     def emit(self, event_type: str, *, flow: str = "", node: str = "",
              tool_type: str = "", invocation_id: str = "",
@@ -218,14 +245,6 @@ class EventBus:
             for sink in self._sinks:
                 sink.handle(event)
         return event
-
-    def close(self) -> None:
-        """Close every sink that supports closing."""
-        with self._lock:
-            for sink in self._sinks:
-                close = getattr(sink, "close", None)
-                if callable(close):
-                    close()
 
 
 #: Shared do-nothing bus handed to uninstrumented executors.  It never

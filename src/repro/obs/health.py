@@ -137,6 +137,33 @@ class ToolBaseline:
     #: Absolute drift (seconds above the median) that flips to FAIL.
     threshold: float
 
+    @classmethod
+    def of(cls, tool: str, values: Sequence[float], k: float,
+           floor: float = DEFAULT_ABS_FLOOR) -> "ToolBaseline":
+        """The baseline of a series, oldest first.
+
+        The drift threshold is ``max(k * 1.4826 * MAD, rel_floor *
+        median, floor)``: MAD carries the gate when the baseline is
+        noisy, the relative floor when it is tight, and the absolute
+        floor keeps microsecond-scale timers from gating on clock
+        jitter.
+        """
+        median = _median(values)
+        mad = _mad(values, median)
+        return cls(tool=tool, samples=len(values),
+                   ewma=_ewma(values, DEFAULT_EWMA_ALPHA),
+                   median=median, mad=mad,
+                   threshold=max(k * MAD_SIGMA * mad,
+                                 DEFAULT_REL_FLOOR * median, floor))
+
+    def judge(self, value: float) -> tuple[str, float]:
+        """``(verdict, drift)`` of a new value: FAIL when it drifts
+        above the median by more than the threshold, WARN past half."""
+        drift = value - self.median
+        if drift > self.threshold:
+            return FAIL, drift
+        return (WARN if drift > 0.5 * self.threshold else OK), drift
+
     def render(self) -> str:
         return (f"{self.tool}: n={self.samples} "
                 f"median={self.median * 1e3:.2f}ms "
@@ -148,33 +175,15 @@ class ToolBaseline:
 def tool_baselines(records: Sequence[RunRecord], *,
                    window: int = DEFAULT_WINDOW,
                    k: float = DEFAULT_K) -> dict[str, ToolBaseline]:
-    """Per-tool-type baselines over the last ``window`` ledger records.
-
-    The drift threshold is ``max(k * 1.4826 * MAD, rel_floor * median,
-    abs_floor)``: MAD carries the gate when the baseline is noisy, the
-    relative floor when it is tight, and the absolute floor keeps
-    microsecond-scale tools from gating on clock jitter.
-    """
+    """Per-tool-type baselines (:meth:`ToolBaseline.of` over per-run
+    mean durations) over the last ``window`` clean ledger records."""
     recent = [r for r in records if not r.errors][-window:]
     samples: dict[str, list[float]] = {}
     for record in recent:
         for tool, stats in record.tools.items():
             samples.setdefault(tool, []).append(stats.duration.mean)
-    baselines: dict[str, ToolBaseline] = {}
-    for tool, means in samples.items():
-        median = _median(means)
-        mad = _mad(means, median)
-        threshold = max(k * MAD_SIGMA * mad, DEFAULT_REL_FLOOR * median,
-                        DEFAULT_ABS_FLOOR)
-        baselines[tool] = ToolBaseline(
-            tool=tool,
-            samples=len(means),
-            ewma=_ewma(means, DEFAULT_EWMA_ALPHA),
-            median=median,
-            mad=mad,
-            threshold=threshold,
-        )
-    return baselines
+    return {tool: ToolBaseline.of(tool, means, k)
+            for tool, means in samples.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +229,8 @@ def check_tool_duration_drift(current: RunRecord,
         base = baselines.get(tool)
         if base is None or base.samples < thresholds.min_samples:
             continue
-        drift = stats.duration.mean - base.median
-        if drift > base.threshold:
+        verdict, drift = base.judge(stats.duration.mean)
+        if verdict == FAIL:
             verdicts.append(FAIL)
             details.append(
                 f"{tool} mean {stats.duration.mean * 1e3:.2f}ms is "
@@ -229,7 +238,7 @@ def check_tool_duration_drift(current: RunRecord,
                 f"{base.median * 1e3:.2f}ms "
                 f"(threshold +{base.threshold * 1e3:.2f}ms, "
                 f"n={base.samples})")
-        elif drift > 0.5 * base.threshold:
+        elif verdict == WARN:
             verdicts.append(WARN)
             details.append(
                 f"{tool} drifting: mean {stats.duration.mean * 1e3:.2f}"
@@ -514,28 +523,23 @@ def check_tool_self_time_drift(current: RunRecord,
         peers = history.get(tool, [])[-thresholds.window:]
         if len(peers) < thresholds.min_samples:
             continue
-        median = _median(peers)
-        mad = _mad(peers, median)
-        threshold = max(thresholds.k * MAD_SIGMA * mad,
-                        DEFAULT_REL_FLOOR * median,
-                        DEFAULT_ABS_FLOOR)
-        drift = float(stats.get("self_s", 0.0)) - median
-        if drift > threshold:
+        base = ToolBaseline.of(tool, peers, thresholds.k)
+        self_s = float(stats.get("self_s", 0.0))
+        verdict, drift = base.judge(self_s)
+        if verdict == FAIL:
             verdicts.append(FAIL)
             details.append(
-                f"{tool} self time "
-                f"{float(stats.get('self_s', 0.0)) * 1e3:.2f}ms is "
+                f"{tool} self time {self_s * 1e3:.2f}ms is "
                 f"+{drift * 1e3:.2f}ms over baseline median "
-                f"{median * 1e3:.2f}ms "
-                f"(threshold +{threshold * 1e3:.2f}ms, "
+                f"{base.median * 1e3:.2f}ms "
+                f"(threshold +{base.threshold * 1e3:.2f}ms, "
                 f"n={len(peers)})")
-        elif drift > 0.5 * threshold:
+        elif verdict == WARN:
             verdicts.append(WARN)
             details.append(
-                f"{tool} self time drifting: "
-                f"{float(stats.get('self_s', 0.0)) * 1e3:.2f}ms, "
+                f"{tool} self time drifting: {self_s * 1e3:.2f}ms, "
                 f"+{drift * 1e3:.2f}ms over median "
-                f"{median * 1e3:.2f}ms")
+                f"{base.median * 1e3:.2f}ms")
     if not verdicts:
         return CheckResult(name, OK,
                            "tool self times within baseline"
@@ -573,28 +577,24 @@ def check_query_latency_drift(current: RunRecord,
     peers = peers[-thresholds.window:]
     if len(peers) < thresholds.min_samples:
         return CheckResult(name, OK, "no query baseline yet")
-    median = _median(peers)
-    mad = _mad(peers, median)
-    threshold = max(thresholds.k * MAD_SIGMA * mad,
-                    DEFAULT_REL_FLOOR * median,
-                    QUERY_ABS_FLOOR)
-    drift = mean - median
-    if drift > threshold:
+    base = ToolBaseline.of("query", peers, thresholds.k, QUERY_ABS_FLOOR)
+    verdict, drift = base.judge(mean)
+    if verdict == FAIL:
         return CheckResult(
             name, FAIL,
             f"mean statement latency {mean * 1e6:.0f}us is "
             f"+{drift * 1e6:.0f}us over baseline median "
-            f"{median * 1e6:.0f}us "
-            f"(threshold +{threshold * 1e6:.0f}us, n={len(peers)})")
-    if drift > 0.5 * threshold:
+            f"{base.median * 1e6:.0f}us "
+            f"(threshold +{base.threshold * 1e6:.0f}us, n={len(peers)})")
+    if verdict == WARN:
         return CheckResult(
             name, WARN,
             f"mean statement latency drifting: {mean * 1e6:.0f}us, "
-            f"+{drift * 1e6:.0f}us over median {median * 1e6:.0f}us")
+            f"+{drift * 1e6:.0f}us over median {base.median * 1e6:.0f}us")
     return CheckResult(
         name, OK,
         f"mean statement latency {mean * 1e6:.0f}us "
-        f"(baseline {median * 1e6:.0f}us over {len(peers)} runs)")
+        f"(baseline {base.median * 1e6:.0f}us over {len(peers)} runs)")
 
 
 HealthCheck = Callable[[RunRecord, Sequence[RunRecord],

@@ -26,12 +26,13 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..errors import ObservabilityError
-from .events import COMPOSE_TOOL
-from .metrics import TimerStats, escape_label_value, timer_stats_of
-from .sinks import append_jsonl, iter_jsonl_objects
+from .events import COMPOSE_TOOL, check_schema_version
+from .metrics import (PrometheusSample, TimerStats,
+                      render_prometheus_families, timer_stats_of)
+from .sinks import JSONLReader, append_jsonl
 from .workers import WorkerRunStats, worker_utilization
 
 LEDGER_SCHEMA_VERSION = "ledger.v1"
@@ -312,12 +313,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "RunRecord":
-        version = spec.get("schema_version", LEDGER_SCHEMA_VERSION)
-        if version.partition(".")[0] != \
-                LEDGER_SCHEMA_VERSION.partition(".")[0]:
-            raise ObservabilityError(
-                f"unsupported ledger schema version {version!r} "
-                f"(this build reads {LEDGER_SCHEMA_VERSION!r})")
+        version = check_schema_version(spec, LEDGER_SCHEMA_VERSION, "ledger")
         return cls(
             run_id=spec["run_id"],
             timestamp=float(spec.get("timestamp", 0.0)),
@@ -400,6 +396,25 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 # the ledger itself
 # ---------------------------------------------------------------------------
+Run = TypeVar("Run")
+
+
+def find_run(records: Sequence[Run], run_id: str,
+             id_of: Callable[[Run], str], source: str) -> Run:
+    """The latest record of one run: the run whose id is ``run_id``,
+    else the only run whose id starts with it (ledger records and
+    profile records are looked up alike)."""
+    matches = ([r for r in records if id_of(r) == run_id]
+               or [r for r in records if id_of(r).startswith(run_id)])
+    if not matches:
+        raise ObservabilityError(f"no run {run_id!r} in {source}")
+    ids = sorted({id_of(r) for r in matches})
+    if len(ids) > 1:
+        raise ObservabilityError(
+            f"run id {run_id!r} is ambiguous: {ids}")
+    return matches[-1]
+
+
 class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` entries.
 
@@ -447,9 +462,8 @@ class RunLedger:
         """Every readable record, oldest first; missing file is empty."""
         if not self.path.exists():
             return ()
-        return tuple(
-            RunRecord.from_dict(spec)
-            for _, spec in iter_jsonl_objects(self.path, strict=False))
+        reader = JSONLReader(self.path, RunRecord.from_dict, "ledger")
+        return tuple(record for _, record in reader.read(strict=False))
 
     def last(self, count: int = 1) -> tuple[RunRecord, ...]:
         records = self.records()
@@ -457,19 +471,8 @@ class RunLedger:
 
     def find(self, run_id: str) -> RunRecord:
         """Look up one run by id (unambiguous prefixes accepted)."""
-        records = self.records()
-        exact = [r for r in records if r.run_id == run_id]
-        if len(exact) == 1:
-            return exact[0]
-        matches = [r for r in records if r.run_id.startswith(run_id)]
-        if not matches:
-            raise ObservabilityError(
-                f"no run {run_id!r} in ledger {self.path}")
-        if len(matches) > 1:
-            raise ObservabilityError(
-                f"run id {run_id!r} is ambiguous: "
-                f"{sorted(r.run_id for r in matches)}")
-        return matches[0]
+        return find_run(self.records(), run_id, lambda r: r.run_id,
+                        f"ledger {self.path}")
 
     def for_trace(self, trace_id: str) -> RunRecord | None:
         """The run record a trace id belongs to (joins instances to
@@ -499,20 +502,12 @@ def render_prometheus_ledger(records: Sequence[RunRecord],
     per-tool duration summary describe the latest record, which is what
     a scrape of a live environment wants to see.
     """
-    lines: list[str] = []
+    samples: list[PrometheusSample] = []
 
     def sample(metric: str, kind: str, value: float,
                labels: dict[str, str] | None = None,
-               suffix: str = "", declare: bool = True) -> None:
-        if declare:
-            lines.append(f"# TYPE {metric} {kind}")
-        rendered = ""
-        if labels:
-            pairs = ",".join(
-                f'{name}="{escape_label_value(str(item))}"'
-                for name, item in sorted(labels.items()))
-            rendered = "{" + pairs + "}"
-        lines.append(f"{metric}{suffix}{rendered} {value}")
+               suffix: str = "") -> None:
+        samples.append((metric, kind, suffix, labels or {}, value))
 
     total = len(records)
     sample(f"{prefix}_runs_total", "counter", total)
@@ -539,7 +534,7 @@ def render_prometheus_ledger(records: Sequence[RunRecord],
            sum(stats.respawns for r in records
                for stats in r.workers.values()))
     if not records:
-        return "\n".join(lines) + "\n"
+        return render_prometheus_families(samples)
     last = records[-1]
     labels = {"flow": last.flow, "executor": last.executor,
               "run": last.run_id}
@@ -556,18 +551,16 @@ def render_prometheus_ledger(records: Sequence[RunRecord],
     sample(f"{prefix}_run_timestamp_seconds", "gauge", last.timestamp,
            labels)
     metric = f"{prefix}_run_tool_duration_seconds"
-    declared = False
     for tool, stats in sorted(last.tools.items()):
         tool_labels = {"tool": tool}
         sample(metric, "summary", stats.duration.p50,
-               {**tool_labels, "quantile": "0.5"}, declare=not declared)
-        declared = True
+               {**tool_labels, "quantile": "0.5"})
         sample(metric, "summary", stats.duration.p95,
-               {**tool_labels, "quantile": "0.95"}, declare=False)
+               {**tool_labels, "quantile": "0.95"})
         sample(metric, "summary", stats.invocations, tool_labels,
-               suffix="_count", declare=False)
+               suffix="_count")
         sample(metric, "summary", stats.duration.total, tool_labels,
-               suffix="_sum", declare=False)
+               suffix="_sum")
     if last.workers:
         sample(f"{prefix}_run_worker_utilization", "gauge",
                last.worker_utilization, labels)
@@ -582,9 +575,7 @@ def render_prometheus_ledger(records: Sequence[RunRecord],
              lambda stats: stats.rss_kb),
         )
         for metric, extract in per_worker:
-            declared = False
             for worker, stats in sorted(last.workers.items()):
                 sample(metric, "gauge", extract(stats),
-                       {"worker": worker}, declare=not declared)
-                declared = True
-    return "\n".join(lines) + "\n"
+                       {"worker": worker})
+    return render_prometheus_families(samples)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .events import (CACHE_HIT, CACHE_MISS, COMPOSITION_RUN,
                      EXECUTION_FAILED, FLOW_FINISHED, FLOW_STARTED,
@@ -97,6 +97,32 @@ def escape_label_value(value: str) -> str:
     """Escape a label value for the Prometheus text format."""
     return (value.replace("\\", "\\\\").replace('"', '\\"')
             .replace("\n", "\\n"))
+
+
+#: One Prometheus sample: family name, family type, sample-name suffix
+#: (``_count``/``_sum`` of a summary, else ""), labels and value.
+PrometheusSample = tuple[str, str, str, dict[str, Any], float]
+
+
+def render_prometheus_families(samples: Iterable[PrometheusSample]
+                               ) -> str:
+    """Prometheus text format: each family's ``# TYPE`` line, once,
+    before its first sample, then one ``name{labels} value`` line per
+    sample in the given order (so a family's samples must be adjacent).
+    """
+    lines: list[str] = []
+    declared: set[str] = set()
+    for family, kind, suffix, labels, value in samples:
+        if family not in declared:
+            declared.add(family)
+            lines.append(f"# TYPE {family} {kind}")
+        rendered = ",".join(
+            f'{name}="{escape_label_value(str(item))}"'
+            for name, item in sorted(labels.items()))
+        lines.append(f"{family}{suffix}"
+                     + (f"{{{rendered}}}" if rendered else "")
+                     + f" {value}")
+    return "".join(line + "\n" for line in lines)
 
 
 class MetricsRegistry:
@@ -241,32 +267,24 @@ class MetricsRegistry:
         follows its ``# TYPE`` line, as the text format requires.
         """
         snapshot = self.snapshot()
-        families: dict[str, tuple[str, list[str]]] = {}
-
-        def family(metric: str, kind: str) -> list[str]:
-            return families.setdefault(metric, (kind, []))[1]
-
+        samples: list[PrometheusSample] = []
         for name, count in snapshot["counters"].items():
-            metric = f"{prefix}_{sanitize_metric_name(name)}_total"
-            family(metric, "counter").append(f"{metric} {count}")
+            samples.append((f"{prefix}_{sanitize_metric_name(name)}_total",
+                            "counter", "", {}, count))
         for name, value in snapshot["gauges"].items():
-            metric = f"{prefix}_{sanitize_metric_name(name)}"
-            family(metric, "gauge").append(f"{metric} {value}")
+            samples.append((f"{prefix}_{sanitize_metric_name(name)}",
+                            "gauge", "", {}, value))
         for name, stats in snapshot["timers"].items():
             metric = f"{prefix}_{sanitize_metric_name(name)}_seconds"
-            samples = family(metric, "summary")
-            samples.append(
-                f'{metric}{{quantile="0.5"}} {stats["p50"]}')
-            samples.append(
-                f'{metric}{{quantile="0.95"}} {stats["p95"]}')
-            samples.append(f"{metric}_count {stats['count']}")
-            samples.append(f"{metric}_sum {stats['total']}")
-        lines: list[str] = []
-        for metric in sorted(families):
-            kind, samples = families[metric]
-            lines.append(f"# TYPE {metric} {kind}")
-            lines.extend(samples)
-        return "\n".join(lines) + ("\n" if lines else "")
+            samples += [
+                (metric, "summary", "", {"quantile": "0.5"}, stats["p50"]),
+                (metric, "summary", "", {"quantile": "0.95"},
+                 stats["p95"]),
+                (metric, "summary", "_count", {}, stats["count"]),
+                (metric, "summary", "_sum", {}, stats["total"])]
+        # stable: a family's samples keep their order
+        return render_prometheus_families(
+            sorted(samples, key=lambda sample: sample[0]))
 
     def render(self, top: int = 8) -> str:
         """The ``repro stats`` metrics summary."""

@@ -46,13 +46,12 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from types import FrameType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..errors import ObservabilityError
-from .ledger import render_json
-from .sinks import append_jsonl, iter_jsonl_objects
+from .ledger import find_run, render_json
+from .sinks import JSONLReader, append_jsonl
 
 #: Default wall-clock spacing between stack sweeps (5 ms).
 DEFAULT_PROFILE_INTERVAL = 0.005
@@ -99,18 +98,6 @@ def collapse_frames(frame: FrameType | None) -> str:
     if truncated:
         labels.insert(0, "...")
     return ";".join(labels)
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    """One aggregated stack observation of a running tool body."""
-
-    tool_type: str
-    stack: str
-    count: int
-
-    def render(self) -> str:
-        return f"{self.tool_type};{self.stack} {self.count}"
 
 
 class ProfileAggregate:
@@ -205,13 +192,6 @@ class ProfileAggregate:
         if tool_type in self._busy:
             return min(sampled, self._busy[tool_type])
         return sampled
-
-    def samples_seen(self) -> tuple[ProfileSample, ...]:
-        return tuple(
-            ProfileSample(tool_type, stack, count)
-            for tool_type in sorted(self._stacks)
-            for stack, count in sorted(
-                self._stacks[tool_type].items()))
 
     def collapsed(self) -> str:
         """Flamegraph collapsed-stack lines, tool type as root frame.
@@ -548,6 +528,13 @@ def append_profile(path: str | pathlib.Path,
     append_jsonl(path, render_json(dict(record)))
 
 
+def _checked_profile(record: dict[str, Any]) -> dict[str, Any]:
+    """A profile record whose aggregate loads (else the reader names
+    its line)."""
+    ProfileAggregate.from_dict(record)
+    return record
+
+
 def read_profiles(path: str | pathlib.Path
                   ) -> tuple[dict[str, Any], ...]:
     """All profile records in the log, oldest first (lenient: a
@@ -555,32 +542,26 @@ def read_profiles(path: str | pathlib.Path
     target = pathlib.Path(path)
     if not target.exists():
         return ()
-    return tuple(spec for _, spec in iter_jsonl_objects(target,
-                                                        strict=False)
-                 if isinstance(spec, dict))
+    reader = JSONLReader(target, _checked_profile, "profile log")
+    return tuple(record for _, record in reader.read(strict=False))
 
 
 def find_profile(records: "tuple[dict[str, Any], ...]",
                  run_id: str | None = None) -> dict[str, Any]:
-    """The latest record, or the one matching a run-id prefix."""
+    """The latest record, or the one of a run id or unique prefix."""
     if not records:
         raise ObservabilityError("no profiles recorded")
     if not run_id:
         return records[-1]
-    matches = [record for record in records
-               if str(record.get("run_id", "")).startswith(run_id)]
-    if not matches:
-        raise ObservabilityError(
-            f"no profile recorded for run {run_id!r}")
-    if len({record.get("run_id") for record in matches}) > 1:
-        raise ObservabilityError(
-            f"run id prefix {run_id!r} is ambiguous")
-    return matches[-1]
+    return find_run(records, run_id,
+                    lambda record: str(record.get("run_id", "")),
+                    "the profile log")
 
 
 def render_profile(record: Mapping[str, Any]) -> str:
     """Human-readable summary of one profile record."""
     aggregate = ProfileAggregate.from_dict(record)
+    tools = aggregate.to_dict()["tools"]
     header = f"profile of run {record.get('run_id') or '?'}"
     flow = record.get("flow", "")
     executor = record.get("executor", "")
@@ -592,8 +573,7 @@ def render_profile(record: Mapping[str, Any]) -> str:
     header += (f": {aggregate.samples} samples "
                f"@{aggregate.interval * 1e3:.1f}ms")
     lines = [header]
-    for tool_type in aggregate.tool_types():
-        stats = aggregate.to_dict()["tools"][tool_type]
+    for tool_type, stats in tools.items():
         line = (f"  {tool_type}: self "
                 f"{aggregate.self_time(tool_type) * 1e3:.2f}ms, busy "
                 f"{stats['busy_s'] * 1e3:.2f}ms, "
@@ -620,7 +600,6 @@ __all__ = [
     "MAX_STACK_DEPTH",
     "PROFILE_SCHEMA_VERSION",
     "ProfileAggregate",
-    "ProfileSample",
     "QueryRecorder",
     "SamplingProfiler",
     "UNSAMPLED_FRAME",

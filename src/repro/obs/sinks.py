@@ -10,6 +10,9 @@ Three are provided:
   replayable with :func:`replay_events` into an identical event
   sequence (and therefore into any other sink, e.g. a
   :class:`~repro.obs.metrics.MetricsRegistry`).
+
+Every obs log is written through :func:`append_line` and read back
+through :class:`JSONLReader`.
 """
 
 from __future__ import annotations
@@ -71,16 +74,6 @@ class RingBufferSink(EventSink):
 
     def __len__(self) -> int:
         return len(self._buffer)
-
-
-class CallbackSink(EventSink):
-    """Adapts a plain callable into a sink."""
-
-    def __init__(self, fn: Callable[[Event], None]) -> None:
-        self._fn = fn
-
-    def handle(self, event: Event) -> None:
-        self._fn(event)
 
 
 def open_log(path: pathlib.Path) -> int:
@@ -166,47 +159,122 @@ class JSONLSink(EventSink):
         self.close()
 
 
+class JSONLReader:
+    """Incremental, byte-offset decoder of one JSON-lines log.
+
+    Every obs log is read back through here: the event log, the trace,
+    the ledger and the profiles, in full or followed live.  Each
+    :meth:`read` decodes the lines appended since the previous one, and
+    passes every object through ``decode`` (the record type's
+    ``from_dict``) inside the loop, so a line that is not JSON, not an
+    object, or not the shape ``decode`` expects ends the read with one
+    :class:`ObservabilityError` naming ``path:line``.  ``kind`` names
+    the log in the error a missing file raises.
+    """
+
+    def __init__(self, path: str | pathlib.Path,
+                 decode: Callable[[dict[str, Any]], Any] = dict,
+                 kind: str = "log") -> None:
+        self.path = pathlib.Path(path)
+        self.decode = decode
+        self.kind = kind
+        self.offset = 0  # bytes read so far
+        self.lineno = 0  # lines decoded so far
+        self._tail = b""  # read bytes awaiting their newline
+
+    def read(self, *, strict: bool = True, final: bool = True
+             ) -> Iterator[tuple[int, Any]]:
+        """Yield ``(lineno, record)`` for each line read since the last
+        call.
+
+        ``final`` reads to the end of the file, so an unterminated last
+        line counts as a line; otherwise it waits for its newline (a
+        writer caught mid-append).  ``strict=False`` forgives a corrupt
+        or non-object line *at the tail only*, the partial final line a
+        killed writer leaves behind: the failure is held and raised only
+        if a line that parses follows, since corruption mid-log is real
+        damage, not truncation.  A record ``decode`` rejects is never
+        forgiven: a torn line does not parse.
+        """
+        if not self.path.exists():
+            raise ObservabilityError(f"no {self.kind} at {self.path}")
+        pending: ObservabilityError | None = None
+        with open(self.path, "rb") as handle:
+            handle.seek(self.offset)
+            for raw in handle:  # binary: lines end at b"\n" only
+                self.offset += len(raw)
+                raw, self._tail = self._tail + raw, b""
+                if not final and not raw.endswith(b"\n"):
+                    self._tail = raw
+                    break
+                self.lineno += 1
+                where = f"{self.path}:{self.lineno}"
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    spec = json.loads(line)
+                except ValueError as error:  # bad JSON or bad UTF-8
+                    problem = ObservabilityError(
+                        f"{where}: corrupt line ({error})")
+                    if strict:
+                        raise problem from None
+                    pending = problem
+                    continue
+                if pending is not None:
+                    raise pending from None  # corruption mid-file
+                if not isinstance(spec, dict):
+                    problem = ObservabilityError(
+                        f"{where}: expected a JSON object, got "
+                        f"{type(spec).__name__}")
+                    if strict:
+                        raise problem
+                    pending = problem
+                    continue
+                try:
+                    record = self.decode(spec)
+                except ObservabilityError as error:
+                    raise ObservabilityError(f"{where}: {error}") from None
+                except (AttributeError, KeyError, TypeError,
+                        ValueError) as error:
+                    raise ObservabilityError(
+                        f"{where}: malformed record "
+                        f"({type(error).__name__}: {error})") from None
+                yield self.lineno, record
+
+    def follow(self, *, poll_interval: float = 0.5,
+               sleep: Callable[[float], None] = time.sleep,
+               stop: Callable[[], bool] | None = None
+               ) -> Iterator[tuple[int, Any]]:
+        """Tail the log: yield records as a live writer appends them.
+
+        Repeated strict reads, each holding an unterminated tail until
+        its newline arrives.  A missing file is waited for (watching an
+        environment about to run), and a file that shrinks (rotation)
+        restarts from the top.  ``stop`` is polled between reads;
+        returning True ends the follow — without it the generator runs
+        until the consumer stops iterating (e.g. KeyboardInterrupt in
+        the CLI).
+        """
+        while True:
+            if self.path.exists():
+                size = self.path.stat().st_size
+                if size < self.offset:  # rotated/truncated: start over
+                    self.offset = self.lineno = 0
+                    self._tail = b""
+                if size > self.offset:
+                    yield from self.read(final=False)
+            if stop is not None and stop():
+                return
+            sleep(poll_interval)
+
+
 def iter_jsonl_objects(path: str | pathlib.Path, *,
                        strict: bool = True
                        ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield ``(lineno, object)`` pairs from a JSON-lines file.
-
-    ``strict=True`` raises on any corrupt line.  ``strict=False``
-    tolerates corruption *at the tail only* — the partial final line a
-    killed writer leaves behind — by buffering a decode failure and
-    forgiving it if no valid line follows.  A corrupt line in the
-    middle of the log (valid data after it) still raises, since that
-    means real damage, not mere truncation.
-    """
-    log = pathlib.Path(path)
-    if not log.exists():
-        raise ObservabilityError(f"no event log at {log}")
-    pending: ObservabilityError | None = None
-    with open(log, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                spec = json.loads(line)
-            except json.JSONDecodeError as error:
-                problem = ObservabilityError(
-                    f"{log}:{lineno}: corrupt line ({error})")
-                if strict:
-                    raise problem from None
-                pending = problem
-                continue
-            if pending is not None:
-                raise pending from None  # corruption mid-file
-            if not isinstance(spec, dict):
-                problem = ObservabilityError(
-                    f"{log}:{lineno}: expected a JSON object, got "
-                    f"{type(spec).__name__}")
-                if strict:
-                    raise problem
-                pending = problem
-                continue
-            yield lineno, spec
+    """Yield ``(lineno, object)`` pairs from a JSON-lines file (see
+    :meth:`JSONLReader.read` for ``strict``)."""
+    return JSONLReader(path).read(strict=strict)
 
 
 def follow_jsonl_objects(path: str | pathlib.Path, *,
@@ -214,55 +282,9 @@ def follow_jsonl_objects(path: str | pathlib.Path, *,
                          sleep: Callable[[float], None] = time.sleep,
                          stop: Callable[[], bool] | None = None
                          ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Tail a JSON-lines file: yield objects as a live writer appends.
-
-    The torn-tail discipline of :func:`iter_jsonl_objects` applies
-    incrementally: a partial trailing line (a write caught mid-flush)
-    is buffered until its newline arrives, while a newline-*terminated*
-    line that fails to parse raises — that is real damage, not
-    truncation.  A missing file is waited for (watching an environment
-    about to run), and a file that shrinks (rotation) restarts from the
-    top.  ``stop`` is polled between reads; returning True ends the
-    follow — without it the generator runs until the consumer stops
-    iterating (e.g. KeyboardInterrupt in the CLI).
-    """
-    log = pathlib.Path(path)
-    offset = 0
-    lineno = 0
-    buffered = ""
-    while True:
-        if log.exists():
-            size = log.stat().st_size
-            if size < offset:  # rotated/truncated: start over
-                offset = 0
-                lineno = 0
-                buffered = ""
-            if size > offset:
-                with open(log, "r", encoding="utf-8") as handle:
-                    handle.seek(offset)
-                    chunk = handle.read()
-                    offset = handle.tell()
-                buffered += chunk
-                while "\n" in buffered:
-                    line, _, buffered = buffered.partition("\n")
-                    lineno += 1
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        spec = json.loads(line)
-                    except json.JSONDecodeError as error:
-                        raise ObservabilityError(
-                            f"{log}:{lineno}: corrupt line "
-                            f"({error})") from None
-                    if not isinstance(spec, dict):
-                        raise ObservabilityError(
-                            f"{log}:{lineno}: expected a JSON object, "
-                            f"got {type(spec).__name__}")
-                    yield lineno, spec
-        if stop is not None and stop():
-            return
-        sleep(poll_interval)
+    """Tail a JSON-lines file (:meth:`JSONLReader.follow`)."""
+    return JSONLReader(path).follow(poll_interval=poll_interval,
+                                    sleep=sleep, stop=stop)
 
 
 def follow_events(path: str | pathlib.Path, *,
@@ -271,19 +293,21 @@ def follow_events(path: str | pathlib.Path, *,
                   stop: Callable[[], bool] | None = None
                   ) -> Iterator[Event]:
     """Tail a :class:`JSONLSink` event log (``repro events --follow``)."""
-    for _, spec in follow_jsonl_objects(path, poll_interval=poll_interval,
-                                        sleep=sleep, stop=stop):
-        yield Event.from_dict(spec)
+    reader = JSONLReader(path, Event.from_dict, "event log")
+    for _, event in reader.follow(poll_interval=poll_interval,
+                                  sleep=sleep, stop=stop):
+        yield event
 
 
 def replay_events(path: str | pathlib.Path, *,
                   strict: bool = True) -> Iterator[Event]:
     """Stream events back out of a :class:`JSONLSink` log, in order.
 
-    See :func:`iter_jsonl_objects` for ``strict`` semantics.
+    See :meth:`JSONLReader.read` for ``strict`` semantics.
     """
-    for _, spec in iter_jsonl_objects(path, strict=strict):
-        yield Event.from_dict(spec)
+    reader = JSONLReader(path, Event.from_dict, "event log")
+    for _, event in reader.read(strict=strict):
+        yield event
 
 
 def read_events(path: str | pathlib.Path, *,

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import ObservabilityError
-from .sinks import iter_jsonl_objects
+from .events import SinkFanout, check_schema_version
+from .sinks import JSONLReader
 
 TRACE_SCHEMA_VERSION = "trace.v1"
 
@@ -128,12 +129,7 @@ class Span:
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "Span":
-        version = spec.get("schema_version", TRACE_SCHEMA_VERSION)
-        if version.partition(".")[0] != \
-                TRACE_SCHEMA_VERSION.partition(".")[0]:
-            raise ObservabilityError(
-                f"unsupported trace schema version {version!r} "
-                f"(this build reads {TRACE_SCHEMA_VERSION!r})")
+        version = check_schema_version(spec, TRACE_SCHEMA_VERSION, "trace")
         return cls(
             trace_id=spec["trace_id"],
             span_id=spec["span_id"],
@@ -187,10 +183,10 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
+class Tracer(SinkFanout):
     """Builds hierarchical spans and flushes finished ones to sinks.
 
-    Mirrors the :class:`~repro.obs.events.EventBus` contract: with no
+    Shares the :class:`~repro.obs.events.EventBus` fan-out: with no
     sinks subscribed every :meth:`span` call yields the shared
     :data:`NULL_SPAN` and costs one truth test, so untraced execution
     stays on the fast path.  The ambient context stack is thread-local;
@@ -199,43 +195,11 @@ class Tracer:
 
     def __init__(self, *,
                  clock: Callable[[], float] = time.perf_counter) -> None:
+        super().__init__()
         self.clock = clock
         self.last_trace_id: str | None = None
-        self._sinks: list[Any] = []
-        self._lock = threading.Lock()
         self._span_seq: "itertools.count[int]" = itertools.count(1)
         self._local = threading.local()
-
-    # ------------------------------------------------------------------
-    # sink management (same shape as EventBus)
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """True when at least one sink will observe finished spans."""
-        return bool(self._sinks)
-
-    def subscribe(self, sink: Any) -> Any:
-        """Attach a span sink (anything with ``handle(span)``)."""
-        if not callable(getattr(sink, "handle", None)):
-            raise ObservabilityError(
-                f"sink {sink!r} has no handle(span) method")
-        with self._lock:
-            if sink not in self._sinks:
-                self._sinks.append(sink)
-        return sink
-
-    def unsubscribe(self, sink: Any) -> None:
-        with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-
-    def close(self) -> None:
-        """Close every sink that supports closing."""
-        with self._lock:
-            for sink in self._sinks:
-                close = getattr(sink, "close", None)
-                if callable(close):
-                    close()
 
     # ------------------------------------------------------------------
     # ambient context (thread-local; propagated explicitly)
@@ -363,8 +327,8 @@ def read_spans(path: "str | pathlib.Path", *,
     killed mid-write) is tolerated; corruption followed by valid lines
     still raises.
     """
-    return tuple(Span.from_dict(spec) for _, spec
-                 in iter_jsonl_objects(path, strict=strict))
+    reader = JSONLReader(path, Span.from_dict, "trace log")
+    return tuple(span for _, span in reader.read(strict=strict))
 
 
 def trace_ids(spans: Iterable[Span]) -> tuple[str, ...]:
