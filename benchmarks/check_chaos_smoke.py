@@ -12,10 +12,17 @@ with a seeded fault plan (two transient Extractor crashes):
    faults leave no residue;
 4. with retries disabled the same plan must be fatal — exit 1.
 
-The four steps run twice: on the thread pool (``--executor parallel
+A fan-out step then runs the same plan over one Extractor invocation
+with three calls (one per bound layout): it must recover under
+``--retries 3`` and leave a history content-identical to a fault-free
+run.  A lane retries each call before the next; a worker retries the
+failed calls of one round trip together.
+
+Every step runs twice: on the thread pool (``--executor parallel
 --machines 4``) and across the process boundary (``--executor
 procpool --workers 2``), and the procpool leg must record per-tool
-retry telemetry equal to the parallel leg's.  Everything runs through
+retry telemetry equal to the parallel leg's, for the Fig. 6 flow and
+for the fan-out.  Everything runs through
 the CLI (``repro run <dir> fig6 --executor ... --fault-plan ...``), so
 the flags, the ledger wiring, and the exit-code contract are all under
 test, not just the library layer.
@@ -31,6 +38,8 @@ import tempfile
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 BRANCHES = 4
+#: Calls of the fan-out step's one Extractor invocation.
+FAN_OUT = 3
 SEED = 7
 INJECTED_CRASHES = 2
 
@@ -41,8 +50,10 @@ LEGS = (
 )
 
 
-def build_project(root: pathlib.Path) -> None:
-    """A saved environment with a bound Fig. 6 flow in its catalog."""
+def build_project(root: pathlib.Path, flow_name: str = "fig6") -> None:
+    """A saved environment with a bound flow in its catalog: ``fig6``,
+    BRANCHES disjoint extraction branches, or ``fanout``, one Extractor
+    invocation over FAN_OUT layouts."""
     from repro import DesignEnvironment
     from repro.persistence import save_environment
     from repro.schema import standard as S
@@ -56,21 +67,26 @@ def build_project(root: pathlib.Path) -> None:
     library = standard_library()
     equations = ["y = a & b", "y = a | b", "y = ~(a & b)",
                  "y = (a & ~b) | (~a & b)"]
-    flow = env.new_flow("fig6")
-    for index, equation in enumerate(equations[:BRANCHES]):
+    count = BRANCHES if flow_name == "fig6" else FAN_OUT
+    layouts = []
+    for index, equation in enumerate(equations[:count]):
         spec = LogicSpec.from_equations(f"f{index}", equation)
-        layout = env.install_data(
+        layouts.append(env.install_data(
             S.STD_CELL_LAYOUT,
             stdcell_layout(spec, library, {"seed": index}),
-            name=f"variant-{index}")
+            name=f"variant-{index}").instance_id)
+    flow = env.new_flow(flow_name)
+    # fig6: one branch per layout; fanout: one branch over them all
+    for bound in ([[layout] for layout in layouts]
+                  if flow_name == "fig6" else [layouts]):
         netlist_node = flow.place(S.EXTRACTED_NETLIST)
         tool_node = flow.graph.add_node(S.EXTRACTOR)
         layout_node = flow.graph.add_node(S.LAYOUT)
-        layout_node.bind(layout.instance_id)
+        layout_node.bind(*bound)
         tool_node.bind(tools[S.EXTRACTOR].instance_id)
         flow.connect(netlist_node, tool_node)
         flow.connect(netlist_node, layout_node, role="layout")
-    env.save_flow("fig6", flow)
+    env.save_flow(flow_name, flow)
     save_environment(env, root)
 
 
@@ -84,10 +100,11 @@ def write_plan(path: pathlib.Path) -> None:
 
 
 def run_cli(directory: pathlib.Path, executor: tuple[str, ...],
-            *extra: str) -> int:
+            *extra: str, flow_name: str = "fig6") -> int:
     from repro.cli import main as repro_main
 
-    return repro_main(["run", str(directory), "fig6", *executor, *extra])
+    return repro_main(["run", str(directory), flow_name, *executor,
+                       *extra])
 
 
 def retry_counts(directory: pathlib.Path) -> str:
@@ -178,9 +195,35 @@ def drill(root: pathlib.Path, plan: pathlib.Path,
     return counts
 
 
+def fan_out(root: pathlib.Path, plan: pathlib.Path,
+            executor: tuple[str, ...], failures: list[str]) -> str:
+    """The fan-out step; returns the recorded telemetry."""
+    recovered, pristine = root / "fanout", root / "fanout-pristine"
+    build_project(recovered, "fanout")
+    code = run_cli(recovered, executor, "--retries", "3",
+                   "--fault-plan", str(plan), flow_name="fanout")
+    counts = retry_counts(recovered)
+    print(f"fan-out with --retries 3: exit {code}, ledger {counts}")
+    if code != 0 or json.loads(counts)["retries"] != INJECTED_CRASHES:
+        failures.append(f"fan-out must recover with {INJECTED_CRASHES} "
+                        f"retries, exited {code} with {counts}")
+    if netlist_count(recovered) != FAN_OUT:
+        failures.append(f"fan-out must produce {FAN_OUT} netlists, got "
+                        f"{netlist_count(recovered)}")
+    build_project(pristine, "fanout")
+    if run_cli(pristine, executor, flow_name="fanout") != 0:
+        failures.append("fault-free fan-out run failed")
+    if history_signature(recovered) != history_signature(pristine):
+        failures.append("recovered fan-out history differs from a "
+                        "fault-free run")
+    else:
+        print("  recovered fan-out history content-identical")
+    return counts
+
+
 def main() -> int:
     failures: list[str] = []
-    telemetry: dict[str, str] = {}
+    telemetry: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as scratch:
         root = pathlib.Path(scratch)
         plan = root / "plan.json"
@@ -189,15 +232,20 @@ def main() -> int:
             print(f"[{name}]")
             leg_failures: list[str] = []
             (root / name).mkdir()
-            telemetry[name] = drill(root / name, plan, executor,
-                                    leg_failures)
+            telemetry[name] = [
+                drill(root / name, plan, executor, leg_failures),
+                fan_out(root / name, plan, executor, leg_failures)]
             failures += [f"{name}: {failure}" for failure in leg_failures]
-    if telemetry["procpool"] != telemetry["parallel"]:
-        failures.append(
-            "procpool recorded other retry telemetry than parallel:\n"
-            f"  {telemetry['parallel']}\n  {telemetry['procpool']}")
-    else:
-        print("procpool retry telemetry equals the parallel leg's")
+    for step, parallel, procpool in zip(("fig6", "fan-out"),
+                                        telemetry["parallel"],
+                                        telemetry["procpool"]):
+        if procpool != parallel:
+            failures.append(
+                f"{step}: procpool recorded other retry telemetry than "
+                f"parallel:\n  {parallel}\n  {procpool}")
+        else:
+            print(f"{step}: procpool retry telemetry equals the "
+                  "parallel leg's")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -382,8 +382,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         pathlib.Path(args.directory) / LEDGER_FILE).records()
     metrics = None
     if args.events:
-        metrics = MetricsRegistry()
-        replay_into(replay_events(args.events), metrics)
+        metrics, _ = _replay_metrics(args.events)
     if args.json:
         payload = {
             "history": stats.to_dict(),
@@ -479,12 +478,8 @@ def cmd_events(args: argparse.Namespace) -> int:
         # a missing logfile is fine here: follow waits for the first
         # write, the usual way to watch an environment about to run
         return _follow_events_cli(args, keep)
-    # lenient: a truncated trailing line (killed writer) is tolerated
-    events = (e for e in replay_events(args.logfile, strict=False)
-              if keep(e))
     if args.replay:
-        metrics = MetricsRegistry()
-        count = replay_into(events, metrics)
+        metrics, count = _replay_metrics(args.logfile, keep)
         print(f"replayed {count} events")
         print(metrics.render())
         return 0
@@ -492,7 +487,9 @@ def cmd_events(args: argparse.Namespace) -> int:
         print(f"error: --tail must be >= 0, got {args.tail}",
               file=sys.stderr)
         return 2
-    selected = list(events)
+    # lenient: a truncated trailing line (killed writer) is tolerated
+    selected = [e for e in replay_events(args.logfile, strict=False)
+                if keep(e)]
     if args.tail is not None:
         selected = selected[-args.tail:] if args.tail else []
     for event in selected:
@@ -503,6 +500,15 @@ def cmd_events(args: argparse.Namespace) -> int:
         else:
             print(event.render())
     return 0
+
+
+def _replay_metrics(path: str, keep=lambda event: True
+                    ) -> tuple[MetricsRegistry, int]:
+    """Metrics replayed from an event log, and the events replayed; a
+    torn last line (a killed writer) is dropped, as by every log read."""
+    metrics = MetricsRegistry()
+    events = replay_events(path, strict=False)
+    return metrics, replay_into((e for e in events if keep(e)), metrics)
 
 
 def _log_path(path: str, name: str) -> pathlib.Path:
@@ -565,9 +571,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     else:
         text = render_prometheus_ledger(records)
         if args.events:
-            metrics = MetricsRegistry()
-            replay_into(replay_events(args.events), metrics)
-            text += metrics.render_prometheus()
+            text += _replay_metrics(args.events)[0].render_prometheus()
     if args.output:
         pathlib.Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {len(records)} ledger records to {args.output} "

@@ -24,9 +24,10 @@ drives:
   quarantined tools, wall time;
 * **the invocation pipeline**, prepare → dispatch → record, shared by
   tool and composition invocations: prepare resolves inputs, computes
-  derivation keys and takes cache hits; dispatch runs the cold calls;
-  record writes history, stores in the cache and builds the report
-  entries with their spans and events;
+  derivation keys and takes cache hits; dispatch drives the cold calls
+  through the policy's one retry loop, each attempt through one call
+  body (:func:`run_call`); record writes history, stores in the cache
+  and builds the report entries with their spans and events;
 * **the ready-queue drain loop** over the invocation graph's redundant
   predecessor/successor maps.
 
@@ -34,8 +35,8 @@ drives:
 on the caller's thread in the flow's topological order.  The parallel,
 scheduled and procpool presets subclass it and differ only in their lane
 count, how a lane claims work (a whole disjoint branch, one invocation,
-a same-tool-type batch), how a unit runs (inline or on a worker
-process), and procpool's worker hooks.
+a same-tool-type batch), how calls share an attempt and where it runs
+(inline, or one worker round trip), and procpool's worker hooks.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ from ..obs import (CACHE_HIT, CACHE_MISS, CACHE_SPAN, COMPOSE_SPAN,
 from .cache import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                     DerivationCache, normalize_policy)
 from .encapsulation import EncapsulationRegistry, ToolContext
-from .faults import FaultPlan
-from .resilience import (UPSTREAM, CallStats, InvocationFailure,
-                         ResiliencePolicy, annotate_error, failure_entry)
+from .faults import FaultPlan, FaultSpec, run_with_fault
+from .resilience import (UPSTREAM, Call, InvocationFailure,
+                         ResiliencePolicy, annotate_error,
+                         call_with_timeout, failure_entry,
+                         watchdog_budget)
 
 
 @dataclass
@@ -344,30 +347,28 @@ class _Run:
         return len(self.done) >= len(self.order)
 
 
-@dataclass(eq=False)
-class _Unit:
-    """One cold tool or composition call of a prepared invocation."""
+@dataclass(eq=False, kw_only=True)
+class _Unit(Call):
+    """One cold tool or composition call of a prepared invocation.
 
-    #: Instance id of the tool; None for a composition.
-    tool_id: str | None
+    Its ``tool_type`` is the one events, faults and the policy see
+    (COMPOSE_TOOL for a composition).
+    """
+
     #: The tool's encapsulation, or the composition callable.
     fn: Any
-    #: Tool context (for a composition: the composed type, no tool).
+    #: Tool context; a composition's names the composed type and no
+    #: tool instance.
     ctx: ToolContext
-    #: Tool type as events, faults and the policy see it
-    #: (COMPOSE_TOOL for a composition).
-    tool_type: str
-    #: Comma-joined output node ids, for events.
+    #: Comma-joined output node ids of the invocation, for events.
     node: str
     inputs: dict[str, Any]
     combo: dict[str, Any]
     cache_key: str | None
-    stats: CallStats = field(default_factory=lambda: CallStats(attempts=0))
-    value: Any = None
-    #: Tool time of the call that produced ``value``.
+    #: Tool time of the attempt that produced ``value``.
     duration: float = 0.0
-    error: BaseException | None = None
-    #: Tracer-clock start of an inline call (tool spans begin there).
+    #: Tracer-clock start of an inline call's first attempt (tool spans
+    #: begin there).
     started: float | None = None
     #: Tool time of earlier units in the same worker round trip: a
     #: batched unit waits this long after dispatch before its tool
@@ -496,29 +497,30 @@ class FlowExecutor:
         Already-executed nodes (with ``produced`` results) and bound
         nodes are reused unless ``force`` re-runs every invocation.
         ``cache`` overrides the executor's cache policy for this call
-        (``"off"`` / ``"reuse"`` / ``"readwrite"``).
+        only (``"off"`` / ``"reuse"`` / ``"readwrite"``): the run's
+        reads, writes, span and ledger record follow it, and
+        ``cache_policy`` keeps its value.
         """
         graph = flow.graph if isinstance(flow, DynamicFlow) else flow
         graph.validate()
-        if cache is not None:
-            if self.cache is None and normalize_policy(cache) != CACHE_OFF:
-                raise ExecutionError(
-                    f"cache policy {cache!r} requires a DerivationCache; "
-                    "construct the executor with cache=... (or use "
-                    "DesignEnvironment.run)")
-            self.cache_policy = normalize_policy(cache)
+        policy = (self.cache_policy if cache is None
+                  else normalize_policy(cache))
+        if self.cache is None and policy != CACHE_OFF:
+            raise ExecutionError(
+                f"cache policy {policy!r} requires a DerivationCache; "
+                "construct the executor with cache=... (or use "
+                "DesignEnvironment.run)")
         began = time.perf_counter()
         report = ExecutionReport(graph.name)
         run: _Run | None = None
         with self.tracer.span(
                 f"run:{graph.name}", RUN_SPAN,
-                attributes={"flow": graph.name,
-                            "cache": self.cache_policy,
+                attributes={"flow": graph.name, "cache": policy,
                             "targets": sorted(targets or ()),
                             "force": force}) as run_span:
             try:
-                run = self._plan(graph, targets, force, report, began,
-                                 run_span)
+                run = self._plan(graph, targets, force, policy, report,
+                                 began, run_span)
                 self._check_ready(graph, run.needed)
                 self._start(run, targets)
                 if run.order:
@@ -542,7 +544,7 @@ class FlowExecutor:
                     self.bus.emit(EXECUTION_FAILED, flow=graph.name,
                                   machine=self.machine,
                                   payload={"error": str(error)})
-                self._ledger_record(report, run_span, run, error)
+                self._ledger_record(report, run_span, run, policy, error)
                 raise
             report.wall_time = time.perf_counter() - began
             summary: dict[str, Any] = {
@@ -558,7 +560,7 @@ class FlowExecutor:
                           payload={**summary, "lanes": self.lanes,
                                    "serial_time": report.serial_time,
                                    "speedup": round(report.speedup, 3)})
-        self._ledger_record(report, run_span, run)
+        self._ledger_record(report, run_span, run, policy)
         return report
 
     def execute_node(self, flow: TaskGraph | DynamicFlow,
@@ -568,9 +570,10 @@ class FlowExecutor:
         return self.execute(flow, targets=[node_id], force=force)
 
     def _plan(self, graph: TaskGraph, targets: Sequence[str] | None,
-              force: bool, report: ExecutionReport, began: float,
-              span: Any) -> _Run:
-        """Seed the ready queue with the needed invocations."""
+              force: bool, policy: str, report: ExecutionReport,
+              began: float, span: Any) -> _Run:
+        """Seed the ready queue with the needed invocations; ``policy``
+        is the run's cache policy."""
         needed = self._needed_nodes(graph, targets)
         position = {node_id: index for index, node_id
                     in enumerate(graph.topological_order())}
@@ -582,8 +585,7 @@ class FlowExecutor:
                          if output in needed]
             if positions:
                 rank[node.index] = min(positions)
-        cache = (self.cache if self.cache_policy != CACHE_OFF
-                 else None)
+        cache = self.cache if policy != CACHE_OFF else None
         run = _Run(
             graph=graph, report=report, nodes=nodes, needed=needed,
             order=sorted(rank, key=rank.__getitem__), rank=rank,
@@ -591,10 +593,9 @@ class FlowExecutor:
             degrade=(self.resilience is not None
                      and self.resilience.degrade),
             cache=cache,
-            reads=(cache is not None and not force and self.cache_policy
-                   in (CACHE_REUSE, CACHE_READWRITE)),
-            writes=(cache is not None
-                    and self.cache_policy == CACHE_READWRITE),
+            reads=(cache is not None and not force
+                   and policy in (CACHE_REUSE, CACHE_READWRITE)),
+            writes=cache is not None and policy == CACHE_READWRITE,
             began=began, span=span)
         for index in run.order:
             preds = nodes[index].predecessors
@@ -631,14 +632,14 @@ class FlowExecutor:
         run.ready_at = dict.fromkeys(run.ready, time.perf_counter())
 
     def _ledger_record(self, report: ExecutionReport, span: Any,
-                       run: _Run | None,
+                       run: _Run | None, policy: str,
                        error: BaseException | None = None) -> None:
         """Append this run to the ledger, when one is attached."""
         if self.ledger is None:
             return
         context = span.context
         record = self.ledger.record_run(
-            report, executor=self.kind, cache_policy=self.cache_policy,
+            report, executor=self.kind, cache_policy=policy,
             trace_id=context.trace_id if context is not None else "",
             error=error,
             workers=run.workers if run is not None else None,
@@ -900,7 +901,8 @@ class FlowExecutor:
                           payload={"roles": sorted(role_ids)})
         cache = run.cache
         fetch_types = sorted(set(prep.output_types))
-        for tool_id, fn, ctx, combo in self._calls(run, prep, role_ids):
+        for fn, ctx, combo in self._calls(run, prep, role_ids):
+            tool_id = ctx.tool_instance_id
             key = None
             if cache is not None:
                 key = (cache.composition_key(ctx.tool_type, combo)
@@ -935,15 +937,15 @@ class FlowExecutor:
                            if isinstance(ref, list)
                            else self.db.data(ref))
                     for role, ref in combo.items()}
-            prep.units.append(_Unit(tool_id, fn, ctx, prep.tool_type,
-                                    label, inputs, combo, key))
+            prep.units.append(_Unit(prep.tool_type, fn=fn, ctx=ctx,
+                                    node=label, inputs=inputs,
+                                    combo=combo, cache_key=key))
         return prep
 
     def _calls(self, run: _Run, prep: _Prepared,
                role_ids: dict[str, tuple[str, ...]]
-               ) -> Iterator[tuple[str | None, Any, ToolContext,
-                                   dict[str, Any]]]:
-        """(tool id, callable, context, combination) of every call.
+               ) -> Iterator[tuple[Any, ToolContext, dict[str, Any]]]:
+        """(callable, context, combination) of every call.
 
         A composition runs once per input combination; a tool runs once
         per selected tool instance and combination, or once per tool
@@ -960,7 +962,7 @@ class FlowExecutor:
             ctx = ToolContext(entity_type, None, None, (entity_type,),
                               user=self.user)
             for combo in _combinations(role_ids):
-                yield None, compose, ctx, combo
+                yield compose, ctx, combo
             return
         tool_node = run.graph.node(invocation.tool_node)
         prep.tool_ids = tuple(tool_node.results())
@@ -982,7 +984,7 @@ class FlowExecutor:
             else:
                 combos = _combinations(role_ids)
             for combo in combos:
-                yield tool_id, enc, ctx, combo
+                yield enc, ctx, combo
 
     def _take_hit(self, run: _Run, lane: _Lane, prep: _Prepared,
                   hit) -> None:
@@ -1007,56 +1009,60 @@ class FlowExecutor:
 
     def _dispatch(self, run: _Run, lane: _Lane,
                   prepared: list[_Prepared]) -> None:
-        """Run every cold call inline, under faults and the policy.
+        """Drive every cold call to its final outcome, trip by trip.
 
-        An invocation's first failed call fails the invocation, so its
-        remaining calls never run.
+        Each trip goes through the policy's retry loop; without a
+        policy an attempt's error is final.  After a call fails for
+        good, its invocation's later calls never run.
         """
-        for prep in prepared:
-            for unit in prep.units:
-                unit.started = self.tracer.clock()
-                began = time.perf_counter()
-                try:
-                    unit.value, unit.stats = self._call(run, lane, unit)
-                except Exception as error:
+        policy = self.resilience
+        failed: set[str] = set()
+        for trip in self._trips([unit for prep in prepared
+                                 for unit in prep.units]):
+            trip = [unit for unit in trip if unit.node not in failed]
+            if not trip:
+                continue
+            if policy is None:
+                for unit, error in zip(trip,
+                                       self._attempt(run, lane, trip)):
                     unit.error = error
-                    break
-                unit.duration = time.perf_counter() - began
+            else:
+                policy.drive(
+                    trip, lambda calls: self._attempt(run, lane, calls),
+                    lambda unit: self._policy_hooks(run, lane, unit))
+            failed.update(unit.node for unit in trip
+                          if unit.error is not None)
 
-    def _call(self, run: _Run, lane: _Lane,
-              unit: _Unit) -> tuple[Any, CallStats]:
-        """Run one call under faults and the policy.
+    def _trips(self, calls: list[_Unit]) -> list[list[_Unit]]:
+        """How calls share an attempt: inline, one at a time in order."""
+        return [[call] for call in calls]
 
-        This is the single in-process resilience boundary: the fault
-        plan wraps the raw call (so injected crashes/hangs hit the same
-        machinery real ones would), and the policy wraps the fault plan
-        (so injected transients are retried, injected hangs time out).
-        Without a policy the call runs bare and any failure propagates
-        unchanged.
-        """
-        if unit.tool_id is None:
-            guarded = lambda: unit.fn(unit.inputs)  # noqa: E731
-        else:
-            guarded = lambda: unit.fn.run(unit.ctx,  # noqa: E731
-                                          unit.inputs)
-        tool_type = unit.tool_type
-        if self.faults is not None:
-            faults, inner = self.faults, guarded
-            guarded = lambda: faults.apply(tool_type, inner)  # noqa: E731
-        if self.profiler is not None:
-            # inside the policy wrap, outside the fault wrap: every
-            # attempt (including injected slowdowns, and watchdog
-            # threads running the body) registers the thread that
-            # actually executes the tool
-            profiler, wrapped = self.profiler, guarded
-            guarded = lambda: profiler.run(tool_type, wrapped)  # noqa: E731
-        if self.resilience is None:
-            return guarded(), CallStats()
-        on_retry, on_timeout, on_quarantine = self._policy_hooks(
-            run, lane, unit)
-        return self.resilience.run(tool_type, guarded, on_retry=on_retry,
-                                   on_timeout=on_timeout,
-                                   on_quarantine=on_quarantine)
+    def _attempt(self, run: _Run, lane: _Lane,
+                 trip: list[_Unit]) -> list[BaseException | None]:
+        """One attempt of a trip's one call, on the lane thread under
+        its watchdog budget; returns the attempt's error or None."""
+        (unit,) = trip
+        if unit.started is None:
+            unit.started = self.tracer.clock()
+        fault = self._fault(unit)
+        sleep = self.faults.sleep if fault is not None else time.sleep
+        began = time.perf_counter()
+        try:
+            unit.value = call_with_timeout(
+                lambda: run_call(unit.fn, unit.ctx, unit.inputs, fault,
+                                 sleep=sleep, profiler=self.profiler),
+                watchdog_budget(self.resilience, unit.tool_type))
+        except BaseException as error:
+            return [error]
+        unit.duration = time.perf_counter() - began
+        return [None]
+
+    def _fault(self, unit: _Unit) -> FaultSpec | None:
+        """The fault scripted for this attempt, drawn on the
+        coordinator where the plan's counters live."""
+        if self.faults is None:
+            return None
+        return self.faults.next_fault(unit.tool_type)
 
     def _policy_hooks(self, run: _Run, lane: _Lane, unit: _Unit):
         """Event callbacks for the policy's retry decisions."""
@@ -1182,7 +1188,7 @@ class FlowExecutor:
 
         Returns ``(node id, instance id)`` per output node.
         """
-        compose = unit.tool_id is None
+        compose = unit.ctx.tool_instance_id is None
         if compose:
             produced = {unit.ctx.tool_type: unit.value}
             derivation = DerivationRecord.make(None, unit.combo,
@@ -1191,7 +1197,7 @@ class FlowExecutor:
             produced = _normalize_result(unit.value, prep.output_types,
                                          unit.fn.name)
             derivation = DerivationRecord(
-                unit.tool_id, _derivation_inputs(unit.combo),
+                unit.ctx.tool_instance_id, _derivation_inputs(unit.combo),
                 prep.invocation_id)
         pairs: list[tuple[str, str]] = []
         with self.tracer.span(
@@ -1214,10 +1220,11 @@ class FlowExecutor:
     def _trace_unit(self, lane: _Lane, prep: _Prepared, unit: _Unit,
                     span: Span) -> None:
         """Describe one recorded call on its (live) tool span."""
-        if unit.tool_id is None:
+        if unit.ctx.tool_instance_id is None:
             span.set(entity_type=unit.ctx.tool_type)
         else:
-            span.set(tool=unit.tool_id, tool_type=unit.ctx.tool_type,
+            span.set(tool=unit.ctx.tool_instance_id,
+                     tool_type=unit.ctx.tool_type,
                      encapsulation=unit.fn.name)
         if unit.stats.retries:
             span.set(retries=unit.stats.retries)
@@ -1230,6 +1237,23 @@ class FlowExecutor:
     def _duration(self, prep: _Prepared) -> float:
         """An invocation's duration: prepare through record, inline."""
         return time.perf_counter() - prep.started
+
+
+def run_call(fn: Any, ctx: ToolContext, inputs: dict[str, Any],
+             fault: FaultSpec | None, *, sleep: Callable[[float], None],
+             profiler: Any) -> Any:
+    """One attempt's call body, the same on a lane and in a worker.
+
+    The attempt's drawn fault fires around the body, under the
+    profiler; the body is the tool's :meth:`ToolEncapsulation.run`, or
+    the composition when ``ctx`` names no tool instance.
+    """
+    if ctx.tool_instance_id is None:
+        key, body = COMPOSE_TOOL, lambda: fn(inputs)
+    else:
+        key, body = ctx.tool_type, lambda: fn.run(ctx, inputs)
+    call = lambda: run_with_fault(fault, body, sleep=sleep)  # noqa: E731
+    return call() if profiler is None else profiler.run(key, call)
 
 
 def _combinations(role_ids: dict[str, tuple[str, ...]]):

@@ -6,11 +6,11 @@ trustworthy if it can be exercised against *scripted* failure: a
 type misbehaves and how, so a test, a benchmark, or a ``repro run
 --fault-plan`` chaos drill replays the same failure schedule every
 time.  Faults fire at the same boundary the retry/timeout machinery
-guards — the executors wrap every encapsulation (and composition) call
-with :meth:`FaultPlan.apply` *inside* the resilient call, so an
-injected crash is retried, an injected hang trips the watchdog, and an
-injected corruption is rejected before anything reaches the history
-database.
+guards — on every preset the coordinator draws each attempt's fault
+with :meth:`FaultPlan.next_fault`, and the attempt's call body fires it
+with :func:`run_with_fault` *inside* the resilient call, so an injected
+crash is retried, an injected hang trips the watchdog, and an injected
+corruption is rejected before anything reaches the history database.
 
 Fault kinds:
 
@@ -130,11 +130,11 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, replayable schedule of tool faults.
 
-    The plan keeps one thread-safe counter per tool type; every
-    executor lane routes its encapsulation calls through
-    :meth:`apply`, so the Nth invocation is the Nth *globally*, no
-    matter which thread runs it.  ``reset()`` rewinds the counters so
-    the same plan object can script a second identical run.
+    The plan keeps one thread-safe counter per tool type; executors
+    draw every call attempt's fault through :meth:`next_fault`, so the
+    Nth invocation is the Nth *globally*, whichever thread or worker
+    runs it.  ``reset()`` rewinds the counters so the same plan object
+    can script a second identical run.
     """
 
     def __init__(self, faults: list[FaultSpec] | None = None,
@@ -225,8 +225,8 @@ class FaultPlan:
         return fault
 
     def apply(self, tool_type: str, call: Callable[[], Any]) -> Any:
-        """Run ``call``, injecting whatever this plan scripts for the
-        current (1-based) invocation of ``tool_type``."""
+        """Draw and fire at once: run ``call`` under what this plan
+        scripts for the current (1-based) invocation of ``tool_type``."""
         return run_with_fault(self.next_fault(tool_type), call,
                               sleep=self.sleep)
 
@@ -276,10 +276,10 @@ def run_with_fault(fault: FaultSpec | None, call: Callable[[], Any], *,
     """Run ``call`` under an already-drawn fault spec (or none).
 
     The plan side (:meth:`FaultPlan.next_fault`) and the firing side
-    are split so a process-pool coordinator can draw the fault where
-    the counters live and fire it inside the worker process — a hang
-    then really blocks the worker and the watchdog kills a real
-    process, not a thread-local stand-in.
+    are split so a coordinator draws the fault where the counters live
+    and the call body fires it wherever the attempt runs — inside a
+    worker process a hang then really blocks the worker and the
+    watchdog kills a real process, not a thread-local stand-in.
     """
     if fault is None:
         return call()

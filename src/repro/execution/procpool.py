@@ -17,11 +17,12 @@ dispatches the scheduler's ready set to a pool of real
   round-trip (up to :data:`BATCH_MAX`), and every lane **steals** from
   the one global ready deque, so an idle worker drains whatever is
   runnable;
-* the resilience layer survives the thread→process move: a watchdog
-  timeout *kills and respawns the worker process* (something the
-  thread watchdog could never do), retries re-enqueue the envelope
-  with a freshly drawn fault, and quarantine/breaker state stays with
-  the coordinator.
+* the resilience layer survives the thread→process move: calls go
+  through the policy's one retry loop like on every preset, and an
+  attempt is one round trip.  A watchdog timeout *kills and respawns
+  the worker process* (something the thread watchdog could never do),
+  a retry goes out at once with a freshly drawn fault, and
+  quarantine/breaker state stays with the coordinator.
 
 Workers never touch the history database; recording, cache population
 and span emission happen coordinator-side, with worker-reported tool
@@ -40,7 +41,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
                       TransientToolError)
@@ -53,9 +54,9 @@ from ..obs import (COMPOSE_TOOL, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
 from .executor import (FlowExecutor, _Lane, _Prepared, _Run, _Unit,
-                       _run_threads)
-from .faults import FaultSpec, run_with_fault
-from .resilience import annotate_error
+                       _run_threads, run_call)
+from .faults import FaultSpec
+from .resilience import watchdog_budget
 from .scheduler import DurationModel
 
 #: Most same-tool-type invocations one worker round trip carries.  One
@@ -81,21 +82,16 @@ class InvocationEnvelope:
     """
 
     envelope_id: int
-    #: ``"tool"`` or ``"compose"``.
-    kind: str
-    #: Entity type of the tool node (tool) or composed data (compose).
-    tool_type: str
-    tool_instance_id: str | None
-    tool_data: Any
+    #: The call's context as the coordinator built it; a composition's
+    #: names the composed type and no tool instance.
+    ctx: ToolContext
     #: sha256 fingerprint of the encapsulation/composition callable the
     #: coordinator keyed the derivation on; the worker refuses to run
     #: different code under the same envelope.
     fingerprint: str
-    output_types: tuple[str, ...]
     #: ``(role, payload)`` pairs; a payload is one design datum or (for
     #: batch encapsulations) a list of them.
     inputs: tuple[tuple[str, Any], ...]
-    user: str
     #: Scripted fault to fire *inside* the worker (drawn by the
     #: coordinator, where the plan's counters live), or None.
     fault: FaultSpec | None = None
@@ -147,50 +143,43 @@ def _decode_error(outcome: EnvelopeOutcome, worker: str) -> BaseException:
         f"(raised in worker {worker})")
 
 
+def _fingerprint(fn: Any, ctx: ToolContext) -> str:
+    """The fingerprint of a call's code: its encapsulation's, or a
+    composition's callable when ``ctx`` names no tool instance."""
+    if ctx.tool_instance_id is None:
+        return fingerprint_callable(fn)
+    return fn.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # worker side (runs in the forked child)
 # ---------------------------------------------------------------------------
 def _run_envelope(registry: EncapsulationRegistry,
                   envelope: InvocationEnvelope,
                   telemetry: WorkerTelemetry, collect_phases: bool,
-                  profiler: SamplingProfiler | None) -> EnvelopeOutcome:
+                  profiler: SamplingProfiler | None,
+                  sleep: Callable[[float], None]) -> EnvelopeOutcome:
     telemetry.begin_envelope(collect=collect_phases)
     started = telemetry.clock()
+    ctx = envelope.ctx
     value: Any = None
     failure: BaseException | None = None
     try:
-        inputs = dict(envelope.inputs)
         with telemetry.phase(PHASE_VERIFY):
-            if envelope.kind == "compose":
-                compose = registry.composition(envelope.tool_type)
-                code = f"composition for {envelope.tool_type!r}"
-                fingerprint = fingerprint_callable(compose)
-                key = COMPOSE_TOOL
-                body = lambda: compose(inputs)  # noqa: E731
+            if ctx.tool_instance_id is None:
+                fn = registry.composition(ctx.tool_type)
+                code = f"composition for {ctx.tool_type!r}"
             else:
-                enc = registry.resolve(envelope.tool_type,
-                                       envelope.tool_instance_id)
-                code = f"encapsulation {enc.name!r}"
-                fingerprint = enc.fingerprint()
-                ctx = ToolContext(
-                    tool_type=envelope.tool_type,
-                    tool_instance_id=envelope.tool_instance_id or "",
-                    tool_data=envelope.tool_data,
-                    output_types=envelope.output_types,
-                    options=enc.options(),
-                    user=envelope.user)
-                key = envelope.tool_type
-                body = lambda: enc.run(ctx, inputs)  # noqa: E731
-            if fingerprint != envelope.fingerprint:
+                fn = registry.resolve(ctx.tool_type, ctx.tool_instance_id)
+                code = f"encapsulation {fn.name!r}"
+            if _fingerprint(fn, ctx) != envelope.fingerprint:
                 raise ExecutionError(
                     f"{code} changed between dispatch and execution "
                     "(fingerprint mismatch)")
         with telemetry.phase(PHASE_TOOL):
-            if profiler is None:
-                value = run_with_fault(envelope.fault, body)
-            else:
-                value = profiler.run(key, lambda: run_with_fault(
-                    envelope.fault, body))
+            value = run_call(fn, ctx, dict(envelope.inputs),
+                             envelope.fault, sleep=sleep,
+                             profiler=profiler)
     except BaseException as error:  # transported, never fatal here
         failure = error
     duration = telemetry.clock() - started
@@ -209,12 +198,14 @@ def _run_envelope(registry: EncapsulationRegistry,
 def _worker_main(conn: multiprocessing.connection.Connection,
                  registry: EncapsulationRegistry, worker: str,
                  collect_phases: bool, profile_interval: float,
-                 profile_memory: bool) -> None:
+                 profile_memory: bool,
+                 sleep: Callable[[float], None]) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
 
     The run's settings arrive once, at fork: ``collect_phases`` (the
     run is traced: ship phase samples home), ``profile_interval`` (0
-    runs no profiler) and ``profile_memory`` (``tracemalloc`` peaks).
+    runs no profiler), ``profile_memory`` (``tracemalloc`` peaks) and
+    ``sleep``, the fault plan's, which hang and slowdown faults use.
 
     ``None`` is the shutdown sentinel; a broken pipe means the
     coordinator is gone and the worker simply exits.  Every batch reply
@@ -242,7 +233,7 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 return
             telemetry.batches += 1
             replies = [_run_envelope(registry, envelope, telemetry,
-                                     collect_phases, profiler)
+                                     collect_phases, profiler, sleep)
                        for envelope in batch]
             stats = telemetry.stats()
             if profiler is not None:
@@ -275,7 +266,7 @@ class _WorkerHandle:
     """
 
     def __init__(self, name: str, registry: EncapsulationRegistry,
-                 context, settings: tuple[bool, float, bool]) -> None:
+                 context, settings: tuple[Any, ...]) -> None:
         self.name = name
         self.registry = registry
         self.context = context
@@ -439,7 +430,9 @@ class ProcessFlowExecutor(FlowExecutor):
         profiler = self.profiler
         settings = (self.tracer.enabled,
                     profiler.interval if profiler is not None else 0.0,
-                    profiler is not None and profiler.track_memory)
+                    profiler is not None and profiler.track_memory,
+                    self.faults.sleep if self.faults is not None
+                    else time.sleep)
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
         # lanes would snapshot their lock states into the child.
@@ -518,14 +511,6 @@ class ProcessFlowExecutor(FlowExecutor):
     # ------------------------------------------------------------------
     # claim: same-tool-type batches under a fair-share cap
     # ------------------------------------------------------------------
-    def _batchable(self, tool_type: str | None) -> bool:
-        """Same-tool-type claims may share one worker round trip —
-        unless a watchdog budget applies, which is per invocation."""
-        if self.resilience is None:
-            return True
-        rule = self.resilience.rule_for(tool_type or COMPOSE_TOOL)
-        return rule.timeout is None
-
     def _claim(self, run: _Run, lane: _Lane) -> list[list[int]]:
         ready, nodes = run.ready, run.nodes
         claimed = [ready.pop(0)]
@@ -539,10 +524,12 @@ class ProcessFlowExecutor(FlowExecutor):
         # Batch greed is capped at this lane's fair share of the ready
         # set: amortize round trips only when there is more ready work
         # than workers — otherwise batching would serialize exactly the
-        # parallelism it exists to exploit.
+        # parallelism it exists to exploit.  A watchdog budget is per
+        # call, so budgeted invocations are never batched.
         share = -(-(len(ready) + 1) // self.workers)
         limit = min(BATCH_MAX, max(1, share))
-        if self._batchable(tool_type):
+        if watchdog_budget(self.resilience,
+                           tool_type or COMPOSE_TOOL) is None:
             position = 0
             while position < len(ready) and len(claimed) < limit:
                 if nodes[ready[position]].tool_type == tool_type:
@@ -552,141 +539,56 @@ class ProcessFlowExecutor(FlowExecutor):
         return [claimed]
 
     # ------------------------------------------------------------------
-    # dispatch: worker round trips with retry / watchdog / breaker
+    # attempts: one worker round trip each
     # ------------------------------------------------------------------
-    def _envelope(self, unit: _Unit) -> InvocationEnvelope:
-        """The wire form of one attempt; every attempt draws its own
-        scripted fault, as the in-process boundary counts them."""
-        ctx = unit.ctx
-        return InvocationEnvelope(
-            envelope_id=next(self._envelope_ids),
-            kind="tool" if unit.tool_id is not None else "compose",
-            tool_type=ctx.tool_type, tool_instance_id=unit.tool_id,
-            tool_data=ctx.tool_data,
-            fingerprint=(unit.fn.fingerprint()
-                         if unit.tool_id is not None
-                         else fingerprint_callable(unit.fn)),
-            output_types=ctx.output_types,
-            inputs=tuple(sorted(unit.inputs.items())),
-            user=self.user,
-            fault=(self.faults.next_fault(unit.tool_type)
-                   if self.faults is not None else None))
+    def _trips(self, calls: list[_Unit]) -> list[list[_Unit]]:
+        """Calls without a watchdog budget share one round trip; the
+        budget is per call, so a budgeted call rides alone."""
+        if all(watchdog_budget(self.resilience, call.tool_type) is None
+               for call in calls):
+            return [calls]
+        return [[call] for call in calls]
 
-    def _timeout_for(self, unit: _Unit) -> float | None:
-        if self.resilience is None:
-            return None
-        timeout = self.resilience.rule_for(unit.tool_type).timeout
-        if timeout is None or timeout <= 0:
-            return None
-        return timeout
-
-    def _dispatch(self, run: _Run, lane: _Lane,
-                  prepared: list[_Prepared]) -> None:
-        """Run every unit to a final outcome (success or final error).
-
-        The process-boundary twin of :meth:`ResiliencePolicy.run`: the
-        watchdog is the coordinator polling the pipe (and killing the
-        worker on expiry) instead of a daemon thread, and a retried
-        unit goes back on the next round with a freshly drawn fault.
-        Both loops leave the retry decision to
-        :meth:`ResiliencePolicy.settle`.
-        """
+    def _attempt(self, run: _Run, lane: _Lane,
+                 trip: list[_Unit]) -> list[BaseException | None]:
+        """One round trip for the calls aboard, each with a freshly
+        drawn fault; a transport failure is one failed attempt for
+        every one of them."""
         handle = lane.host
-        policy = self.resilience
-        pending = [unit for prep in prepared for unit in prep.units]
-        while pending:
-            current, pending = pending, []
-            # Per-unit watchdog budgets force one-envelope round trips;
-            # unbounded units of one batch share a single trip.
-            groups: list[list[_Unit]] = []
-            for unit in current:
-                if self._timeout_for(unit) is not None or not groups \
-                        or self._timeout_for(groups[-1][0]) is not None:
-                    groups.append([unit])
-                else:
-                    groups[-1].append(unit)
-            for group in groups:
-                # Dispatch-time breaker check: a batch-mate (or an
-                # earlier group) may have opened the quarantine after
-                # this unit was prepared.
-                if policy is not None \
-                        and policy.breaker.is_open(group[0].tool_type):
-                    for unit in group:
-                        unit.error = policy.quarantined_error(
-                            unit.tool_type)
-                    continue
-                timeout = self._timeout_for(group[0])
-                envelopes = [self._envelope(unit) for unit in group]
-                for unit in group:
-                    unit.stats.attempts += 1
-                sent_at = self.tracer.clock()
-                try:
-                    outcomes = handle.call(envelopes, timeout)
-                except BaseException as error:
-                    # transport-level failure: the whole round is one
-                    # failed attempt for every unit aboard
-                    for unit in group:
-                        if isinstance(error, InvocationTimeoutError):
-                            unit.stats.timeouts += 1
-                            _, on_timeout, _ = self._policy_hooks(
-                                run, lane, unit)
-                            on_timeout(unit.stats.attempts,
-                                       timeout or 0.0)
-                        self._settle(run, lane, unit, error, pending)
-                    continue
-                received_at = self.tracer.clock()
-                by_id = {outcome.envelope_id: outcome
-                         for outcome in outcomes}
-                # A worker runs its batch serially: unit K's tool only
-                # starts after units 0..K-1 finished, so their summed
-                # tool time is queue wait from unit K's point of view.
-                elapsed = 0.0
-                for unit, envelope in zip(group, envelopes):
-                    unit.window = (sent_at, received_at)
-                    unit.batch_offset = elapsed
-                    outcome = by_id.get(envelope.envelope_id)
-                    if outcome is None:
-                        self._settle(
-                            run, lane, unit,
-                            TransientToolError(
-                                f"worker {handle.name} returned no "
-                                "outcome for envelope "
-                                f"{envelope.envelope_id}"),
-                            pending)
-                        continue
-                    elapsed += outcome.duration
-                    if not outcome.ok:
-                        self._settle(run, lane, unit,
-                                     _decode_error(outcome, handle.name),
-                                     pending)
-                        continue
-                    unit.outcome = outcome
-                    unit.value = outcome.value
-                    unit.duration = outcome.duration
-                    if policy is not None:
-                        policy.breaker.record_success(unit.tool_type)
-
-    def _settle(self, run: _Run, lane: _Lane, unit: _Unit,
-                error: BaseException, pending: list[_Unit]) -> None:
-        """Decide one failed attempt: re-enqueue or finalize."""
-        policy = self.resilience
-        if policy is None:
-            unit.error = annotate_error(error, tool_type=unit.tool_type)
-            return
-        # A round-trip-mate already opened the quarantine: had the
-        # units run one at a time (as the in-process lanes do) this one
-        # would have been refused at the pre-check, so its failure
-        # surfaces as quarantined and is not counted by the breaker
-        # again.
-        unit.error = policy.quarantined_error(unit.tool_type)
-        if unit.error is None:
-            on_retry, _, on_quarantine = self._policy_hooks(run, lane,
-                                                            unit)
-            unit.error = policy.settle(unit.tool_type, error,
-                                       unit.stats, on_retry=on_retry,
-                                       on_quarantine=on_quarantine)
-        if unit.error is None:
-            pending.append(unit)
+        envelopes = [InvocationEnvelope(
+            envelope_id=next(self._envelope_ids), ctx=unit.ctx,
+            fingerprint=_fingerprint(unit.fn, unit.ctx),
+            inputs=tuple(sorted(unit.inputs.items())),
+            fault=self._fault(unit)) for unit in trip]
+        sent_at = self.tracer.clock()
+        try:
+            outcomes = handle.call(envelopes, watchdog_budget(
+                self.resilience, trip[0].tool_type))
+        except BaseException as error:
+            return [error] * len(trip)
+        received_at = self.tracer.clock()
+        by_id = {outcome.envelope_id: outcome for outcome in outcomes}
+        # A worker runs its batch serially: unit K's tool only starts
+        # after units 0..K-1 finished, so their summed tool time is
+        # queue wait from unit K's point of view.
+        elapsed = 0.0
+        errors: list[BaseException | None] = []
+        for unit, envelope in zip(trip, envelopes):
+            unit.window = (sent_at, received_at)
+            unit.batch_offset = elapsed
+            outcome = by_id.get(envelope.envelope_id)
+            if outcome is None:
+                errors.append(TransientToolError(
+                    f"worker {handle.name} returned no outcome for "
+                    f"envelope {envelope.envelope_id}"))
+                continue
+            elapsed += outcome.duration
+            if outcome.ok:
+                unit.outcome, unit.value = outcome, outcome.value
+                unit.duration = outcome.duration
+            errors.append(None if outcome.ok
+                          else _decode_error(outcome, handle.name))
+        return errors
 
     # ------------------------------------------------------------------
     # record hooks: worker facts and phase spans on tool spans

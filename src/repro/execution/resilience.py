@@ -26,9 +26,12 @@ every encapsulation invocation:
   and keep executing everything that does not depend on them, instead
   of aborting the whole flow.
 
-The policy object is shared: a coordinator (parallel/scheduled
-executor) hands the same instance to every worker lane, so breaker
-state is global to the run, guarded by one lock.
+The policy owns the one retry loop, :meth:`ResiliencePolicy.drive`:
+every executor preset drives its tool calls through it, whether an
+attempt runs inline on a lane or as a worker round trip, and
+:meth:`ResiliencePolicy.run` is its single-call use.  The policy object
+is shared: a coordinator hands the same instance to every lane, so
+breaker state is global to the run, guarded by one lock.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..errors import (ExecutionError, InvocationTimeoutError,
@@ -87,6 +90,17 @@ class CallStats:
     retries: int = 0
     timeouts: int = 0
     delays: tuple[float, ...] = ()
+
+
+@dataclass(eq=False)
+class Call:
+    """One call :meth:`ResiliencePolicy.drive` takes to its outcome: a
+    successful attempt's ``value``, or the final ``error``."""
+
+    tool_type: str
+    stats: CallStats = field(default_factory=lambda: CallStats(attempts=0))
+    value: Any = None
+    error: BaseException | None = None
 
 
 @dataclass(frozen=True)
@@ -230,6 +244,16 @@ def call_with_timeout(call: Callable[[], Any],
     return outcome[0]
 
 
+def watchdog_budget(policy: "ResiliencePolicy | None",
+                    tool_type: str) -> float | None:
+    """The watchdog budget of one call of ``tool_type`` in seconds, or
+    None when it runs unwatched (no policy, or no positive timeout)."""
+    if policy is None:
+        return None
+    timeout = policy.rule_for(tool_type).timeout
+    return timeout if timeout is not None and timeout > 0 else None
+
+
 class ResiliencePolicy:
     """Retry/timeout/quarantine policy the executors consult per call.
 
@@ -318,7 +342,7 @@ class ResiliencePolicy:
         fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return base * (1.0 + rule.jitter * fraction)
 
-    # -- the guarded call -------------------------------------------------
+    # -- the retry loop --------------------------------------------------
     def quarantined_error(self, tool_type: str) -> BaseException | None:
         """The fail-fast error for a quarantined tool type, else None.
 
@@ -346,9 +370,7 @@ class ResiliencePolicy:
         Returns None when the call should be tried again — the retry is
         counted in ``stats`` and the backoff already slept.  Otherwise
         the breaker counts the failure and the error comes back
-        annotated (see :func:`annotate_error`), final.  Both the
-        in-process :meth:`run` loop and the process dispatcher decide
-        here.
+        annotated (see :func:`annotate_error`), final.
         """
         classification = self.classify(error)
         if classification != TRANSIENT \
@@ -369,41 +391,76 @@ class ResiliencePolicy:
         self.sleep(delay)
         return None
 
+    def drive(self, trip: list[Call],
+              attempt: Callable[[list[Call]], list[BaseException | None]],
+              hooks: Callable[[Call], tuple[Any, Any, Any]]) -> None:
+        """Drive a trip of calls until each succeeds or fails for good.
+
+        ``attempt`` runs the calls once, together, stores each success's
+        ``value`` and returns each call's error (None on success).  A
+        failed call is retried at once with its failed trip-mates, or
+        keeps its final, annotated ``error``.  A quarantined tool type
+        is refused before every attempt, and after a trip-mate opened
+        the quarantine, uncounted.  ``hooks(call)`` gives its
+        ``(on_retry, on_timeout, on_quarantine)``, each possibly None.
+        """
+        while trip:
+            for call in trip:
+                call.error = self.quarantined_error(call.tool_type)
+            trip = [call for call in trip if call.error is None]
+            if not trip:
+                return
+            for call in trip:
+                call.stats.attempts += 1
+            retry = []
+            for call, error in zip(trip, attempt(trip)):
+                if error is None:
+                    self.breaker.record_success(call.tool_type)
+                    continue
+                on_retry, on_timeout, on_quarantine = hooks(call)
+                if isinstance(error, InvocationTimeoutError):
+                    call.stats.timeouts += 1
+                    if on_timeout is not None:
+                        on_timeout(call.stats.attempts,
+                                   watchdog_budget(self, call.tool_type)
+                                   or 0.0)
+                call.error = self.quarantined_error(call.tool_type) \
+                    or self.settle(call.tool_type, error, call.stats,
+                                   on_retry=on_retry,
+                                   on_quarantine=on_quarantine)
+                if call.error is None:
+                    retry.append(call)
+            trip = retry
+
     def run(self, tool_type: str, call: Callable[[], Any], *,
             on_retry: Callable[[int, BaseException, float, str], None]
             | None = None,
             on_timeout: Callable[[int, float], None] | None = None,
             on_quarantine: Callable[[int], None] | None = None
             ) -> tuple[Any, CallStats]:
-        """Execute ``call`` under this policy.
+        """Execute ``call`` under this policy: :meth:`drive` for one
+        call, each attempt under the tool type's watchdog budget.
 
         Returns ``(result, CallStats)`` on success.  On final failure
         the original exception is re-raised, annotated with the tool
         type, attempt count and classification (see
         :func:`annotate_error`), after the breaker counted the failure.
         """
-        refused = self.quarantined_error(tool_type)
-        if refused is not None:
-            raise refused
-        timeout = self.rule_for(tool_type).timeout
-        stats = CallStats(attempts=0)
-        while True:
-            stats.attempts += 1
+        one = Call(tool_type)
+
+        def attempt(trip: list[Call]) -> list[BaseException | None]:
             try:
-                result = call_with_timeout(call, timeout)
+                one.value = call_with_timeout(
+                    call, watchdog_budget(self, tool_type))
             except BaseException as error:
-                if isinstance(error, InvocationTimeoutError):
-                    stats.timeouts += 1
-                    if on_timeout is not None:
-                        on_timeout(stats.attempts, timeout or 0.0)
-                final = self.settle(tool_type, error, stats,
-                                    on_retry=on_retry,
-                                    on_quarantine=on_quarantine)
-                if final is not None:
-                    raise final
-                continue
-            self.breaker.record_success(tool_type)
-            return result, stats
+                return [error]
+            return [None]
+
+        self.drive([one], attempt,
+                   lambda _: (on_retry, on_timeout, on_quarantine))
+        if one.error is not None:
+            raise one.error
+        return one.value, one.stats
 
     def __repr__(self) -> str:
         rule = self._default
@@ -440,6 +497,7 @@ def failure_entry(error: BaseException, *,
 
 __all__ = [
     "CLASSIFICATIONS",
+    "Call",
     "CallStats",
     "CircuitBreaker",
     "DEFAULT_QUARANTINE_AFTER",
@@ -454,4 +512,5 @@ __all__ = [
     "annotate_error",
     "call_with_timeout",
     "failure_entry",
+    "watchdog_budget",
 ]

@@ -50,6 +50,7 @@ from types import FrameType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..errors import ObservabilityError
+from .events import check_schema_version
 from .ledger import find_run, render_json
 from .sinks import JSONLReader, append_jsonl
 
@@ -529,8 +530,9 @@ def append_profile(path: str | pathlib.Path,
 
 
 def _checked_profile(record: dict[str, Any]) -> dict[str, Any]:
-    """A profile record whose aggregate loads (else the reader names
-    its line)."""
+    """A profile record of this build's schema whose aggregate loads
+    (else the reader names its line)."""
+    check_schema_version(record, PROFILE_SCHEMA_VERSION, "profile")
     ProfileAggregate.from_dict(record)
     return record
 

@@ -153,7 +153,9 @@ def load_environment(directory: str | pathlib.Path, *,
     if meta.get("format") != FORMAT_VERSION:
         raise HistoryError(
             f"unsupported environment format {meta.get('format')!r}")
-    schema = schema_from_dict(read_history_json(root / SCHEMA_FILE))
+    # validated once, by DesignEnvironment below
+    schema = schema_from_dict(read_history_json(root / SCHEMA_FILE),
+                              validate=False)
     backend = _check_backend(meta.get("history_backend", BACKEND_JSON))
     if backend == BACKEND_SQLITE:
         sqlite_path = root / HISTORY_SQLITE_FILE

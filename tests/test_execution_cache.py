@@ -74,6 +74,22 @@ class TestPolicies:
         with pytest.raises(ExecutionError):
             executor.execute(flow, cache="reuse")
 
+    def test_override_holds_for_its_call_only(self, counting_env,
+                                              tmp_path):
+        """``execute(cache=...)`` sets the policy of that run — its
+        reads, writes and ledger record — and leaves the executor's."""
+        ledger = counting_env.attach_ledger(tmp_path / "ledger.jsonl")
+        executor = counting_env.executor(cache="readwrite")
+        flow, _ = simulate_flow(counting_env)
+        executor.execute(flow, cache="reuse")
+        assert len(counting_env.cache) == 0  # reuse never writes
+        assert executor.cache_policy == CACHE_READWRITE
+        flow2, _ = rebuilt_flow(counting_env, flow)
+        executor.execute(flow2)
+        assert len(counting_env.cache) == 2  # readwrite again
+        assert [r.cache_policy for r in ledger.records()] == \
+            [CACHE_REUSE, CACHE_READWRITE]
+
     def test_off_policy_is_inert(self, counting_env):
         """cache=off must behave byte-identically to no cache at all."""
         flow, goal = simulate_flow(counting_env)

@@ -158,6 +158,23 @@ class TestResilience:
         assert report.timeouts == 1
         assert report.retries == 1
 
+    def test_worker_fires_faults_with_the_plans_sleep(self):
+        """A worker fires its drawn fault with the plan's ``sleep``, as
+        a lane does: under a no-op sleep a scripted hang never hangs,
+        so the watchdog has nothing to kill."""
+        env = fan_env()
+        policy = ResiliencePolicy(retries=2, timeout=0.5,
+                                  backoff_base=0.0, jitter=0.0)
+        faults = FaultPlan([FaultSpec("Tool", 1, kind="hang",
+                                      delay=30.0)], seed=1,
+                           sleep=lambda delay: None)
+        report = env.process_executor(
+            workers=1, resilience=policy,
+            faults=faults).execute(fan_flow(env))
+        assert len(report.results) == 4
+        assert faults.fired == (("Tool", 1, "hang"),)
+        assert report.timeouts == 0
+
     def test_late_worker_start_keeps_replies_in_step(self, monkeypatch):
         """A worker that reaches its loop late still answers each round
         trip with that round's replies.  A zero ``SYNC_TIMEOUT`` (the

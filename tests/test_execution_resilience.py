@@ -87,6 +87,20 @@ def branches_flow(env, extractor_id, count=3):
     return flow
 
 
+def fan_out_flow(env, extractor_id, count=3):
+    """One Extractor invocation over ``count`` bound layouts: one call
+    per layout."""
+    layouts = [env.install_data(S.EDITED_LAYOUT, {"l": index})
+               for index in range(count)]
+    flow = env.new_flow("fan-out")
+    netlist = flow.place(S.EXTRACTED_NETLIST)
+    flow.expand(netlist)
+    flow.bind(flow.sole_node_of_type(S.LAYOUT),
+              *(layout.instance_id for layout in layouts))
+    flow.bind(flow.sole_node_of_type(S.EXTRACTOR), extractor_id)
+    return flow
+
+
 def netlist_signature(env):
     """Order-independent content signature of every extracted netlist."""
     return sorted(
@@ -193,6 +207,21 @@ class TestResiliencePolicy:
         assert pol.quarantined() == ("T",)
         # other tool types are unaffected
         assert pol.run("U", count) == (1, pol.run("U", count)[1])
+
+    def test_breaker_checked_before_every_attempt(self):
+        """A quarantine opened during a call's backoff (by another
+        lane's failure) refuses the call's next attempt."""
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            raise TransientToolError("flaky")
+
+        pol = policy(retries=3, quarantine_after=1)
+        pol.sleep = lambda delay: pol.breaker.record_failure("T")
+        with pytest.raises(ToolQuarantinedError):
+            pol.run("T", flaky)
+        assert calls["n"] == 1
 
     def test_call_with_timeout_abandons_slow_calls(self):
         gate = threading.Event()
@@ -363,6 +392,23 @@ class TestResilientExecution:
         assert again.cache_hits == 1
         assert len(env.db.browse(S.EXTRACTED_NETLIST)) == 1
 
+    def test_remembered_duration_is_the_successful_attempt(self, env):
+        """The cache remembers the attempt that produced the result,
+        not the failed attempt and the backoff before it."""
+        tool = make_extractor(env)
+        flow, _ = single_branch(env, tool.instance_id)
+        env.resilience = ResiliencePolicy(retries=1, backoff_base=0.2,
+                                          jitter=0.0)
+        env.faults = FaultPlan([FaultSpec(S.EXTRACTOR, 1)],
+                               sleep=no_sleep)
+        assert env.run(flow, cache="readwrite").retries == 1
+        env.faults = None
+        for node in flow.nodes():
+            node.produced = ()
+        again = env.run(flow, cache="reuse")
+        assert again.cache_hits == 1
+        assert again.time_saved < 0.2
+
     def test_hang_fault_trips_watchdog_then_recovers(self, env):
         tool = make_extractor(env)
         flow, netlist = single_branch(env, tool.instance_id)
@@ -501,30 +547,28 @@ class TestExecutorEquivalence:
     KINDS = ("sequential", "parallel", "scheduled", "procpool")
 
     @staticmethod
-    def run_kind(kind):
+    def executor(env, kind, **settings):
+        if kind == "parallel":
+            return env.parallel_executor(machines=3, **settings)
+        if kind == "scheduled":
+            return env.scheduled_executor(machines=3, **settings)
+        if kind == "procpool":
+            return env.process_executor(workers=3, **settings)
+        return env.executor(**settings)
+
+    @classmethod
+    def run_kind(cls, kind, build=branches_flow, crashes=(1, 2),
+                 **rules):
         env = DesignEnvironment(odyssey_schema(), user="chaos")
         tool = make_extractor(env)
-        flow = branches_flow(env, tool.instance_id)
-        plan = FaultPlan([FaultSpec(S.EXTRACTOR, 1),
-                          FaultSpec(S.EXTRACTOR, 2)], seed=7,
-                         sleep=no_sleep)
-        pol = policy(retries=3, seed=7)
+        flow = build(env, tool.instance_id)
+        plan = FaultPlan([FaultSpec(S.EXTRACTOR, index)
+                          for index in crashes], seed=7, sleep=no_sleep)
+        pol = policy(seed=7, **{"retries": 3, **rules})
         ring = RingBufferSink()
         env.bus.subscribe(ring)
-        if kind == "parallel":
-            executor = env.parallel_executor(machines=3,
-                                             resilience=pol,
-                                             faults=plan)
-        elif kind == "scheduled":
-            executor = env.scheduled_executor(machines=3,
-                                              resilience=pol,
-                                              faults=plan)
-        elif kind == "procpool":
-            executor = env.process_executor(workers=3, resilience=pol,
-                                            faults=plan)
-        else:
-            executor = env.executor(resilience=pol, faults=plan)
-        report = executor.execute(flow)
+        report = cls.executor(env, kind, resilience=pol,
+                              faults=plan).execute(flow)
         classifications = sorted(
             (e.tool_type, e.value("classification"))
             for e in ring.events() if e.event_type == TOOL_RETRIED)
@@ -550,6 +594,64 @@ class TestExecutorEquivalence:
             assert first["retries"] == baseline["retries"], kind
             assert first["classifications"] == \
                 baseline["classifications"], kind
+
+    @pytest.mark.parametrize("crashes", [(1, 2), (2, 3), (1, 3)])
+    def test_fan_out_identical_outcome(self, crashes):
+        """Two crashes among one invocation's three calls: a lane
+        retries each call before the next, a worker retries the failed
+        calls of one round trip together; both recover identically."""
+        outcomes = {kind: [self.run_kind(kind, fan_out_flow, crashes),
+                           self.run_kind(kind, fan_out_flow, crashes)]
+                    for kind in self.KINDS}
+        baseline = outcomes["sequential"][0]
+        assert baseline["retries"] == 2
+        assert baseline["failures"] == 0
+        assert len(baseline["signature"]) == 3
+        assert baseline["fired"] == [(S.EXTRACTOR, index, CRASH)
+                                     for index in crashes]
+        for kind in self.KINDS:
+            first, second = outcomes[kind]
+            assert first == second, f"{kind} not deterministic"
+            assert first == baseline, kind
+
+    def test_budgeted_calls_retry_before_the_next_runs(self):
+        """Under a watchdog budget every call rides alone, and each
+        preset retries a call before the next one runs: two crashes in
+        a row exhaust the first call's one retry."""
+        outcomes = {kind: self.run_kind(kind, fan_out_flow, (1, 2),
+                                        retries=1, timeout=5.0,
+                                        degrade=True)
+                    for kind in self.KINDS}
+        baseline = outcomes["sequential"]
+        assert baseline["failures"] == 1
+        assert baseline["fired"] == [(S.EXTRACTOR, 1, CRASH),
+                                     (S.EXTRACTOR, 2, CRASH)]
+        for kind in self.KINDS:
+            assert outcomes[kind] == baseline, kind
+
+    @pytest.mark.parametrize("kind", ["sequential", "parallel",
+                                      "scheduled"])
+    def test_fan_out_stops_after_a_call_fails_for_good(self, kind):
+        """The second of three calls fails permanently: the third is
+        never attempted, so it neither runs the tool nor draws the
+        crash scripted for it."""
+        env = DesignEnvironment(odyssey_schema(), user="chaos")
+        seen = []
+
+        def extract(ctx, inputs):
+            seen.append(inputs["layout"]["l"])
+            return {t: {"from": inputs["layout"]["l"]}
+                    for t in ctx.output_types}
+
+        tool = env.install_tool(S.EXTRACTOR, encapsulation("x", extract))
+        plan = FaultPlan([FaultSpec(S.EXTRACTOR, 2, transient=False),
+                          FaultSpec(S.EXTRACTOR, 3)], sleep=no_sleep)
+        report = self.executor(
+            env, kind, resilience=policy(retries=3, degrade=True),
+            faults=plan).execute(fan_out_flow(env, tool.instance_id))
+        assert seen == [0]
+        assert plan.fired == ((S.EXTRACTOR, 2, CRASH),)
+        assert [f.classification for f in report.failures] == [PERMANENT]
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,54 @@ def test_profile_with_list_of_stacks(tmp_path, capsys):
                           "record (AttributeError: ")
 
 
+def test_profile_of_another_schema_names_its_line(tmp_path, capsys):
+    append_profile(tmp_path / PROFILE_FILE, {"run_id": "ok", "stacks": {}})
+    append_profile(tmp_path / PROFILE_FILE,
+                   {"schema_version": "profile2.v1", "run_id": "new",
+                    "stacks": {}})
+    code, err = _run(capsys, "profile", "show", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / PROFILE_FILE}:2: "
+                          "unsupported profile schema version")
+
+
+#: The three commands that replay an event log into metrics.
+METRIC_REPLAYS = (("events", "{log}", "--replay"),
+                  ("stats", "{proj}", "--events", "{log}"),
+                  ("ledger", "export", "{proj}", "--events", "{log}"))
+
+
+@pytest.mark.parametrize("command", METRIC_REPLAYS,
+                         ids=lambda command: command[0])
+def test_metric_replays_drop_a_torn_tail(tmp_path, capsys, command):
+    """A killed writer's partial last line is dropped, as ``repro
+    events`` drops it; a corrupt line mid-file is still an error."""
+    proj = tmp_path / "proj"
+    assert main(["init", str(proj)]) == 0
+    intact = _lines_to(tmp_path / "intact.jsonl",
+                       *(_valid_event(seq) for seq in (1, 2, 3)))
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(intact.read_text(encoding="utf-8")
+                    + json.dumps(_valid_event(4))[:20], encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for log in (intact, torn):
+        argv = [arg.format(log=log, proj=proj) for arg in command]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert ("flows: 3 started" in outputs[0]
+            or "repro_flows_started_total 3" in outputs[0])
+    broken = tmp_path / "broken.jsonl"
+    lines = intact.read_text(encoding="utf-8").splitlines(keepends=True)
+    broken.write_text(lines[0] + "{not json\n" + "".join(lines[1:]),
+                      encoding="utf-8")
+    code, err = _run(capsys, *(arg.format(log=broken, proj=proj)
+                               for arg in command))
+    assert code == 2
+    assert err.startswith(f"error: {broken}:2: corrupt line")
+
+
 def test_missing_log_names_its_kind(tmp_path, capsys):
     code, err = _run(capsys, "trace", "show", str(tmp_path))
     assert (code, err) == (2, f"error: no trace log at "

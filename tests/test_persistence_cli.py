@@ -1,11 +1,18 @@
 """Tests for whole-environment persistence and the CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import main
-from repro.errors import HistoryError
-from repro.persistence import load_environment, save_environment
+from repro.errors import HistoryError, SchemaError
+from repro.execution import DesignEnvironment
+from repro.persistence import (SCHEMA_FILE, load_environment,
+                               save_environment)
 from repro.schema import standard as S
+from repro.schema.dependency import data_dep
+from repro.schema.entity import data
+from repro.schema.schema import TaskSchema
 from repro.tools import register_standard_encapsulations
 from tests.conftest import build_performance_flow
 
@@ -66,6 +73,34 @@ class TestEnvironmentPersistence:
         directory.mkdir()
         (directory / "environment.json").write_text('{"format": 99}')
         with pytest.raises(HistoryError):
+            load_environment(directory)
+
+    def test_load_validates_the_schema_once(self, stocked_env, tmp_path,
+                                            monkeypatch):
+        save_environment(stocked_env, tmp_path / "proj")
+        validated = []
+        validate = TaskSchema.validate
+
+        def counted(schema):
+            validated.append(schema)
+            validate(schema)
+
+        monkeypatch.setattr(TaskSchema, "validate", counted)
+        load_environment(tmp_path / "proj")
+        assert len(validated) == 1
+
+    def test_schema_with_a_mandatory_cycle_fails_the_load(self,
+                                                          tmp_path):
+        schema = TaskSchema("loop")
+        schema.add_entities([data("A"), data("B")])
+        schema.add_dependency(data_dep("A", "B"))
+        directory = tmp_path / "proj"
+        save_environment(DesignEnvironment(schema), directory)
+        payload = json.loads((directory / SCHEMA_FILE).read_text())
+        payload["dependencies"].append(
+            {**payload["dependencies"][0], "source": "B", "target": "A"})
+        (directory / SCHEMA_FILE).write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="cycle"):
             load_environment(directory)
 
 
