@@ -29,7 +29,7 @@ Three parts, all mandatory:
    machine-independent.
 
 Raw timings, the procpool run's ledger and its trace are copied into
-``benchmarks/artifacts/`` for upload on CI failure.
+``benchmarks/runs/`` (ignored by git) for upload on CI failure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from check_chaos_smoke import (build_project,  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BENCH = REPO / "BENCH_multicore.json"
-ARTIFACTS = REPO / "benchmarks" / "artifacts"
+ARTIFACTS = REPO / "benchmarks" / "runs"
 
 BRANCHES = 4
 WORKERS = 2

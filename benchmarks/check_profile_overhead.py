@@ -13,9 +13,10 @@ profiled best exceeds the unprofiled best by more than
 ~4x on allocation-heavy tools (the reason ``--profile-memory`` is a
 separate opt-in flag) and would never fit this budget.
 
-The measured overhead is appended to ``benchmarks/artifacts/`` raw
-output; the checked-in trajectory lives in ``BENCH_profile.json`` at
-the repo root (one entry per PR that touched the profiling hot path).
+The raw measurement goes to ``benchmarks/runs/profile_overhead_raw.json``
+(ignored by git); the checked-in trajectory lives in
+``BENCH_profile.json`` at the repo root (one entry per PR that touched
+the profiling hot path).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from check_chaos_smoke import build_project  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BENCH = REPO / "BENCH_profile.json"
-ARTIFACTS = REPO / "benchmarks" / "artifacts"
+ARTIFACTS = REPO / "benchmarks" / "runs"
 
 #: Hard ceiling on (profiled / unprofiled - 1) for the best-of-N runs.
 OVERHEAD_BUDGET = 0.07

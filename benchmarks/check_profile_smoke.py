@@ -31,8 +31,8 @@ history backend) and checks the whole PR 9 surface:
    ``tool-self-time-drift`` and ``query-latency-drift`` checks must
    both be present and the report must pass.
 
-The profiled ledger and profile log are copied into
-``benchmarks/artifacts/`` for upload on CI failure.
+The profiled ledger and profile log are copied into ``benchmarks/runs/``
+(ignored by git) for upload on CI failure.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from check_chaos_smoke import build_project  # noqa: E402
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-ARTIFACTS = REPO / "benchmarks" / "artifacts"
+ARTIFACTS = REPO / "benchmarks" / "runs"
 
 WORKERS = 4
 INTERVAL_MS = 0.5

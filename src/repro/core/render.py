@@ -9,6 +9,7 @@ the pictures.
 
 from __future__ import annotations
 
+from ..dag import longest
 from .taskgraph import TaskGraph
 
 
@@ -33,18 +34,12 @@ def layers(flow: TaskGraph) -> tuple[tuple[str, ...], ...]:
     the deepest layers.  Within a layer, node ids are sorted for
     deterministic output.
     """
-    depth: dict[str, int] = {}
-    for node_id in flow.topological_order():
-        supplier_edges = flow.suppliers(node_id)
-        if not supplier_edges:
-            depth[node_id] = 0
-        else:
-            depth[node_id] = 1 + max(depth[e.supplier]
-                                     for e in supplier_edges)
-    if not depth:
-        return ()
+    suppliers = {node_id: [e.supplier for e in flow.suppliers(node_id)]
+                 for node_id in flow.node_ids()}
+    depth = longest(flow.topological_order(), suppliers.__getitem__,
+                    lambda node_id: 1 if suppliers[node_id] else 0)
     grouped: dict[int, list[str]] = {}
-    for node_id, level in depth.items():
+    for node_id, (level, _) in depth.items():
         grouped.setdefault(level, []).append(node_id)
     return tuple(tuple(sorted(grouped[level]))
                  for level in sorted(grouped))

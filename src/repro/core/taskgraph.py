@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..dag import CycleError, reachable, topological
 from ..errors import ExpansionError, FlowError
 from ..schema.dependency import DepKind
 from ..schema.schema import TaskSchema
@@ -142,14 +143,13 @@ class TaskGraph:
             if dep.role in self._connected_roles(consumer_id):
                 raise FlowError(
                     f"{consumer}: role {dep.role!r} already connected")
-        edge = FlowEdge(consumer_id, supplier_id, dep.kind, dep.role,
-                        dep.optional)
-        self._edges.append(edge)
-        if self._has_cycle():
-            self._edges.pop()
+        if consumer_id in self.subtree(supplier_id):
             raise FlowError(
                 f"edge {consumer} -> {supplier} would create a cycle; "
                 "task graphs are acyclic")
+        edge = FlowEdge(consumer_id, supplier_id, dep.kind, dep.role,
+                        dep.optional)
+        self._edges.append(edge)
         return edge
 
     def disconnect(self, consumer_id: str, supplier_id: str,
@@ -256,55 +256,22 @@ class TaskGraph:
 
     def subtree(self, node_id: str) -> set[str]:
         """Node ids reachable from ``node_id`` through supplier edges."""
-        seen: set[str] = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(e.supplier for e in self.suppliers(current))
-        return seen
+        return reachable(node_id, self._supplier_ids)
 
     def dependents(self, node_id: str) -> set[str]:
         """Node ids reachable from ``node_id`` through consumer edges."""
-        seen: set[str] = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(e.consumer for e in self.consumers(current))
-        return seen
+        return reachable(node_id, lambda current: (
+            e.consumer for e in self.consumers(current)))
 
     def topological_order(self) -> tuple[str, ...]:
         """Node ids ordered suppliers-first (execution order)."""
-        order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(node_id: str) -> None:
-            state[node_id] = 1
-            for edge in self.suppliers(node_id):
-                succ = edge.supplier
-                if state.get(succ, 0) == 1:
-                    raise FlowError("task graph contains a cycle")
-                if state.get(succ, 0) == 0:
-                    visit(succ)
-            state[node_id] = 2
-            order.append(node_id)
-
-        for node_id in self._nodes:
-            if state.get(node_id, 0) == 0:
-                visit(node_id)
-        return tuple(order)
-
-    def _has_cycle(self) -> bool:
         try:
-            self.topological_order()
-        except FlowError:
-            return True
-        return False
+            return tuple(topological(self._nodes, self._supplier_ids))
+        except CycleError:
+            raise FlowError("task graph contains a cycle") from None
+
+    def _supplier_ids(self, node_id: str) -> list[str]:
+        return [e.supplier for e in self._edges if e.consumer == node_id]
 
     def disjoint_branches(self) -> tuple[frozenset[str], ...]:
         """Weakly connected components of the graph.

@@ -51,6 +51,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph, TaskInvocation
+from ..dag import dependencies, longest
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
 from ..history.instance import DerivationRecord
@@ -256,30 +257,19 @@ def _invocation_graph(graph: TaskGraph,
     for schedule planning; without it every duration is 0.
     """
     invocations = graph.invocations()
-    producer_of = {output: index
-                   for index, invocation in enumerate(invocations)
-                   for output in invocation.outputs}
-    predecessors: list[set[int]] = [set() for _ in invocations]
-    for index, invocation in enumerate(invocations):
-        sources = list(invocation.input_nodes)
-        if invocation.tool_node is not None:
-            sources.append(invocation.tool_node)
-        for node_id in sources:
-            producer = producer_of.get(node_id)
-            if producer is not None and producer != index:
-                predecessors[index].add(producer)
-    successors: list[set[int]] = [set() for _ in invocations]
-    for index, preds in enumerate(predecessors):
-        for pred in preds:
-            successors[pred].add(index)
+    # inputs: the data suppliers and the tool node (None, which no
+    # invocation produces, for a composition)
+    predecessors, successors = dependencies(
+        [invocation.outputs for invocation in invocations],
+        [invocation.input_nodes + (invocation.tool_node,)
+         for invocation in invocations])
     nodes = []
     for index, invocation in enumerate(invocations):
         tool_type = (graph.node(invocation.tool_node).entity_type
                      if invocation.tool_node is not None else None)
         nodes.append(_InvocationNode(
             index, invocation, tool_type,
-            tuple(sorted(predecessors[index])),
-            tuple(sorted(successors[index])),
+            tuple(predecessors[index]), tuple(successors[index]),
             durations.estimate(tool_type) if durations is not None
             else 0.0))
     return nodes
@@ -597,11 +587,12 @@ class FlowExecutor:
                    and policy in (CACHE_REUSE, CACHE_READWRITE)),
             writes=cache is not None and policy == CACHE_READWRITE,
             began=began, span=span)
+        chains = longest(run.order, lambda index: nodes[index].predecessors,
+                         lambda index: 1)
         for index in run.order:
             preds = nodes[index].predecessors
             run.pending[index] = len(preds)
-            run.wave[index] = 1 + max((run.wave[p] for p in preds),
-                                      default=-1)
+            run.wave[index] = chains[index][0] - 1
             if not preds:
                 run.ready.append(index)
         run.attributes = self._run_attributes(run)

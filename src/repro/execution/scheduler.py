@@ -26,6 +26,7 @@ from typing import Any
 
 from ..core.flow import DynamicFlow
 from ..core.taskgraph import TaskGraph
+from ..dag import longest, topological
 from ..errors import ExecutionError
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, COMPOSITION_RUN, SCHEDULED_EXECUTOR,
@@ -121,26 +122,11 @@ class Schedule:
 
 def _critical_lengths(nodes: list[_InvocationNode]) -> list[float]:
     """Longest path from each invocation to any sink (its priority)."""
-    length = [0.0] * len(nodes)
-    # process in reverse topological order: repeat-until-stable is fine
-    # for the small graphs flows produce, but we do it properly:
-    indegree_out = [len(n.successors) for n in nodes]
-    stack = [n.index for n in nodes if not n.successors]
-    order: list[int] = []
-    remaining = list(indegree_out)
-    while stack:
-        current = stack.pop()
-        order.append(current)
-        for pred in nodes[current].predecessors:
-            remaining[pred] -= 1
-            if remaining[pred] == 0:
-                stack.append(pred)
-    for index in order:
-        node = nodes[index]
-        best_successor = max((length[s] for s in node.successors),
-                             default=0.0)
-        length[index] = node.duration + best_successor
-    return length
+    successors = [node.successors for node in nodes].__getitem__
+    indexes = range(len(nodes))
+    chains = longest(topological(indexes, successors), successors,
+                     lambda index: nodes[index].duration)
+    return [chains[index][0] for index in indexes]
 
 
 def plan_schedule(flow: TaskGraph | DynamicFlow, machines: int,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from ..core.taskgraph import TaskGraph
+from ..dag import reachable
 from ..errors import ConsistencyError
 from ..schema.schema import TaskSchema
 from .database import HistoryDatabase
@@ -53,14 +54,7 @@ def forward_closure(db: HistoryDatabase, instance_id: str) -> set[str]:
     spans every run ever recorded from it, while successor versions
     lie on the much smaller version tree.
     """
-    seen = {instance_id}
-    frontier = [instance_id]
-    while frontier:
-        for consumer in db.consumers_of(frontier.pop()):
-            if consumer not in seen:
-                seen.add(consumer)
-                frontier.append(consumer)
-    return seen
+    return reachable(instance_id, db.consumers_of)
 
 
 def _versioned_families(schema: TaskSchema) -> frozenset[str]:

@@ -111,6 +111,7 @@ class SqliteHistoryStore(HistoryStore):
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
+        existed = self.path.exists()
         try:
             self._conn = sqlite3.connect(str(self.path),
                                          check_same_thread=False)
@@ -127,6 +128,15 @@ class SqliteHistoryStore(HistoryStore):
         self._consumers: dict[str, list[str]] = {}
         self._pending = 0
         try:
+            # only a new file gets the tables; an existing one must hold
+            # those every history has had since the first build
+            missing = {"instances", "edges", "blobs", "blob_aliases"} - {
+                row[0] for row in self._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            if missing and existed:
+                self._conn.close()
+                raise HistoryError(f"{self.path} is not a history database:"
+                                   f" no {', '.join(sorted(missing))} table")
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)

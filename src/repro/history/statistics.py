@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..dag import longest, topological
 from .database import HistoryDatabase
 from .trace import backward_trace
 
@@ -87,21 +88,18 @@ class HistoryStatistics:
 
 def derivation_depth(db: HistoryDatabase, instance_id: str) -> int:
     """Longest derivation chain below an instance (0 for installed)."""
-    depth: dict[str, int] = {}
+    return _depths(db.get, (instance_id,))[instance_id][0]
 
-    def visit(current: str) -> int:
-        if current in depth:
-            return depth[current]
-        record = db.get(current).derivation
-        if record is None:
-            depth[current] = 0
-            return 0
-        value = 1 + max((visit(a) for a in record.all_antecedents()),
-                        default=0)
-        depth[current] = value
-        return value
 
-    return visit(instance_id)
+def _depths(get, ids) -> dict[str, tuple[int, str | None]]:
+    """:func:`repro.dag.longest` over the derivations below ``ids``,
+    reading instances with ``get``: each length is a depth."""
+    def antecedents(current: str) -> tuple[str, ...]:
+        derivation = get(current).derivation
+        return () if derivation is None else derivation.all_antecedents()
+
+    return longest(topological(ids, antecedents), antecedents,
+                   lambda current: int(get(current).derivation is not None))
 
 
 def history_statistics(db: HistoryDatabase) -> HistoryStatistics:
@@ -109,7 +107,11 @@ def history_statistics(db: HistoryDatabase) -> HistoryStatistics:
     stats = HistoryStatistics()
     blob_users: dict[str, int] = {}
     depths = []
-    for instance in db.instances():
+    instances = db.instances()
+    recorded = {instance.instance_id: instance for instance in instances}
+    chains = _depths(lambda current: recorded.get(current)
+                     or db.get(current), recorded)
+    for instance in instances:
         stats.instances += 1
         stats.instances_by_type[instance.entity_type] = \
             stats.instances_by_type.get(instance.entity_type, 0) + 1
@@ -123,7 +125,7 @@ def history_statistics(db: HistoryDatabase) -> HistoryStatistics:
                 tool = db.get(instance.derivation.tool)
                 key = tool.name or tool.entity_type
                 stats.tool_runs[key] = stats.tool_runs.get(key, 0) + 1
-            depths.append(derivation_depth(db, instance.instance_id))
+            depths.append(chains[instance.instance_id][0])
         if instance.data_ref is None:
             stats._no_data += 1
         else:

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from ..dag import CycleError, dependencies, longest, topological
 from ..errors import ObservabilityError
 from .events import SinkFanout, check_schema_version
 from .sinks import JSONLReader
@@ -645,49 +646,34 @@ def critical_path(spans: Sequence[Span],
     flow = (run.value("flow", "") if run is not None
             else (tasks[0].value("flow", "") if tasks else ""))
 
-    producer: dict[str, int] = {}
-    for index, span in enumerate(tasks):
-        for node_id in span.value("outputs", ()) or ():
-            producer[node_id] = index
-    preds: list[set[int]] = [set() for _ in tasks]
-    for index, span in enumerate(tasks):
-        for node_id in span.value("inputs", ()) or ():
-            supplier = producer.get(node_id)
-            if supplier is not None and supplier != index:
-                preds[index].add(supplier)
-    succs: list[set[int]] = [set() for _ in tasks]
-    for index, sources in enumerate(preds):
-        for source in sources:
-            succs[source].add(index)
+    preds, succs = dependencies(
+        [span.value("outputs", ()) or () for span in tasks],
+        [span.value("inputs", ()) or () for span in tasks])
+    try:
+        order = topological(range(len(tasks)), preds.__getitem__)
+    except CycleError:
+        raise ObservabilityError(
+            "task spans form a dependency cycle; trace is inconsistent"
+        ) from None
+    duration = [span.duration for span in tasks]
+    # up: the heaviest chain ending at a task; down: starting at it
+    up = longest(order, preds.__getitem__, duration.__getitem__)
+    down = longest(reversed(order), succs.__getitem__,
+                   duration.__getitem__)
 
-    order = _topological(preds)
-    up = [0.0] * len(tasks)          # longest chain ending at i
-    best_pred: list[int | None] = [None] * len(tasks)
-    for index in order:
-        best, chosen = 0.0, None
-        for source in preds[index]:
-            if up[source] > best:
-                best, chosen = up[source], source
-        up[index] = tasks[index].duration + best
-        best_pred[index] = chosen
-    down = [0.0] * len(tasks)        # longest chain starting at i
-    for index in reversed(order):
-        follow = max((down[s] for s in succs[index]), default=0.0)
-        down[index] = tasks[index].duration + follow
-
-    critical = max(up, default=0.0)
+    critical = max((length for length, _ in up.values()), default=0.0)
     path: list[Span] = []
     if tasks:
         cursor: int | None = max(range(len(tasks)),
-                                 key=lambda i: (up[i], -tasks[i].start))
+                                 key=lambda i: (up[i][0], -tasks[i].start))
         while cursor is not None:
             path.append(tasks[cursor])
-            cursor = best_pred[cursor]
+            cursor = up[cursor][1]
         path.reverse()
     on_path = {s.span_id for s in path}
     timings = tuple(
         TaskTiming(span,
-                   slack=max(0.0, critical - (up[i] + down[i]
+                   slack=max(0.0, critical - (up[i][0] + down[i][0]
                                               - span.duration)),
                    on_path=span.span_id in on_path)
         for i, span in enumerate(tasks))
@@ -701,28 +687,6 @@ def critical_path(spans: Sequence[Span],
         tasks=timings,
         path=tuple(path),
     )
-
-
-def _topological(preds: Sequence[set[int]]) -> list[int]:
-    """Kahn's order over predecessor sets (cycles raise)."""
-    remaining = [len(p) for p in preds]
-    ready = [i for i, count in enumerate(remaining) if count == 0]
-    succs: dict[int, list[int]] = {}
-    for index, sources in enumerate(preds):
-        for source in sources:
-            succs.setdefault(source, []).append(index)
-    order: list[int] = []
-    while ready:
-        current = ready.pop()
-        order.append(current)
-        for successor in succs.get(current, ()):
-            remaining[successor] -= 1
-            if remaining[successor] == 0:
-                ready.append(successor)
-    if len(order) != len(preds):
-        raise ObservabilityError(
-            "task spans form a dependency cycle; trace is inconsistent")
-    return order
 
 
 # ---------------------------------------------------------------------------

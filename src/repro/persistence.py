@@ -94,10 +94,11 @@ def save_environment(env: DesignEnvironment,
     ``backend`` selects the history storage format (``json`` or
     ``sqlite``); ``None`` keeps the backend the environment's database
     already uses.  Saving with a different backend converts the history
-    on the way out and removes the superseded history file, so the
-    directory always has exactly one authoritative history.  The
-    derivation cache's index lives in the directory's ``memo.jsonl``,
-    which the environment's cache appends to from then on.
+    on the way out and, once ``environment.json`` names the new one,
+    removes the superseded history file, so the directory always has
+    exactly one authoritative history.  The derivation cache's index
+    lives in the directory's ``memo.jsonl``, which the environment's
+    cache appends to from then on.
     """
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -108,13 +109,8 @@ def save_environment(env: DesignEnvironment,
         encoding="utf-8")
     if backend == BACKEND_SQLITE:
         _write_sqlite_history(env, root)
-        history_json = root / HISTORY_FILE
-        if history_json.exists():
-            history_json.unlink()
     else:
         env.db.save(root / HISTORY_FILE)
-        if not isinstance(env.db.store, SqliteHistoryStore):
-            _remove_sqlite(root)
     flows = {}
     for name in env.flow_catalog.names():
         flow = env.flow_catalog.select(name)
@@ -128,6 +124,12 @@ def save_environment(env: DesignEnvironment,
         json.dumps({"format": FORMAT_VERSION, "user": env.user,
                     "history_backend": backend},
                    indent=1), encoding="utf-8")
+    # environment.json names the new history: retire the old one (an
+    # open SQLite store keeps its file until migrate closes it)
+    if backend == BACKEND_SQLITE:
+        (root / HISTORY_FILE).unlink(missing_ok=True)
+    elif not isinstance(env.db.store, SqliteHistoryStore):
+        _remove_sqlite(root)
     # the directory's memo is the cache's saved index: point the cache
     # there, first appending what it remembers from memory or from
     # another directory's memo
@@ -218,6 +220,5 @@ def migrate_environment(directory: str | pathlib.Path, to_backend: str, *,
         # save_environment leaves the old file alone while its store is
         # still open; close it, then retire the superseded history
         env.db.store.close()
-        if to_backend == BACKEND_JSON:
-            _remove_sqlite(root)
+        _remove_sqlite(root)
     return True

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ..dag import CycleError, topological
 from ..errors import DependencyError, SubtypeError, UnknownEntityError
 from .dependency import Dependency
 from .entity import EntityType
@@ -422,26 +423,12 @@ class TaskSchema:
                 if dep.is_data and dep.optional:
                     continue
                 adjacency[name].append(dep.target)
-        state: dict[str, int] = {}
-
-        def visit(node: str, stack: list[str]) -> None:
-            state[node] = 1
-            stack.append(node)
-            for succ in adjacency[node]:
-                if state.get(succ, 0) == 1:
-                    cycle = stack[stack.index(succ):] + [succ]
-                    raise DependencyError(
-                        "mandatory dependency cycle (mark one arc optional "
-                        "to break it): " + " -> ".join(cycle)
-                    )
-                if state.get(succ, 0) == 0:
-                    visit(succ, stack)
-            stack.pop()
-            state[node] = 2
-
-        for name in self._entities:
-            if state.get(name, 0) == 0:
-                visit(name, [])
+        try:
+            topological(self._entities, adjacency.__getitem__)
+        except CycleError as cycle:
+            raise DependencyError(
+                "mandatory dependency cycle (mark one arc optional "
+                "to break it): " + " -> ".join(cycle.path)) from None
 
     # ------------------------------------------------------------------
     # misc
