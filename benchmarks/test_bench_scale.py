@@ -5,7 +5,10 @@ cheap as schemas and flows grow, since the designer builds them
 interactively.  Synthetic pipeline methodologies of N stages (Tool_i
 producing Data_i from Data_{i-1}) measure schema construction, full
 backward expansion from the goal, end-to-end execution with no-op tools,
-and the automatic-sequencing overhead per invocation.
+and the automatic-sequencing overhead per invocation.  Each size is
+timed as the best of three builds, and from 128 to 1,024 stages schema
+construction and expansion may grow at most 2.5x per doubling and the
+per-invocation overhead at most 2x.
 """
 
 import time
@@ -13,7 +16,11 @@ import time
 from repro.execution import DesignEnvironment, encapsulation
 from repro.schema.builder import SchemaBuilder
 
-STAGES = (8, 32, 128)
+STAGES = (8, 32, 128, 256, 512, 1024)
+#: the growth gate's smallest and largest size (three doublings)
+GATE = (128, 1024)
+#: builds per size; each timing is the best of them
+BUILDS = 3
 
 
 def pipeline_schema(stages: int):
@@ -70,13 +77,19 @@ def build_and_run(stages: int) -> dict[str, float]:
     return timings
 
 
+def best_of_builds(stages: int) -> dict[str, float]:
+    builds = [build_and_run(stages) for _ in range(BUILDS)]
+    return {key: min(build[key] for build in builds) for key in builds[0]}
+
+
 def test_bench_scale_pipeline(benchmark, write_artifact):
-    rows = ["SCALE-1: cost vs methodology size (N-stage pipeline)",
+    rows = ["SCALE-1: cost vs methodology size (N-stage pipeline, "
+            f"best of {BUILDS} builds)",
             f"{'stages':>7} {'schema ms':>10} {'expand ms':>10} "
             f"{'execute ms':>11} {'us/invoc':>9} {'trace ms':>9}"]
     results = {}
     for stages in STAGES:
-        timings = build_and_run(stages)
+        timings = best_of_builds(stages)
         results[stages] = timings
         rows.append(
             f"{stages:>7} {timings['schema_ms']:>10.2f} "
@@ -92,7 +105,22 @@ def test_bench_scale_pipeline(benchmark, write_artifact):
                 f"{STAGES[0]} -> {STAGES[-1]} stages: "
                 f"{large / small:.1f}x")
     assert large / small < 30  # far from quadratic blow-up per stage
+    # linear work grows 8x over three doublings: allow 2.5x per doubling
+    # for schema construction and expansion, 2x in all for the
+    # per-invocation overhead
+    low, high = (results[stages] for stages in GATE)
+    growth = {
+        key: high[key] / low[key]
+        for key in ("schema_ms", "expand_ms", "per_invocation_us")
+    }
+    rows.append(
+        f"growth {GATE[0]} -> {GATE[1]} stages: "
+        + ", ".join(f"{key} {ratio:.1f}x" for key, ratio in growth.items())
+    )
+    write_artifact("scale_pipeline", "\n".join(rows))
+    assert growth["schema_ms"] <= 2.5 ** 3
+    assert growth["expand_ms"] <= 2.5 ** 3
+    assert growth["per_invocation_us"] <= 2
 
     benchmark.pedantic(lambda: build_and_run(STAGES[0]), rounds=3,
                        iterations=1)
-    write_artifact("scale_pipeline", "\n".join(rows))

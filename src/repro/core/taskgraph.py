@@ -63,6 +63,10 @@ class TaskGraph:
         self.name = name
         self._nodes: dict[str, FlowNode] = {}
         self._edges: list[FlowEdge] = []
+        # the per-node index (SNIPPETS §1): each node's supplier edges
+        # and consumer edges, in the order of ``_edges``
+        self._supplier_edges: dict[str, list[FlowEdge]] = {}
+        self._consumer_edges: dict[str, list[FlowEdge]] = {}
         self._counter = itertools.count()
 
     # ------------------------------------------------------------------
@@ -80,8 +84,8 @@ class TaskGraph:
     def remove_node(self, node_id: str) -> None:
         """Remove a node and every edge touching it."""
         self.node(node_id)
-        self._edges = [e for e in self._edges
-                       if node_id not in (e.consumer, e.supplier)]
+        self._drop([*self._supplier_edges.pop(node_id, ()),
+                    *self._consumer_edges.pop(node_id, ())])
         del self._nodes[node_id]
 
     def node(self, node_id: str) -> FlowNode:
@@ -149,21 +153,35 @@ class TaskGraph:
                 "task graphs are acyclic")
         edge = FlowEdge(consumer_id, supplier_id, dep.kind, dep.role,
                         dep.optional)
-        self._edges.append(edge)
+        self._add(edge)
         return edge
 
     def disconnect(self, consumer_id: str, supplier_id: str,
                    role: str | None = None) -> None:
         """Remove edges between the two nodes (optionally one role)."""
-        before = len(self._edges)
-        self._edges = [
-            e for e in self._edges
-            if not (e.consumer == consumer_id and e.supplier == supplier_id
-                    and (role is None or e.role == role))
-        ]
-        if len(self._edges) == before:
+        edges = [e for e in self._supplier_edges.get(consumer_id, ())
+                 if e.supplier == supplier_id
+                 and (role is None or e.role == role)]
+        if not edges:
             raise FlowError(
                 f"no edge {consumer_id} -> {supplier_id} (role={role!r})")
+        self._drop(edges)
+
+    def _add(self, edge: FlowEdge) -> None:
+        self._edges.append(edge)
+        self._supplier_edges.setdefault(edge.consumer, []).append(edge)
+        self._consumer_edges.setdefault(edge.supplier, []).append(edge)
+
+    def _drop(self, edges: list[FlowEdge]) -> None:
+        """Remove ``edges`` from the edge list and from the index."""
+        gone = set(edges)
+        self._edges = [e for e in self._edges if e not in gone]
+        for edge in gone:
+            for index, node_id in ((self._supplier_edges, edge.consumer),
+                                   (self._consumer_edges, edge.supplier)):
+                if node_id in index:
+                    index[node_id] = [e for e in index[node_id]
+                                      if e not in gone]
 
     def _resolve_dependency(self, consumer: FlowNode, supplier: FlowNode,
                             role: str | None):
@@ -206,31 +224,31 @@ class TaskGraph:
         return candidates[0]
 
     def _connected_roles(self, consumer_id: str) -> set[str]:
-        return {e.role for e in self._edges
-                if e.consumer == consumer_id and e.is_data}
+        return {e.role for e in self._supplier_edges.get(consumer_id, ())
+                if e.is_data}
 
     # ------------------------------------------------------------------
     # structural queries
     # ------------------------------------------------------------------
     def suppliers(self, node_id: str) -> tuple[FlowEdge, ...]:
         """Outgoing dependency edges (things this node needs)."""
-        return tuple(e for e in self._edges if e.consumer == node_id)
+        return tuple(self._supplier_edges.get(node_id, ()))
 
     def consumers(self, node_id: str) -> tuple[FlowEdge, ...]:
         """Incoming dependency edges (things needing this node)."""
-        return tuple(e for e in self._edges if e.supplier == node_id)
+        return tuple(self._consumer_edges.get(node_id, ()))
 
     def functional_supplier(self, node_id: str) -> str | None:
         """The tool node connected to this node, if any."""
-        for edge in self._edges:
-            if edge.consumer == node_id and edge.is_functional:
+        for edge in self._supplier_edges.get(node_id, ()):
+            if edge.is_functional:
                 return edge.supplier
         return None
 
     def data_suppliers(self, node_id: str) -> dict[str, str]:
         """Mapping ``role -> supplier node id`` of connected data inputs."""
-        return {e.role: e.supplier for e in self._edges
-                if e.consumer == node_id and e.is_data}
+        return {e.role: e.supplier
+                for e in self._supplier_edges.get(node_id, ()) if e.is_data}
 
     def is_expanded(self, node_id: str) -> bool:
         """True if the node's construction has been brought into the flow.
@@ -271,7 +289,7 @@ class TaskGraph:
             raise FlowError("task graph contains a cycle") from None
 
     def _supplier_ids(self, node_id: str) -> list[str]:
-        return [e.supplier for e in self._edges if e.consumer == node_id]
+        return [e.supplier for e in self._supplier_edges.get(node_id, ())]
 
     def disjoint_branches(self) -> tuple[frozenset[str], ...]:
         """Weakly connected components of the graph.
@@ -340,9 +358,10 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Re-check every structural invariant of the flow."""
-        self.topological_order()  # raises on cycles
+    def validate(self) -> tuple[str, ...]:
+        """Re-check every structural invariant of the flow; return the
+        topological order the acyclicity check computed."""
+        order = self.topological_order()  # raises on cycles
         for edge in self._edges:
             consumer = self.node(edge.consumer)
             supplier = self.node(edge.supplier)
@@ -365,6 +384,7 @@ class TaskGraph:
                      if e.is_data]
             if len(roles) != len(set(roles)):
                 raise FlowError(f"{node}: duplicate input roles")
+        return order
 
     def missing_inputs(self, node_id: str) -> tuple[str, ...]:
         """Mandatory roles of an expanded node not yet connected."""
@@ -390,7 +410,8 @@ class TaskGraph:
                               produced=node.produced,
                               label=node.label)
             clone._nodes[node.node_id] = copied
-        clone._edges = list(self._edges)
+        for edge in self._edges:
+            clone._add(edge)
         used = [int(n[1:]) for n in self._nodes if n[1:].isdigit()]
         clone._counter = itertools.count(max(used) + 1 if used else 0)
         return clone
@@ -438,7 +459,7 @@ class TaskGraph:
                             label=spec.get("label", ""))
             graph._nodes[node.node_id] = node
         for spec in payload.get("edges", ()):
-            graph._edges.append(FlowEdge(
+            graph._add(FlowEdge(
                 spec["consumer"], spec["supplier"],
                 DepKind(spec["kind"]), spec["role"],
                 bool(spec.get("optional", False))))

@@ -492,7 +492,7 @@ class FlowExecutor:
         ``cache_policy`` keeps its value.
         """
         graph = flow.graph if isinstance(flow, DynamicFlow) else flow
-        graph.validate()
+        order = graph.validate()
         policy = (self.cache_policy if cache is None
                   else normalize_policy(cache))
         if self.cache is None and policy != CACHE_OFF:
@@ -509,8 +509,8 @@ class FlowExecutor:
                             "targets": sorted(targets or ()),
                             "force": force}) as run_span:
             try:
-                run = self._plan(graph, targets, force, policy, report,
-                                 began, run_span)
+                run = self._plan(graph, order, targets, force, policy,
+                                 report, began, run_span)
                 self._check_ready(graph, run.needed)
                 self._start(run, targets)
                 if run.order:
@@ -559,14 +559,14 @@ class FlowExecutor:
         """Run just the sub-flow producing one node."""
         return self.execute(flow, targets=[node_id], force=force)
 
-    def _plan(self, graph: TaskGraph, targets: Sequence[str] | None,
-              force: bool, policy: str, report: ExecutionReport,
-              began: float, span: Any) -> _Run:
-        """Seed the ready queue with the needed invocations; ``policy``
-        is the run's cache policy."""
+    def _plan(self, graph: TaskGraph, order: Sequence[str],
+              targets: Sequence[str] | None, force: bool, policy: str,
+              report: ExecutionReport, began: float, span: Any) -> _Run:
+        """Seed the ready queue with the needed invocations; ``order``
+        is the graph's topological order (from its validation) and
+        ``policy`` the run's cache policy."""
         needed = self._needed_nodes(graph, targets)
-        position = {node_id: index for index, node_id
-                    in enumerate(graph.topological_order())}
+        position = {node_id: index for index, node_id in enumerate(order)}
         nodes = _invocation_graph(graph)
         rank: dict[int, int] = {}
         for node in nodes:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pathlib
 import time
 from typing import Any, Callable, Iterable
 
@@ -344,10 +345,8 @@ class HistoryDatabase:
             payload["aliases"] = aliases
         return payload
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.to_dict(), indent=1,
-                                    sort_keys=True))
+    def save(self, path: str | pathlib.Path) -> None:
+        write_history_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, schema: TaskSchema, payload: dict[str, Any], *,
@@ -420,3 +419,28 @@ def read_history_json(path: str) -> Any:
             f"corrupt {path}: {error.msg} at byte offset "
             f"{offset} (of {total} bytes); the file is truncated or "
             "was written by an interrupted save") from error
+
+
+def write_history_json(path: str | pathlib.Path, payload: Any) -> bool:
+    """Write one of a saved environment's JSON files; return whether
+    the file changed.
+
+    The text is compact and key-sorted, so CPython's C encoder makes
+    it, and it is written only when the file does not already hold
+    exactly these bytes: a save rewrites just what changed.
+    :func:`read_history_json` reads these files and the indented ones
+    older builds wrote alike.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    target = pathlib.Path(path)
+    try:
+        # json escapes every non-ASCII character: one byte per character
+        if (
+            target.stat().st_size == len(text)
+            and target.read_bytes() == text.encode("ascii")
+        ):
+            return False
+    except FileNotFoundError:
+        pass
+    target.write_text(text, encoding="utf-8")
+    return True

@@ -170,12 +170,15 @@ class FlowTrace:
 
     def render(self) -> str:
         """Deterministic text rendering (the Fig. 10/11 style)."""
+        suppliers: dict[str, list[TraceEdge]] = {}  # one pass, edge order
+        for edge in self._edges:
+            suppliers.setdefault(edge.consumer, []).append(edge)
         lines = ["flow trace:"]
         for instance_id in sorted(self._instances):
             instance = self.db.get(instance_id)
             lines.append(f"  {instance_id} ({instance.entity_type}"
                          f"{', ' + instance.name if instance.name else ''})")
-            for edge in sorted(self.suppliers(instance_id),
+            for edge in sorted(suppliers.get(instance_id, ()),
                                key=lambda e: (e.kind.value, e.role)):
                 tag = "f" if edge.kind is DepKind.FUNCTIONAL else "d"
                 lines.append(f"    --{tag}:{edge.role}--> {edge.supplier}")

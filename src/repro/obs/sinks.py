@@ -18,12 +18,13 @@ through :class:`JSONLReader`.
 from __future__ import annotations
 
 import collections
+import contextlib
 import json
 import os
 import pathlib
 import stat
 import time
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from ..errors import ObservabilityError
 from .events import Event
@@ -182,7 +183,8 @@ class JSONLReader:
         self.lineno = 0  # lines decoded so far
         self._tail = b""  # read bytes awaiting their newline
 
-    def read(self, *, strict: bool = True, final: bool = True
+    def read(self, *, strict: bool = True, final: bool = True,
+             handle: BinaryIO | None = None
              ) -> Iterator[tuple[int, Any]]:
         """Yield ``(lineno, record)`` for each line read since the last
         call.
@@ -194,12 +196,14 @@ class JSONLReader:
         killed writer leaves behind: the failure is held and raised only
         if a line that parses follows, since corruption mid-log is real
         damage, not truncation.  A record ``decode`` rejects is never
-        forgiven: a torn line does not parse.
+        forgiven: a torn line does not parse.  ``handle``, an open
+        binary file, is read in place of opening ``path``.
         """
-        if not self.path.exists():
+        if handle is None and not self.path.exists():
             raise ObservabilityError(f"no {self.kind} at {self.path}")
         pending: ObservabilityError | None = None
-        with open(self.path, "rb") as handle:
+        with (open(self.path, "rb") if handle is None
+              else contextlib.nullcontext(handle)) as handle:
             handle.seek(self.offset)
             for raw in handle:  # binary: lines end at b"\n" only
                 self.offset += len(raw)
@@ -250,23 +254,40 @@ class JSONLReader:
 
         Repeated strict reads, each holding an unterminated tail until
         its newline arrives.  A missing file is waited for (watching an
-        environment about to run), and a file that shrinks (rotation)
-        restarts from the top.  ``stop`` is polled between reads;
-        returning True ends the follow — without it the generator runs
-        until the consumer stops iterating (e.g. KeyboardInterrupt in
-        the CLI).
+        environment about to run), and a file that shrinks, or that is
+        deleted or renamed away and replaced by another file
+        (rotation), restarts from the top.  ``stop`` is polled between
+        reads; returning True ends the follow — without it the
+        generator runs until the consumer stops iterating (e.g.
+        KeyboardInterrupt in the CLI).
         """
-        while True:
-            if self.path.exists():
-                size = self.path.stat().st_size
-                if size < self.offset:  # rotated/truncated: start over
-                    self.offset = self.lineno = 0
-                    self._tail = b""
-                if size > self.offset:
-                    yield from self.read(final=False)
-            if stop is not None and stop():
-                return
-            sleep(poll_interval)
+        # the file being read, held open so that a file created at the
+        # path later never gets its (st_dev, st_ino), and read through,
+        # so that the identity checked and the bytes read are one file's
+        held: BinaryIO | None = None
+        try:
+            while True:
+                if self.path.exists():
+                    replaced = held is not None and not os.path.samestat(
+                        os.fstat(held.fileno()), self.path.stat()
+                    )
+                    if held is None or replaced:
+                        if held is not None:
+                            held.close()
+                        held = open(self.path, "rb")
+                    size = os.fstat(held.fileno()).st_size
+                    if replaced or size < self.offset:
+                        # rotated or truncated: start over
+                        self.offset = self.lineno = 0
+                        self._tail = b""
+                    if size > self.offset:
+                        yield from self.read(final=False, handle=held)
+                if stop is not None and stop():
+                    return
+                sleep(poll_interval)
+        finally:
+            if held is not None:
+                held.close()
 
 
 def iter_jsonl_objects(path: str | pathlib.Path, *,

@@ -28,7 +28,6 @@ site's tool installation (e.g.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from typing import Callable
@@ -36,7 +35,8 @@ from typing import Callable
 from .core.flow import DynamicFlow
 from .errors import HistoryError
 from .execution.context import DesignEnvironment
-from .history.database import HistoryDatabase, read_history_json
+from .history.database import (HistoryDatabase, read_history_json,
+                               write_history_json)
 from .history.datastore import CodecRegistry
 from .history.sqlite_store import SqliteHistoryStore
 from .history.store import BACKEND_JSON, BACKEND_SQLITE, BACKENDS
@@ -96,17 +96,16 @@ def save_environment(env: DesignEnvironment,
     already uses.  Saving with a different backend converts the history
     on the way out and, once ``environment.json`` names the new one,
     removes the superseded history file, so the directory always has
-    exactly one authoritative history.  The derivation cache's index
-    lives in the directory's ``memo.jsonl``, which the environment's
-    cache appends to from then on.
+    exactly one authoritative history.  A JSON file is rewritten only
+    when its content changed.  The derivation cache's index lives in
+    the directory's ``memo.jsonl``, which the environment's cache
+    appends to from then on.
     """
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     backend = _check_backend(backend if backend is not None
                              else env.db.backend)
-    (root / SCHEMA_FILE).write_text(
-        json.dumps(schema_to_dict(env.schema), indent=1, sort_keys=True),
-        encoding="utf-8")
+    write_history_json(root / SCHEMA_FILE, schema_to_dict(env.schema))
     if backend == BACKEND_SQLITE:
         _write_sqlite_history(env, root)
     else:
@@ -118,12 +117,10 @@ def save_environment(env: DesignEnvironment,
             "description": env.flow_catalog.description(name),
             "graph": flow.to_dict(),
         }
-    (root / FLOWS_FILE).write_text(
-        json.dumps(flows, indent=1, sort_keys=True), encoding="utf-8")
-    (root / META_FILE).write_text(
-        json.dumps({"format": FORMAT_VERSION, "user": env.user,
-                    "history_backend": backend},
-                   indent=1), encoding="utf-8")
+    write_history_json(root / FLOWS_FILE, flows)
+    write_history_json(root / META_FILE, {
+        "format": FORMAT_VERSION, "user": env.user,
+        "history_backend": backend})
     # environment.json names the new history: retire the old one (an
     # open SQLite store keeps its file until migrate closes it)
     if backend == BACKEND_SQLITE:

@@ -84,6 +84,10 @@ class TaskSchema:
         self._entities: dict[str, EntityType] = {}
         self._deps: list[Dependency] = []
         self._children: dict[str, list[str]] = {}
+        # each source's dependencies, in the order of ``_deps``
+        self._own: dict[str, list[Dependency]] = {}
+        # effective_dependencies per type; every mutator clears it
+        self._effective: dict[str, tuple[Dependency, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -93,6 +97,7 @@ class TaskSchema:
         if entity.name in self._entities:
             raise SubtypeError(f"duplicate entity type {entity.name!r}")
         self._entities[entity.name] = entity
+        self._effective.clear()
         if entity.parent is not None:
             self._children.setdefault(entity.parent, []).append(entity.name)
         return entity
@@ -106,9 +111,9 @@ class TaskSchema:
         for endpoint in (dep.source, dep.target):
             if endpoint not in self._entities:
                 raise UnknownEntityError(endpoint)
+        own = self._own.get(dep.source, [])
         if dep.is_functional:
-            existing = [d for d in self._deps
-                        if d.source == dep.source and d.is_functional]
+            existing = [d for d in own if d.is_functional]
             if existing:
                 raise DependencyError(
                     f"entity {dep.source!r} already has a functional "
@@ -125,15 +130,16 @@ class TaskSchema:
                     f"{dep}: composed entities have no functional dependency"
                 )
         else:
-            same_role = [d for d in self._deps
-                         if d.source == dep.source and d.is_data
-                         and d.role == dep.role]
+            same_role = [d for d in own
+                         if d.is_data and d.role == dep.role]
             if same_role:
                 raise DependencyError(
                     f"{dep}: role {dep.role!r} already used by "
                     f"{same_role[0]}"
                 )
         self._deps.append(dep)
+        self._own.setdefault(dep.source, []).append(dep)
+        self._effective.clear()
         return dep
 
     def add_dependencies(self, deps: Iterable[Dependency]) -> None:
@@ -219,7 +225,7 @@ class TaskSchema:
     def own_dependencies(self, name: str) -> tuple[Dependency, ...]:
         """Dependencies declared directly on an entity type."""
         self.entity(name)
-        return tuple(d for d in self._deps if d.source == name)
+        return tuple(self._own.get(name, ()))
 
     def effective_dependencies(self, name: str) -> tuple[Dependency, ...]:
         """Dependencies of a type including those inherited from supertypes.
@@ -229,6 +235,8 @@ class TaskSchema:
         dependency with the same role as an inherited one overrides it;
         other inherited data dependencies accumulate.
         """
+        if name in self._effective:
+            return self._effective[name]
         chain = [name, *self.ancestors_of(name)]
         functional_dep: Dependency | None = None
         data_by_role: dict[str, Dependency] = {}
@@ -245,7 +253,8 @@ class TaskSchema:
         if functional_dep is not None:
             deps.append(functional_dep)
         deps.extend(data_by_role.values())
-        return tuple(deps)
+        self._effective[name] = tuple(deps)
+        return self._effective[name]
 
     def functional_dependency(self, name: str) -> Dependency | None:
         """The (possibly inherited) functional dependency of a type."""

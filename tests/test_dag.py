@@ -42,6 +42,7 @@ from repro.scenarios.synthetic import (SALT_MARKER,
                                        register_corpus_encapsulations)
 from repro.schema.builder import SchemaBuilder
 from tests import dag_reference as reference
+from tests.index_reference import FlatTaskGraph
 
 TOOLS = 3
 ROLES = 3
@@ -175,9 +176,10 @@ def flow_specs(draw, max_nodes: int = 9,
                     tuple(keys), durations, draw(st.integers(1, 3)))
 
 
-def build_flow(spec: FlowSpec, connect=TaskGraph.connect
+def build_flow(spec: FlowSpec, connect=TaskGraph.connect,
+               graph_class=TaskGraph
                ) -> tuple[TaskGraph, dict[tuple[str, int], str]]:
-    graph = TaskGraph(SCHEMA, "dag")
+    graph = graph_class(SCHEMA, "dag")
     ids = {}
     for key in spec.insertion:
         kind, index = key
@@ -258,7 +260,7 @@ class TestTaskGraphs:
     @given(flow_specs())
     def test_walks_match_reference(self, spec):
         graph, _ = build_flow(spec)
-        twin, _ = build_flow(spec, reference.connect)
+        twin, _ = build_flow(spec, reference.connect, FlatTaskGraph)
         assert graph.to_dict() == twin.to_dict()
         order = graph.topological_order()
         assert order == reference.topological_order(graph)
@@ -292,8 +294,8 @@ class TestTaskGraphs:
         max_size=24))
     def test_connect_scripts_match_reference(self, count, script):
         graphs = []
-        for _ in range(2):
-            graph = TaskGraph(SCHEMA, "script")
+        for graph_class in (TaskGraph, FlatTaskGraph):
+            graph = graph_class(SCHEMA, "script")
             for index in range(count):
                 graph.add_node(f"D{index % TOOLS}")
             graph.add_node("K0")

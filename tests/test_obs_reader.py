@@ -5,7 +5,9 @@ that :class:`repro.obs.sinks.JSONLReader` merged.  On random logs —
 valid objects, blank lines, non-objects, corrupt lines mid-file and at
 the tail, an unterminated tail, and growth, rewrites and deletion
 between follow polls — both must yield the same ``(lineno, object)``
-sequence and end in the same exception with the same message.  The logs
+sequence and end in the same exception with the same message, except
+that a follow starts a log created after a deletion afresh, where the
+old reader resumed at its old offset.  The logs
 hold no carriage returns: the old readers read in text mode, which
 splits lines at a lone ``\\r`` too, while every obs writer ends a line
 with ``\\n`` alone.
@@ -18,6 +20,7 @@ is named by its own kind.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import tempfile
 
@@ -87,9 +90,9 @@ def test_full_read_matches_reference(log, strict):
 
 #: Changes to the log between two follow polls.  A log that is only
 #: appended to may hold any text.  One that is also rewritten or deleted
-#: holds ASCII: a new file no smaller than what was read is noticed by
-#: neither reader, and the old one, seeking by character, would then
-#: start mid-way through a multi-byte character.
+#: holds ASCII: a file rewritten in place no smaller than what was read
+#: is noticed by neither reader, and the old one, seeking by character,
+#: would then start mid-way through a multi-byte character.
 _GROWTH = st.one_of(
     st.tuples(st.just("append"), _logs(TEXT)),
     st.tuples(st.just("append"), TEXT),
@@ -130,6 +133,25 @@ def _follow(follow, path, initial, steps):
                            stop=lambda: not remaining))
 
 
+def _follow_afresh_after_deletions(path, initial, steps):
+    """The old reader's outcome with a new reader for each file a
+    deletion makes room for: records of one file after another."""
+    segments = [(initial, [])]
+    for step in steps:
+        if step[0] == "delete":
+            segments.append((None, []))
+        else:
+            segments[-1][1].append(step)
+    seen: list = []
+    for first, segment in segments:
+        records, error = _follow(reference.follow_jsonl_objects, path,
+                                 first, segment)
+        seen += records
+        if error is not None:
+            return seen, error
+    return seen, None
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenario=st.one_of(_scenarios(TEXT, _GROWTH),
                           _scenarios(ASCII, _CHURN)))
@@ -138,7 +160,63 @@ def test_follow_matches_reference(scenario):
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "log.jsonl"
         assert _follow(follow_jsonl_objects, path, initial, steps) == \
-            _follow(reference.follow_jsonl_objects, path, initial, steps)
+            _follow_afresh_after_deletions(path, initial, steps)
+
+
+@pytest.mark.parametrize("replace", ["rename", "delete"])
+def test_follow_restarts_on_a_replaced_log(replace, tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"old": 1}\n', encoding="utf-8")
+    longer = '{"new": 1}\n{"new": 2}\n'
+
+    def swap(_):
+        if replace == "rename":
+            (tmp_path / "next.jsonl").write_text(longer, encoding="utf-8")
+            (tmp_path / "next.jsonl").replace(path)
+        else:
+            path.unlink()
+            path.write_text(longer, encoding="utf-8")
+        swapped.append(True)
+
+    swapped: list[bool] = []
+    records = list(follow_jsonl_objects(path, poll_interval=0.0,
+                                        sleep=swap,
+                                        stop=lambda: bool(swapped)))
+    assert records == [(1, {"old": 1}), (1, {"new": 1}), (2, {"new": 2})]
+
+
+def test_follow_reads_the_file_whose_identity_it_checked(tmp_path,
+                                                         monkeypatch):
+    """The log grows and is then replaced just after a poll checked its
+    identity: that poll reads the rest of the file it checked, never the
+    new file from the old offset, and the next poll starts over."""
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"old": 1}\n', encoding="utf-8")
+    samestat = os.path.samestat
+    checks: list[bool] = []
+    polls: list[None] = []
+
+    def grow(_):
+        if not polls:
+            with open(path, "a", encoding="utf-8") as log:
+                log.write('{"old": 2}\n')
+        polls.append(None)
+
+    def check_then_replace(held, current):
+        same = samestat(held, current)
+        if not checks:
+            path.unlink()
+            path.write_text('{"new": 10}\n{"new": 20}\n', encoding="utf-8")
+        checks.append(same)
+        return same
+
+    monkeypatch.setattr(os.path, "samestat", check_then_replace)
+    records = list(follow_jsonl_objects(path, poll_interval=0.0,
+                                        sleep=grow,
+                                        stop=lambda: (len(checks) == 2
+                                                      or len(polls) == 4)))
+    assert records == [(1, {"old": 1}), (2, {"old": 2}),
+                       (1, {"new": 10}), (2, {"new": 20})]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Saved environments across a backend switch, and SQLite files that
 hold no history.
 
-A save that switches the history backend writes the new history, the
-flows and ``environment.json`` before it removes the superseded
-history, so an interrupted switch leaves the old environment loadable.
+A save that switches the history backend writes the new history and
+``environment.json`` before it removes the superseded history, so an
+interrupted switch leaves the old environment loadable.  Every switch
+writes ``environment.json``, since it names the new backend; the flows
+are rewritten only when they changed.
 Loading an existing ``history.sqlite`` without the history tables is a
 typed error that names the file, never an empty history.
 """
@@ -18,8 +20,8 @@ from repro.cli import main
 from repro.errors import HistoryError
 from repro.history.sqlite_store import SqliteHistoryStore
 from repro.history.store import BACKEND_JSON, BACKEND_SQLITE
-from repro.persistence import (FLOWS_FILE, HISTORY_FILE,
-                               HISTORY_SQLITE_FILE, load_environment,
+from repro.persistence import (HISTORY_FILE, HISTORY_SQLITE_FILE,
+                               META_FILE, load_environment,
                                migrate_environment, save_environment)
 from repro.scenarios import (MAIN_FLOW, ScenarioSpec,
                              materialize_scenario)
@@ -62,25 +64,30 @@ class TestBackendSwitch:
             self, old, new, switch, tmp_path, monkeypatch):
         directory = tmp_path / "proj"
         digest = saved_chain(directory, old)
-        env = load_environment(directory)
-        write_text = pathlib.Path.write_text
+        # a switch to json writes history.json first: interrupt it there
+        # too
+        faults = [HISTORY_FILE, META_FILE] if new == BACKEND_JSON \
+            else [META_FILE]
+        for fault in faults:
+            env = load_environment(directory)
+            write_text = pathlib.Path.write_text
 
-        def failing(self, *args, **kwargs):
-            if self.name == FLOWS_FILE:
-                raise OSError("interrupted while writing flows.json")
-            return write_text(self, *args, **kwargs)
+            def failing(self, *args, **kwargs):
+                if self.name == fault:
+                    raise OSError(f"interrupted while writing {fault}")
+                return write_text(self, *args, **kwargs)
 
-        monkeypatch.setattr(pathlib.Path, "write_text", failing)
-        with pytest.raises(OSError, match="interrupted"):
-            if switch == "save":
-                save_environment(env, directory, backend=new)
-            else:
-                migrate_environment(directory, new)
-        monkeypatch.undo()
-        if isinstance(env.db.store, SqliteHistoryStore):
-            env.db.store.close()
-        assert HISTORIES[old] in histories(directory)
-        assert loaded(directory) == (old, digest)
+            monkeypatch.setattr(pathlib.Path, "write_text", failing)
+            with pytest.raises(OSError, match="interrupted"):
+                if switch == "save":
+                    save_environment(env, directory, backend=new)
+                else:
+                    migrate_environment(directory, new)
+            monkeypatch.undo()
+            if isinstance(env.db.store, SqliteHistoryStore):
+                env.db.store.close()
+            assert HISTORIES[old] in histories(directory)
+            assert loaded(directory) == (old, digest)
 
     @pytest.mark.parametrize("old,new", [(BACKEND_JSON, BACKEND_SQLITE),
                                          (BACKEND_SQLITE, BACKEND_JSON)])

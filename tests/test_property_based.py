@@ -140,7 +140,8 @@ def flow_scripts(draw):
     """A random sequence of (op, index) build operations."""
     return draw(st.lists(
         st.tuples(st.sampled_from(["place", "expand", "specialize",
-                                   "unexpand", "forward"]),
+                                   "unexpand", "forward", "disconnect",
+                                   "generalize"]),
                   st.integers(0, 7)),
         min_size=1, max_size=14))
 
@@ -177,6 +178,13 @@ def test_random_build_sequences_keep_flow_valid(script):
                 if choices:
                     flow.expand_toward(node,
                                        choices[index % len(choices)])
+            elif op == "disconnect" and flow.graph.edges():
+                edges = flow.graph.edges()
+                edge = edges[index % len(edges)]
+                flow.graph.disconnect(edge.consumer, edge.supplier,
+                                      edge.role)
+            elif op == "generalize" and nodes:
+                flow.generalize(nodes[index % len(nodes)])
         except ReproError:
             pass  # rejected operations must leave the flow untouched
         flow.validate()  # the invariant: never a broken flow
