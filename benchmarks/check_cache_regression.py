@@ -12,6 +12,9 @@ a third time.  Fails (exit 1) when:
 * a reloaded run executes any tool invocation, does not return the
   cold run's ids, or reports no time saved (the durations ride the
   saved memo);
+* on a grown history (``GROWN_RUNS`` forced ``readwrite`` runs, saved
+  and reloaded) a ``reuse`` run executes any tool invocation or does
+  not return the last forced run's ids;
 * the structural numbers (cold invocations, instances created, warm
   hits) drift more than the tolerance from the checked-in baseline in
   ``benchmarks/artifacts/cache_baseline.json``;
@@ -42,20 +45,31 @@ TOLERANCE = 0.25
 
 
 BACKENDS = ("json", "sqlite")
+#: forced runs that grow the history of the grown leg
+GROWN_RUNS = 8
+
+
+def load_copy(env, directory):
+    """Load a saved copy of ``env`` with the standard encapsulations and
+    the handles the Fig. 5 flow builder reads."""
+    from repro.persistence import load_environment
+    from repro.tools import register_standard_encapsulations
+
+    loaded = load_environment(directory)
+    register_standard_encapsulations(loaded)
+    for name in ("tools", "models", "stimuli_inv"):
+        setattr(loaded, name, getattr(env, name))
+    return loaded
 
 
 def reload_leg(env, layout_id, reference_id, backend):
     """Save, reload and re-run the Fig. 5 flow with ``cache=reuse``."""
     from test_bench_fig05_complex_flow import build_fig5_flow
-    from repro.persistence import load_environment, save_environment
-    from repro.tools import register_standard_encapsulations
+    from repro.persistence import save_environment
 
     with tempfile.TemporaryDirectory() as directory:
         save_environment(env, directory, backend=backend)
-        reloaded = load_environment(directory)
-        register_standard_encapsulations(reloaded)
-        for name in ("tools", "models", "stimuli_inv"):
-            setattr(reloaded, name, getattr(env, name))
+        reloaded = load_copy(env, directory)
         try:
             report = reloaded.run(
                 build_fig5_flow(reloaded, layout_id, reference_id),
@@ -65,6 +79,35 @@ def reload_leg(env, layout_id, reference_id, backend):
     return {"invocations": len(report.results),
             "reused": sorted(report.reused),
             "time_saved": report.time_saved}
+
+
+def grown_leg(env, layout_id, reference_id, backend):
+    """Grow a saved copy by ``GROWN_RUNS`` forced ``readwrite`` runs,
+    save, reload and re-run the Fig. 5 flow with ``cache=reuse``."""
+    from test_bench_fig05_complex_flow import build_fig5_flow
+    from repro.persistence import save_environment
+
+    with tempfile.TemporaryDirectory() as directory:
+        save_environment(env, directory, backend=backend)
+        grown = load_copy(env, directory)
+        try:
+            for _ in range(GROWN_RUNS):
+                last = grown.run(
+                    build_fig5_flow(grown, layout_id, reference_id),
+                    force=True, cache="readwrite")
+            save_environment(grown, directory)
+        finally:
+            grown.db.store.close()
+        reloaded = load_copy(env, directory)
+        try:
+            report = reloaded.run(
+                build_fig5_flow(reloaded, layout_id, reference_id),
+                cache="reuse")
+        finally:
+            reloaded.db.store.close()
+    return {"invocations": len(report.results),
+            "hits": report.cache_hits,
+            "same_ids": sorted(report.reused) == sorted(last.created)}
 
 
 def run_once():
@@ -103,12 +146,15 @@ def run_once():
     hit_events = sum(1 for e in sink.events()
                      if e.event_type == CACHE_HIT)
     reloads = {}
+    grown = {}
     for backend in BACKENDS:
         leg = reload_leg(env, layout_id, reference.instance_id, backend)
         reloads[backend] = {
             "invocations": leg["invocations"],
             "same_ids": leg["reused"] == sorted(cold.created),
             "time_saved": leg["time_saved"]}
+        grown[backend] = grown_leg(env, layout_id, reference.instance_id,
+                                   backend)
 
     return {
         "cold_invocations": len(cold.results),
@@ -121,6 +167,7 @@ def run_once():
         "cold_elapsed": cold_elapsed,
         "warm_elapsed": warm_elapsed,
         "reloads": reloads,
+        "grown": grown,
     }
 
 
@@ -154,6 +201,15 @@ def check(stats: dict, baseline: dict | None) -> list[str]:
                             "run's instance ids")
         if leg["time_saved"] <= 0:
             failures.append(f"{backend} reload reported no time saved")
+    for backend, leg in stats["grown"].items():
+        if leg["invocations"] != 0 or leg["hits"] == 0:
+            failures.append(
+                f"{backend} grown history: {leg['invocations']} tool "
+                f"invocations and {leg['hits']} hits after {GROWN_RUNS} "
+                "forced runs; expected 0 invocations (full coalescing)")
+        if not leg["same_ids"]:
+            failures.append(f"{backend} grown history: reuse did not "
+                            "return the last forced run's instance ids")
     if baseline is not None:
         for key in ("cold_invocations", "cold_created", "warm_hits",
                     "warm_reused"):
@@ -175,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.write_baseline:
         BASELINE.parent.mkdir(exist_ok=True)
         recorded = {k: v for k, v in stats.items()
-                    if not k.endswith("_elapsed") and k != "reloads"}
+                    if not k.endswith("_elapsed")
+                    and k not in ("reloads", "grown")}
         BASELINE.write_text(json.dumps(recorded, indent=1,
                                        sort_keys=True) + "\n",
                             encoding="utf-8")

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..dag import CycleError, reachable, topological
+from ..dag import CycleError, reachable, reaches, topological
 from ..errors import ExpansionError, FlowError
 from ..schema.dependency import DepKind
 from ..schema.schema import TaskSchema
@@ -147,7 +147,8 @@ class TaskGraph:
             if dep.role in self._connected_roles(consumer_id):
                 raise FlowError(
                     f"{consumer}: role {dep.role!r} already connected")
-        if consumer_id in self.subtree(supplier_id):
+        if reaches(supplier_id, consumer_id, self._supplier_ids,
+                   self._consumer_ids):
             raise FlowError(
                 f"edge {consumer} -> {supplier} would create a cycle; "
                 "task graphs are acyclic")
@@ -278,8 +279,7 @@ class TaskGraph:
 
     def dependents(self, node_id: str) -> set[str]:
         """Node ids reachable from ``node_id`` through consumer edges."""
-        return reachable(node_id, lambda current: (
-            e.consumer for e in self.consumers(current)))
+        return reachable(node_id, self._consumer_ids)
 
     def topological_order(self) -> tuple[str, ...]:
         """Node ids ordered suppliers-first (execution order)."""
@@ -290,6 +290,9 @@ class TaskGraph:
 
     def _supplier_ids(self, node_id: str) -> list[str]:
         return [e.supplier for e in self._supplier_edges.get(node_id, ())]
+
+    def _consumer_ids(self, node_id: str) -> list[str]:
+        return [e.consumer for e in self._consumer_edges.get(node_id, ())]
 
     def disjoint_branches(self) -> tuple[frozenset[str], ...]:
         """Weakly connected components of the graph.

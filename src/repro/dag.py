@@ -81,6 +81,30 @@ def reachable(start: Any, step: Before) -> set:
     return seen
 
 
+def reaches(start: Any, goal: Any, step: Before, back: Before) -> bool:
+    """Whether ``goal`` is ``start`` or is reached from it through
+    ``step``; ``back`` is ``step`` reversed.  The walk forward from
+    ``start`` and the walk back from ``goal`` take one node each in
+    turn, and the search ends as soon as they meet or either walk is
+    used up, so it costs about twice the smaller of the two walks.
+    """
+    if start == goal:
+        return True
+    seen = ({start}, {goal})
+    frontiers = ([start], [goal])
+    steps = (step, back)
+    side = 0
+    while frontiers[0] and frontiers[1]:
+        for node in steps[side](frontiers[side].pop()):
+            if node in seen[1 - side]:
+                return True
+            if node not in seen[side]:
+                seen[side].add(node)
+                frontiers[side].append(node)
+        side = 1 - side
+    return False
+
+
 def dependencies(
     outputs: Sequence[Iterable], inputs: Sequence[Iterable]
 ) -> tuple[list[list[int]], list[list[int]]]:

@@ -34,13 +34,15 @@ import json
 import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
-from ..errors import ExecutionError, ReproError
+from ..errors import ExecutionError, ReproError, UnknownInstanceError
 from ..history.consistency import all_up_to_date
 from ..history.database import HistoryDatabase
+from ..history.instance import EntityInstance
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
-from .shared_memo import MemoEntry, SharedDerivationMemo
+from .shared_memo import (Group, MemoEntry, SharedDerivationMemo,
+                          decode_outputs, scan)
 
 # -- cache policies ----------------------------------------------------------
 CACHE_OFF = "off"            #: no lookups, no indexing of this run
@@ -110,10 +112,54 @@ class CacheStats:
 class _Entry:
     """All remembered runs for one derivation key, oldest first."""
 
-    #: member set -> ``(entity_type, instance_id)`` pairs as recorded
-    groups: dict[frozenset[tuple[str, str]],
-                 tuple[tuple[str, str], ...]] = field(default_factory=dict)
+    #: one per remembered run, repeats included: its ``(entity_type,
+    #: instance_id)`` pairs as recorded or, for a memo line not decoded
+    #: yet, the JSON of its outputs (:func:`~.shared_memo.scan`)
+    runs: list[Group | bytes] = field(default_factory=list)
     duration: float = 0.0
+
+
+def _group(runs: list[Group | bytes], index: int) -> Group:
+    """The pairs of ``runs[index]``, decoded in place on first use."""
+    run = runs[index]
+    if isinstance(run, bytes):
+        run = runs[index] = decode_outputs(run)
+    return run
+
+
+def _recorded_before(runs: list[Group | bytes], index: int,
+                     group: Group) -> bool:
+    """Whether a run before ``runs[index]`` has the same members.
+
+    A group recorded again keeps the position of its first record.  An
+    undecoded run is decoded only when its JSON names every member id.
+    """
+    members = frozenset(group)
+    needles = [json.dumps(instance_id).encode("ascii")
+               for _, instance_id in members]
+    for earlier in range(index):
+        run = runs[earlier]
+        if isinstance(run, bytes) \
+                and not all(needle in run for needle in needles):
+            continue
+        if frozenset(_group(runs, earlier)) == members:
+            return True
+    return False
+
+
+def _input_ids(ref: Any) -> Sequence[str]:
+    """The input ids one role of a combo binds: one id (fan-out mode)
+    or a list of them (batch mode)."""
+    return ref if isinstance(ref, (list, tuple)) else (ref,)
+
+
+def _distinct(entry: _Entry) -> list[Group]:
+    """The entry's groups, each once, in the order first recorded."""
+    groups: dict[frozenset[tuple[str, str]], Group] = {}
+    for index in range(len(entry.runs)):
+        group = _group(entry.runs, index)
+        groups.setdefault(frozenset(group), group)
+    return list(groups.values())
 
 
 class DerivationCache:
@@ -153,7 +199,7 @@ class DerivationCache:
             memo = SharedDerivationMemo(path)
             carried = [(key, group, entry.duration)
                        for key, entry in self._entries.items()
-                       for group in entry.groups.values()]
+                       for group in _distinct(entry)]
             if carried:
                 memo.append(carried)
             self.memo = memo
@@ -205,8 +251,7 @@ class DerivationCache:
              output_types: Iterable[str]) -> str:
         inputs = []
         for role in sorted(combo):
-            ref = combo[role]
-            ids = ref if isinstance(ref, (list, tuple)) else (ref,)
+            ids = _input_ids(combo[role])
             inputs.append(
                 [role, sorted(self._data_digest(i) for i in ids)])
         spec = json.dumps(
@@ -216,17 +261,24 @@ class DerivationCache:
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(spec.encode("utf-8")).hexdigest()
 
-    def _derives(self, key: str, ids: list[str]) -> bool:
-        """Whether the instances ``ids`` are one run that ``key`` names.
+    def _members(self, ids: list[str]) -> list[EntityInstance] | None:
+        """The instances ``ids``, or None if this history lacks one."""
+        try:
+            return [self.db.get(instance_id) for instance_id in ids]
+        except UnknownInstanceError:
+            return None
+
+    def _derives(self, key: str, members: list[EntityInstance],
+                 source: tuple[Any, ...]) -> bool:
+        """Whether ``members`` are one run that ``key`` names.
 
         The key is re-derived from the instances' own derivation record
         (tool instance and input contents) under the current code, so a
         memo line naming ids that this history recorded for another run
-        — or never recorded at all — does not match.
+        does not match.  A record that names ``source`` — the lookup's
+        own tool instance, output types and input ids per role — derives
+        ``key`` by construction and is not re-keyed.
         """
-        if any(instance_id not in self.db for instance_id in ids):
-            return False
-        members = [self.db.get(instance_id) for instance_id in ids]
         derivation = members[0].derivation
         if derivation is None or any(member.derivation != derivation
                                      for member in members):
@@ -234,14 +286,16 @@ class DerivationCache:
         combo: dict[str, list[str]] = {}
         for role, input_id in derivation.inputs:
             combo.setdefault(role, []).append(input_id)
+        types = sorted({member.entity_type for member in members})
+        if source == (derivation.tool, types,
+                      {role: sorted(ids) for role, ids in combo.items()}):
+            return True
         try:
             if derivation.tool is None:
                 derived = self.composition_key(members[0].entity_type,
                                                combo)
             else:
-                derived = self.tool_run_key(
-                    derivation.tool, combo,
-                    sorted({member.entity_type for member in members}))
+                derived = self.tool_run_key(derivation.tool, combo, types)
         except ReproError:
             return False  # no longer derivable (code unregistered, ...)
         return derived == key
@@ -249,28 +303,36 @@ class DerivationCache:
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _remember(self, key: str, pairs: tuple[tuple[str, str], ...],
+    def _remember(self, key: str, run: Group | bytes,
                   duration: float) -> None:
-        entry = self._entries.setdefault(key, _Entry())
-        entry.groups.setdefault(frozenset(pairs), pairs)
-        entry.duration = max(entry.duration, duration)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _Entry()
+        entry.runs.append(run)
+        if duration > entry.duration:  # max(), which keeps the first of ties
+            entry.duration = duration
 
     def sync(self) -> int:
         """Absorb the runs appended to the shared memo since last time.
 
-        Returns the number of memo entries read.  An unreadable memo
-        degrades the cache to a process-local one.
+        Returns the number of memo entries read.  A line in the writer's
+        form is indexed by its key and duration and its outputs are
+        decoded only when a lookup needs them; any other line is decoded
+        at once.  An unreadable memo degrades the cache to a
+        process-local one.
         """
         with self._lock:
             if self.memo is None:
                 return 0
             try:
-                polled = self.memo.poll()
+                block = self.memo.read_block()
             except OSError:
                 return 0
-            for key, pairs, duration in polled:
-                self._remember(key, pairs, duration)
-            return len(polled)
+            remember = self._remember
+            read = 0
+            for read, (key, run, duration) in enumerate(scan(block), 1):
+                remember(key, run, duration)
+            return read
 
     def invalidate(self) -> None:
         """Drop the in-memory index; the memo is re-read on next use."""
@@ -286,43 +348,50 @@ class DerivationCache:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def fetch(self, key: str,
-              output_types: Iterable[str]) -> CacheHit | None:
+    def fetch(self, key: str, output_types: Iterable[str], *,
+              tool_id: str | None,
+              combo: Mapping[str, Any]) -> CacheHit | None:
         """Newest remembered run for ``key`` that is still reusable.
 
-        Groups are tried newest first, in the order they were stored.
-        One is taken only when it covers the requested output types,
-        its instances re-derive ``key`` (:meth:`_derives`) and they are
-        up to date version-wise; a stale group is skipped and counted
-        as invalidated.  Updates hit/miss statistics.
+        Groups are tried newest first, in the order they were first
+        stored.  One is taken only when it covers the requested output
+        types, its instances re-derive ``key`` (:meth:`_derives`) and
+        they are up to date version-wise; a stale group is skipped and
+        counted as invalidated.  Updates hit/miss statistics.
+
+        ``key`` is :meth:`tool_run_key` of ``tool_id``, ``combo`` and
+        ``output_types`` or, with ``tool_id`` None, the
+        :meth:`composition_key` of the one output type and ``combo``.
         """
         wanted = sorted(output_types)
+        source = (tool_id, wanted, {role: sorted(_input_ids(ref))
+                                    for role, ref in combo.items()})
         with self._lock:
             self.sync()
             entry = self._entries.get(key) or _Entry()
-            groups = list(entry.groups.values())
+            runs, count = entry.runs, len(entry.runs)
             duration = entry.duration
-        for group in reversed(groups):
-            types = sorted(entity_type for entity_type, _ in group)
-            if types != wanted:
+        for index in range(count - 1, -1, -1):
+            group = _group(runs, index)
+            if sorted(entity_type for entity_type, _ in group) != wanted \
+                    or _recorded_before(runs, index, group):
                 continue
             ids = [instance_id for _, instance_id in group]
-            if not self._derives(key, ids):
+            members = self._members(ids)
+            if members is None or not self._derives(key, members, source):
                 continue
             if not all_up_to_date(self.db, ids):
                 with self._lock:
                     self.stats.invalidated += 1
                 continue
-            bytes_saved = 0
-            for instance_id in ids:
-                ref = self.db.get(instance_id).data_ref
-                if ref is not None:
-                    bytes_saved += self.db.datastore.size(ref)
+            bytes_saved = sum(self.db.datastore.size(member.data_ref)
+                              for member in members
+                              if member.data_ref is not None)
             with self._lock:
                 self.stats.hits += 1
                 self.stats.bytes_saved += bytes_saved
                 self.stats.time_saved += duration
-            return CacheHit(key, tuple(group), duration, bytes_saved)
+            return CacheHit(key, group, duration, bytes_saved)
         with self._lock:
             self.stats.misses += 1
         return None

@@ -908,7 +908,8 @@ class FlowExecutor:
                                           CACHE_SPAN,
                                           attributes=attributes
                                           ) as lookup:
-                        hit = cache.fetch(key, fetch_types)
+                        hit = cache.fetch(key, fetch_types,
+                                          tool_id=tool_id, combo=combo)
                         lookup.set(outcome="hit" if hit is not None
                                    else "miss")
                     if hit is not None:

@@ -41,8 +41,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import time
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 try:
     import fcntl
@@ -51,8 +52,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 MEMO_SCHEMA_VERSION = 1
 
-#: (key, ((entity_type, instance_id), ...), duration)
-MemoEntry = tuple[str, tuple[tuple[str, str], ...], float]
+#: ((entity_type, instance_id), ...): the instances one run produced
+Group = tuple[tuple[str, str], ...]
+#: (key, group, duration)
+MemoEntry = tuple[str, Group, float]
 
 
 class _FileLock:
@@ -96,6 +99,67 @@ class _FileLock:
         self._fd = None
 
 
+def _decode_entry(raw: bytes) -> MemoEntry | None:
+    """The entry one complete memo line records, or None.
+
+    None for foreign garbage: undecodable bytes or JSON, a non-object,
+    another schema version, outputs that are not pairs or are empty, a
+    non-numeric duration.
+    """
+    try:
+        record = json.loads(raw.decode("utf-8"))
+        if record.get("v") != MEMO_SCHEMA_VERSION:
+            return None
+        outputs = tuple((str(t), str(i))
+                        for t, i in record.get("outputs", ()))
+        entry = (str(record.get("key", "")), outputs,
+                 float(record.get("duration", 0.0)))
+    except (ValueError, TypeError, AttributeError):
+        return None
+    return entry if outputs else None
+
+
+#: a JSON string of printable ASCII without quote or backslash: its bytes
+#: between the quotes are its value
+_PLAIN = rb'"[ !#-\[\]-~]*"'
+#: one line: in exactly the form :meth:`SharedDerivationMemo.append`
+#: writes, with plain strings only and a JSON number for a duration (at
+#: most 16 integer digits, so ``float`` reads it as ``json`` does), its
+#: duration, key and outputs; otherwise the whole line, in the last group
+_LINE = re.compile(
+    rb'^(?:\{"duration":(-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?'
+    rb'(?:[eE][-+]?[0-9]+)?),"key":"([ !#-\[\]-~]*)","outputs":(\[\['
+    + _PLAIN + rb',' + _PLAIN + rb'\](?:,\[' + _PLAIN + rb',' + _PLAIN
+    + rb'\])*\]),"v":' + str(MEMO_SCHEMA_VERSION).encode()
+    + rb'\}|(.*))$', re.MULTILINE)
+
+
+def scan(block: bytes) -> Iterator[tuple[str, bytes | Group, float]]:
+    """``(key, outputs, duration)`` of each entry in a block of complete
+    memo lines, in order.
+
+    A line in the writer's form certainly records an entry: its outputs
+    come as their undecoded JSON (:func:`decode_outputs` gives the
+    pairs), so a reader can index it by key and decode it only when
+    asked for it.  Any other line is decoded at once
+    (:func:`_decode_entry`), its outputs come as pairs, and a line that
+    records no entry is skipped.
+    """
+    for duration, key, outputs, other in _LINE.findall(block):
+        if duration:
+            yield key.decode("ascii"), outputs, float(duration)
+        elif other:
+            entry = _decode_entry(other)
+            if entry is not None:
+                yield entry
+
+
+def decode_outputs(outputs: bytes) -> Group:
+    """The ``(entity_type, instance_id)`` pairs of a line in the writer's
+    form, from the outputs JSON :func:`scan` gave."""
+    return tuple((t, i) for t, i in json.loads(outputs))
+
+
 class SharedDerivationMemo:
     """Append-only derivation memo shared between processes."""
 
@@ -135,47 +199,36 @@ class SharedDerivationMemo:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def poll(self) -> list[MemoEntry]:
-        """Entries appended (by anyone) since the last poll.
+    def read_block(self) -> bytes:
+        """The complete lines appended (by anyone) since the last read,
+        undecoded, as one block.
 
-        Only complete lines are returned; a torn trailing line (a
-        writer mid-append on a non-POSIX box, or one that died
-        mid-batch) is left for the next poll.  A log that has not grown
-        past the read offset is not opened.
+        A torn trailing line (a writer mid-append on a non-POSIX box, or
+        one that died mid-batch) is left for the next read.  A log that
+        has not grown past the read offset is not opened.
         """
         try:
             if os.stat(self.path).st_size <= self._offset:
-                return []
+                return b""
         except FileNotFoundError:
-            return []
+            return b""
         with _FileLock(self.lock_path, exclusive=False):
             with open(self.path, "rb") as handle:
                 handle.seek(self._offset)
                 chunk = handle.read()
-        entries: list[MemoEntry] = []
-        consumed = 0
-        for raw in chunk.split(b"\n"):
-            end = consumed + len(raw) + 1
-            if end > len(chunk):
-                break  # incomplete trailing line: re-read next poll
-            consumed = end
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                if record.get("v") != MEMO_SCHEMA_VERSION:
-                    continue
-                outputs = tuple((str(t), str(i))
-                                for t, i in record.get("outputs", ()))
-                entry = (str(record.get("key", "")), outputs,
-                         float(record.get("duration", 0.0)))
-            except (ValueError, TypeError, AttributeError):
-                # foreign garbage, skipped with its bytes consumed:
-                # undecodable bytes or JSON, a non-object, outputs that
-                # are not pairs, a non-numeric duration
-                continue
-            if outputs:
-                entries.append(entry)
+        consumed = chunk.rfind(b"\n") + 1
         self._offset += consumed
-        return entries
+        return chunk[:consumed]
+
+    def poll(self) -> list[MemoEntry]:
+        """Entries appended (by anyone) since the last poll.
+
+        The complete lines of :meth:`read_block`, each decoded; a line
+        that records no entry is skipped.
+        """
+        entries = (_decode_entry(raw)
+                   for raw in self.read_block().split(b"\n")[:-1])
+        return [entry for entry in entries if entry is not None]
 
     def rewind(self) -> None:
         """Forget the read offset; the next poll re-reads everything."""
@@ -187,7 +240,10 @@ class SharedDerivationMemo:
 
 
 __all__ = [
+    "Group",
     "MEMO_SCHEMA_VERSION",
     "MemoEntry",
     "SharedDerivationMemo",
+    "decode_outputs",
+    "scan",
 ]

@@ -125,7 +125,10 @@ class DataStore:
 
     Decoded objects are cached for the session, so :meth:`get` returns
     the very object :meth:`put` stored, and a loaded blob is decoded
-    on its first :meth:`get` only.
+    on its first :meth:`get` only.  Resolved refs and blob sizes are
+    memoised too, but only answers that found a blob: blobs are
+    content-addressed and never deleted, so such an answer never
+    changes.
     """
 
     def __init__(self, codecs: CodecRegistry | None = None, *,
@@ -134,6 +137,9 @@ class DataStore:
         self.backend = (backend if backend is not None
                         else InMemoryHistoryStore())
         self._decoded: dict[str, Any] = {}
+        #: ref -> full digest, and full digest -> size, of found blobs
+        self._resolved: dict[str, str] = {}
+        self._sizes: dict[str, int] = {}
 
     def _canonical(self, encoded: Any) -> str:
         return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
@@ -151,11 +157,25 @@ class DataStore:
         self._decoded.setdefault(digest, obj)
         return digest
 
+    def _blob_size(self, digest: str) -> int | None:
+        size = self._sizes.get(digest)
+        if size is None:
+            size = self.backend.blob_size(digest)
+            if size is not None:
+                self._sizes[digest] = size
+        return size
+
     def _full(self, data_ref: str) -> str | None:
-        if data_ref in self._decoded \
-                or self.backend.blob_size(data_ref) is not None:
-            return data_ref
-        return self.backend.resolve_blob_alias(data_ref)
+        full = self._resolved.get(data_ref)
+        if full is None:
+            if data_ref in self._decoded \
+                    or self._blob_size(data_ref) is not None:
+                full = data_ref
+            else:
+                full = self.backend.resolve_blob_alias(data_ref)
+            if full is not None:
+                self._resolved[data_ref] = full
+        return full
 
     def resolve(self, data_ref: str) -> str:
         """Map a (possibly legacy short) ref to its full digest."""
@@ -175,7 +195,7 @@ class DataStore:
 
     def size(self, data_ref: str) -> int:
         """Canonical-form byte size of a stored blob."""
-        return self.backend.blob_size(self.resolve(data_ref))
+        return self._blob_size(self.resolve(data_ref))
 
     def __contains__(self, data_ref: str) -> bool:
         return self._full(data_ref) is not None

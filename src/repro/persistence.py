@@ -112,7 +112,11 @@ def save_environment(env: DesignEnvironment,
         env.db.save(root / HISTORY_FILE)
     flows = {}
     for name in env.flow_catalog.names():
-        flow = env.flow_catalog.select(name)
+        # a registered flow is serialised as it is; a copy is only made
+        # for a factory entry
+        flow = env.flow_catalog.prototype(name)
+        if flow is None:
+            flow = env.flow_catalog.select(name)
         flows[name] = {
             "description": env.flow_catalog.description(name),
             "graph": flow.to_dict(),

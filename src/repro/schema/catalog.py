@@ -85,6 +85,8 @@ class FlowCatalog(Generic[FlowT]):
     def __init__(self) -> None:
         self._factories: dict[str, Callable[[], FlowT]] = {}
         self._descriptions: dict[str, str] = {}
+        #: flows registered with :meth:`register_flow` and no copier
+        self._prototypes: dict[str, Any] = {}
 
     def register(self, name: str, factory: Callable[[], FlowT],
                  description: str = "") -> None:
@@ -103,6 +105,7 @@ class FlowCatalog(Generic[FlowT]):
         """
         if copier is None:
             self.register(name, flow.copy, description)
+            self._prototypes[name] = flow
         else:
             self.register(name, lambda: copier(flow), description)
 
@@ -111,6 +114,14 @@ class FlowCatalog(Generic[FlowT]):
         if name not in self._factories:
             raise SchemaError(f"no flow named {name!r} in catalog")
         return self._factories[name]()
+
+    def prototype(self, name: str) -> Any | None:
+        """The flow stored by :meth:`register_flow` itself, not a copy
+        (None for a factory or copier entry): read it, never change it.
+        """
+        if name not in self._factories:
+            raise SchemaError(f"no flow named {name!r} in catalog")
+        return self._prototypes.get(name)
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._factories))

@@ -77,6 +77,9 @@ class FlatTaskGraph(TaskGraph):
     def _supplier_ids(self, node_id: str) -> list[str]:
         return [e.supplier for e in self._edges if e.consumer == node_id]
 
+    def _consumer_ids(self, node_id: str) -> list[str]:
+        return [e.consumer for e in self._edges if e.supplier == node_id]
+
     def copy(self, name: str | None = None) -> "FlatTaskGraph":
         """Deep-copy the flow (bindings and results are preserved)."""
         clone = FlatTaskGraph(self.schema, name or self.name)

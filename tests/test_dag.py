@@ -428,8 +428,8 @@ def chain_spec(depth: int) -> ScenarioSpec:
 
 def saved_chain_flow(spec: ScenarioSpec) -> dict:
     """The ``flows.json`` graph ``materialize_scenario`` saves for a
-    chain scenario, written out directly (building it edge by edge is
-    quadratic, which is beside the point here)."""
+    chain scenario, written out directly rather than built edge by
+    edge."""
     nodes = scenario_nodes(spec)
     ids = {node.entity_type: f"n{index}"
            for index, node in enumerate(nodes)}
@@ -468,6 +468,44 @@ def test_saved_chain_flow_is_what_materialize_saves():
     env = materialize_scenario(spec)
     assert saved_chain_flow(spec) == \
         env.flow_catalog.select(MAIN_FLOW).to_dict()
+
+
+@pytest.mark.parametrize("order", ("sources-first", "goal-first"))
+def test_connect_walk_steps_do_not_grow_with_the_chain(order, monkeypatch):
+    """Each new edge's cycle check walks from both of its ends in turn
+    and stops when either walk is used up, so an edge of a 1,000-stage
+    chain costs the walk steps of an edge of a 10-stage chain, whether
+    the chain is built sources-first (as ``materialize_scenario`` builds
+    it) or goal-first."""
+    steps: list[int] = []
+    for name in ("_supplier_ids", "_consumer_ids"):
+        def counted(self, node_id, original=getattr(TaskGraph, name)):
+            steps[-1] += 1
+            return original(self, node_id)
+        monkeypatch.setattr(TaskGraph, name, counted)
+    most = {}
+    for depth in (10, 1_000):
+        spec = chain_spec(depth)
+        graph = TaskGraph(build_scenario_schema(spec), MAIN_FLOW)
+        stages = []
+        ids = {}
+        for node in scenario_nodes(spec):
+            ids[node.entity_type] = graph.add_node(node.entity_type).node_id
+            if node.tool_type is not None:
+                tool = graph.add_node(node.tool_type).node_id
+                stages.append((node, tool))
+        if order == "goal-first":
+            stages.reverse()
+        for node, tool in stages:
+            consumer = ids[node.entity_type]
+            steps.append(0)
+            graph.connect(consumer, tool)
+            for input_type in node.inputs:
+                steps.append(0)
+                graph.connect(consumer, ids[input_type], role=input_type)
+        most[depth] = max(steps)
+        steps.clear()
+    assert most[10] == most[1_000] <= 2
 
 
 def test_goal_first_saved_flow_of_1100_stages_loads():

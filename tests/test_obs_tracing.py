@@ -1,8 +1,10 @@
 """Tests for hierarchical span tracing and critical-path analysis."""
 
+import dataclasses
 import json
 import pathlib
 import threading
+import time
 
 import pytest
 
@@ -351,9 +353,26 @@ class TestScheduledExecutorTracing:
         assert "queue wait:" in metrics.render()
 
 
+#: what every tool call of the cache-hit test takes: far more than a hit's
+#: lookup, and more than one scheduler stall of the warm run
+TOOL_SECONDS = 0.1
+
+
+def take_fixed_time(env) -> None:
+    """Re-register every tool so each call sleeps ``TOOL_SECONDS`` first."""
+    for tool_type in env.registry.registered_types():
+        enc = env.registry.resolve(tool_type)
+
+        def timed(ctx, inputs, fn=enc.fn):
+            time.sleep(TOOL_SECONDS)
+            return fn(ctx, inputs)
+        env.registry.register(tool_type, dataclasses.replace(enc, fn=timed))
+
+
 class TestCacheHitSpans:
     def test_warm_run_hits_never_extend_critical_path(self, stocked_env):
         env = stocked_env
+        take_fixed_time(env)
         sink = RingBufferSink(512)
         env.tracer.subscribe(sink)
         cold_flow, _ = simulate_flow(env)
@@ -378,7 +397,10 @@ class TestCacheHitSpans:
         assert [s.value("tool_type") for s in cold.path] == \
             [s.value("tool_type") for s in hot.path]
         # hits cost only their lookup time, so the warm chain is
-        # dramatically shorter than the executed one
+        # dramatically shorter than the executed one: shorter than one
+        # of its tool calls
+        assert cold.critical_length >= TOOL_SECONDS
+        assert hot.critical_length < TOOL_SECONDS
         assert hot.critical_length < cold.critical_length
         assert hot.busy_time < cold.busy_time
 

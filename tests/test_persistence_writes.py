@@ -16,15 +16,18 @@ import pathlib
 import pytest
 
 from repro import persistence
+from repro.core.flow import DynamicFlow
 from repro.history import database
 from repro.history.sqlite_store import SqliteHistoryStore
 from repro.history.store import BACKEND_JSON, BACKEND_SQLITE
 from repro.persistence import (FLOWS_FILE, HISTORY_FILE, META_FILE,
                                SCHEMA_FILE, load_environment,
                                save_environment)
-from repro.scenarios import (MAIN_FLOW, ScenarioSpec, history_signature,
+from repro.scenarios import (MAIN_FLOW, CorpusSpec, ScenarioSpec,
+                             generate_corpus, history_signature,
                              materialize_scenario,
-                             register_corpus_encapsulations)
+                             register_corpus_encapsulations,
+                             spec_from_entry)
 from repro.scenarios.generator import signature_digest
 
 JSON_FILES = (SCHEMA_FILE, HISTORY_FILE, FLOWS_FILE, META_FILE)
@@ -156,3 +159,40 @@ def test_helper_compares_bytes_not_just_sizes(tmp_path):
     assert database.write_history_json(path, {"a": 1}) is False
     assert database.write_history_json(path, {"a": 2}) is True  # same size
     assert path.read_text(encoding="utf-8") == '{"a":2}'
+
+
+def test_flows_are_saved_as_registered_without_copies(tmp_path,
+                                                      monkeypatch):
+    """A save serialises each catalogued flow itself: ``flows.json`` is
+    byte-identical to serialising a fresh copy of every flow, for every
+    corpus scenario, freshly materialized and reloaded, and no flow is
+    copied on the way."""
+    copies: list[str] = []
+    copy = DynamicFlow.copy
+
+    def spy(flow, name=None):
+        copies.append(flow.graph.name)
+        return copy(flow, name)
+
+    # installed first, so the catalog's stored ``flow.copy`` is the spy
+    monkeypatch.setattr(DynamicFlow, "copy", spy)
+    manifest = generate_corpus(CorpusSpec(seed=3, width=3, depth=3,
+                                          fanout=3))
+    for entry in manifest["scenarios"]:
+        directory = tmp_path / entry["scenario_id"]
+        env = materialize_scenario(spec_from_entry(entry))
+        for loaded in (False, True):
+            if loaded:
+                env = load_environment(directory)
+            del copies[:]
+            save_environment(env, directory)
+            assert copies == []
+            copied = {name: {
+                "description": env.flow_catalog.description(name),
+                "graph": env.flow_catalog.select(name).to_dict()}
+                for name in env.flow_catalog.names()}
+            assert copies == list(env.flow_catalog.names())
+            database.write_history_json(tmp_path / "copied.json", copied)
+            assert (directory / FLOWS_FILE).read_bytes() == \
+                (tmp_path / "copied.json").read_bytes()
+            close(env)
