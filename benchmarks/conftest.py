@@ -1,8 +1,11 @@
 """Shared fixtures for the figure/claim benchmarks.
 
 Every benchmark regenerates its paper artifact (figure structure or
-claim table) into ``benchmarks/artifacts/<name>.txt`` in addition to the
-pytest-benchmark timing, so the reproduction outputs survive the run.
+claim table) into the git-ignored ``benchmarks/runs/<name>.txt`` in
+addition to the pytest-benchmark timing, so the reproduction outputs
+survive the run.  A run leaves the checked-in copies under
+``benchmarks/artifacts/`` alone, since several hold host timings: one
+changes only when a regenerated file is copied over it on purpose.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.tools import (default_models, exhaustive,
                          install_standard_tools, tech_map)
 from repro.tools.logic import LogicSpec
 
-ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
+RUNS = pathlib.Path(__file__).parent / "runs"
 
 
 class TickClock:
@@ -38,8 +41,8 @@ def write_artifact():
     """Write (and echo) one benchmark's regenerated artifact."""
 
     def writer(name: str, text: str) -> pathlib.Path:
-        ARTIFACTS.mkdir(exist_ok=True)
-        path = ARTIFACTS / f"{name}.txt"
+        RUNS.mkdir(exist_ok=True)
+        path = RUNS / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         return path
 

@@ -42,7 +42,7 @@ from ..history.database import HistoryDatabase
 from ..history.instance import EntityInstance
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
 from .shared_memo import (Group, MemoEntry, SharedDerivationMemo,
-                          decode_outputs, scan)
+                          decode_outputs, index_form, scan)
 
 # -- cache policies ----------------------------------------------------------
 CACHE_OFF = "off"            #: no lookups, no indexing of this run
@@ -110,56 +110,19 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    """All remembered runs for one derivation key, oldest first."""
+    """The distinct runs remembered for one derivation key."""
 
-    #: one per remembered run, repeats included: its ``(entity_type,
-    #: instance_id)`` pairs as recorded or, for a memo line not decoded
-    #: yet, the JSON of its outputs (:func:`~.shared_memo.scan`)
-    runs: list[Group | bytes] = field(default_factory=list)
+    #: member key -> the outputs JSON of the run's first record, in the
+    #: memo writer's form (:func:`~.shared_memo.index_form`); oldest
+    #: first
+    runs: dict[bytes, bytes] = field(default_factory=dict)
     duration: float = 0.0
-
-
-def _group(runs: list[Group | bytes], index: int) -> Group:
-    """The pairs of ``runs[index]``, decoded in place on first use."""
-    run = runs[index]
-    if isinstance(run, bytes):
-        run = runs[index] = decode_outputs(run)
-    return run
-
-
-def _recorded_before(runs: list[Group | bytes], index: int,
-                     group: Group) -> bool:
-    """Whether a run before ``runs[index]`` has the same members.
-
-    A group recorded again keeps the position of its first record.  An
-    undecoded run is decoded only when its JSON names every member id.
-    """
-    members = frozenset(group)
-    needles = [json.dumps(instance_id).encode("ascii")
-               for _, instance_id in members]
-    for earlier in range(index):
-        run = runs[earlier]
-        if isinstance(run, bytes) \
-                and not all(needle in run for needle in needles):
-            continue
-        if frozenset(_group(runs, earlier)) == members:
-            return True
-    return False
 
 
 def _input_ids(ref: Any) -> Sequence[str]:
     """The input ids one role of a combo binds: one id (fan-out mode)
     or a list of them (batch mode)."""
     return ref if isinstance(ref, (list, tuple)) else (ref,)
-
-
-def _distinct(entry: _Entry) -> list[Group]:
-    """The entry's groups, each once, in the order first recorded."""
-    groups: dict[frozenset[tuple[str, str]], Group] = {}
-    for index in range(len(entry.runs)):
-        group = _group(entry.runs, index)
-        groups.setdefault(frozenset(group), group)
-    return list(groups.values())
 
 
 class DerivationCache:
@@ -197,9 +160,9 @@ class DerivationCache:
             # writes them to the new one, so a later publish must not
             self.publish()
             memo = SharedDerivationMemo(path)
-            carried = [(key, group, entry.duration)
+            carried = [(key, decode_outputs(outputs), entry.duration)
                        for key, entry in self._entries.items()
-                       for group in _distinct(entry)]
+                       for outputs in entry.runs.values()]
             if carried:
                 memo.append(carried)
             self.memo = memo
@@ -305,21 +268,24 @@ class DerivationCache:
     # ------------------------------------------------------------------
     def _remember(self, key: str, run: Group | bytes,
                   duration: float) -> None:
+        """Index one run under ``key``: its pairs, or the outputs JSON
+        of a memo line in the writer's form.  A run whose members the
+        key already holds keeps its first record."""
+        members, outputs = index_form(run)
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = _Entry()
-        entry.runs.append(run)
+        entry.runs.setdefault(members, outputs)
         if duration > entry.duration:  # max(), which keeps the first of ties
             entry.duration = duration
 
     def sync(self) -> int:
         """Absorb the runs appended to the shared memo since last time.
 
-        Returns the number of memo entries read.  A line in the writer's
-        form is indexed by its key and duration and its outputs are
-        decoded only when a lookup needs them; any other line is decoded
-        at once.  An unreadable memo degrades the cache to a
-        process-local one.
+        Returns the number of memo entries read, repeats included.  A
+        line in the writer's form is indexed without decoding it; any
+        other line is decoded at once.  An unreadable memo degrades the
+        cache to a process-local one.
         """
         with self._lock:
             if self.memo is None:
@@ -354,7 +320,7 @@ class DerivationCache:
         """Newest remembered run for ``key`` that is still reusable.
 
         Groups are tried newest first, in the order they were first
-        stored.  One is taken only when it covers the requested output
+        remembered.  One is taken only when it covers the requested output
         types, its instances re-derive ``key`` (:meth:`_derives`) and
         they are up to date version-wise; a stale group is skipped and
         counted as invalidated.  Updates hit/miss statistics.
@@ -369,12 +335,11 @@ class DerivationCache:
         with self._lock:
             self.sync()
             entry = self._entries.get(key) or _Entry()
-            runs, count = entry.runs, len(entry.runs)
+            runs = list(entry.runs.values())
             duration = entry.duration
-        for index in range(count - 1, -1, -1):
-            group = _group(runs, index)
-            if sorted(entity_type for entity_type, _ in group) != wanted \
-                    or _recorded_before(runs, index, group):
+        for outputs in reversed(runs):
+            group = decode_outputs(outputs)
+            if sorted(entity_type for entity_type, _ in group) != wanted:
                 continue
             ids = [instance_id for _, instance_id in group]
             members = self._members(ids)

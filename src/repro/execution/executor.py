@@ -46,7 +46,7 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Sequence
 
 from ..core.flow import DynamicFlow
@@ -924,6 +924,8 @@ class FlowExecutor:
             with self._lock:
                 if prep.invocation_id is None:
                     prep.invocation_id = self.db.new_invocation_id()
+                if tool_id is not None:
+                    ctx = replace(ctx, tool_data=self.db.data(tool_id))
                 inputs = {
                     role: ([self.db.data(r) for r in ref]
                            if isinstance(ref, list)
@@ -942,7 +944,8 @@ class FlowExecutor:
         A composition runs once per input combination; a tool runs once
         per selected tool instance and combination, or once per tool
         instance with every selected input when its encapsulation
-        batches.
+        batches.  A context names no tool data: a call reads it only
+        when it is staged to run cold.
         """
         invocation = prep.node.invocation
         if invocation.tool_node is None:
@@ -964,12 +967,10 @@ class FlowExecutor:
         for tool_id in prep.tool_ids:
             with self._lock:
                 tool_instance = self.db.get(tool_id)
-                tool_data = self.db.data(tool_instance)
             enc = self.registry.resolve(tool_instance.entity_type, tool_id)
             prep.encapsulation_name = enc.name
-            ctx = ToolContext(tool_instance.entity_type, tool_id,
-                              tool_data, prep.output_types,
-                              enc.options(), self.user)
+            ctx = ToolContext(tool_instance.entity_type, tool_id, None,
+                              prep.output_types, enc.options(), self.user)
             if enc.batch:
                 combos: Any = [{role: list(ids)
                                 for role, ids in role_ids.items()}]

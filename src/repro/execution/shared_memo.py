@@ -43,6 +43,7 @@ import os
 import pathlib
 import re
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Iterator, Sequence
 
 try:
@@ -160,6 +161,28 @@ def decode_outputs(outputs: bytes) -> Group:
     return tuple((t, i) for t, i in json.loads(outputs))
 
 
+def index_form(outputs: bytes | Group) -> tuple[bytes, bytes]:
+    """``(members, outputs JSON)`` of one entry's outputs, as :func:`scan`
+    gives them: a key equal for every entry with the same set of pairs,
+    and the outputs JSON as the writer writes it.
+
+    The key is the outputs JSON of the distinct pairs, sorted, so a
+    one-pair entry's key is its outputs JSON itself.  Pairs are encoded
+    one by one, as the writer encodes them.  JSON from :func:`scan`
+    holds plain strings only, with no quote or backslash, so ``"],["``
+    there only ever separates two pairs.
+    """
+    if isinstance(outputs, bytes):
+        members = outputs[3:-3].split(b'"],["')
+    else:
+        pairs = [f"{_json_string(t)},{_json_string(i)}" for t, i in outputs]
+        outputs = f"[[{'],['.join(pairs)}]]".encode()
+        members = [pair[1:-1].encode() for pair in pairs]
+    if len(members) == 1:
+        return outputs, outputs
+    return b'[["%s"]]' % b'"],["'.join(sorted(set(members))), outputs
+
+
 class SharedDerivationMemo:
     """Append-only derivation memo shared between processes."""
 
@@ -223,12 +246,12 @@ class SharedDerivationMemo:
     def poll(self) -> list[MemoEntry]:
         """Entries appended (by anyone) since the last poll.
 
-        The complete lines of :meth:`read_block`, each decoded; a line
-        that records no entry is skipped.
+        :func:`scan` of :meth:`read_block`, with every entry's outputs
+        decoded to pairs.
         """
-        entries = (_decode_entry(raw)
-                   for raw in self.read_block().split(b"\n")[:-1])
-        return [entry for entry in entries if entry is not None]
+        return [(key, decode_outputs(outputs)
+                 if isinstance(outputs, bytes) else outputs, duration)
+                for key, outputs, duration in scan(self.read_block())]
 
     def rewind(self) -> None:
         """Forget the read offset; the next poll re-reads everything."""
@@ -245,5 +268,6 @@ __all__ = [
     "MemoEntry",
     "SharedDerivationMemo",
     "decode_outputs",
+    "index_form",
     "scan",
 ]

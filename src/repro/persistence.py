@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .core.flow import DynamicFlow
 from .errors import HistoryError
@@ -61,6 +62,19 @@ def _check_backend(backend: str) -> str:
             f"unknown history backend {backend!r}; choose from "
             f"{', '.join(BACKENDS)}")
     return backend
+
+
+@contextmanager
+def _decoding(path: pathlib.Path, record: str) -> Iterator[None]:
+    """One decode boundary: a shape error raised while decoding
+    ``record`` of the file at ``path`` becomes a :class:`HistoryError`
+    naming both."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise HistoryError(
+            f"{path}: malformed {record} "
+            f"({type(error).__name__}: {error})") from error
 
 
 def _remove_sqlite(root: pathlib.Path) -> None:
@@ -146,41 +160,55 @@ def load_environment(directory: str | pathlib.Path, *,
                      codecs: CodecRegistry | None = None,
                      clock: Callable[[], float] | None = None
                      ) -> DesignEnvironment:
-    """Rebuild an environment from :func:`save_environment` output."""
+    """Rebuild an environment from :func:`save_environment` output.
+
+    A file of the wrong shape raises a :class:`HistoryError` that names
+    it and the record that did not decode.
+    """
     root = pathlib.Path(directory)
     meta_path = root / META_FILE
     if not meta_path.exists():
         raise HistoryError(f"{root} is not a saved environment "
                            f"(missing {META_FILE})")
-    meta = read_history_json(meta_path)
-    if meta.get("format") != FORMAT_VERSION:
-        raise HistoryError(
-            f"unsupported environment format {meta.get('format')!r}")
-    # validated once, by DesignEnvironment below
-    schema = schema_from_dict(read_history_json(root / SCHEMA_FILE),
-                              validate=False)
-    backend = _check_backend(meta.get("history_backend", BACKEND_JSON))
-    if backend == BACKEND_SQLITE:
+    with _decoding(meta_path, "environment"):
+        meta = read_history_json(meta_path)
+        version = meta.get("format")
+        user = meta.get("user", "designer")
+        backend = meta.get("history_backend", BACKEND_JSON)
+    if version != FORMAT_VERSION:
+        raise HistoryError(f"unsupported environment format {version!r}")
+    schema_path = root / SCHEMA_FILE
+    with _decoding(schema_path, "schema"):
+        # validated once, by DesignEnvironment below
+        schema = schema_from_dict(read_history_json(schema_path),
+                                  validate=False)
+    if _check_backend(backend) == BACKEND_SQLITE:
         sqlite_path = root / HISTORY_SQLITE_FILE
         if not sqlite_path.exists():
             raise HistoryError(
                 f"{root} declares the sqlite history backend but "
                 f"{HISTORY_SQLITE_FILE} is missing")
         env = DesignEnvironment(
-            schema, user=meta.get("user", "designer"), codecs=codecs,
-            clock=clock, store=SqliteHistoryStore(sqlite_path))
+            schema, user=user, codecs=codecs, clock=clock,
+            store=SqliteHistoryStore(sqlite_path))
     else:
-        env = DesignEnvironment(schema, user=meta.get("user", "designer"),
-                                codecs=codecs, clock=clock)
-        env.db = HistoryDatabase.from_dict(
-            schema, read_history_json(root / HISTORY_FILE),
-            codecs=codecs, clock=clock, bus=env.bus)
+        env = DesignEnvironment(schema, user=user, codecs=codecs,
+                                clock=clock)
+        history_path = root / HISTORY_FILE
+        with _decoding(history_path, "history"):
+            env.db = HistoryDatabase.from_dict(
+                schema, read_history_json(history_path),
+                codecs=codecs, clock=clock, bus=env.bus)
     flows_path = root / FLOWS_FILE
     if flows_path.exists():
-        for name, spec in read_history_json(flows_path).items():
-            flow = DynamicFlow.from_dict(schema, spec["graph"])
-            env.flow_catalog.register_flow(
-                name, flow, description=spec.get("description", ""))
+        with _decoding(flows_path, "flow catalog"):
+            flows = list(read_history_json(flows_path).items())
+        for name, spec in flows:
+            with _decoding(flows_path, f"flow {name!r}"):
+                flow = DynamicFlow.from_dict(schema, spec["graph"])
+                description = spec.get("description", "")
+            env.flow_catalog.register_flow(name, flow,
+                                           description=description)
     # The run ledger is on by default for saved environments: every
     # executed flow appends one record to ledger.jsonl.  A read-only
     # directory disables recording (reads via `repro ledger`/`repro
