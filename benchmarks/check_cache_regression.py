@@ -15,6 +15,11 @@ a third time.  Fails (exit 1) when:
 * on a grown history (``GROWN_RUNS`` forced ``readwrite`` runs, saved
   and reloaded) a ``reuse`` run executes any tool invocation or does
   not return the last forced run's ids;
+* on an edited history (the cold run saved and reloaded, then its
+  reference netlist superseded through a circuit-editor session) a
+  ``reuse`` run invalidates no remembered group, or does not run
+  exactly the invocations downstream of the superseded netlist while
+  reusing every other one;
 * the structural numbers (cold invocations, instances created, warm
   hits) drift more than the tolerance from the checked-in baseline in
   ``benchmarks/artifacts/cache_baseline.json``;
@@ -110,6 +115,43 @@ def grown_leg(env, layout_id, reference_id, backend):
             "same_ids": sorted(report.reused) == sorted(last.created)}
 
 
+#: tool types of the Fig. 5 invocations downstream of its reference
+#: netlist
+DOWNSTREAM_OF_REFERENCE = ["Verifier"]
+
+
+def edited_leg(env, layout_id, reference_id, backend):
+    """Save and reload ``env``, supersede the reference netlist through
+    an editing task and re-run the Fig. 5 flow with ``cache=reuse``."""
+    from test_bench_fig05_complex_flow import build_fig5_flow
+    from repro.persistence import save_environment
+    from repro.schema import standard as S
+    from repro.tools import edit_session
+
+    with tempfile.TemporaryDirectory() as directory:
+        save_environment(env, directory, backend=backend)
+        edited = load_copy(env, directory)
+        try:
+            session = edit_session(edited, S.CIRCUIT_EDITOR, [
+                {"op": "rename", "name": "ref-inv-v2"}], name="ref-fix")
+            flow, goal = edited.goal_flow(S.EDITED_NETLIST)
+            flow.expand(goal, include_optional=["previous"])
+            previous = flow.graph.data_suppliers(goal.node_id)["previous"]
+            flow.bind(flow.node(previous), reference_id)
+            flow.bind(flow.sole_node_of_type(S.CIRCUIT_EDITOR),
+                      session.instance_id)
+            edited.run(flow)
+            report = edited.run(
+                build_fig5_flow(edited, layout_id, reference_id),
+                cache="reuse")
+            invalidated = edited.cache.stats.invalidated
+        finally:
+            edited.db.store.close()
+    return {"ran": sorted(r.tool_type for r in report.results),
+            "hits": report.cache_hits,
+            "invalidated": invalidated}
+
+
 def run_once():
     """Cold + warm Fig. 5 execution in one environment, then a reloaded
     run per backend; returns stats."""
@@ -147,6 +189,7 @@ def run_once():
                      if e.event_type == CACHE_HIT)
     reloads = {}
     grown = {}
+    edited = {}
     for backend in BACKENDS:
         leg = reload_leg(env, layout_id, reference.instance_id, backend)
         reloads[backend] = {
@@ -155,6 +198,8 @@ def run_once():
             "time_saved": leg["time_saved"]}
         grown[backend] = grown_leg(env, layout_id, reference.instance_id,
                                    backend)
+        edited[backend] = edited_leg(env, layout_id,
+                                     reference.instance_id, backend)
 
     return {
         "cold_invocations": len(cold.results),
@@ -168,6 +213,7 @@ def run_once():
         "warm_elapsed": warm_elapsed,
         "reloads": reloads,
         "grown": grown,
+        "edited": edited,
     }
 
 
@@ -210,6 +256,18 @@ def check(stats: dict, baseline: dict | None) -> list[str]:
         if not leg["same_ids"]:
             failures.append(f"{backend} grown history: reuse did not "
                             "return the last forced run's instance ids")
+    for backend, leg in stats["edited"].items():
+        if leg["invalidated"] == 0:
+            failures.append(
+                f"{backend} edited history: reuse invalidated no group "
+                "after the reference netlist was superseded")
+        if leg["ran"] != DOWNSTREAM_OF_REFERENCE \
+                or leg["hits"] != stats["cold_invocations"] - len(
+                    DOWNSTREAM_OF_REFERENCE):
+            failures.append(
+                f"{backend} edited history: ran {leg['ran']} and reused "
+                f"{leg['hits']} invocations; expected to run "
+                f"{DOWNSTREAM_OF_REFERENCE} and reuse the rest")
     if baseline is not None:
         for key in ("cold_invocations", "cold_created", "warm_hits",
                     "warm_reused"):
@@ -232,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         BASELINE.parent.mkdir(exist_ok=True)
         recorded = {k: v for k, v in stats.items()
                     if not k.endswith("_elapsed")
-                    and k not in ("reloads", "grown")}
+                    and k not in ("reloads", "grown", "edited")}
         BASELINE.write_text(json.dumps(recorded, indent=1,
                                        sort_keys=True) + "\n",
                             encoding="utf-8")

@@ -27,6 +27,7 @@ output entity type.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import types
@@ -57,14 +58,27 @@ def fingerprint_callable(fn: Callable[..., Any]) -> str:
     Hashes the code object (bytecode + constants) when one is available,
     so editing the implementation — not merely re-importing it — changes
     the fingerprint.  Builtins and other code-less callables fall back to
-    their qualified name.  The result is stable across processes.
+    their qualified name.  The result is stable across processes, and
+    computed once per module, qualified name and code object: code
+    objects compare by content, so new code is hashed anew.
     """
-    parts = [getattr(fn, "__module__", "") or "",
-             getattr(fn, "__qualname__", repr(fn))]
+    module = getattr(fn, "__module__", "") or ""
+    qualname = getattr(fn, "__qualname__", repr(fn))
     code = getattr(fn, "__code__", None)
-    if code is not None:
-        parts.append(hashlib.sha256(code.co_code).hexdigest())
-        parts.append(",".join(_const_token(c) for c in code.co_consts))
+    if code is None:
+        return _digest(module, qualname)
+    return _code_fingerprint(module, qualname, code)
+
+
+@functools.lru_cache(maxsize=4096)
+def _code_fingerprint(module: str, qualname: str,
+                      code: types.CodeType) -> str:
+    return _digest(module, qualname,
+                   hashlib.sha256(code.co_code).hexdigest(),
+                   ",".join(_const_token(c) for c in code.co_consts))
+
+
+def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -118,13 +132,13 @@ class ToolEncapsulation:
 
         Covers the wrapped callable, the batch mode and every preset
         argument, so re-registering a tool with different behaviour (new
-        code or new parameters) invalidates previously cached runs.
+        code or new parameters) invalidates previously cached runs.  The
+        preset values' reprs are taken on every call, so a value mutated
+        in place changes the stamp.
         """
-        spec = json.dumps(
-            {"fn": fingerprint_callable(self.fn), "batch": self.batch,
-             "preset": [[k, repr(v)] for k, v in self.preset_args]},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(spec.encode("utf-8")).hexdigest()
+        return _encapsulation_fingerprint(
+            fingerprint_callable(self.fn), self.batch,
+            tuple((k, repr(v)) for k, v in self.preset_args))
 
     def run(self, ctx: ToolContext, inputs: dict[str, Any]) -> Any:
         return self.fn(ctx, inputs)
@@ -136,6 +150,14 @@ class ToolEncapsulation:
         merged.update(preset)
         return ToolEncapsulation(name or self.name, self.fn, self.batch,
                                  tuple(sorted(merged.items())))
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _encapsulation_fingerprint(fn: str, batch: bool,
+                               preset: tuple[tuple[str, str], ...]) -> str:
+    spec = json.dumps({"fn": fn, "batch": batch, "preset": preset},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(spec.encode("utf-8")).hexdigest()
 
 
 def encapsulation(name: str, fn: EncapsulationFn, *, batch: bool = False,

@@ -355,12 +355,16 @@ class _WorkerHandle:
         self.last_stats = dict(stats)
         return replies
 
-    def stop(self) -> None:
+    def request_stop(self) -> None:
+        """Send the shutdown sentinel; :meth:`stop` waits for the exit."""
         if self.conn is not None:
             try:
                 self.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
+
+    def stop(self) -> None:
+        """Join the process, killing it if it has not exited in 2 s."""
         if self.process is not None:
             self.process.join(timeout=2.0)
             if self.process.is_alive():
@@ -446,6 +450,9 @@ class ProcessFlowExecutor(FlowExecutor):
             _run_threads([lambda lane=lane: self._lane_main(run, lane)
                           for lane in lanes])
         finally:
+            # every worker is told first, so they all exit at once
+            for handle in handles:
+                handle.request_stop()
             for handle in handles:
                 handle.stop()
         wall = time.perf_counter() - run.began

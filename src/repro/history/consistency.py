@@ -15,6 +15,9 @@ forward index; in a versioned family the walk follows that index only
 to consumers whose parent version is the current node.  A query
 therefore costs the size of the derivation history and of the version
 subtrees it touches, never the size of everything recorded downstream.
+A schema with no editing dependency at all answers every query before
+any of that: no instance has a successor, so every instance is up to
+date without a lineage or a trace.
 :func:`refresh_plan` turns a stale instance's backward trace into an
 executable task graph with the stale inputs rebound to their newest
 versions and every affected intermediate cleared for recomputation;
@@ -30,7 +33,6 @@ from typing import Iterable, Protocol
 from ..core.taskgraph import TaskGraph
 from ..dag import reachable
 from ..errors import ConsistencyError
-from ..schema.schema import TaskSchema
 from .database import HistoryDatabase
 from .instance import EntityInstance
 from .trace import _parent_version, backward_trace, lineage
@@ -57,21 +59,15 @@ def forward_closure(db: HistoryDatabase, instance_id: str) -> set[str]:
     return reachable(instance_id, db.consumers_of)
 
 
-def _versioned_families(schema: TaskSchema) -> frozenset[str]:
-    """Root types of the families that editing tasks version (4.2)."""
-    return frozenset(schema.root_of(t) for t in schema.editing_entities())
-
-
 def _successors(db: HistoryDatabase, instance_id: str,
-                versioned: frozenset[str], prune: tuple[str, ...] = ()
-                ) -> list[EntityInstance]:
+                prune: tuple[str, ...] = ()) -> list[EntityInstance]:
     """Version-tree descendants of an instance, oldest first.
 
     ``prune`` names instances left out together with their subtrees.
     """
     instance = db.get(instance_id)
     family = db.schema.root_of(instance.entity_type)
-    if family not in versioned:
+    if family not in db.schema.versioned_families():
         return []
     seen = {instance_id, *prune}
     out = []
@@ -102,8 +98,7 @@ def successor_versions(db: HistoryDatabase, instance_id: str
     version is that node, and a family without an editing dependency
     in the schema has no successors at all.
     """
-    return tuple(_successors(db, instance_id,
-                             _versioned_families(db.schema)))
+    return tuple(_successors(db, instance_id))
 
 
 def newest_version(db: HistoryDatabase, instance_id: str) -> EntityInstance:
@@ -131,13 +126,13 @@ def stale_inputs(db: HistoryDatabase, instance_id: str
     edited netlist is not stale merely because it supersedes its own
     ``previous`` input — superseding it is the purpose of the edit.
     Successor versions whose lineage passes through the instance itself
-    are likewise not counted against it.
+    are likewise not counted against it.  Under a schema without
+    versioned families nothing has a successor, so the answer is ``()``
+    without a trace.
     """
-    return _stale_inputs(db, instance_id, _versioned_families(db.schema))
-
-
-def _stale_inputs(db: HistoryDatabase, instance_id: str,
-                  versioned: frozenset[str]) -> tuple[StaleInput, ...]:
+    if not db.schema.versioned_families():
+        db.get(instance_id)  # an unknown id still raises
+        return ()
     own_lineage = set(lineage(db, instance_id))
     trace = backward_trace(db, instance_id)
     members = trace.instances()
@@ -150,7 +145,7 @@ def _stale_inputs(db: HistoryDatabase, instance_id: str,
         # through it; a successor already inside the derivation means
         # the derivation passes through the newer version: not stale
         candidates = [
-            s for s in _successors(db, used_id, versioned, (instance_id,))
+            s for s in _successors(db, used_id, (instance_id,))
             if s.instance_id not in in_trace]
         if candidates:
             out.append(StaleInput(used_id, candidates[-1].instance_id))
@@ -175,10 +170,8 @@ def all_up_to_date(db: HistoryDatabase,
     still current.  Unknown ids (e.g. an index restored against a
     different history) count as not up to date rather than raising.
     """
-    versioned = _versioned_families(db.schema)
     for instance_id in instance_ids:
-        if instance_id not in db or _stale_inputs(db, instance_id,
-                                                  versioned):
+        if instance_id not in db or stale_inputs(db, instance_id):
             return False
     return True
 
@@ -227,12 +220,11 @@ def retrace(db: HistoryDatabase, instance_id: str, runner: FlowRunner,
 def consistency_report(db: HistoryDatabase, entity_type: str | None = None
                        ) -> dict[str, tuple[StaleInput, ...]]:
     """Map every stale instance (optionally of one type) to its reasons."""
-    versioned = _versioned_families(db.schema)
     report: dict[str, tuple[StaleInput, ...]] = {}
     for instance in db.browse(entity_type):
         if instance.derivation is None:
             continue
-        reasons = _stale_inputs(db, instance.instance_id, versioned)
+        reasons = stale_inputs(db, instance.instance_id)
         if reasons:
             report[instance.instance_id] = reasons
     return report

@@ -143,6 +143,11 @@ class EntityInstance:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "EntityInstance":
         derivation = payload.get("derivation")
+        data_ref = payload.get("data_ref")
+        if data_ref is not None and not isinstance(data_ref, str):
+            raise TypeError(
+                f"instance {payload['instance_id']!r}: data_ref must be a "
+                f"string or null, not {type(data_ref).__name__}")
         return cls(
             instance_id=payload["instance_id"],
             entity_type=payload["entity_type"],
@@ -150,7 +155,7 @@ class EntityInstance:
             timestamp=float(payload.get("timestamp", 0.0)),
             name=payload.get("name", ""),
             comment=payload.get("comment", ""),
-            data_ref=payload.get("data_ref"),
+            data_ref=data_ref,
             derivation=(None if derivation is None
                         else DerivationRecord.from_dict(derivation)),
             annotations=tuple((k, v) for k, v in

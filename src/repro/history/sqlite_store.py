@@ -273,9 +273,19 @@ class SqliteHistoryStore(HistoryStore):
                 (instance_id,))
             if row is None:
                 return None
-            instance = EntityInstance.from_dict(json.loads(row[0]))
+            instance = self._decode(row[0])
             self._cache[instance_id] = instance
             return instance
+
+    def _decode(self, payload: str) -> EntityInstance:
+        """One row's instance; a row of the wrong shape raises a
+        :class:`HistoryError` naming the file."""
+        try:
+            return EntityInstance.from_dict(json.loads(payload))
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise HistoryError(
+                f"{self.path}: malformed instance row "
+                f"({type(error).__name__}: {error})") from error
 
     def __contains__(self, instance_id: str) -> bool:
         if instance_id in self._cache:
@@ -295,7 +305,7 @@ class SqliteHistoryStore(HistoryStore):
             if cached is not None:
                 yield cached
             else:
-                instance = EntityInstance.from_dict(json.loads(payload))
+                instance = self._decode(payload)
                 self._cache[instance_id] = instance
                 yield instance
 

@@ -414,13 +414,26 @@ def write_corpus(corpus: CorpusSpec,
 
 
 def load_corpus(path: str | pathlib.Path) -> dict[str, Any]:
-    """Read and integrity-check a manifest (file or corpus directory)."""
+    """Read and integrity-check a manifest (file or corpus directory).
+
+    Undecodable JSON or a manifest of the wrong shape raises a
+    :class:`ReproError` naming the file.
+    """
     candidate = pathlib.Path(path)
     if candidate.is_dir():
         candidate = candidate / CORPUS_FILE
     if not candidate.exists():
         raise ReproError(f"{candidate} is not a corpus "
                          f"(missing {CORPUS_FILE})")
+    try:
+        return _checked_manifest(candidate)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ReproError(
+            f"{candidate}: malformed corpus manifest "
+            f"({type(error).__name__}: {error})") from error
+
+
+def _checked_manifest(candidate: pathlib.Path) -> dict[str, Any]:
     manifest = json.loads(candidate.read_text(encoding="utf-8"))
     if manifest.get("format") != CORPUS_FORMAT:
         raise ReproError(

@@ -88,6 +88,8 @@ class TaskSchema:
         self._own: dict[str, list[Dependency]] = {}
         # effective_dependencies per type; every mutator clears it
         self._effective: dict[str, tuple[Dependency, ...]] = {}
+        # versioned_families(); every mutator clears it
+        self._versioned: frozenset[str] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -98,6 +100,7 @@ class TaskSchema:
             raise SubtypeError(f"duplicate entity type {entity.name!r}")
         self._entities[entity.name] = entity
         self._effective.clear()
+        self._versioned = None
         if entity.parent is not None:
             self._children.setdefault(entity.parent, []).append(entity.name)
         return entity
@@ -140,6 +143,7 @@ class TaskSchema:
         self._deps.append(dep)
         self._own.setdefault(dep.source, []).append(dep)
         self._effective.clear()
+        self._versioned = None
         return dep
 
     def add_dependencies(self, deps: Iterable[Dependency]) -> None:
@@ -364,6 +368,13 @@ class TaskSchema:
                 if dep.source not in out:
                     out.append(dep.source)
         return tuple(out)
+
+    def versioned_families(self) -> frozenset[str]:
+        """Root types of the families that editing tasks version (4.2)."""
+        if self._versioned is None:
+            self._versioned = frozenset(self.root_of(t)
+                                        for t in self.editing_entities())
+        return self._versioned
 
     # ------------------------------------------------------------------
     # validation

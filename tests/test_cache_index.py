@@ -333,10 +333,9 @@ class CountingJson:
         return getattr(json, name)
 
 
-def reuse_counts(directory, backend, forced, monkeypatch):
-    """Per hit: memo lines decoded, derivation keys computed and store
-    reads by statement, for a ``reuse`` run after ``forced`` forced
-    ``readwrite`` runs of a saved corpus scenario."""
+def grown_scenario(directory, backend, forced):
+    """A saved corpus scenario after ``forced`` forced ``readwrite``
+    runs, loaded again with its encapsulations."""
     env = materialize_scenario(ScenarioSpec(
         "s01-diamond", "diamond", seed=2, width=2, depth=2, fanout=2))
     save_environment(env, directory, backend=backend)
@@ -350,6 +349,14 @@ def reuse_counts(directory, backend, forced, monkeypatch):
 
     env = load_environment(directory)
     register_corpus_encapsulations(env)
+    return env
+
+
+def reuse_counts(directory, backend, forced, monkeypatch):
+    """Per hit: memo lines decoded, derivation keys computed and store
+    reads by statement, for a ``reuse`` run after ``forced`` forced
+    ``readwrite`` runs of a saved corpus scenario."""
+    env = grown_scenario(directory, backend, forced)
     flow = env.plan_flow(MAIN_FLOW)
     counting = CountingJson()
     keys = Counter()

@@ -10,11 +10,15 @@ can write:
   schemas, grown only through ``install`` and ``record`` (so every
   derivation is schema-checked), with timestamp ties and skipped
   optional roles;
+* the same over a corpus scenario's schema, which has no editing task
+  and so is answered from the schema alone, and Fig. 1 with reports,
+  ``all_up_to_date`` included;
 * the seeded synthetic histories on both storage backends.
 
 Two structural guards ride along: a stale query reads the same number
 of forward-index rows however long the history behind it grows, and a
-hand-made lineage cycle raises instead of looping.
+hand-made lineage cycle raises instead of looping.  The schema's
+versioned families must follow its mutations.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import HistoryError
-from repro.history.consistency import (consistency_report, newest_version,
+from repro.errors import HistoryError, UnknownInstanceError
+from repro.history.consistency import (StaleInput, all_up_to_date,
+                                       consistency_report, newest_version,
                                        stale_inputs, successor_versions)
 from repro.history.database import HistoryDatabase
 from repro.history.instance import DerivationRecord, EntityInstance
@@ -33,12 +38,58 @@ from repro.history.store import InMemoryHistoryStore
 from repro.history.synth import SHAPES, build_history, synth_schema
 from repro.history.trace import lineage
 from repro.obs.profiling import QueryRecorder
+from repro.scenarios import ScenarioSpec
+from repro.scenarios.generator import build_scenario_schema
+from repro.schema.builder import SchemaBuilder
+from repro.schema.dependency import DepKind, Dependency
+from repro.schema.entity import EntityKind, EntityType
 from repro.schema.standard import fig1_schema, fig2_schema, odyssey_schema
 from tests import consistency_reference as reference
 
 #: the synthetic schema adds versions with several in-family inputs
 #: (a Beta joining up to three Betas), which the standard schemas lack
 SCHEMAS = (fig1_schema(), fig2_schema(), odyssey_schema(), synth_schema())
+
+
+def reports_schema():
+    """Fig. 1 plus an unversioned ``Report`` family and a derived tool.
+
+    ``NetlistReport`` takes a netlist, a versioned family, and
+    ``ReportDigest`` takes any report, so a ``NetlistReport`` can sit in
+    its history; the tool ``Script`` is made from options.
+    """
+    schema = fig1_schema()
+    data, tool = EntityKind.DATA, EntityKind.TOOL
+    for name, kind, parent in (
+            ("Reporter", tool, None), ("Script", tool, None),
+            ("Report", data, None), ("StimuliReport", data, "Report"),
+            ("NetlistReport", data, "Report"), ("ReportDigest", data, None),
+            ("ScriptRun", data, None)):
+        schema.add_entity(EntityType(name, kind, parent))
+    for produced, maker, inputs in (
+            ("StimuliReport", "Reporter",
+             [("stimuli", "Stimuli", False), ("args", "SimArgs", True)]),
+            ("NetlistReport", "Reporter", [("netlist", "Netlist", False)]),
+            ("ReportDigest", "Reporter", [("report", "Report", False)]),
+            ("Script", "Reporter", [("args", "SimArgs", False)]),
+            ("ScriptRun", "Script",
+             [("stimuli", "Stimuli", False),
+              ("report", "StimuliReport", True)])):
+        schema.add_dependency(Dependency(produced, maker,
+                                         DepKind.FUNCTIONAL))
+        for role, target, optional in inputs:
+            schema.add_dependency(Dependency(produced, target, role=role,
+                                             optional=optional))
+    schema.validate()
+    return schema
+
+
+#: a corpus scenario's schema, with no editing task, and Fig. 1 with
+#: reports
+MORE_SCHEMAS = (
+    build_scenario_schema(ScenarioSpec("s-diamond", "diamond", seed=5,
+                                       width=2, depth=2, fanout=2)),
+    reports_schema())
 
 
 def reference_newest(db, instance_id):
@@ -77,8 +128,8 @@ def _pick(draw, candidates):
 
 
 @st.composite
-def schema_histories(draw):
-    """20-60 ``install``/``record`` steps over one schema.
+def schema_histories(draw, schemas=SCHEMAS):
+    """20-60 ``install``/``record`` steps over one of ``schemas``.
 
     A step installs a source data type or records a constructible type:
     its tool is an existing instance of the tool type (installed first
@@ -87,7 +138,7 @@ def schema_histories(draw):
     counting, and optional roles are sometimes left out.  The clock
     advances by 0 or 1 per step, so ``(timestamp, id)`` ties occur.
     """
-    schema = draw(st.sampled_from(SCHEMAS))
+    schema = draw(st.sampled_from(schemas))
     now = [1_000_000.0]
     db = HistoryDatabase(schema, clock=lambda: now[0])
     sources = [e.name for e in schema.data_entities()
@@ -147,6 +198,72 @@ class TestSchemaHistories:
     def test_every_query_matches_reference(self, db):
         assert_agrees(db, [i.instance_id for i in db.instances()])
         assert consistency_report(db) == reference_report(db)
+
+
+# ---------------------------------------------------------------------------
+# schemas without editing tasks
+# ---------------------------------------------------------------------------
+
+class TestEditFreeSchemas:
+    def test_only_the_corpus_schema_is_edit_free(self):
+        corpus, reports = MORE_SCHEMAS
+        assert corpus.versioned_families() == frozenset()
+        assert any(corpus.construction(name) is not None
+                   for name in corpus.entity_names())
+        for schema in (*SCHEMAS, reports):
+            assert schema.versioned_families()
+
+    @given(schema_histories(MORE_SCHEMAS))
+    @settings(max_examples=75, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_every_query_matches_reference(self, db):
+        ids = [i.instance_id for i in db.instances()]
+        assert_agrees(db, ids)
+        report = reference_report(db)
+        assert consistency_report(db) == report
+        for instance_id in ids:
+            assert all_up_to_date(db, [instance_id]) == \
+                (instance_id not in report)
+        assert all_up_to_date(db, ids) == (not report)
+
+    def test_unknown_ids_still_raise_without_edits(self):
+        db = HistoryDatabase(MORE_SCHEMAS[0])
+        with pytest.raises(UnknownInstanceError):
+            stale_inputs(db, "Step1#0001")
+        assert not all_up_to_date(db, ["Step1#0001"])
+
+    def test_schema_changes_refresh_the_versioned_families(self):
+        """An editing dependency added to an edit-free schema, then a new
+        subtype inheriting a construction: an edit makes the instances
+        derived from the old version stale."""
+        schema = (SchemaBuilder("grows").tool("Tool").data("Doc")
+                  .data("Report")
+                  .produced_by("Report", "Tool", inputs=[("doc", "Doc")])
+                  .build())
+        db = HistoryDatabase(schema)
+        tool = db.install("Tool", {}).instance_id
+        doc = db.install("Doc", {"v": 1}).instance_id
+        old = db.record("Report", {"r": 1}, DerivationRecord.make(
+            tool, {"doc": doc})).instance_id
+        assert stale_inputs(db, old) == ()
+        assert schema.versioned_families() == frozenset()
+        schema.add_dependency(Dependency("Doc", "Tool", DepKind.FUNCTIONAL))
+        schema.add_dependency(Dependency("Doc", "Doc", role="previous",
+                                         optional=True))
+        assert schema.versioned_families() == {"Doc"}
+        schema.add_entity(EntityType("Summary", parent="Report"))
+        schema.validate()
+        summary = db.record("Summary", {"s": 1}, DerivationRecord.make(
+            tool, {"doc": doc})).instance_id
+        edited = db.record("Doc", {"v": 2}, DerivationRecord.make(
+            tool, {"previous": doc})).instance_id
+        for instance_id in (old, summary):
+            assert stale_inputs(db, instance_id) == (
+                StaleInput(doc, edited),)
+            assert stale_inputs(db, instance_id) == \
+                reference.stale_inputs(db, instance_id)
+        assert not all_up_to_date(db, [summary])
+        assert stale_inputs(db, edited) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -347,3 +347,32 @@ class TestQueueWait:
         wide = wide_env.process_executor(workers=4).execute(
             fan_flow(wide_env))
         assert wide.queue_wait_time < serial.queue_wait_time
+
+
+def test_every_worker_is_told_to_stop_before_any_is_joined(monkeypatch):
+    """Workers exit in parallel: every shutdown sentinel goes out before
+    the first join, and none outlives ``execute()``."""
+    events = []
+    handles = []
+    start = procpool._WorkerHandle.start
+    request_stop = procpool._WorkerHandle.request_stop
+    stop = procpool._WorkerHandle.stop
+
+    def recorded(kind, method):
+        def call(handle):
+            if kind == "start" and handle not in handles:
+                handles.append(handle)
+            events.append(kind)
+            method(handle)
+        return call
+
+    for kind, method in (("start", start), ("request_stop", request_stop),
+                         ("stop", stop)):
+        monkeypatch.setattr(procpool._WorkerHandle, kind,
+                            recorded(kind, method))
+    env = fan_env()
+    report = env.process_executor(workers=3).execute(fan_flow(env))
+    assert report.runs == 4
+    assert events == ["start"] * 3 + ["request_stop"] * 3 + ["stop"] * 3
+    assert len(handles) == 3
+    assert not any(handle.process.is_alive() for handle in handles)

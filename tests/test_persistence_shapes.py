@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import pathlib
 import shutil
+import sqlite3
 
 import pytest
 
 from repro.cli import main
 from repro.errors import HistoryError
-from repro.persistence import (FLOWS_FILE, HISTORY_FILE, META_FILE,
-                               SCHEMA_FILE, load_environment,
-                               save_environment)
+from repro.persistence import (FLOWS_FILE, HISTORY_FILE,
+                               HISTORY_SQLITE_FILE, META_FILE, SCHEMA_FILE,
+                               load_environment, save_environment)
 from repro.scenarios import MAIN_FLOW, ScenarioSpec, materialize_scenario
 from repro.scenarios.generator import history_signature, signature_digest
 
@@ -65,6 +66,9 @@ MUTATIONS = {
     "blobs are a list": (
         HISTORY_FILE, lambda history: {**history,
                                        "blobs": list(history["blobs"])},
+        "malformed history"),
+    "a data ref is a number": (
+        HISTORY_FILE, _first_instance(lambda spec: spec.update(data_ref=5)),
         "malformed history"),
 }
 
@@ -114,3 +118,41 @@ def test_an_unmutated_directory_loads_the_same_history(saved):
     env = load_environment(directory)
     assert signature_digest(history_signature(env)) == digest
     assert list(env.flow_catalog.names()) == [MAIN_FLOW]
+
+
+def test_a_number_data_ref_fails_the_run_naming_the_instance(saved, tmp_path,
+                                                            capsys):
+    """Decoded as it is, the ref would only fail the run later, naming
+    a blob instead of the file."""
+    directory = mutated(saved, tmp_path, "a data ref is a number")
+    history = json.loads((directory / HISTORY_FILE).read_text())
+    first = history["instances"][0]["instance_id"]
+    assert main(["run", str(directory), MAIN_FLOW, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"error: {directory / HISTORY_FILE}: malformed history (")
+    assert f"instance {first!r}: data_ref" in captured.err
+
+
+def test_a_number_data_ref_in_a_sqlite_row_names_the_file(saved, tmp_path,
+                                                         capsys):
+    """SQLite rows are decoded when first read, so the run fails, but
+    it names the file and the instance."""
+    directory = tmp_path / "env"
+    env = load_environment(saved[0])
+    save_environment(env, directory, backend="sqlite")
+    env.db.store.close()
+    with sqlite3.connect(directory / HISTORY_SQLITE_FILE) as db:
+        first, payload = db.execute("SELECT instance_id, payload FROM "
+                                    "instances ORDER BY seq").fetchone()
+        db.execute("UPDATE instances SET payload = ? WHERE "
+                   "instance_id = ?",
+                   (json.dumps({**json.loads(payload), "data_ref": 5}),
+                    first))
+    db.close()
+    assert main(["run", str(directory), MAIN_FLOW, "--force"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert (f"{directory / HISTORY_SQLITE_FILE}: malformed instance row "
+            f"(TypeError: instance {first!r}: data_ref") in captured.err

@@ -321,3 +321,27 @@ class TestCorpusCLI:
         assert main(["corpus", "run", str(corpus_dir),
                      "--scenario", "nope"]) == 2
         assert "no such scenario" in capsys.readouterr().err
+
+
+#: a broken manifest: name -> the text written as ``corpus.json``
+BROKEN_MANIFESTS = {
+    "truncated": lambda text: text[:100],
+    "a list": lambda text: "[]",
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_MANIFESTS))
+def test_a_broken_manifest_is_one_error_naming_it(tmp_path, capsys,
+                                                  broken):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["corpus", "generate", str(corpus_dir), "--seed", "1"]) == 0
+    manifest = corpus_dir / "corpus.json"
+    manifest.write_text(BROKEN_MANIFESTS[broken](manifest.read_text()))
+    capsys.readouterr()
+    assert main(["corpus", "run", str(corpus_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"error: {manifest}: malformed corpus manifest (")
+    with pytest.raises(ReproError, match="malformed corpus manifest"):
+        load_corpus(corpus_dir)
