@@ -7,7 +7,9 @@ Three parts, all mandatory:
    and over a second, identical project sequentially.  The procpool
    run must exit 0, produce every branch, record ``procpool`` in the
    ledger, leave the shared memo behind with one complete v1 line per
-   unit it ran (the ledger's ``runs``), and leave a history whose
+   unit it ran (the ledger's ``runs``), count those runs as its
+   workers' invocations and its serial time as their busy time (the
+   run is fault-free, so no attempt is lost), and leave a history whose
    (entity type, content digest) multiset is byte-identical to the
    sequential run — multi-core execution must never change what gets
    designed.
@@ -92,6 +94,24 @@ def check_memo(path: pathlib.Path, runs: int,
         failures.append(
             f"the memo must hold one line per unit run ({runs}), "
             f"got {len(lines)}")
+
+
+def check_worker_counters(record, failures: list[str]) -> None:
+    """The workers' invocations sum to the record's runs and their busy
+    times to its serial time (both are the worker-measured calls)."""
+    invocations = sum(w.invocations for w in record.workers.values())
+    busy = sum(w.busy_time for w in record.workers.values())
+    print(f"  workers: {invocations} invocations, busy {busy:.6f}s "
+          f"(ledger runs={record.runs}, serial "
+          f"{record.serial_time:.6f}s)")
+    if invocations != record.runs:
+        failures.append(
+            f"worker invocations must sum to the ledger's runs "
+            f"({record.runs}), got {invocations}")
+    if abs(busy - record.serial_time) > 1e-5:
+        failures.append(
+            f"worker busy time must sum to the serial time "
+            f"({record.serial_time:.6f}s), got {busy:.6f}s")
 
 
 def check_worker_telemetry(pooled: pathlib.Path,
@@ -204,6 +224,7 @@ def main() -> int:
                 f"ledger must record executor 'procpool', got "
                 f"{record.executor!r}")
         check_memo(pooled / "memo.jsonl", record.runs, failures)
+        check_worker_counters(record, failures)
         # 1b. byte-identical history vs the sequential executor
         sequential = root / "sequential"
         build_project(sequential)

@@ -57,8 +57,8 @@ from .obs import (EVENT_TYPES, HealthThresholds, JSONLSink,
                   MetricsRegistry, ProfileAggregate, QueryRecorder,
                   RunLedger, RunRecord, SamplingProfiler, append_profile,
                   critical_path, evaluate_health, export_chrome,
-                  find_profile, follow_events, iter_jsonl_objects,
-                  profile_record, read_profiles, read_spans, render_json,
+                  find_profile, follow_events, profile_record,
+                  read_profiles, read_slow_queries, read_spans, render_json,
                   render_profile, render_prometheus_ledger,
                   render_span_tree, render_timeline, replay_events,
                   replay_into, timeline_model, tool_baselines,
@@ -699,8 +699,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{scans} full scan(s), {regressions} regression(s)")
         slow_log = pathlib.Path(args.directory) / SLOW_QUERY_FILE
         if slow_log.exists():
-            slow = sum(1 for _ in iter_jsonl_objects(slow_log,
-                                                     strict=False))
+            slow = len(read_slow_queries(slow_log))
             print(f"slow-query log: {slow} entries in {slow_log}")
         return 1 if regressions else 0
     record = find_profile(read_profiles(_log_path(args.path, PROFILE_FILE)),

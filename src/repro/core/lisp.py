@@ -20,7 +20,9 @@ set (as instance names appear inside icons in Fig. 10).
 from __future__ import annotations
 
 import re
+from typing import Callable
 
+from .. import dag
 from .taskgraph import TaskGraph
 
 
@@ -53,30 +55,49 @@ def _ordered_inputs(flow: TaskGraph, node_id: str) -> list[str]:
     return ordered
 
 
+def _render(flow: TaskGraph, node_id: str,
+            form: Callable[[str, dict[str, str]], str]) -> str:
+    """Render bottom-up: ``form`` builds each node's text from the texts
+    of its suppliers, which :func:`repro.dag.topological` has already
+    rendered, so no chain is too deep."""
+    def before(current: str) -> list[str]:
+        if not flow.is_expanded(current):
+            return []
+        tool = flow.functional_supplier(current)
+        return ([] if tool is None else [tool]) \
+            + _ordered_inputs(flow, current)
+
+    texts: dict[str, str] = {}
+    for current in dag.topological([node_id], before):
+        texts[current] = (form(current, texts)
+                          if flow.is_expanded(current)
+                          else _atom(flow, current))
+    return texts[node_id]
+
+
 def to_lisp(flow: TaskGraph, node_id: str) -> str:
     """Lisp form: the tool is just another parameter."""
-    if not flow.is_expanded(node_id):
-        return _atom(flow, node_id)
-    parts: list[str] = []
-    tool = flow.functional_supplier(node_id)
-    if tool is not None:
-        parts.append(to_lisp(flow, tool))
-    parts.extend(to_lisp(flow, supplier)
-                 for supplier in _ordered_inputs(flow, node_id))
-    return "(" + ", ".join(parts) + ")"
+    def form(current: str, texts: dict[str, str]) -> str:
+        tool = flow.functional_supplier(current)
+        parts = [] if tool is None else [texts[tool]]
+        parts.extend(texts[supplier]
+                     for supplier in _ordered_inputs(flow, current))
+        return "(" + ", ".join(parts) + ")"
+
+    return _render(flow, node_id, form)
 
 
 def to_call(flow: TaskGraph, node_id: str) -> str:
     """C/Pascal-style call form: ``tool(arg, ...)``."""
-    if not flow.is_expanded(node_id):
-        return _atom(flow, node_id)
-    tool = flow.functional_supplier(node_id)
-    args = ", ".join(to_call(flow, supplier)
-                     for supplier in _ordered_inputs(flow, node_id))
-    if tool is None:
-        return f"compose_{_atom(flow, node_id)}({args})"
-    return f"{to_call(flow, tool)}({args})" if flow.is_expanded(tool) \
-        else f"{_atom(flow, tool)}({args})"
+    def form(current: str, texts: dict[str, str]) -> str:
+        tool = flow.functional_supplier(current)
+        args = ", ".join(texts[supplier]
+                         for supplier in _ordered_inputs(flow, current))
+        if tool is None:
+            return f"compose_{_atom(flow, current)}({args})"
+        return f"{texts[tool]}({args})"
+
+    return _render(flow, node_id, form)
 
 
 def flow_equation(flow: TaskGraph, node_id: str,

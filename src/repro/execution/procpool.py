@@ -51,6 +51,7 @@ from ..obs import (COMPOSE_TOOL, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
                    SamplingProfiler, Span, WorkerRunStats,
                    WorkerTelemetry, fit_phases, merge_profiles,
                    worker_utilization)
+from ..obs.workers import peak_rss_kb
 from .encapsulation import (EncapsulationRegistry, ToolContext,
                             fingerprint_callable)
 from .executor import (FlowExecutor, _Lane, _Prepared, _Run, _Unit,
@@ -183,7 +184,6 @@ def _run_envelope(registry: EncapsulationRegistry,
     except BaseException as error:  # transported, never fatal here
         failure = error
     duration = telemetry.clock() - started
-    telemetry.finish_envelope(duration)
     if failure is not None:
         return EnvelopeOutcome(
             envelope_id=envelope.envelope_id, ok=False,
@@ -196,9 +196,8 @@ def _run_envelope(registry: EncapsulationRegistry,
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
-                 registry: EncapsulationRegistry, worker: str,
-                 collect_phases: bool, profile_interval: float,
-                 profile_memory: bool,
+                 registry: EncapsulationRegistry, collect_phases: bool,
+                 profile_interval: float, profile_memory: bool,
                  sleep: Callable[[float], None]) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
 
@@ -209,15 +208,15 @@ def _worker_main(conn: multiprocessing.connection.Connection,
 
     ``None`` is the shutdown sentinel; a broken pipe means the
     coordinator is gone and the worker simply exits.  Every batch reply
-    travels as ``(outcomes, stats)`` where ``stats`` is the telemetry
-    counter snapshot — the coordinator keeps the latest, so a killed
-    worker costs at most one batch of counters.
+    travels as ``(outcomes, rss_kb, profile)``: the outcomes, from
+    which the coordinator counts batches, invocations and busy time,
+    plus what it cannot see, this process's rss high-water and, when
+    the run is profiled, its cumulative profile (else None).
     """
-    telemetry = WorkerTelemetry(worker)
+    telemetry = WorkerTelemetry()
     # One profiler for the life of this process; every batch reply
-    # carries the *cumulative* aggregate, so the coordinator's
-    # replace-latest/fold-on-respawn stats protocol works unchanged for
-    # profiles.
+    # carries the *cumulative* aggregate, so the coordinator keeps the
+    # latest and folds it when the process is replaced.
     profiler: SamplingProfiler | None = None
     if profile_interval > 0:
         profiler = SamplingProfiler(profile_interval,
@@ -231,15 +230,13 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 return
             if batch is None:
                 return
-            telemetry.batches += 1
             replies = [_run_envelope(registry, envelope, telemetry,
                                      collect_phases, profiler, sleep)
                        for envelope in batch]
-            stats = telemetry.stats()
-            if profiler is not None:
-                stats["profile"] = profiler.payload()
+            facts = (peak_rss_kb(), profiler.payload()
+                     if profiler is not None else None)
             try:
-                conn.send((replies, stats))
+                conn.send((replies, *facts))
             except Exception as error:  # unpicklable tool result
                 conn.send(([
                     EnvelopeOutcome(
@@ -250,7 +247,7 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                             "tool result could not cross the process "
                             f"boundary: {error}"),
                         phases=reply.phases)
-                    for reply in replies], stats))
+                    for reply in replies], *facts))
     finally:
         if profiler is not None:
             profiler.stop()
@@ -275,42 +272,37 @@ class _WorkerHandle:
         self.restarts = 0
         self.process: Any = None
         self.conn: Any = None
-        #: Worker-reported counters: the latest snapshot from the live
-        #: process, plus the folded totals of every process a watchdog
-        #: killed before it — "respawns survived" means the numbers
-        #: keep accumulating across replacements.
-        self.last_stats: dict[str, Any] = {}
-        self.stats_base: dict[str, Any] = {}
+        #: Counted from the replies received, so they run on across
+        #: respawns: replies (batches), outcomes, failed ones included
+        #: (invocations), and their worker-measured durations (busy
+        #: time).  A round trip no reply answered counts nowhere.
+        self.batches = 0
+        self.invocations = 0
+        self.busy_time = 0.0
+        #: The highest rss high-water any of its processes reported.
+        self.rss_kb = 0
+        #: The live process's cumulative profile, and the fold of the
+        #: profiles of every process a watchdog killed before it.
+        self.profile: dict[str, Any] = {}
+        self.profile_base: dict[str, Any] = {}
 
     def start(self) -> None:
         parent, child = self.context.Pipe()
         self.process = self.context.Process(
             target=_worker_main,
-            args=(child, self.registry, self.name, *self.settings),
+            args=(child, self.registry, *self.settings),
             name=f"repro-{self.name}", daemon=True)
         self.process.start()
         child.close()
         self.conn = parent
 
-    def worker_stats(self) -> dict[str, Any]:
-        """Cumulative worker-side counters across every respawn."""
-        merged = dict(self.stats_base)
-        snap = self.last_stats
-        for key in ("batches", "envelopes"):
-            merged[key] = merged.get(key, 0) + int(snap.get(key, 0))
-        merged["busy_time"] = (merged.get("busy_time", 0.0)
-                               + float(snap.get("busy_time", 0.0)))
-        merged["rss_kb"] = max(int(merged.get("rss_kb", 0)),
-                               int(snap.get("rss_kb", 0)))
-        profile = merge_profiles(merged.get("profile", {}),
-                                 snap.get("profile", {}))
-        if profile:
-            merged["profile"] = profile
-        return merged
+    def cumulative_profile(self) -> dict[str, Any]:
+        """The worker-side profile across every respawn ({} if none)."""
+        return merge_profiles(self.profile_base, self.profile)
 
     def respawn(self) -> None:
         """Kill the current process (if any) and fork a fresh one."""
-        self.stats_base, self.last_stats = self.worker_stats(), {}
+        self.profile_base, self.profile = self.cumulative_profile(), {}
         if self.process is not None and self.process.is_alive():
             self.process.kill()
             self.process.join()
@@ -346,13 +338,19 @@ class _WorkerHandle:
                     f"worker {self.name} exceeded its {timeout:g}s "
                     "watchdog budget; process killed and respawned")
         try:
-            replies, stats = self.conn.recv()
+            replies, rss_kb, profile = self.conn.recv()
         except (EOFError, OSError):
             self.respawn()
             raise TransientToolError(
                 f"worker {self.name} died mid-invocation "
                 "(exit code suggests a crash); respawned")
-        self.last_stats = dict(stats)
+        self.batches += 1
+        self.invocations += len(replies)
+        self.busy_time += sum(max(0.0, reply.duration)
+                              for reply in replies)
+        self.rss_kb = max(self.rss_kb, rss_kb)
+        if profile is not None:
+            self.profile = profile
         return replies
 
     def request_stop(self) -> None:
@@ -463,7 +461,7 @@ class ProcessFlowExecutor(FlowExecutor):
             # durations so self time stays contained in the merged
             # trace spans.  Runs before the ledger snapshot.
             for handle in handles:
-                payload = handle.worker_stats().get("profile")
+                payload = handle.cumulative_profile()
                 if payload:
                     self.profiler.absorb(payload)
             self.profiler.clamp_to(self._profile_caps)
@@ -478,20 +476,19 @@ class ProcessFlowExecutor(FlowExecutor):
 
     def _collect_worker_stats(self, lanes: list[_Lane], wall: float
                               ) -> dict[str, WorkerRunStats]:
-        """Fold worker-side counters + lane counters per worker."""
+        """The handle's reply counters + the lane counters per worker."""
         stats: dict[str, WorkerRunStats] = {}
         for lane in lanes:
-            snap = lane.host.worker_stats()
-            busy = float(snap.get("busy_time", 0.0))
+            host = lane.host
             stats[lane.name] = WorkerRunStats(
-                batches=int(snap.get("batches", 0)),
-                invocations=int(snap.get("envelopes", 0)),
+                batches=host.batches,
+                invocations=host.invocations,
                 steals=lane.steals,
-                respawns=lane.host.restarts,
+                respawns=host.restarts,
                 cache_hits=lane.cache_hits,
-                busy_time=round(busy, 6),
-                idle_time=round(max(0.0, wall - busy), 6),
-                rss_kb=int(snap.get("rss_kb", 0)))
+                busy_time=round(host.busy_time, 6),
+                idle_time=round(max(0.0, wall - host.busy_time), 6),
+                rss_kb=host.rss_kb)
         return stats
 
     def _emit_worker_stats(self, graph, workers: dict[str, WorkerRunStats],

@@ -17,7 +17,6 @@ Three query families:
 from __future__ import annotations
 
 from ..core.taskgraph import TaskGraph
-from ..errors import QueryError
 from .database import HistoryDatabase
 from .instance import EntityInstance
 from .trace import backward_trace, forward_trace
@@ -118,43 +117,15 @@ def template_query(db: HistoryDatabase, flow: TaskGraph, target_node: str
     performance transitively touching ``n1``.
     """
     node = flow.node(target_node)
-    candidates = db.browse(node.entity_type)
-    memo: dict[tuple[str, str], bool] = {}
-    out = [instance for instance in candidates
-           if _match(db, flow, target_node, instance.instance_id, memo)]
+    matched: set[tuple[str, str]] = set()
+    out = []
+    for instance in db.browse(node.entity_type):
+        pairs = _pairs(db, flow, target_node, instance.instance_id, matched)
+        if pairs is not None:
+            matched.update(pairs)
+            out.append(instance)
     out.sort(key=lambda i: (i.timestamp, i.instance_id))
     return tuple(out)
-
-
-def _match(db: HistoryDatabase, flow: TaskGraph, node_id: str,
-           instance_id: str, memo: dict[tuple[str, str], bool]) -> bool:
-    key = (node_id, instance_id)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # cycle guard; flows are DAGs so this is defensive
-    node = flow.node(node_id)
-    instance = db.get(instance_id)
-    if not db.schema.is_subtype(instance.entity_type, node.entity_type):
-        return False
-    if node.bindings and instance_id not in node.bindings:
-        return False
-    record = instance.derivation
-    for edge in flow.suppliers(node_id):
-        if record is None:
-            return False
-        if edge.is_functional:
-            if record.tool is None:
-                return False
-            if not _match(db, flow, edge.supplier, record.tool, memo):
-                return False
-        else:
-            input_id = record.input_map().get(edge.role)
-            if input_id is None:
-                return False
-            if not _match(db, flow, edge.supplier, input_id, memo):
-                return False
-    memo[key] = True
-    return True
 
 
 def find_bindings(db: HistoryDatabase, flow: TaskGraph, target_node: str
@@ -164,36 +135,70 @@ def find_bindings(db: HistoryDatabase, flow: TaskGraph, target_node: str
     A richer variant of :func:`template_query` that, instead of returning
     only target instances, returns full assignments covering the target's
     supplier subtree (useful for recalling a task with all its inputs).
+    A candidate whose subtree reaches one node through two instances
+    has no single assignment and is left out.
     """
     node = flow.node(target_node)
     assignments: list[dict[str, str]] = []
     for instance in db.browse(node.entity_type):
-        binding: dict[str, str] = {}
-        if _collect(db, flow, target_node, instance.instance_id, binding):
-            assignments.append(binding)
+        pairs = _pairs(db, flow, target_node, instance.instance_id)
+        if pairs is not None:
+            binding = dict(pairs)
+            if len(binding) == len(pairs):
+                assignments.append(binding)
     return tuple(assignments)
 
 
-def _collect(db: HistoryDatabase, flow: TaskGraph, node_id: str,
-             instance_id: str, binding: dict[str, str]) -> bool:
-    if node_id in binding:
-        return binding[node_id] == instance_id
-    if not _match(db, flow, node_id, instance_id, {}):
-        return False
-    binding[node_id] = instance_id
+def _pairs(db: HistoryDatabase, flow: TaskGraph, node_id: str,
+           instance_id: str,
+           matched: set[tuple[str, str]] | frozenset = frozenset()
+           ) -> list[tuple[str, str]] | None:
+    """The ``(flow node, instance)`` pairs a template match reaches from
+    one pair, depth-first in pre-order with supplier edges in flow
+    order, each checked once; None as soon as one fails its check.  A
+    pair in ``matched`` passed with all it reaches in an earlier match,
+    so the walk does not descend from it."""
+    order: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    stack = [(node_id, instance_id)]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        order.append(pair)
+        if pair in matched:
+            continue
+        suppliers = _supplier_pairs(db, flow, *pair)
+        if suppliers is None:
+            return None
+        stack.extend(reversed(suppliers))
+    return order
+
+
+def _supplier_pairs(db: HistoryDatabase, flow: TaskGraph, node_id: str,
+                    instance_id: str) -> list[tuple[str, str]] | None:
+    """One pair's check — the instance has the node's type, is among
+    its bindings if it has any, and its derivation record mirrors each
+    supplier edge — and the supplier pairs it leads to (None if the
+    check fails)."""
+    node = flow.node(node_id)
     instance = db.get(instance_id)
+    if not db.schema.is_subtype(instance.entity_type, node.entity_type):
+        return None
+    if node.bindings and instance_id not in node.bindings:
+        return None
     record = instance.derivation
+    pairs = []
     for edge in flow.suppliers(node_id):
         if record is None:
-            return False
-        supplier_instance = (record.tool if edge.is_functional
-                             else record.input_map().get(edge.role))
-        if supplier_instance is None:
-            return False
-        if not _collect(db, flow, edge.supplier, supplier_instance,
-                        binding):
-            return False
-    return True
+            return None
+        supplier = (record.tool if edge.is_functional
+                    else record.input_map().get(edge.role))
+        if supplier is None:
+            return None
+        pairs.append((edge.supplier, supplier))
+    return pairs
 
 
 def count_instances(db: HistoryDatabase, entity_type: str | None = None
@@ -202,9 +207,3 @@ def count_instances(db: HistoryDatabase, entity_type: str | None = None
     if entity_type is None:
         return len(db)
     return len(db.browse(entity_type))
-
-
-def ensure_target_in_flow(flow: TaskGraph, target_node: str) -> None:
-    """Validate a template target before running a query."""
-    if target_node not in flow:
-        raise QueryError(f"template target {target_node!r} not in flow")

@@ -67,21 +67,22 @@ MAD_SIGMA = 1.4826
 #: Baseline error rate above which a failing run only warns (the
 #: flow was already unstable; nothing *regressed*).
 ERROR_RATE_UNSTABLE = 0.25
+#: The collapse rule of the cache, parallelism, efficiency and
+#: utilization gates: a value below ``COLLAPSE_FAIL`` times its
+#: baseline median fails, below ``COLLAPSE_WARN`` times it warns.  The
+#: cache gate fails sooner, below ``CACHE_FAIL_RATIO``.
+COLLAPSE_FAIL = 0.6
+COLLAPSE_WARN = 0.8
+CACHE_FAIL_RATIO = 0.5
 #: Minimum baseline hit rate before cache collapse can gate.
 CACHE_MIN_RATE = 0.25
-CACHE_FAIL_RATIO = 0.5
-CACHE_WARN_RATIO = 0.8
 #: Minimum baseline parallelism before efficiency loss can gate.
 PARALLELISM_MIN = 1.5
-PARALLELISM_FAIL_RATIO = 0.6
-PARALLELISM_WARN_RATIO = 0.8
 #: Worker-normalized efficiency gate (parallelism / pool size, the
 #: multicore-smoke figure brought ledger-side): baselines below the
 #: floor never gate — a flow without enough parallel work can't
 #: regress by staying serial.
 EFFICIENCY_MIN = 0.25
-EFFICIENCY_FAIL_RATIO = 0.6
-EFFICIENCY_WARN_RATIO = 0.8
 #: Worker-pool gates (procpool runs with per-worker telemetry):
 #: total busy seconds below the floor never gate (framework-scale
 #: tools finish in the noise band); imbalance is max/mean busy
@@ -91,8 +92,6 @@ WORKER_BUSY_FLOOR = 0.05
 WORKER_IMBALANCE_WARN = 2.5
 WORKER_IMBALANCE_FAIL = 4.0
 WORKER_MIN_UTILIZATION = 0.2
-WORKER_FAIL_RATIO = 0.6
-WORKER_WARN_RATIO = 0.8
 #: Absolute floor for the query-latency-drift gate: mean statement
 #: latencies live in the sub-millisecond band, so the tool-scale
 #: ``DEFAULT_ABS_FLOOR`` would never let it gate.  Sub-2ms mean drift
@@ -164,6 +163,29 @@ class ToolBaseline:
             return FAIL, drift
         return (WARN if drift > 0.5 * self.threshold else OK), drift
 
+    def report(self, value: float, subject: str, measure: str = "",
+               unit: str = "ms") -> tuple[str, str]:
+        """``(verdict, detail)`` of :meth:`judge`, the detail every
+        drift check prints: ``subject``, its ``measure`` and value, the
+        drift over the median and, on FAIL, the threshold and sample
+        count, in ``ms`` or ``us`` ("" when OK)."""
+        verdict, drift = self.judge(value)
+        scale, digits = {"ms": (1e3, 2), "us": (1e6, 0)}[unit]
+
+        def show(seconds: float) -> str:
+            return f"{seconds * scale:.{digits}f}{unit}"
+
+        if verdict == FAIL:
+            return FAIL, (
+                f"{subject} {measure}{show(value)} is +{show(drift)} "
+                f"over baseline median {show(self.median)} "
+                f"(threshold +{show(self.threshold)}, n={self.samples})")
+        if verdict == WARN:
+            return WARN, (
+                f"{subject} drifting: {measure}{show(value)}, "
+                f"+{show(drift)} over median {show(self.median)}")
+        return OK, ""
+
     def render(self) -> str:
         return (f"{self.tool}: n={self.samples} "
                 f"median={self.median * 1e3:.2f}ms "
@@ -215,40 +237,57 @@ def _worst(verdicts: Sequence[str]) -> str:
     return max(verdicts, key=lambda v: _SEVERITY[v]) if verdicts else OK
 
 
+def _collapse(value: float, base: float, details: Sequence[str],
+              fail: float = COLLAPSE_FAIL) -> tuple[str, str]:
+    """``(verdict, detail)`` of the collapse rule: ``value`` fails below
+    ``fail`` times its baseline median ``base`` (which every gate
+    floors above 0) and warns below ``COLLAPSE_WARN`` times it;
+    ``details`` are the FAIL, WARN and OK texts."""
+    ratio = value / base
+    if ratio < fail:
+        return FAIL, details[0]
+    if ratio < COLLAPSE_WARN:
+        return WARN, details[1]
+    return OK, details[2]
+
+
+def _tool_drift(name: str, values: dict[str, float],
+                baselines: dict[str, ToolBaseline],
+                thresholds: HealthThresholds, calm: str,
+                subject: str = "{}", measure: str = "") -> CheckResult:
+    """Judge each tool's value against its baseline (tools with fewer
+    than ``min_samples`` baseline runs sit out); ``calm`` is the
+    detail when none drifts."""
+    verdicts: list[str] = []
+    details: list[str] = []
+    for tool, value in sorted(values.items()):
+        base = baselines.get(tool)
+        if base is None or base.samples < thresholds.min_samples:
+            continue
+        verdict, detail = base.report(value, subject.format(tool),
+                                      measure)
+        if verdict != OK:
+            verdicts.append(verdict)
+            details.append(detail)
+    if not verdicts:
+        return CheckResult(name, OK, calm)
+    return CheckResult(name, _worst(verdicts), "; ".join(details))
+
+
 def check_tool_duration_drift(current: RunRecord,
                               baseline: Sequence[RunRecord],
                               thresholds: HealthThresholds
                               ) -> CheckResult:
     """Per-tool mean duration vs. the EWMA+MAD ledger baseline."""
-    name = "tool-duration-drift"
     baselines = tool_baselines(baseline, window=thresholds.window,
                                k=thresholds.k)
-    verdicts: list[str] = []
-    details: list[str] = []
-    for tool, stats in sorted(current.tools.items()):
-        base = baselines.get(tool)
-        if base is None or base.samples < thresholds.min_samples:
-            continue
-        verdict, drift = base.judge(stats.duration.mean)
-        if verdict == FAIL:
-            verdicts.append(FAIL)
-            details.append(
-                f"{tool} mean {stats.duration.mean * 1e3:.2f}ms is "
-                f"+{drift * 1e3:.2f}ms over baseline median "
-                f"{base.median * 1e3:.2f}ms "
-                f"(threshold +{base.threshold * 1e3:.2f}ms, "
-                f"n={base.samples})")
-        elif verdict == WARN:
-            verdicts.append(WARN)
-            details.append(
-                f"{tool} drifting: mean {stats.duration.mean * 1e3:.2f}"
-                f"ms, +{drift * 1e3:.2f}ms over median "
-                f"{base.median * 1e3:.2f}ms")
-    if not verdicts:
-        return CheckResult(name, OK,
-                           "tool durations within baseline"
-                           if baselines else "no baseline yet")
-    return CheckResult(name, _worst(verdicts), "; ".join(details))
+    return _tool_drift(
+        "tool-duration-drift",
+        {tool: stats.duration.mean
+         for tool, stats in current.tools.items()},
+        baselines, thresholds,
+        "tool durations within baseline" if baselines
+        else "no baseline yet", measure="mean ")
 
 
 def _describe_error(record: RunRecord) -> str:
@@ -346,17 +385,12 @@ def check_cache_hit_rate(current: RunRecord,
             name, OK,
             f"baseline hit rate {base_rate:.0%} too low to gate")
     rate = current.cache_hit_rate
-    if rate < CACHE_FAIL_RATIO * base_rate:
-        return CheckResult(
-            name, FAIL,
-            f"hit rate collapsed to {rate:.0%} "
-            f"(baseline {base_rate:.0%} over {len(rates)} runs)")
-    if rate < CACHE_WARN_RATIO * base_rate:
-        return CheckResult(
-            name, WARN,
-            f"hit rate {rate:.0%} below baseline {base_rate:.0%}")
-    return CheckResult(
-        name, OK, f"hit rate {rate:.0%} (baseline {base_rate:.0%})")
+    return CheckResult(name, *_collapse(rate, base_rate, (
+        f"hit rate collapsed to {rate:.0%} "
+        f"(baseline {base_rate:.0%} over {len(rates)} runs)",
+        f"hit rate {rate:.0%} below baseline {base_rate:.0%}",
+        f"hit rate {rate:.0%} (baseline {base_rate:.0%})"),
+        CACHE_FAIL_RATIO))
 
 
 def check_parallelism_efficiency(current: RunRecord,
@@ -388,21 +422,14 @@ def check_parallelism_efficiency(current: RunRecord,
         details.append(
             f"baseline parallelism {base:.2f}x below gating floor")
     else:
-        ratio = current.parallelism / base if base else 1.0
-        if ratio < PARALLELISM_FAIL_RATIO:
-            verdicts.append(FAIL)
-            details.append(
-                f"parallelism {current.parallelism:.2f}x degraded "
-                f"from baseline {base:.2f}x over {len(peers)} runs")
-        elif ratio < PARALLELISM_WARN_RATIO:
-            verdicts.append(WARN)
-            details.append(
-                f"parallelism {current.parallelism:.2f}x below "
-                f"baseline {base:.2f}x")
-        else:
-            details.append(
-                f"parallelism {current.parallelism:.2f}x "
-                f"(baseline {base:.2f}x)")
+        parallelism = current.parallelism
+        verdict, detail = _collapse(parallelism, base, (
+            f"parallelism {parallelism:.2f}x degraded "
+            f"from baseline {base:.2f}x over {len(peers)} runs",
+            f"parallelism {parallelism:.2f}x below baseline {base:.2f}x",
+            f"parallelism {parallelism:.2f}x (baseline {base:.2f}x)"))
+        verdicts.append(verdict)
+        details.append(detail)
     rates = [r.parallelism / r.pool_size for r in peers
              if r.pool_size >= 2]
     if current.pool_size >= 2 \
@@ -414,23 +441,16 @@ def check_parallelism_efficiency(current: RunRecord,
                 f"baseline efficiency {base_eff:.0%} below gating "
                 "floor")
         else:
-            ratio = efficiency / base_eff if base_eff else 1.0
-            if ratio < EFFICIENCY_FAIL_RATIO:
-                verdicts.append(FAIL)
-                details.append(
-                    f"efficiency {efficiency:.0%} of "
-                    f"{current.pool_size} slot(s) degraded from "
-                    f"baseline {base_eff:.0%} over {len(rates)} runs")
-            elif ratio < EFFICIENCY_WARN_RATIO:
-                verdicts.append(WARN)
-                details.append(
-                    f"efficiency {efficiency:.0%} below baseline "
-                    f"{base_eff:.0%}")
-            else:
-                details.append(
-                    f"efficiency {efficiency:.0%} across "
-                    f"{current.pool_size} slot(s) "
-                    f"(baseline {base_eff:.0%})")
+            verdict, detail = _collapse(efficiency, base_eff, (
+                f"efficiency {efficiency:.0%} of {current.pool_size} "
+                f"slot(s) degraded from baseline {base_eff:.0%} over "
+                f"{len(rates)} runs",
+                f"efficiency {efficiency:.0%} below baseline "
+                f"{base_eff:.0%}",
+                f"efficiency {efficiency:.0%} across "
+                f"{current.pool_size} slot(s) (baseline {base_eff:.0%})"))
+            verdicts.append(verdict)
+            details.append(detail)
     return CheckResult(name, _worst(verdicts), "; ".join(details))
 
 
@@ -475,17 +495,14 @@ def check_worker_utilization(current: RunRecord,
     if len(rates) >= thresholds.min_samples:
         base = _median(rates)
         if base >= WORKER_MIN_UTILIZATION:
-            ratio = utilization / base if base else 1.0
-            if ratio < WORKER_FAIL_RATIO:
-                verdicts.append(FAIL)
-                details.append(
-                    f"utilization collapsed to {utilization:.0%} "
-                    f"(baseline {base:.0%} over {len(rates)} runs)")
-            elif ratio < WORKER_WARN_RATIO:
-                verdicts.append(WARN)
-                details.append(
-                    f"utilization {utilization:.0%} below baseline "
-                    f"{base:.0%}")
+            verdict, detail = _collapse(utilization, base, (
+                f"utilization collapsed to {utilization:.0%} "
+                f"(baseline {base:.0%} over {len(rates)} runs)",
+                f"utilization {utilization:.0%} below baseline "
+                f"{base:.0%}", ""))
+            if verdict != OK:
+                verdicts.append(verdict)
+                details.append(detail)
     if not verdicts:
         return CheckResult(
             name, OK,
@@ -517,34 +534,16 @@ def check_tool_self_time_drift(current: RunRecord,
         for tool, stats in record.profile.get("tools", {}).items():
             history.setdefault(tool, []).append(
                 float(stats.get("self_s", 0.0)))
-    verdicts: list[str] = []
-    details: list[str] = []
-    for tool, stats in sorted(tools.items()):
-        peers = history.get(tool, [])[-thresholds.window:]
-        if len(peers) < thresholds.min_samples:
-            continue
-        base = ToolBaseline.of(tool, peers, thresholds.k)
-        self_s = float(stats.get("self_s", 0.0))
-        verdict, drift = base.judge(self_s)
-        if verdict == FAIL:
-            verdicts.append(FAIL)
-            details.append(
-                f"{tool} self time {self_s * 1e3:.2f}ms is "
-                f"+{drift * 1e3:.2f}ms over baseline median "
-                f"{base.median * 1e3:.2f}ms "
-                f"(threshold +{base.threshold * 1e3:.2f}ms, "
-                f"n={len(peers)})")
-        elif verdict == WARN:
-            verdicts.append(WARN)
-            details.append(
-                f"{tool} self time drifting: {self_s * 1e3:.2f}ms, "
-                f"+{drift * 1e3:.2f}ms over median "
-                f"{base.median * 1e3:.2f}ms")
-    if not verdicts:
-        return CheckResult(name, OK,
-                           "tool self times within baseline"
-                           if history else "no profiled baseline yet")
-    return CheckResult(name, _worst(verdicts), "; ".join(details))
+    return _tool_drift(
+        name,
+        {tool: float(stats.get("self_s", 0.0))
+         for tool, stats in tools.items()},
+        {tool: ToolBaseline.of(tool, series[-thresholds.window:],
+                               thresholds.k)
+         for tool, series in history.items()},
+        thresholds,
+        "tool self times within baseline" if history
+        else "no profiled baseline yet", subject="{} self time")
 
 
 def _mean_query_latency(record: RunRecord) -> float | None:
@@ -578,23 +577,11 @@ def check_query_latency_drift(current: RunRecord,
     if len(peers) < thresholds.min_samples:
         return CheckResult(name, OK, "no query baseline yet")
     base = ToolBaseline.of("query", peers, thresholds.k, QUERY_ABS_FLOOR)
-    verdict, drift = base.judge(mean)
-    if verdict == FAIL:
-        return CheckResult(
-            name, FAIL,
-            f"mean statement latency {mean * 1e6:.0f}us is "
-            f"+{drift * 1e6:.0f}us over baseline median "
-            f"{base.median * 1e6:.0f}us "
-            f"(threshold +{base.threshold * 1e6:.0f}us, n={len(peers)})")
-    if verdict == WARN:
-        return CheckResult(
-            name, WARN,
-            f"mean statement latency drifting: {mean * 1e6:.0f}us, "
-            f"+{drift * 1e6:.0f}us over median {base.median * 1e6:.0f}us")
-    return CheckResult(
-        name, OK,
+    verdict, detail = base.report(mean, "mean statement latency",
+                                  unit="us")
+    return CheckResult(name, verdict, detail or (
         f"mean statement latency {mean * 1e6:.0f}us "
-        f"(baseline {base.median * 1e6:.0f}us over {len(peers)} runs)")
+        f"(baseline {base.median * 1e6:.0f}us over {len(peers)} runs)"))
 
 
 HealthCheck = Callable[[RunRecord, Sequence[RunRecord],

@@ -19,7 +19,6 @@ environments simply have no longitudinal history yet.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import threading
@@ -48,22 +47,10 @@ PROCESS_EXECUTOR = "procpool"
 # shared JSON serializer (ledger records, ``repro stats --json``,
 # ``repro events --json`` all funnel through here)
 # ---------------------------------------------------------------------------
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert dataclasses/tuples into JSON-ready values."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {name: to_jsonable(item)
-                for name, item in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
-        return {str(key): to_jsonable(item)
-                for key, item in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [to_jsonable(item) for item in value]
-    return value
-
-
 def render_json(payload: Any) -> str:
-    """Canonical single-line JSON used by every machine-readable output."""
-    return json.dumps(to_jsonable(payload), sort_keys=True)
+    """Canonical single-line JSON used by every machine-readable output:
+    ``payload`` is plain JSON already (each ``to_dict()`` builds it)."""
+    return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +80,7 @@ class ToolRunStats:
         return {
             "invocations": self.invocations,
             "runs": self.runs,
-            "duration": dataclasses.asdict(self.duration),
+            "duration": dict(vars(self.duration)),
             "queue_wait": self.queue_wait,
             "retries": self.retries,
             "timeouts": self.timeouts,
@@ -308,7 +295,7 @@ class RunRecord:
                 worker: stats.to_dict()
                 for worker, stats in sorted(self.workers.items())}
         if self.profile:
-            spec["profile"] = to_jsonable(self.profile)
+            spec["profile"] = self.profile
         return spec
 
     @classmethod

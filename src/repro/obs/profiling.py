@@ -548,6 +548,34 @@ def read_profiles(path: str | pathlib.Path
     return tuple(record for _, record in reader.read(strict=False))
 
 
+#: The fields of a slow-query record, as :class:`QueryRecorder`
+#: writes them, with their JSON types.
+SLOW_QUERY_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "ts": (int, float), "backend": str, "fingerprint": str,
+    "statement": str, "seconds": (int, float), "rows": int}
+
+
+def _checked_slow_query(record: dict[str, Any]) -> dict[str, Any]:
+    """A slow-query record of the recorder's shape (else the reader
+    names its line)."""
+    for key, kind in SLOW_QUERY_FIELDS.items():
+        if not isinstance(record.get(key), kind):
+            raise ObservabilityError(
+                f"slow-query field {key!r} is {record.get(key)!r}")
+    return record
+
+
+def read_slow_queries(path: str | pathlib.Path
+                      ) -> tuple[dict[str, Any], ...]:
+    """All slow-query records in the log, oldest first (lenient like
+    :func:`read_profiles`: only a torn last line is forgiven)."""
+    target = pathlib.Path(path)
+    if not target.exists():
+        return ()
+    reader = JSONLReader(target, _checked_slow_query, "slow-query log")
+    return tuple(record for _, record in reader.read(strict=False))
+
+
 def find_profile(records: "tuple[dict[str, Any], ...]",
                  run_id: str | None = None) -> dict[str, Any]:
     """The latest record, or the one of a run id or unique prefix."""
@@ -611,6 +639,7 @@ __all__ = [
     "merge_profiles",
     "profile_record",
     "read_profiles",
+    "read_slow_queries",
     "render_profile",
     "statement_fingerprint",
 ]

@@ -8,8 +8,9 @@ timing home with every batch reply:
 
 * :class:`WorkerTelemetry` captures per-invocation **phase samples**
   (fingerprint verify, tool body) on the worker's ``perf_counter``,
-  plus cumulative counters (batches, envelopes, busy seconds, rss
-  high-water via ``resource.getrusage``);
+  and :func:`peak_rss_kb` reads the worker's rss high-water; the
+  coordinator counts batches, invocations and busy time itself, from
+  the replies;
 * :class:`ClockSync` maps a worker clock onto the coordinator's; a
   forked worker reads the coordinator's own monotonic clock, so the
   procpool coordinator passes the identity ``ClockSync()``, and
@@ -46,7 +47,7 @@ WORKER_PHASES: tuple[str, ...] = (
 PhaseSample = tuple[str, float, float]
 
 
-def _rss_kb() -> int:
+def peak_rss_kb() -> int:
     """High-water resident set size of this process, in KiB.
 
     ``ru_maxrss`` is KiB on Linux and bytes on macOS; normalize to KiB.
@@ -64,22 +65,17 @@ def _rss_kb() -> int:
 
 
 class WorkerTelemetry:
-    """In-worker recorder: phase samples plus cumulative counters.
+    """In-worker recorder of phase samples.
 
     One instance lives for the worker process's lifetime.  Phase
     collection is opt-in per envelope (the coordinator only asks for it
     when a tracer is attached), so untraced runs pay one boolean test
-    per phase; the counters are always maintained — they are a handful
-    of float adds per batch.
+    per phase.
     """
 
-    def __init__(self, worker: str, *,
+    def __init__(self, *,
                  clock: Callable[[], float] = time.perf_counter) -> None:
-        self.worker = worker
         self.clock = clock
-        self.batches = 0
-        self.envelopes = 0
-        self.busy_time = 0.0
         self._collecting = False
         self._phases: list[PhaseSample] = []
 
@@ -103,21 +99,6 @@ class WorkerTelemetry:
     def phases(self) -> tuple[PhaseSample, ...]:
         """The current envelope's samples, in execution order."""
         return tuple(self._phases)
-
-    def finish_envelope(self, duration: float) -> None:
-        """Fold one completed envelope into the counters."""
-        self.envelopes += 1
-        self.busy_time += max(0.0, duration)
-
-    def stats(self) -> dict[str, Any]:
-        """Snapshot shipped home with every batch reply."""
-        return {
-            "worker": self.worker,
-            "batches": self.batches,
-            "envelopes": self.envelopes,
-            "busy_time": round(self.busy_time, 6),
-            "rss_kb": _rss_kb(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +169,9 @@ def fit_phases(phases: Sequence[PhaseSample], sync: ClockSync,
 class WorkerRunStats:
     """One worker's contribution to one executed flow.
 
-    ``batches``/``invocations``/``busy_time``/``rss_kb`` come from the
-    worker's own telemetry (summed across respawns); ``steals``,
+    ``batches``/``invocations``/``busy_time`` are counted by the
+    coordinator from the worker's replies and ``rss_kb`` is the highest
+    high-water those replies reported, across respawns; ``steals``,
     ``cache_hits`` and ``respawns`` are coordinator-side lane counters
     — a *steal* is a claim whose tool type differs from the lane's
     previous claim, i.e. the lane abandoned its warm streak to drain
@@ -278,6 +260,7 @@ __all__ = [
     "WorkerRunStats",
     "WorkerTelemetry",
     "fit_phases",
+    "peak_rss_kb",
     "worker_imbalance",
     "worker_utilization",
 ]

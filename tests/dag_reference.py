@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.flow import DynamicFlow
+from repro.core.lisp import _atom, _ordered_inputs
 from repro.core.node import FlowEdge
 from repro.core.taskgraph import TaskGraph
 from repro.errors import (DependencyError, ExecutionError, FlowError,
@@ -22,6 +23,7 @@ from repro.execution.executor import _InvocationNode
 from repro.execution.scheduler import (DurationModel, Schedule,
                                        ScheduleEntry)
 from repro.history.database import HistoryDatabase
+from repro.history.instance import EntityInstance
 from repro.history.statistics import HistoryStatistics
 from repro.obs.tracing import (RUN_SPAN, TASK_SPAN, CriticalPathReport,
                                Span, TaskTiming, spans_of_trace)
@@ -458,3 +460,138 @@ def history_statistics(db: HistoryDatabase) -> HistoryStatistics:
         stats.max_depth = max(depths)
         stats.mean_depth = sum(depths) / len(depths)
     return stats
+
+
+# ---------------------------------------------------------------------------
+# history/query.py: template_query, _match, find_bindings, _collect
+# ---------------------------------------------------------------------------
+def template_query(db: HistoryDatabase, flow: TaskGraph, target_node: str
+                   ) -> tuple[EntityInstance, ...]:
+    """Use a task graph as a query template (section 4.2).
+
+    Every instance of the target node's type is tested against the flow's
+    structure: each supplier edge of a flow node must be mirrored by the
+    candidate's derivation record — the tool edge by ``derivation.tool``,
+    a data edge by the input recorded under the same role.  Nodes bound
+    to instances constrain matches to exactly those instances; unbound,
+    unexpanded nodes only constrain the type.
+
+    Unlike plain forward/backward chaining this matches *structure*: a
+    template Performance ← {Simulator, Circuit ← {netlist n1}} finds only
+    simulations whose circuit was composed from netlist ``n1``, not every
+    performance transitively touching ``n1``.
+    """
+    node = flow.node(target_node)
+    candidates = db.browse(node.entity_type)
+    memo: dict[tuple[str, str], bool] = {}
+    out = [instance for instance in candidates
+           if _match(db, flow, target_node, instance.instance_id, memo)]
+    out.sort(key=lambda i: (i.timestamp, i.instance_id))
+    return tuple(out)
+
+
+def _match(db: HistoryDatabase, flow: TaskGraph, node_id: str,
+           instance_id: str, memo: dict[tuple[str, str], bool]) -> bool:
+    key = (node_id, instance_id)
+    if key in memo:
+        return memo[key]
+    memo[key] = False  # cycle guard; flows are DAGs so this is defensive
+    node = flow.node(node_id)
+    instance = db.get(instance_id)
+    if not db.schema.is_subtype(instance.entity_type, node.entity_type):
+        return False
+    if node.bindings and instance_id not in node.bindings:
+        return False
+    record = instance.derivation
+    for edge in flow.suppliers(node_id):
+        if record is None:
+            return False
+        if edge.is_functional:
+            if record.tool is None:
+                return False
+            if not _match(db, flow, edge.supplier, record.tool, memo):
+                return False
+        else:
+            input_id = record.input_map().get(edge.role)
+            if input_id is None:
+                return False
+            if not _match(db, flow, edge.supplier, input_id, memo):
+                return False
+    memo[key] = True
+    return True
+
+
+def find_bindings(db: HistoryDatabase, flow: TaskGraph, target_node: str
+                  ) -> tuple[dict[str, str], ...]:
+    """All consistent node→instance assignments reaching the target.
+
+    A richer variant of :func:`template_query` that, instead of returning
+    only target instances, returns full assignments covering the target's
+    supplier subtree (useful for recalling a task with all its inputs).
+    """
+    node = flow.node(target_node)
+    assignments: list[dict[str, str]] = []
+    for instance in db.browse(node.entity_type):
+        binding: dict[str, str] = {}
+        if _collect(db, flow, target_node, instance.instance_id, binding):
+            assignments.append(binding)
+    return tuple(assignments)
+
+
+def _collect(db: HistoryDatabase, flow: TaskGraph, node_id: str,
+             instance_id: str, binding: dict[str, str]) -> bool:
+    if node_id in binding:
+        return binding[node_id] == instance_id
+    if not _match(db, flow, node_id, instance_id, {}):
+        return False
+    binding[node_id] = instance_id
+    instance = db.get(instance_id)
+    record = instance.derivation
+    for edge in flow.suppliers(node_id):
+        if record is None:
+            return False
+        supplier_instance = (record.tool if edge.is_functional
+                             else record.input_map().get(edge.role))
+        if supplier_instance is None:
+            return False
+        if not _collect(db, flow, edge.supplier, supplier_instance,
+                        binding):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# core/lisp.py: to_lisp, to_call, flow_equation
+# ---------------------------------------------------------------------------
+def to_lisp(flow: TaskGraph, node_id: str) -> str:
+    """Lisp form: the tool is just another parameter."""
+    if not flow.is_expanded(node_id):
+        return _atom(flow, node_id)
+    parts: list[str] = []
+    tool = flow.functional_supplier(node_id)
+    if tool is not None:
+        parts.append(to_lisp(flow, tool))
+    parts.extend(to_lisp(flow, supplier)
+                 for supplier in _ordered_inputs(flow, node_id))
+    return "(" + ", ".join(parts) + ")"
+
+
+def to_call(flow: TaskGraph, node_id: str) -> str:
+    """C/Pascal-style call form: ``tool(arg, ...)``."""
+    if not flow.is_expanded(node_id):
+        return _atom(flow, node_id)
+    tool = flow.functional_supplier(node_id)
+    args = ", ".join(to_call(flow, supplier)
+                     for supplier in _ordered_inputs(flow, node_id))
+    if tool is None:
+        return f"compose_{_atom(flow, node_id)}({args})"
+    return f"{to_call(flow, tool)}({args})" if flow.is_expanded(tool) \
+        else f"{_atom(flow, tool)}({args})"
+
+
+def flow_equation(flow: TaskGraph, node_id: str,
+                  style: str = "lisp") -> str:
+    """Full equation ``goal <- body`` in the requested style."""
+    body = to_lisp(flow, node_id) if style == "lisp" \
+        else to_call(flow, node_id)
+    return f"{_atom(flow, node_id)} <- {body}"

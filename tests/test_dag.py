@@ -4,11 +4,12 @@
 Hypothesis builds random task graphs (inserted sources-first,
 goal-first or shuffled, with zero and tied weights), random ``connect``
 scripts that try to close cycles, and random schemas; every order,
-error, layer, wave, schedule, critical path, derivation depth and
-statistics report must match the reference.  The depth probes show the
-walks no longer run out of stack on deep chains, and the read-count
-test shows ``history_statistics`` no longer re-walks each instance's
-derivation.
+error, layer, wave, schedule, critical path, derivation depth,
+statistics report, template-query answer and flow equation must match
+the reference.  The depth probes show the walks no longer run out of
+stack on deep chains, and the read- and check-count tests show that
+``history_statistics`` no longer re-walks each instance's derivation
+and the template queries no longer re-match each node's subtree.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import dag
+from repro.core.lisp import flow_equation
 from repro.core.render import layers
 from repro.core.taskgraph import TaskGraph
 from repro.errors import ObservabilityError, ReproError
@@ -27,8 +29,10 @@ from repro.execution.context import DesignEnvironment
 from repro.execution.executor import _invocation_graph
 from repro.execution.scheduler import (DurationModel, _critical_lengths,
                                        plan_schedule)
+from repro.history import query
 from repro.history.database import HistoryDatabase
 from repro.history.instance import DerivationRecord
+from repro.history.query import find_bindings, template_query
 from repro.history.sqlite_store import SqliteHistoryStore
 from repro.history.statistics import derivation_depth, history_statistics
 from repro.history.synth import synth_schema, tick_clock
@@ -366,6 +370,114 @@ class TestExecutedFlows:
 
 
 # ---------------------------------------------------------------------------
+# template queries and flow equations over executed flows
+# ---------------------------------------------------------------------------
+def query_answers(module, db, graph, target):
+    """Both template queries' answers, binding key order included."""
+    return (module.template_query(db, graph, target),
+            [list(binding.items())
+             for binding in module.find_bindings(db, graph, target)])
+
+
+#: Node 3 reads node 1 directly and through node 2, so after two runs
+#: an instance of node 3 whose inputs mix the runs reaches node 1 (and
+#: node 0) through two instances.
+DIAMOND = FlowSpec(kinds=(0, 1, 2, 0), inputs=((), (0,), (0, 1), (1, 2)),
+                   tooled=(True,) * 4,
+                   insertion=(("tool", 0), ("tool", 1), ("tool", 2),
+                              ("data", 0), ("data", 1), ("data", 2),
+                              ("data", 3)),
+                   durations=(0.0,) * 4, machines=1)
+
+
+def mix_inputs(env, data, count: int, entity_type: str) -> None:
+    """Record up to ``count`` instances of ``entity_type``, each a copy
+    of a derivation of that type with every input redrawn among the
+    instances of its type (earlier mixes included)."""
+    derived = [i for i in env.db.browse(entity_type)
+               if i.derivation is not None and i.derivation.inputs]
+    for _ in range(count if derived else 0):
+        model = data.draw(st.sampled_from(derived))
+        inputs = {role: data.draw(st.sampled_from(
+            [i.instance_id
+             for i in env.db.browse(env.db.get(input_id).entity_type)]))
+            for role, input_id in model.derivation.inputs}
+        derived.append(env.db.record(
+            model.entity_type, {"mixed": len(env.db)},
+            DerivationRecord.make(model.derivation.tool, inputs,
+                                  env.db.new_invocation_id())))
+
+
+class TestTemplateQueries:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.just(DIAMOND) | flow_specs(max_nodes=7, executable=True),
+           st.none() | st.integers(0, 20), st.integers(1, 2),
+           st.integers(0, 3), st.data())
+    def test_queries_and_equations_match_reference(
+            self, spec, target, runs, mixed, data):
+        """Random executed flows, some goals' inputs mixed across runs,
+        each node's bindings kept, cleared or redrawn among the
+        instances of its type, and a random goal (a derived node when
+        there is one)."""
+        env, graph, _, _ = run_flow(spec, target, runs)
+        derived = [n for n in graph.node_ids() if graph.suppliers(n)]
+        goal = data.draw(st.sampled_from(derived or graph.node_ids()))
+        mix_inputs(env, data, mixed, graph.node(goal).entity_type)
+        for node_id in graph.node_ids():
+            node = graph.node(node_id)
+            choice = data.draw(st.sampled_from(
+                ("keep", "keep", "free", "bind")))
+            ids = [i.instance_id for i in env.db.browse(node.entity_type)]
+            if choice == "free":
+                node.unbind()
+            elif choice == "bind" and ids:
+                node.bind(*data.draw(st.lists(
+                    st.sampled_from(ids), min_size=1, max_size=2,
+                    unique=True)))
+        assert query_answers(query, env.db, graph, goal) == \
+            query_answers(reference, env.db, graph, goal)
+        for style in ("lisp", "call"):
+            assert flow_equation(graph, goal, style) == \
+                reference.flow_equation(graph, goal, style)
+
+    def test_two_instances_of_one_node(self):
+        """``x`` feeds the goal through ``a`` and through ``b``; the
+        goal's ``a`` was made from ``x1`` and its ``b`` from ``x2``.
+        Every path matches the template, so ``template_query`` accepts
+        the goal, but no single binding of ``x`` covers both paths, so
+        ``find_bindings`` rejects it."""
+        env = DesignEnvironment(SCHEMA, user="dag")
+        register_corpus_encapsulations(env)
+        tools = [env.install_tool(f"K{kind}").instance_id
+                 for kind in range(TOOLS)]
+        x1, x2 = (env.install_data("D0", {"leaf": n}).instance_id
+                  for n in (1, 2))
+
+        def derive(kind, **inputs):
+            return env.db.record(f"D{kind}", {"of": inputs},
+                                 DerivationRecord.make(
+                                     tools[kind], inputs,
+                                     env.db.new_invocation_id()))
+
+        made = derive(0, r0=derive(1, r0=x1).instance_id,
+                      r1=derive(2, r0=x2).instance_id)
+        graph = TaskGraph(SCHEMA, "diamond")
+        goal, a, b, x = (graph.add_node(f"D{kind}").node_id
+                         for kind in (0, 1, 2, 0))
+        for consumer, kind, inputs in ((goal, 0, (a, b)), (a, 1, (x,)),
+                                       (b, 2, (x,))):
+            graph.connect(consumer, graph.add_node(f"K{kind}").node_id)
+            for role, supplier in enumerate(inputs):
+                graph.connect(consumer, supplier, role=f"r{role}")
+        for module in (query, reference):
+            assert module.template_query(env.db, graph, goal) == (made,)
+            assert module.find_bindings(env.db, graph, goal) == ()
+        graph.node(x).bind(x1)
+        assert template_query(env.db, graph, goal) == ()
+
+
+# ---------------------------------------------------------------------------
 # random schemas: the mandatory-cycle check
 # ---------------------------------------------------------------------------
 @st.composite
@@ -530,6 +642,65 @@ def test_goal_first_schema_of_1200_chained_types_validates():
                             inputs=[f"Type{index - 1}"])
     schema = builder.build()
     assert len(schema.effective_dependencies("Type1199")) == 2
+
+
+def executed_chain(depth: int):
+    """A corpus chain of ``depth`` stages (width 1), run once: its
+    history, flow and goal node."""
+    spec = ScenarioSpec("s01-chain", "chain", seed=1, width=1,
+                        depth=depth, fanout=2)
+    env = materialize_scenario(spec)
+    flow = env.flow_catalog.select(MAIN_FLOW).graph
+    env.executor().execute(flow)
+    return env.db, flow, f"n{depth}"
+
+
+def test_template_queries_and_equations_of_a_1100_stage_chain():
+    db, flow, goal = executed_chain(1_100)
+    (made,) = db.browse("Stage1100")
+    assert template_query(db, flow, goal) == (made,)
+    (binding,) = find_bindings(db, flow, goal)
+    assert binding[goal] == made.instance_id
+    assert len(binding) == 2 * 1_100 + 1
+    assert flow_equation(flow, goal, "lisp").startswith(
+        "stage1100 <- (step1100, (step1099, ")
+    assert flow_equation(flow, goal, "call").startswith(
+        "stage1100 <- step1100(step1099(")
+
+
+@pytest.fixture
+def checked(monkeypatch) -> list[tuple[str, str]]:
+    """Every (flow node, instance) pair a template query checks."""
+    pairs: list[tuple[str, str]] = []
+    check = query._supplier_pairs
+
+    def counted(db, flow, node_id, instance_id):
+        pairs.append((node_id, instance_id))
+        return check(db, flow, node_id, instance_id)
+
+    monkeypatch.setattr(query, "_supplier_pairs", counted)
+    return pairs
+
+
+def test_find_bindings_checks_each_reachable_pair_once(checked):
+    """One check per (flow node, instance) pair a binding covers: the
+    walk does not re-match the subtree below each node it reaches."""
+    db, flow, goal = executed_chain(100)
+    (binding,) = find_bindings(db, flow, goal)
+    assert sorted(checked) == sorted(binding.items())
+    assert len(checked) == 2 * 100 + 1
+
+
+def test_template_query_checks_a_shared_subtree_once(checked):
+    """Three more goal instances derived from the goal's own inputs
+    share its whole subtree: the query checks the subtree's pairs once
+    and then only each later candidate's own pair."""
+    db, flow, goal = executed_chain(100)
+    (made,) = db.browse("Stage100")
+    copies = [db.record("Stage100", {"copy": n}, made.derivation)
+              for n in range(3)]
+    assert template_query(db, flow, goal) == (made, *copies)
+    assert len(checked) == len(set(checked)) == 2 * 100 + 1 + 3
 
 
 def derivation_chain(depth: int, store=None) -> HistoryDatabase:

@@ -9,6 +9,10 @@ from repro.errors import ExecutionError
 from repro.execution import (CACHE_OFF, CACHE_READWRITE, CACHE_REUSE,
                              DesignEnvironment, encapsulation,
                              fingerprint_callable, normalize_policy)
+from repro.execution.cache import DerivationCache
+from repro.execution.shared_memo import SharedDerivationMemo
+from repro.obs import (CACHE_MISS, COMPOSE_TOOL, INSTANCE_CREATED,
+                       MetricsRegistry, RingBufferSink, replay_into)
 from repro.persistence import (MEMO_FILE, load_environment,
                                save_environment)
 from repro.schema import standard as S
@@ -309,6 +313,100 @@ class TestInvalidation:
         report = counting_env.run(flow, force=True, cache="reuse")
         assert report.cache_hits == 0
         assert len(counting_env.calls) == calls + 1
+
+
+def composition_inputs(flow, node) -> dict[str, str]:
+    """A composition node's lookup combo: role -> bound instance id."""
+    return {role: flow.graph.node(supplier).bindings[0]
+            for role, supplier in flow.graph.data_suppliers(
+                node.node_id).items()}
+
+
+class TestMissesAndRekeys:
+    def test_cold_calls_emit_one_miss_each(self, counting_env):
+        """A ``readwrite`` run announces each cold call's miss, keyed,
+        before the call records its instance; replayed, the misses
+        count in the metrics."""
+        sink = RingBufferSink()
+        counting_env.bus.subscribe(sink)
+        flow, goal = simulate_flow(counting_env)
+        circuit = flow.sole_node_of_type(S.CIRCUIT)
+        counting_env.run(flow, cache="readwrite")
+        events = sink.events()
+        misses = [e for e in events if e.event_type == CACHE_MISS]
+        assert [(e.node, e.tool_type) for e in misses] == \
+            [(circuit.node_id, COMPOSE_TOOL), (goal.node_id, S.SIMULATOR)]
+        for miss, entity_type in zip(misses, (S.CIRCUIT, S.PERFORMANCE)):
+            assert len(miss.value("key")) == 16
+            (created,) = [e for e in events
+                          if e.event_type == INSTANCE_CREATED
+                          and e.value("entity_type") == entity_type]
+            assert miss.seq < created.seq
+        metrics = MetricsRegistry()
+        replay_into(events, metrics)
+        assert metrics.counter("cache.misses") == 2
+
+    def test_content_identical_netlist_reuses_through_a_rekey(
+            self, counting_env, monkeypatch):
+        """A second flow over a netlist with the first one's content
+        reuses both calls.  The circuit it reuses was composed from the
+        first netlist, so its derivation record names other inputs than
+        the lookup: the group is re-keyed, and the key matches."""
+        flow, _ = simulate_flow(counting_env)
+        counting_env.run(flow, cache="readwrite")
+        first = flow.sole_node_of_type(S.NETLIST).bindings[0]
+        twin = counting_env.install_data(S.EDITED_NETLIST, {"n": 1})
+        flow2, _ = build_performance_flow(
+            counting_env, netlist_id=twin.instance_id,
+            models_id=flow.sole_node_of_type(S.DEVICE_MODELS).bindings[0],
+            stimuli_id=flow.sole_node_of_type(S.STIMULI).bindings[0],
+            simulator_id=flow.sole_node_of_type(S.SIMULATOR).bindings[0])
+        keyed: list[set[str]] = []
+        compose = DerivationCache.composition_key
+
+        def spy(self, entity_type, combo):
+            keyed.append({i for ref in combo.values()
+                          for i in ([ref] if isinstance(ref, str)
+                                    else ref)})
+            return compose(self, entity_type, combo)
+
+        monkeypatch.setattr(DerivationCache, "composition_key", spy)
+        calls = len(counting_env.calls)
+        report = counting_env.run(flow2, cache="readwrite")
+        assert (report.cache_hits, report.runs) == (2, 0)
+        assert len(counting_env.calls) == calls
+        # the lookup, then the re-key from the reused circuit's record
+        assert [twin.instance_id in ids for ids in keyed] == [True, False]
+        assert first in keyed[1]
+
+    def test_memo_line_naming_an_installed_instance_is_skipped(
+            self, counting_env, tmp_path, monkeypatch):
+        """A memo line under the circuit lookup's key that names an
+        installed circuit (no derivation record) is not a run of that
+        key: the lookup misses, and nothing counts as invalidated."""
+        memo = tmp_path / MEMO_FILE
+        counting_env.enable_shared_memo(memo)
+        flow, _ = simulate_flow(counting_env)
+        circuit = flow.sole_node_of_type(S.CIRCUIT)
+        cache = counting_env.cache
+        key = cache.composition_key(
+            S.CIRCUIT, composition_inputs(flow, circuit))
+        installed = counting_env.install_data(S.CIRCUIT, {"c": 1})
+        SharedDerivationMemo(memo).append(
+            [(key, ((S.CIRCUIT, installed.instance_id),), 0.0)])
+        looked_up: list[str] = []
+        fetch = DerivationCache.fetch
+
+        def spy(self, key, *args, **kwargs):
+            looked_up.append(key)
+            return fetch(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(DerivationCache, "fetch", spy)
+        report = counting_env.run(flow, cache="reuse")
+        assert looked_up[0] == key
+        assert report.cache_hits == 0
+        assert (cache.stats.misses, cache.stats.invalidated) == (2, 0)
+        assert installed.instance_id not in circuit.results()
 
 
 class TestFingerprints:

@@ -205,6 +205,43 @@ class TestResilience:
         assert worker.invocations == 4
         assert worker.respawns == 1
 
+    def test_handle_counts_replies_across_crash_and_respawn(
+            self, tmp_path, monkeypatch):
+        """The coordinator counts its worker from the replies it
+        received: one batch per reply, one invocation per outcome (the
+        crashed attempt's failed one included), their durations as busy
+        time.  The round trip the watchdog killed got no reply and
+        counts nowhere."""
+        replies = []
+        call = procpool._WorkerHandle.call
+
+        def spy(handle, batch, timeout):
+            outcomes = call(handle, batch, timeout)
+            replies.append(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(procpool._WorkerHandle, "call", spy)
+        env = fan_env(sleep=0.005)
+        env.ledger = RunLedger(tmp_path / "ledger.jsonl")
+        policy = ResiliencePolicy(retries=2, timeout=0.5,
+                                  backoff_base=0.0, jitter=0.0)
+        faults = FaultPlan([FaultSpec("Tool", 1),
+                            FaultSpec("Tool", 3, kind="hang",
+                                      delay=30.0)], seed=1)
+        report = env.process_executor(
+            workers=1, resilience=policy,
+            faults=faults).execute(fan_flow(env))
+        assert (report.retries, report.timeouts) == (2, 1)
+        outcomes = [outcome for reply in replies for outcome in reply]
+        assert [outcome.ok for outcome in outcomes].count(False) == 1
+        worker = RunLedger(tmp_path / "ledger.jsonl").records()[-1] \
+            .workers["worker0"]
+        assert (worker.batches, worker.invocations, worker.respawns) \
+            == (len(replies), len(outcomes), 1) == (5, 5, 1)
+        assert worker.busy_time == pytest.approx(
+            sum(max(0.0, outcome.duration) for outcome in outcomes),
+            abs=1e-6)
+
     def test_worker_death_is_transient_and_respawned(self, tmp_path):
         flag = tmp_path / "died-once"
 

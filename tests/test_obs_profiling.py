@@ -958,6 +958,27 @@ class TestProfileCli:
         for name, _, _, _ in AUDITED_QUERIES:
             assert name in out
 
+    def test_profile_queries_names_a_wrong_shape_slow_query(
+            self, tmp_path, capsys):
+        """The slow-query log is decoded, not only counted: a record of
+        the wrong shape is an error naming its line, and a torn last
+        line is still forgiven."""
+        directory = saved_project(tmp_path, "proj", backend="sqlite")
+        log = directory / SLOW_QUERY_FILE
+        QueryRecorder(slow_threshold=0.0, slow_log=log,
+                      backend="sqlite").record("SELECT 1", 0.02, rows=1)
+        intact = log.read_text(encoding="utf-8")
+        log.write_text(intact + '{"seconds": "slow"}\n',
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["profile", "queries", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{log}:2" in err
+        log.write_text(intact + '{"ts": 1.0, "backe', encoding="utf-8")
+        assert main(["profile", "queries", str(directory)]) == 0
+        assert "slow-query log: 1 entries" in capsys.readouterr().out
+
     def test_profile_queries_rejects_json_backend(self, tmp_path,
                                                   capsys):
         directory = saved_project(tmp_path, "proj")
