@@ -289,6 +289,8 @@ class _Lane:
     #: Claims whose tool type differs from the lane's previous claim.
     steals: int = 0
     last_tool_type: str | None = None
+    #: The lane holds a claim it has not yet marked done (run lock).
+    busy: bool = False
 
 
 @dataclass(eq=False)
@@ -360,9 +362,10 @@ class _Unit(Call):
     #: Tracer-clock start of an inline call's first attempt (tool spans
     #: begin there).
     started: float | None = None
-    #: Tool time of earlier units in the same worker round trip: a
-    #: batched unit waits this long after dispatch before its tool
-    #: starts, so it counts toward queue wait, not duration.
+    #: Time from its round trip's send until the worker started the
+    #: call: the wait in the worker's pipe, behind the trips sent
+    #: before it and behind its trip-mates.  It counts toward queue
+    #: wait, not duration.
     batch_offset: float = 0.0
     #: Coordinator-observed (send, receive) interval of the round trip
     #: that produced ``outcome``, on the tracer clock — the clamp
@@ -682,11 +685,14 @@ class FlowExecutor:
         with self._lane_scope(run, lane):
             while True:
                 with run.lock:
-                    while not (run.ready or run.errors or run.finished):
+                    while not (run.errors or run.finished
+                               or (run.ready
+                                   and self._may_claim(run, lane))):
                         run.lock.wait()
                     if run.errors or run.finished:
                         return
                     groups = self._claim(run, lane)
+                    lane.busy = True
                 claimed = [index for group in groups for index in group]
                 lane.claimed += len(claimed)
                 try:
@@ -694,6 +700,7 @@ class FlowExecutor:
                 except BaseException as error:
                     aborted = self._fail(run, lane, None, error)
                 with run.lock:
+                    lane.busy = False
                     run.done.update(claimed)
                     now = time.perf_counter()
                     for index in claimed:
@@ -728,6 +735,12 @@ class FlowExecutor:
     def _lane_attributes(self, lane: _Lane) -> dict[str, Any]:
         """Extra ``lane:`` span attributes (procpool's worker facts)."""
         return {}
+
+    def _may_claim(self, run: _Run, lane: _Lane) -> bool:
+        """Whether the lane may claim from the (non-empty) ready queue
+        now (under the run lock); a lane that may not waits for the
+        next release.  Every lane may, by default."""
+        return True
 
     def _claim(self, run: _Run, lane: _Lane) -> list[list[int]]:
         """Take work off the ready queue (under the run lock).
@@ -1097,8 +1110,8 @@ class FlowExecutor:
         graph = run.graph
         invocation = prep.node.invocation
         label = ",".join(invocation.outputs)
-        # The invocation waited in the ready queue AND (when batched)
-        # behind its round-trip-mates inside the worker.
+        # The invocation waited in the ready queue AND, on procpool,
+        # in its worker's pipe before its first call started.
         if prep.units:
             prep.queue_wait += min(u.batch_offset for u in prep.units)
         result = cached = None

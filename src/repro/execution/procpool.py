@@ -17,6 +17,9 @@ dispatches the scheduler's ready set to a pool of real
   round-trip (up to :data:`BATCH_MAX`), and every lane **steals** from
   the one global ready deque, so an idle worker drains whatever is
   runnable;
+* each worker holds up to :data:`TRIPS_PER_WORKER` round trips, one
+  per lane: while it runs one, the next waits in its pipe, so it does
+  not idle while a lane records the last reply and prepares a trip;
 * the resilience layer survives the thread→process move: calls go
   through the policy's one retry loop like on every preset, and an
   attempt is one round trip.  A watchdog timeout *kills and respawns
@@ -34,6 +37,7 @@ but a forked child inherits them for free.
 from __future__ import annotations
 
 import builtins
+import collections
 import itertools
 import multiprocessing
 import multiprocessing.connection
@@ -64,6 +68,12 @@ from .scheduler import DurationModel
 #: per trip was measured to cost ``pool_busy`` throughput, so batching
 #: stays (DESIGN §12).
 BATCH_MAX = 4
+
+#: Round trips one worker holds at once, each sent by its own
+#: coordinator lane: the worker starts the next as soon as it replies
+#: to one, instead of waiting while its lane records that reply and
+#: prepares the next trip (DESIGN §12).
+TRIPS_PER_WORKER = 2
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +119,10 @@ class EnvelopeOutcome:
     #: pickling and queueing, so durations stay comparable with the
     #: in-process executors.
     duration: float = 0.0
+    #: The worker's ``perf_counter`` when it began the call, which a
+    #: forked worker shares with the coordinator: the time since the
+    #: trip's send is the call's wait in the pipe.
+    started: float = 0.0
     #: The process that ran the call: after a respawn it is no longer
     #: the handle's current one.
     pid: int = 0
@@ -187,12 +201,13 @@ def _run_envelope(registry: EncapsulationRegistry,
     if failure is not None:
         return EnvelopeOutcome(
             envelope_id=envelope.envelope_id, ok=False,
-            duration=duration, pid=os.getpid(),
+            duration=duration, started=started, pid=os.getpid(),
             error_class=type(failure).__name__,
             error_message=str(failure), phases=telemetry.phases())
     return EnvelopeOutcome(
         envelope_id=envelope.envelope_id, ok=True, value=value,
-        duration=duration, pid=os.getpid(), phases=telemetry.phases())
+        duration=duration, started=started, pid=os.getpid(),
+        phases=telemetry.phases())
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
@@ -241,7 +256,8 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 conn.send(([
                     EnvelopeOutcome(
                         envelope_id=reply.envelope_id, ok=False,
-                        duration=reply.duration, pid=os.getpid(),
+                        duration=reply.duration, started=reply.started,
+                        pid=os.getpid(),
                         error_class="ExecutionError",
                         error_message=(
                             "tool result could not cross the process "
@@ -254,12 +270,17 @@ def _worker_main(conn: multiprocessing.connection.Connection,
 
 
 class _WorkerHandle:
-    """One worker process plus its pipe, owned by one coordinator lane.
+    """One worker process plus its pipe, shared by its lanes.
 
     Dedicated ``Process`` + ``Pipe`` pairs (rather than a shared
     ``concurrent.futures`` pool) exist precisely so one hung worker can
     be killed and respawned without disturbing the others — the
     process-level analogue of abandoning a watchdogged thread.
+
+    Each of its :data:`TRIPS_PER_WORKER` lanes has at most one round
+    trip in flight.  The worker answers trips in the order they were
+    sent, so the handle keeps them in that order and only the oldest,
+    the head, reads the pipe.
     """
 
     def __init__(self, name: str, registry: EncapsulationRegistry,
@@ -285,6 +306,14 @@ class _WorkerHandle:
         #: profiles of every process a watchdog killed before it.
         self.profile: dict[str, Any] = {}
         self.profile_base: dict[str, Any] = {}
+        #: The trips sent and not yet answered, oldest first.  Sends,
+        #: the pipe's replacement and appends hold ``_sending``; the
+        #: head's turn and pops hold ``_turn``, so a lane blocked on a
+        #: full pipe never keeps the head from reading.
+        self._trips: collections.deque[list[InvocationEnvelope]] = \
+            collections.deque()
+        self._sending = threading.Lock()
+        self._turn = threading.Condition()
 
     def start(self) -> None:
         parent, child = self.context.Pipe()
@@ -301,49 +330,73 @@ class _WorkerHandle:
         return merge_profiles(self.profile_base, self.profile)
 
     def respawn(self) -> None:
-        """Kill the current process (if any) and fork a fresh one."""
+        """Kill the current process and fork a fresh one (head only).
+
+        The worker runs trips in order and the head got no reply, so
+        the trips queued behind it never started: they go to the new
+        process, each still waiting for its turn.
+        """
         self.profile_base, self.profile = self.cumulative_profile(), {}
-        if self.process is not None and self.process.is_alive():
+        if self.process.is_alive():
+            # a lane blocked sending to it fails now, freeing the pipe
             self.process.kill()
-            self.process.join()
-        if self.conn is not None:
+        self.process.join()
+        with self._sending:
             self.conn.close()
-        self.restarts += 1
-        self.start()
+            self.restarts += 1
+            self.start()
+            for trip in list(self._trips)[1:]:
+                self._send(trip)
+
+    def _send(self, trip: list[InvocationEnvelope]) -> None:
+        """Write one trip (under ``_sending``).  A worker found gone is
+        left to the head's receive, which respawns it and re-sends."""
+        try:
+            self.conn.send(trip)
+        except (BrokenPipeError, OSError):
+            pass
 
     def call(self, batch: list[InvocationEnvelope],
              timeout: float | None) -> list[EnvelopeOutcome]:
-        """One round trip; on trouble the worker is replaced first.
+        """One round trip, answered after the trips sent before it."""
+        with self._sending:
+            self._send(batch)
+            with self._turn:
+                self._trips.append(batch)
+        with self._turn:
+            while self._trips[0] is not batch:
+                self._turn.wait()
+        try:
+            return self._receive(timeout)
+        finally:
+            with self._turn:
+                self._trips.popleft()
+                self._turn.notify_all()
 
-        * broken pipe on send -> the worker died between rounds:
-          respawn, raise transient;
+    def _receive(self, timeout: float | None) -> list[EnvelopeOutcome]:
+        """The head's reply, counted; on trouble the worker is replaced
+        first.  ``timeout`` starts now, at the trip's turn.
+
         * no reply within ``timeout`` -> the worker is wedged (a real
           hang, not a slow scheduler): **kill it**, respawn, raise
           :class:`~repro.errors.InvocationTimeoutError` (transient, so
           the retry budget applies);
-        * EOF on receive -> the worker crashed mid-call: respawn,
-          raise transient.
+        * EOF on receive -> the worker crashed mid-call, or was gone
+          before the trip reached it: respawn, raise transient.
         """
-        try:
-            self.conn.send(batch)
-        except (BrokenPipeError, OSError):
+        if timeout is not None and timeout > 0 \
+                and not self.conn.poll(timeout):
             self.respawn()
-            raise TransientToolError(
-                f"worker {self.name} was gone before dispatch; "
-                "respawned")
-        if timeout is not None and timeout > 0:
-            if not self.conn.poll(timeout):
-                self.respawn()
-                raise InvocationTimeoutError(
-                    f"worker {self.name} exceeded its {timeout:g}s "
-                    "watchdog budget; process killed and respawned")
+            raise InvocationTimeoutError(
+                f"worker {self.name} exceeded its {timeout:g}s "
+                "watchdog budget; process killed and respawned")
         try:
             replies, rss_kb, profile = self.conn.recv()
         except (EOFError, OSError):
             self.respawn()
             raise TransientToolError(
-                f"worker {self.name} died mid-invocation "
-                "(exit code suggests a crash); respawned")
+                f"worker {self.name} died before replying; "
+                "respawned")
         self.batches += 1
         self.invocations += len(replies)
         self.busy_time += sum(max(0.0, reply.duration)
@@ -378,11 +431,13 @@ class _WorkerHandle:
 class ProcessFlowExecutor(FlowExecutor):
     """Executes one flow on a pool of real worker processes.
 
-    One lane thread per worker process claims ready invocations off the
-    shared queue (work-stealing), batches same-tool-type claims onto
-    one round trip, and records all results into the (single-process)
-    history database.  Requires the ``fork`` start method — the tool
-    registry holds closures only a forked child can inherit.
+    :data:`TRIPS_PER_WORKER` lane threads per worker process claim
+    ready invocations off the shared queue (work-stealing), batch
+    same-tool-type claims onto one round trip, and record all results
+    into the (single-process) history database; a worker runs one
+    lane's trip while its other lane records and prepares.  Requires
+    the ``fork`` start method — the tool registry holds closures only a
+    forked child can inherit.
     """
 
     kind = PROCESS_EXECUTOR
@@ -416,16 +471,19 @@ class ProcessFlowExecutor(FlowExecutor):
         self._profile_lock = threading.Lock()
         self._context = multiprocessing.get_context("fork")
         self._envelope_ids = itertools.count(1)
+        # The current run's lanes, which the claim rule counts.
+        self._lanes: list[_Lane] = []
 
     @property
     def lanes(self) -> int:
+        """The pool is its workers, however many lanes each has."""
         return self.workers
 
     def _run_attributes(self, run: _Run) -> dict[str, Any]:
         return {"scheduler": "procpool", "workers": self.workers}
 
     # ------------------------------------------------------------------
-    # lanes: one worker process each
+    # lanes: TRIPS_PER_WORKER per worker process
     # ------------------------------------------------------------------
     def _run_lanes(self, run: _Run) -> None:
         self._profile_caps = {}
@@ -443,7 +501,9 @@ class ProcessFlowExecutor(FlowExecutor):
                    for i in range(self.workers)]
         for handle in handles:
             handle.start()
-        lanes = [_Lane(handle.name, handle) for handle in handles]
+        lanes = self._lanes = [_Lane(handle.name, handle)
+                               for handle in handles
+                               for _ in range(TRIPS_PER_WORKER)]
         try:
             _run_threads([lambda lane=lane: self._lane_main(run, lane)
                           for lane in lanes])
@@ -454,7 +514,7 @@ class ProcessFlowExecutor(FlowExecutor):
             for handle in handles:
                 handle.stop()
         wall = time.perf_counter() - run.began
-        run.workers = self._collect_worker_stats(lanes, wall)
+        run.workers = self._collect_worker_stats(handles, lanes, wall)
         if self.profiler is not None:
             # Fold every worker's cumulative aggregate (respawn bases
             # included), then clamp busy time to the fitted tool-phase
@@ -474,21 +534,23 @@ class ProcessFlowExecutor(FlowExecutor):
         return {"restarts": lane.host.restarts, "steals": lane.steals,
                 "cache_hits": lane.cache_hits}
 
-    def _collect_worker_stats(self, lanes: list[_Lane], wall: float
+    def _collect_worker_stats(self, handles: list[_WorkerHandle],
+                              lanes: list[_Lane], wall: float
                               ) -> dict[str, WorkerRunStats]:
-        """The handle's reply counters + the lane counters per worker."""
+        """Per worker: its handle's reply counters, and the lane
+        counters summed over its lanes."""
         stats: dict[str, WorkerRunStats] = {}
-        for lane in lanes:
-            host = lane.host
-            stats[lane.name] = WorkerRunStats(
-                batches=host.batches,
-                invocations=host.invocations,
-                steals=lane.steals,
-                respawns=host.restarts,
-                cache_hits=lane.cache_hits,
-                busy_time=round(host.busy_time, 6),
-                idle_time=round(max(0.0, wall - host.busy_time), 6),
-                rss_kb=host.rss_kb)
+        for handle in handles:
+            mine = [lane for lane in lanes if lane.host is handle]
+            stats[handle.name] = WorkerRunStats(
+                batches=handle.batches,
+                invocations=handle.invocations,
+                steals=sum(lane.steals for lane in mine),
+                respawns=handle.restarts,
+                cache_hits=sum(lane.cache_hits for lane in mine),
+                busy_time=round(handle.busy_time, 6),
+                idle_time=round(max(0.0, wall - handle.busy_time), 6),
+                rss_kb=handle.rss_kb)
         return stats
 
     def _emit_worker_stats(self, graph, workers: dict[str, WorkerRunStats],
@@ -515,6 +577,19 @@ class ProcessFlowExecutor(FlowExecutor):
     # ------------------------------------------------------------------
     # claim: same-tool-type batches under a fair-share cap
     # ------------------------------------------------------------------
+    def _busy_workers(self) -> set[_WorkerHandle]:
+        """The workers with a claim in flight (under the run lock)."""
+        return {lane.host for lane in self._lanes if lane.busy}
+
+    def _may_claim(self, run: _Run, lane: _Lane) -> bool:
+        """A lane whose worker already has a claim in flight queues
+        another behind it only when the ready set leaves one invocation
+        for every worker that has none; else an idle worker would wait
+        while this one ran that work later (DESIGN §12)."""
+        busy = self._busy_workers()
+        return lane.host not in busy \
+            or len(run.ready) > self.workers - len(busy)
+
     def _claim(self, run: _Run, lane: _Lane) -> list[list[int]]:
         ready, nodes = run.ready, run.nodes
         claimed = [ready.pop(0)]
@@ -528,10 +603,14 @@ class ProcessFlowExecutor(FlowExecutor):
         # Batch greed is capped at this lane's fair share of the ready
         # set: amortize round trips only when there is more ready work
         # than workers — otherwise batching would serialize exactly the
-        # parallelism it exists to exploit.  A watchdog budget is per
+        # parallelism it exists to exploit.  A trip queued behind its
+        # worker's running one takes one invocation: that covers the
+        # worker's wait for the other lane, and more would be work an
+        # idle worker can no longer steal.  A watchdog budget is per
         # call, so budgeted invocations are never batched.
         share = -(-(len(ready) + 1) // self.workers)
-        limit = min(BATCH_MAX, max(1, share))
+        limit = 1 if lane.host in self._busy_workers() \
+            else min(BATCH_MAX, max(1, share))
         if watchdog_budget(self.resilience,
                            tool_type or COMPOSE_TOOL) is None:
             position = 0
@@ -564,7 +643,7 @@ class ProcessFlowExecutor(FlowExecutor):
             fingerprint=_fingerprint(unit.fn, unit.ctx),
             inputs=tuple(sorted(unit.inputs.items())),
             fault=self._fault(unit)) for unit in trip]
-        sent_at = self.tracer.clock()
+        sent_at, sent = self.tracer.clock(), time.perf_counter()
         try:
             outcomes = handle.call(envelopes, watchdog_budget(
                 self.resilience, trip[0].tool_type))
@@ -572,21 +651,18 @@ class ProcessFlowExecutor(FlowExecutor):
             return [error] * len(trip)
         received_at = self.tracer.clock()
         by_id = {outcome.envelope_id: outcome for outcome in outcomes}
-        # A worker runs its batch serially: unit K's tool only starts
-        # after units 0..K-1 finished, so their summed tool time is
-        # queue wait from unit K's point of view.
-        elapsed = 0.0
         errors: list[BaseException | None] = []
         for unit, envelope in zip(trip, envelopes):
             unit.window = (sent_at, received_at)
-            unit.batch_offset = elapsed
             outcome = by_id.get(envelope.envelope_id)
             if outcome is None:
                 errors.append(TransientToolError(
                     f"worker {handle.name} returned no outcome for "
                     f"envelope {envelope.envelope_id}"))
                 continue
-            elapsed += outcome.duration
+            # the worker's clock is this one: from the send to the
+            # call's start it waited behind earlier trips and mates
+            unit.batch_offset = outcome.started - sent
             if outcome.ok:
                 unit.outcome, unit.value = outcome, outcome.value
                 unit.duration = outcome.duration

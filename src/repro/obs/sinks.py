@@ -290,24 +290,6 @@ class JSONLReader:
                 held.close()
 
 
-def iter_jsonl_objects(path: str | pathlib.Path, *,
-                       strict: bool = True
-                       ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield ``(lineno, object)`` pairs from a JSON-lines file (see
-    :meth:`JSONLReader.read` for ``strict``)."""
-    return JSONLReader(path).read(strict=strict)
-
-
-def follow_jsonl_objects(path: str | pathlib.Path, *,
-                         poll_interval: float = 0.5,
-                         sleep: Callable[[float], None] = time.sleep,
-                         stop: Callable[[], bool] | None = None
-                         ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Tail a JSON-lines file (:meth:`JSONLReader.follow`)."""
-    return JSONLReader(path).follow(poll_interval=poll_interval,
-                                    sleep=sleep, stop=stop)
-
-
 def follow_events(path: str | pathlib.Path, *,
                   poll_interval: float = 0.5,
                   sleep: Callable[[float], None] = time.sleep,

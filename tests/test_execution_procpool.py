@@ -4,13 +4,16 @@ The procpool tier must be observably interchangeable with the
 in-process executors — same history digests, same resilience contract —
 while actually running tools in forked worker processes.  These tests
 pin that equivalence plus the process-specific behaviours: watchdog
-kills of hung workers, respawn after worker death, and the
-coordinator-clock queue-wait accounting.
+kills of hung workers, respawn after worker death, trips queued behind
+one another in a worker's pipe, and the coordinator-clock queue-wait
+accounting.
 """
 
 from __future__ import annotations
 
+import collections
 import os
+import sys
 import time
 
 import pytest
@@ -33,7 +36,8 @@ def fan_schema():
     return builder.build()
 
 
-def fan_env(sleep: float = 0.0, tool_fn=None) -> DesignEnvironment:
+def fan_env(sleep: float = 0.0, tool_fn=None,
+            branches: int = 4) -> DesignEnvironment:
     env = DesignEnvironment(fan_schema(), user="tester")
 
     def default_fn(ctx, inputs):
@@ -44,13 +48,14 @@ def fan_env(sleep: float = 0.0, tool_fn=None) -> DesignEnvironment:
     env.install_tool("Tool", encapsulation("fan-tool",
                                            tool_fn or default_fn),
                      name="t0")
-    for index in range(4):
+    for index in range(branches):
         env.install_data("Spec", {"n": index}, name=f"s{index}")
     return env
 
 
 def fan_flow(env: DesignEnvironment):
-    """Four independent Spec -> Tool -> Out branches in one flow."""
+    """Independent Spec -> Tool -> Out branches, one per Spec, in one
+    flow (four by default)."""
     tool = env.db.latest("Tool")
     specs = sorted((i for i in env.db.instances()
                     if i.entity_type == "Spec"),
@@ -70,6 +75,52 @@ def fan_flow(env: DesignEnvironment):
 def digest(env: DesignEnvironment):
     return sorted((inst.entity_type, inst.data_ref)
                   for inst in env.db.instances())
+
+
+def logged_tool(log, first=None):
+    """A fan tool that appends its input to ``log`` as it starts, and
+    hands the first call of all (found by a flag file) to ``first``."""
+    flag = log.with_suffix(".first")
+
+    def tool(ctx, inputs):
+        with log.open("a") as out:
+            out.write(f"{inputs['src']['n']}\n")
+        if first is not None and not flag.exists():
+            flag.write_text("x")
+            first()
+        return {"ok": inputs["src"]["n"]}
+
+    return tool
+
+
+def trips_answered(monkeypatch):
+    """Record each round trip's envelope ids and the ids its reply
+    answered with."""
+    trips = []
+    call = procpool._WorkerHandle.call
+
+    def spy(handle, batch, timeout):
+        outcomes = call(handle, batch, timeout)
+        trips.append(([envelope.envelope_id for envelope in batch],
+                      [outcome.envelope_id for outcome in outcomes]))
+        return outcomes
+
+    monkeypatch.setattr(procpool._WorkerHandle, "call", spy)
+    return trips
+
+
+def trips_held(monkeypatch, method):
+    """Record how many trips a worker handle held at each call of one
+    of its methods (``_send``: how many were already in flight)."""
+    held = []
+    original = getattr(procpool._WorkerHandle, method)
+
+    def spy(handle, *args):
+        held.append(len(handle._trips))
+        return original(handle, *args)
+
+    monkeypatch.setattr(procpool._WorkerHandle, method, spy)
+    return held
 
 
 class TestEquivalence:
@@ -175,16 +226,67 @@ class TestResilience:
         assert faults.fired == (("Tool", 1, "hang"),)
         assert report.timeouts == 0
 
-    def test_late_worker_start_keeps_replies_in_step(self, monkeypatch):
-        """A worker that reaches its loop late still answers each round
-        trip with that round's replies.  A zero ``SYNC_TIMEOUT`` (the
-        wait of a spawn-time clock handshake, where one exists) forces
-        the case of a fork that needs longer than expected under
-        load."""
-        monkeypatch.setattr(procpool, "SYNC_TIMEOUT", 0.0, raising=False)
-        env = fan_env()
+    def test_late_worker_start_keeps_replies_in_step(self, tmp_path,
+                                                     monkeypatch):
+        """A worker that reaches its loop late finds several trips
+        already waiting in its pipe, the state queued trips leave it in
+        on every run.  It still answers each trip with that trip's
+        outcomes, and runs each tool once."""
+        worker_main = procpool._worker_main
+
+        def late(*args):
+            time.sleep(0.2)
+            worker_main(*args)
+
+        monkeypatch.setattr(procpool, "_worker_main", late)
+        trips = trips_answered(monkeypatch)
+        held = trips_held(monkeypatch, "_send")
+        log = tmp_path / "calls"
+        env = fan_env(tool_fn=logged_tool(log))
         report = env.process_executor(workers=2).execute(fan_flow(env))
         assert len(report.results) == 4
+        assert max(held) == procpool.TRIPS_PER_WORKER - 1
+        assert all(sent == answered for sent, answered in trips)
+        assert sorted(log.read_text().split()) == ["0", "1", "2", "3"]
+
+    @pytest.mark.parametrize("loss", ["hang", "exit"])
+    def test_trip_queued_behind_a_lost_head_runs_once(self, tmp_path,
+                                                      monkeypatch, loss):
+        """On one worker, the head trip hangs past its watchdog budget,
+        or its process exits, while the other lane's trip waits behind
+        it.  That trip never started, so it is re-sent to the respawned
+        worker, not failed: every tool runs once, the lost one once
+        more on retry, and the run records the retries and timeouts of
+        a run with one lane per worker."""
+
+        def lose():
+            time.sleep(0.2)  # the other lane's trip queues meanwhile
+            if loss == "hang":
+                time.sleep(30.0)
+            os._exit(17)
+
+        held = trips_held(monkeypatch, "respawn")
+
+        def run(lanes):
+            monkeypatch.setattr(procpool, "TRIPS_PER_WORKER", lanes)
+            held.clear()
+            log = tmp_path / f"calls-{lanes}"
+            env = fan_env(tool_fn=logged_tool(log, lose))
+            policy = ResiliencePolicy(retries=2, timeout=1.0,
+                                      backoff_base=0.0, jitter=0.0)
+            report = env.process_executor(
+                workers=1, resilience=policy).execute(fan_flow(env))
+            assert len(report.results) == 4
+            runs = collections.Counter(log.read_text().split())
+            return list(held), sorted(runs.values()), \
+                (report.retries, report.timeouts)
+
+        one_lane = run(1)
+        two_lanes = run(2)
+        assert one_lane[0] == [1] and two_lanes[0] == [2]
+        assert one_lane[1] == two_lanes[1] == [1, 1, 1, 2]
+        assert one_lane[2] == two_lanes[2] \
+            == ((1, 1) if loss == "hang" else (1, 0))
 
     def test_worker_counters_survive_a_respawn(self, tmp_path):
         """The killed process's counters are banked, not lost: one
@@ -370,6 +472,21 @@ class TestQueueWait:
         report = env.process_executor(workers=1).execute(fan_flow(env))
         self._assert_wait_profile(report)
 
+    def test_procpool_trip_waits_in_the_pipe(self, monkeypatch):
+        """On one worker with two single-call trips in flight, the
+        second starts only after the first: its queue wait, measured by
+        the worker's start time, is at least the first one's tool
+        time."""
+        held = trips_held(monkeypatch, "_send")
+        env = fan_env(sleep=SLEEP, branches=2)
+        policy = ResiliencePolicy(timeout=10.0)  # one call per trip
+        report = env.process_executor(
+            workers=1, resilience=policy).execute(fan_flow(env))
+        assert held == [0, 1]
+        first, second = sorted(report.results,
+                               key=lambda result: result.queue_wait)
+        assert second.queue_wait >= first.duration
+
     def test_scheduled_single_machine_accumulates_wait(self):
         env = fan_env(sleep=SLEEP)
         report = env.scheduled_executor(machines=1).execute(
@@ -384,6 +501,58 @@ class TestQueueWait:
         wide = wide_env.process_executor(workers=4).execute(
             fan_flow(wide_env))
         assert wide.queue_wait_time < serial.queue_wait_time
+
+
+def test_a_trip_queued_behind_a_busy_worker_takes_one_invocation(
+        monkeypatch):
+    """A lane claims a batch for an idle worker, but one invocation to
+    queue behind its worker's running trip: more would be work an idle
+    worker could no longer steal."""
+    claims = []
+    claim = procpool.ProcessFlowExecutor._claim
+
+    def spy(executor, run, lane):
+        busy = lane.host in executor._busy_workers()
+        groups = claim(executor, run, lane)
+        claims.append((busy, len(groups[0])))
+        return groups
+
+    monkeypatch.setattr(procpool.ProcessFlowExecutor, "_claim", spy)
+    env = fan_env(sleep=SLEEP, branches=8)
+    report = env.process_executor(workers=1).execute(fan_flow(env))
+    assert len(report.results) == 8
+    assert claims[0] == (False, procpool.BATCH_MAX)
+    assert (True, 1) in claims
+    assert all(size == 1 for busy, size in claims if busy)
+
+
+def test_shared_handles_hold_under_thread_churn(tmp_path, monkeypatch):
+    """Each worker's lanes share its handle's trip queue and reply
+    counters.  With more workers than cores and a short switch
+    interval, every trip is still answered with its own outcomes, each
+    tool runs once, and the counters add up to the runs."""
+    trips = trips_answered(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for attempt in range(3):
+            trips.clear()
+            log = tmp_path / f"calls-{attempt}"
+            env = fan_env(tool_fn=logged_tool(log), branches=8)
+            env.ledger = RunLedger(tmp_path / f"ledger-{attempt}.jsonl")
+            report = env.process_executor(workers=3).execute(
+                fan_flow(env))
+            assert report.runs == 8
+            assert all(sent == answered for sent, answered in trips)
+            assert sorted(log.read_text().split()) \
+                == [str(n) for n in range(8)]
+            workers = RunLedger(tmp_path / f"ledger-{attempt}.jsonl") \
+                .records()[-1].workers.values()
+            assert sum(worker.invocations for worker in workers) == 8
+            assert sum(worker.batches for worker in workers) \
+                == len(trips)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_every_worker_is_told_to_stop_before_any_is_joined(monkeypatch):

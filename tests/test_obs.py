@@ -20,10 +20,10 @@ from repro.obs import (CACHE_HIT, CACHE_MISS, COMPOSITION_RUN,
                        TOOL_INVOKED, Event, EventBus, JSONLSink,
                        MetricsRegistry, NullSink, QueryRecorder,
                        RingBufferSink, RunLedger, RunRecord, append_profile,
-                       escape_label_value, iter_jsonl_objects,
-                       read_events, replay_into, sanitize_metric_name,
-                       timer_stats_of)
+                       escape_label_value, read_events, replay_into,
+                       sanitize_metric_name, timer_stats_of)
 from repro.obs.metrics import _percentile
+from repro.obs.sinks import JSONLReader
 from repro.schema import standard as S
 from tests.conftest import build_performance_flow
 
@@ -324,7 +324,7 @@ class TestConcurrentAppends:
             writer.join(timeout=60.0)
             assert writer.exitcode == 0
         flows = collections.Counter(
-            spec["flow"] for _, spec in iter_jsonl_objects(log))
+            spec["flow"] for _, spec in JSONLReader(log).read())
         assert flows == {"a": RECORDS_PER_WRITER,
                          "b": RECORDS_PER_WRITER}
 
@@ -370,7 +370,7 @@ class TestTornTail:
         append(log, "second")
         append(log, "third")
         assert [spec[field] for _, spec
-                in iter_jsonl_objects(log, strict=False)] == [
+                in JSONLReader(log).read(strict=False)] == [
             "first", "second", "third"]
 
     def test_a_pipe_has_no_tail_to_cut(self, tmp_path):

@@ -32,8 +32,8 @@ from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.obs import (FLOW_STARTED, Event, JSONLSink, RunLedger,
                        RunRecord, append_profile, find_profile,
-                       follow_jsonl_objects, iter_jsonl_objects,
                        read_events)
+from repro.obs.sinks import JSONLReader
 from repro.persistence import LEDGER_FILE, PROFILE_FILE, TRACE_FILE
 from tests import obs_reader_reference as reference
 
@@ -84,7 +84,7 @@ def test_full_read_matches_reference(log, strict):
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "log.jsonl"
         path.write_text(log, encoding="utf-8")
-        assert _outcome(iter_jsonl_objects(path, strict=strict)) == \
+        assert _outcome(JSONLReader(path).read(strict=strict)) == \
             _outcome(reference.iter_jsonl_objects(path, strict=strict))
 
 
@@ -159,7 +159,9 @@ def test_follow_matches_reference(scenario):
     initial, steps = scenario
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "log.jsonl"
-        assert _follow(follow_jsonl_objects, path, initial, steps) == \
+        assert _follow(lambda path, **settings:
+                       JSONLReader(path).follow(**settings),
+                       path, initial, steps) == \
             _follow_afresh_after_deletions(path, initial, steps)
 
 
@@ -179,9 +181,9 @@ def test_follow_restarts_on_a_replaced_log(replace, tmp_path):
         swapped.append(True)
 
     swapped: list[bool] = []
-    records = list(follow_jsonl_objects(path, poll_interval=0.0,
-                                        sleep=swap,
-                                        stop=lambda: bool(swapped)))
+    records = list(JSONLReader(path).follow(poll_interval=0.0,
+                                            sleep=swap,
+                                            stop=lambda: bool(swapped)))
     assert records == [(1, {"old": 1}), (1, {"new": 1}), (2, {"new": 2})]
 
 
@@ -211,10 +213,9 @@ def test_follow_reads_the_file_whose_identity_it_checked(tmp_path,
         return same
 
     monkeypatch.setattr(os.path, "samestat", check_then_replace)
-    records = list(follow_jsonl_objects(path, poll_interval=0.0,
-                                        sleep=grow,
-                                        stop=lambda: (len(checks) == 2
-                                                      or len(polls) == 4)))
+    records = list(JSONLReader(path).follow(
+        poll_interval=0.0, sleep=grow,
+        stop=lambda: len(checks) == 2 or len(polls) == 4))
     assert records == [(1, {"old": 1}), (2, {"old": 2}),
                        (1, {"new": 10}), (2, {"new": 20})]
 

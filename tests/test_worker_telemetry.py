@@ -29,10 +29,10 @@ from repro.obs import (FAIL, OK, PHASE_SPAN, RUN_SPAN, TASK_SPAN,
                        MetricsRegistry, RingBufferSink, RunLedger,
                        RunRecord, Span, WorkerRunStats,
                        WorkerTelemetry, evaluate_health, fit_phases,
-                       follow_jsonl_objects, render_timeline,
-                       validate_spans, worker_imbalance,
+                       render_timeline, validate_spans, worker_imbalance,
                        worker_utilization)
 from repro.obs.health import check_worker_utilization
+from repro.obs.sinks import JSONLReader
 from repro.schema.builder import SchemaBuilder
 
 # ---------------------------------------------------------------------------
@@ -408,9 +408,8 @@ class TestFollow:
                     handle.write('{"a": 2}\n')
 
         seen = []
-        for lineno, spec in follow_jsonl_objects(
-                log, sleep=fake_sleep,
-                stop=lambda: polls["count"] >= 2):
+        for lineno, spec in JSONLReader(log).follow(
+                sleep=fake_sleep, stop=lambda: polls["count"] >= 2):
             seen.append((lineno, spec))
         assert seen == [(1, {"a": 1}), (2, {"a": 2})]
 
@@ -424,23 +423,23 @@ class TestFollow:
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(': 1}\n')
 
-        seen = list(follow_jsonl_objects(
-            log, sleep=fake_sleep, stop=lambda: polls["count"] >= 1))
+        seen = list(JSONLReader(log).follow(
+            sleep=fake_sleep, stop=lambda: polls["count"] >= 1))
         assert seen == [(1, {"a": 1})]
 
     def test_terminated_corrupt_line_raises(self, tmp_path):
         log = tmp_path / "events.jsonl"
         log.write_text('not json\n', encoding="utf-8")
         with pytest.raises(ObservabilityError, match="corrupt"):
-            list(follow_jsonl_objects(log, sleep=lambda _: None,
-                                      stop=lambda: True))
+            list(JSONLReader(log).follow(sleep=lambda _: None,
+                                         stop=lambda: True))
 
     def test_non_object_line_raises(self, tmp_path):
         log = tmp_path / "events.jsonl"
         log.write_text('[1, 2]\n', encoding="utf-8")
         with pytest.raises(ObservabilityError, match="JSON object"):
-            list(follow_jsonl_objects(log, sleep=lambda _: None,
-                                      stop=lambda: True))
+            list(JSONLReader(log).follow(sleep=lambda _: None,
+                                         stop=lambda: True))
 
     def test_waits_for_missing_file(self, tmp_path):
         log = tmp_path / "later.jsonl"
@@ -451,8 +450,8 @@ class TestFollow:
             if polls["count"] == 2:
                 log.write_text('{"a": 1}\n', encoding="utf-8")
 
-        seen = list(follow_jsonl_objects(
-            log, sleep=fake_sleep, stop=lambda: polls["count"] >= 3))
+        seen = list(JSONLReader(log).follow(
+            sleep=fake_sleep, stop=lambda: polls["count"] >= 3))
         assert seen == [(1, {"a": 1})]
 
     def test_truncation_restarts_from_top(self, tmp_path):
@@ -465,8 +464,8 @@ class TestFollow:
             if polls["count"] == 1:
                 log.write_text('{"b": 1}\n', encoding="utf-8")
 
-        seen = list(follow_jsonl_objects(
-            log, sleep=fake_sleep, stop=lambda: polls["count"] >= 2))
+        seen = list(JSONLReader(log).follow(
+            sleep=fake_sleep, stop=lambda: polls["count"] >= 2))
         assert seen == [(1, {"a": 1}), (2, {"a": 2}), (1, {"b": 1})]
 
     def test_events_cli_follow(self, tmp_path, capsys):
