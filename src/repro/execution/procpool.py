@@ -19,7 +19,11 @@ dispatches the scheduler's ready set to a pool of real
   runnable;
 * each worker holds up to :data:`TRIPS_PER_WORKER` round trips, one
   per lane: while it runs one, the next waits in its pipe, so it does
-  not idle while a lane records the last reply and prepares a trip;
+  not idle while a lane records the last reply and prepares a trip.
+  Under a caller with the default policy, lanes run under
+  :data:`LANE_POLICY` (``SCHED_BATCH``): a reply wakes its lane
+  without preempting the worker that sent it, which goes straight on
+  to the trip waiting in its pipe;
 * the resilience layer survives the thread→process move: calls go
   through the policy's one retry loop like on every preset, and an
   attempt is one round trip.  A watchdog timeout *kills and respawns
@@ -74,6 +78,29 @@ BATCH_MAX = 4
 #: to one, instead of waiting while its lane records that reply and
 #: prepares the next trip (DESIGN §12).
 TRIPS_PER_WORKER = 2
+
+#: The scheduling policy of a lane whose caller runs the default one,
+#: where the OS has it: a lane woken by its worker's reply then waits
+#: for a free CPU instead of preempting that worker (DESIGN §12).
+LANE_POLICY = getattr(os, "SCHED_BATCH", None)
+
+
+def _scheduling() -> tuple[int, Any] | None:
+    """The calling thread's scheduling policy and parameters, or None
+    where the OS cannot say."""
+    try:
+        return os.sched_getscheduler(0), os.sched_getparam(0)
+    except (AttributeError, OSError):
+        return None
+
+
+def _schedule(policy: int, param: Any) -> None:
+    """Put the calling thread, and only it, under ``policy``; where the
+    OS has no such call or refuses it, the thread keeps its own."""
+    try:
+        os.sched_setscheduler(0, policy, param)
+    except (AttributeError, OSError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +240,17 @@ def _run_envelope(registry: EncapsulationRegistry,
 def _worker_main(conn: multiprocessing.connection.Connection,
                  registry: EncapsulationRegistry, collect_phases: bool,
                  profile_interval: float, profile_memory: bool,
-                 sleep: Callable[[float], None]) -> None:
+                 sleep: Callable[[float], None],
+                 scheduling: tuple[int, Any] | None) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
 
     The run's settings arrive once, at fork: ``collect_phases`` (the
     run is traced: ship phase samples home), ``profile_interval`` (0
-    runs no profiler), ``profile_memory`` (``tracemalloc`` peaks) and
-    ``sleep``, the fault plan's, which hang and slowdown faults use.
+    runs no profiler), ``profile_memory`` (``tracemalloc`` peaks),
+    ``sleep``, the fault plan's, which hang and slowdown faults use,
+    and ``scheduling``, the policy of the thread that called
+    ``execute()``, which the worker restores: a watchdog respawn is
+    forked from a lane thread, under :data:`LANE_POLICY`.
 
     ``None`` is the shutdown sentinel; a broken pipe means the
     coordinator is gone and the worker simply exits.  Every batch reply
@@ -228,6 +259,8 @@ def _worker_main(conn: multiprocessing.connection.Connection,
     plus what it cannot see, this process's rss high-water and, when
     the run is profiled, its cumulative profile (else None).
     """
+    if scheduling is not None:
+        _schedule(*scheduling)
     telemetry = WorkerTelemetry()
     # One profiler for the life of this process; every batch reply
     # carries the *cumulative* aggregate, so the coordinator keeps the
@@ -435,8 +468,11 @@ class ProcessFlowExecutor(FlowExecutor):
     ready invocations off the shared queue (work-stealing), batch
     same-tool-type claims onto one round trip, and record all results
     into the (single-process) history database; a worker runs one
-    lane's trip while its other lane records and prepares.  Requires
-    the ``fork`` start method — the tool registry holds closures only a
+    lane's trip while its other lane records and prepares.  A lane
+    runs under :data:`LANE_POLICY` when the caller runs the default
+    policy, so the reply that wakes it never preempts the worker; the
+    caller and the workers keep the caller's policy.  Requires the
+    ``fork`` start method — the tool registry holds closures only a
     forked child can inherit.
     """
 
@@ -492,7 +528,7 @@ class ProcessFlowExecutor(FlowExecutor):
                     profiler.interval if profiler is not None else 0.0,
                     profiler is not None and profiler.track_memory,
                     self.faults.sleep if self.faults is not None
-                    else time.sleep)
+                    else time.sleep, _scheduling())
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
         # lanes would snapshot their lock states into the child.
@@ -529,6 +565,16 @@ class ProcessFlowExecutor(FlowExecutor):
                      utilization=round(
                          worker_utilization(run.workers, wall), 4))
         self._emit_worker_stats(run.graph, run.workers, wall)
+
+    def _lane_main(self, run: _Run, lane: _Lane) -> None:
+        """A lane that inherited the default policy drains under
+        :data:`LANE_POLICY`.  Under any other policy a woken lane
+        already waits its turn behind a running worker, so it stays."""
+        current = _scheduling()
+        if LANE_POLICY is not None and current is not None \
+                and current[0] == os.SCHED_OTHER:
+            _schedule(LANE_POLICY, current[1])
+        super()._lane_main(run, lane)
 
     def _lane_attributes(self, lane: _Lane) -> dict[str, Any]:
         return {"restarts": lane.host.restarts, "steals": lane.steals,

@@ -20,7 +20,8 @@ import pytest
 
 from repro.errors import ExecutionError, ToolError
 from repro.execution import (DesignEnvironment, FaultPlan, FaultSpec,
-                             ResiliencePolicy, encapsulation, procpool)
+                             FlowExecutor, ResiliencePolicy, encapsulation,
+                             procpool)
 from repro.obs import RunLedger
 from repro.schema.builder import SchemaBuilder
 
@@ -553,6 +554,104 @@ def test_shared_handles_hold_under_thread_churn(tmp_path, monkeypatch):
                 == len(trips)
     finally:
         sys.setswitchinterval(interval)
+
+
+def batch_refused() -> bool:
+    """Whether this thread runs another policy than the default, or the
+    OS has no ``SCHED_BATCH`` or refuses it.  The probe runs on this
+    thread and is undone: a probe thread still exiting would make the
+    next fork one from a multi-threaded process."""
+    if not hasattr(os, "SCHED_BATCH") \
+            or os.sched_getscheduler(0) != os.SCHED_OTHER:
+        return True
+    param = os.sched_getparam(0)
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, param)
+    except OSError:
+        return True
+    os.sched_setscheduler(0, os.SCHED_OTHER, param)
+    return False
+
+
+@pytest.mark.skipif(batch_refused(),
+                    reason="no SCHED_BATCH for a default-policy thread")
+class TestLanePolicy:
+    """Procpool lanes run under ``SCHED_BATCH``, so a reply wakes its
+    lane without preempting the worker that sent it; the caller, the
+    workers and the lanes of the in-process presets keep the caller's
+    policy."""
+
+    @staticmethod
+    def lane_policies(monkeypatch, preset):
+        policies = []
+        drain = preset._drain
+
+        def spy(executor, run, lane):
+            policies.append(os.sched_getscheduler(0))
+            return drain(executor, run, lane)
+
+        monkeypatch.setattr(preset, "_drain", spy)
+        return policies
+
+    def test_every_lane_runs_batch(self, monkeypatch):
+        policies = self.lane_policies(monkeypatch,
+                                      procpool.ProcessFlowExecutor)
+        env = fan_env()
+        report = env.process_executor(workers=2).execute(fan_flow(env))
+        assert report.runs == 4
+        assert policies \
+            == [os.SCHED_BATCH] * (2 * procpool.TRIPS_PER_WORKER)
+
+    def test_the_caller_keeps_its_policy(self):
+        before = os.sched_getscheduler(0), os.sched_getparam(0)
+        env = fan_env()
+        env.process_executor(workers=2).execute(fan_flow(env))
+        assert (os.sched_getscheduler(0), os.sched_getparam(0)) == before
+
+    @pytest.mark.parametrize("preset", ["parallel", "scheduled"])
+    def test_in_process_lanes_keep_the_callers_policy(self, monkeypatch,
+                                                      preset):
+        policies = self.lane_policies(monkeypatch, FlowExecutor)
+        env = fan_env()
+        build = getattr(env, f"{preset}_executor")
+        report = build(machines=2).execute(fan_flow(env))
+        assert report.runs == 4
+        assert policies == [os.sched_getscheduler(0)] * 2
+
+    def test_workers_keep_the_callers_policy_across_a_respawn(
+            self, tmp_path, monkeypatch):
+        """Every call reports the caller's policy, those of the worker
+        a watchdog respawn forked from a lane thread included."""
+        log = tmp_path / "policies"
+
+        def tool(ctx, inputs):
+            time.sleep(0.005)
+            with log.open("a") as out:
+                out.write(f"{os.getpid()} {os.sched_getscheduler(0)}\n")
+            return {"ok": inputs["src"]["n"]}
+
+        respawned = []
+        respawn = procpool._WorkerHandle.respawn
+
+        def spy(handle):
+            respawn(handle)
+            respawned.append(handle.process.pid)
+
+        monkeypatch.setattr(procpool._WorkerHandle, "respawn", spy)
+        env = fan_env(tool_fn=tool)
+        policy = ResiliencePolicy(retries=2, timeout=0.5,
+                                  backoff_base=0.0, jitter=0.0)
+        faults = FaultPlan([FaultSpec("Tool", 1, kind="hang",
+                                      delay=30.0)], seed=1)
+        report = env.process_executor(
+            workers=2, resilience=policy,
+            faults=faults).execute(fan_flow(env))
+        assert (len(report.results), report.timeouts) == (4, 1)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len(calls) == 4 and len(respawned) == 1
+        assert respawned[0] in {int(pid) for pid, _ in calls}
+        assert {int(policy) for _, policy in calls} \
+            == {os.sched_getscheduler(0)}
 
 
 def test_every_worker_is_told_to_stop_before_any_is_joined(monkeypatch):
