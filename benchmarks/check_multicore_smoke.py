@@ -16,9 +16,9 @@ Three parts, all mandatory:
 
 2. **Worker telemetry** — the traced procpool run must merge cleanly:
    the trace validates with no orphans, every tool span carries
-   worker-side phase children (verify/tool_body), one lane span
-   exists per worker, ``repro trace timeline`` renders the trace, the
-   ledger record carries per-worker stats, and — after a second
+   exactly one ``verify`` and one ``tool_body`` phase child, one lane
+   span exists per worker, ``repro trace timeline`` renders the trace,
+   the ledger record carries per-worker stats, and — after a second
    ``--force`` run builds a baseline — the ``worker-utilization``
    health check reports on the smoke ledger without failing.
 
@@ -146,12 +146,12 @@ def check_worker_telemetry(pooled: pathlib.Path,
             f"phase spans must parent on tool spans, orphaned: "
             f"{orphans}")
     for tool in tools:
-        names = {p.value("phase") for p in phases
-                 if p.parent_id == tool.span_id}
-        if "tool_body" not in names:
+        names = sorted(p.value("phase") for p in phases
+                       if p.parent_id == tool.span_id)
+        if names != ["tool_body", "verify"]:
             failures.append(
-                f"tool span {tool.name} has no worker-side "
-                f"tool_body phase (got {sorted(names)})")
+                f"tool span {tool.name} must have exactly one verify "
+                f"and one tool_body phase (got {names})")
     code = repro_main(["trace", "timeline", str(pooled)])
     if code != 0:
         failures.append(

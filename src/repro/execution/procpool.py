@@ -32,10 +32,13 @@ dispatches the scheduler's ready set to a pool of real
   quarantine/breaker state stays with the coordinator.
 
 Workers never touch the history database; recording, cache population
-and span emission happen coordinator-side, with worker-reported tool
-durations attached to the spans.  ``fork`` is required: the registry
-holds arbitrary closures that cannot be pickled to a spawned child,
-but a forked child inherits them for free.
+and span emission happen coordinator-side.  A reply carries only facts
+the coordinator adds up once: each outcome's start, end of verify and
+duration on the clock a forked worker shares with it (the tool span's
+phases), and the samples the worker's profiler took since its last
+reply.  ``fork`` is required: the registry holds arbitrary closures
+that cannot be pickled to a spawned child, but a forked child inherits
+them for free.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import multiprocessing.connection
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
@@ -56,8 +59,7 @@ from ..errors import (ExecutionError, InvocationTimeoutError, ToolError,
 from ..history.database import HistoryDatabase
 from ..obs import (COMPOSE_TOOL, PHASE_SPAN, PHASE_TOOL, PHASE_VERIFY,
                    PROCESS_EXECUTOR, WORKER_STATS, ClockSync,
-                   SamplingProfiler, Span, WorkerRunStats,
-                   WorkerTelemetry, fit_phases, merge_profiles,
+                   SamplingProfiler, Span, WorkerRunStats, fit_phases,
                    worker_utilization)
 from ..obs.workers import peak_rss_kb
 from .encapsulation import (EncapsulationRegistry, ToolContext,
@@ -150,16 +152,14 @@ class EnvelopeOutcome:
     #: forked worker shares with the coordinator: the time since the
     #: trip's send is the call's wait in the pipe.
     started: float = 0.0
+    #: Its ``perf_counter`` when the fingerprint check ended and the
+    #: tool body began: the boundary of the call's two phases.
+    verified: float = 0.0
     #: The process that ran the call: after a respawn it is no longer
     #: the handle's current one.
     pid: int = 0
     error_class: str = ""
     error_message: str = ""
-    #: Worker-side phase samples ``(name, start, end)`` on the worker's
-    #: ``perf_counter``, which a forked worker shares with the
-    #: coordinator — only populated when the run is traced; the
-    #: coordinator clamps and merges them as child spans.
-    phases: tuple[tuple[str, float, float], ...] = ()
 
 
 def _decode_error(outcome: EnvelopeOutcome, worker: str) -> BaseException:
@@ -198,54 +198,44 @@ def _fingerprint(fn: Any, ctx: ToolContext) -> str:
 # ---------------------------------------------------------------------------
 def _run_envelope(registry: EncapsulationRegistry,
                   envelope: InvocationEnvelope,
-                  telemetry: WorkerTelemetry, collect_phases: bool,
                   profiler: SamplingProfiler | None,
                   sleep: Callable[[float], None]) -> EnvelopeOutcome:
-    telemetry.begin_envelope(collect=collect_phases)
-    started = telemetry.clock()
+    started = verified = time.perf_counter()
     ctx = envelope.ctx
-    value: Any = None
-    failure: BaseException | None = None
     try:
-        with telemetry.phase(PHASE_VERIFY):
-            if ctx.tool_instance_id is None:
-                fn = registry.composition(ctx.tool_type)
-                code = f"composition for {ctx.tool_type!r}"
-            else:
-                fn = registry.resolve(ctx.tool_type, ctx.tool_instance_id)
-                code = f"encapsulation {fn.name!r}"
-            if _fingerprint(fn, ctx) != envelope.fingerprint:
-                raise ExecutionError(
-                    f"{code} changed between dispatch and execution "
-                    "(fingerprint mismatch)")
-        with telemetry.phase(PHASE_TOOL):
-            value = run_call(fn, ctx, dict(envelope.inputs),
-                             envelope.fault, sleep=sleep,
-                             profiler=profiler)
+        if ctx.tool_instance_id is None:
+            fn = registry.composition(ctx.tool_type)
+            code = f"composition for {ctx.tool_type!r}"
+        else:
+            fn = registry.resolve(ctx.tool_type, ctx.tool_instance_id)
+            code = f"encapsulation {fn.name!r}"
+        if _fingerprint(fn, ctx) != envelope.fingerprint:
+            raise ExecutionError(
+                f"{code} changed between dispatch and execution "
+                "(fingerprint mismatch)")
+        verified = time.perf_counter()
+        value = run_call(fn, ctx, dict(envelope.inputs), envelope.fault,
+                         sleep=sleep, profiler=profiler)
     except BaseException as error:  # transported, never fatal here
-        failure = error
-    duration = telemetry.clock() - started
-    if failure is not None:
         return EnvelopeOutcome(
             envelope_id=envelope.envelope_id, ok=False,
-            duration=duration, started=started, pid=os.getpid(),
-            error_class=type(failure).__name__,
-            error_message=str(failure), phases=telemetry.phases())
+            duration=time.perf_counter() - started, started=started,
+            verified=verified, pid=os.getpid(),
+            error_class=type(error).__name__, error_message=str(error))
     return EnvelopeOutcome(
         envelope_id=envelope.envelope_id, ok=True, value=value,
-        duration=duration, started=started, pid=os.getpid(),
-        phases=telemetry.phases())
+        duration=time.perf_counter() - started, started=started,
+        verified=verified, pid=os.getpid())
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
-                 registry: EncapsulationRegistry, collect_phases: bool,
+                 registry: EncapsulationRegistry,
                  profile_interval: float, profile_memory: bool,
                  sleep: Callable[[float], None],
                  scheduling: tuple[int, Any] | None) -> None:
     """Worker loop: receive envelope batches, send outcome batches.
 
-    The run's settings arrive once, at fork: ``collect_phases`` (the
-    run is traced: ship phase samples home), ``profile_interval`` (0
+    The run's settings arrive once, at fork: ``profile_interval`` (0
     runs no profiler), ``profile_memory`` (``tracemalloc`` peaks),
     ``sleep``, the fault plan's, which hang and slowdown faults use,
     and ``scheduling``, the policy of the thread that called
@@ -257,14 +247,11 @@ def _worker_main(conn: multiprocessing.connection.Connection,
     travels as ``(outcomes, rss_kb, profile)``: the outcomes, from
     which the coordinator counts batches, invocations and busy time,
     plus what it cannot see, this process's rss high-water and, when
-    the run is profiled, its cumulative profile (else None).
+    the run is profiled, the samples taken since the last reply (else
+    None), which the coordinator absorbs as they arrive.
     """
     if scheduling is not None:
         _schedule(*scheduling)
-    telemetry = WorkerTelemetry()
-    # One profiler for the life of this process; every batch reply
-    # carries the *cumulative* aggregate, so the coordinator keeps the
-    # latest and folds it when the process is replaced.
     profiler: SamplingProfiler | None = None
     if profile_interval > 0:
         profiler = SamplingProfiler(profile_interval,
@@ -278,24 +265,19 @@ def _worker_main(conn: multiprocessing.connection.Connection,
                 return
             if batch is None:
                 return
-            replies = [_run_envelope(registry, envelope, telemetry,
-                                     collect_phases, profiler, sleep)
+            replies = [_run_envelope(registry, envelope, profiler, sleep)
                        for envelope in batch]
-            facts = (peak_rss_kb(), profiler.payload()
+            facts = (peak_rss_kb(), profiler.take()
                      if profiler is not None else None)
             try:
                 conn.send((replies, *facts))
             except Exception as error:  # unpicklable tool result
                 conn.send(([
-                    EnvelopeOutcome(
-                        envelope_id=reply.envelope_id, ok=False,
-                        duration=reply.duration, started=reply.started,
-                        pid=os.getpid(),
-                        error_class="ExecutionError",
-                        error_message=(
-                            "tool result could not cross the process "
-                            f"boundary: {error}"),
-                        phases=reply.phases)
+                    replace(reply, ok=False, value=None,
+                            error_class="ExecutionError",
+                            error_message=(
+                                "tool result could not cross the "
+                                f"process boundary: {error}"))
                     for reply in replies], *facts))
     finally:
         if profiler is not None:
@@ -317,12 +299,15 @@ class _WorkerHandle:
     """
 
     def __init__(self, name: str, registry: EncapsulationRegistry,
-                 context, settings: tuple[Any, ...]) -> None:
+                 context, settings: tuple[Any, ...],
+                 profiler: SamplingProfiler | None) -> None:
         self.name = name
         self.registry = registry
         self.context = context
         #: The run's settings for :func:`_worker_main`, on every fork.
         self.settings = settings
+        #: The run's profiler, which absorbs each reply's samples.
+        self.profiler = profiler
         self.restarts = 0
         self.process: Any = None
         self.conn: Any = None
@@ -335,10 +320,6 @@ class _WorkerHandle:
         self.busy_time = 0.0
         #: The highest rss high-water any of its processes reported.
         self.rss_kb = 0
-        #: The live process's cumulative profile, and the fold of the
-        #: profiles of every process a watchdog killed before it.
-        self.profile: dict[str, Any] = {}
-        self.profile_base: dict[str, Any] = {}
         #: The trips sent and not yet answered, oldest first.  Sends,
         #: the pipe's replacement and appends hold ``_sending``; the
         #: head's turn and pops hold ``_turn``, so a lane blocked on a
@@ -358,10 +339,6 @@ class _WorkerHandle:
         child.close()
         self.conn = parent
 
-    def cumulative_profile(self) -> dict[str, Any]:
-        """The worker-side profile across every respawn ({} if none)."""
-        return merge_profiles(self.profile_base, self.profile)
-
     def respawn(self) -> None:
         """Kill the current process and fork a fresh one (head only).
 
@@ -369,7 +346,6 @@ class _WorkerHandle:
         the trips queued behind it never started: they go to the new
         process, each still waiting for its turn.
         """
-        self.profile_base, self.profile = self.cumulative_profile(), {}
         if self.process.is_alive():
             # a lane blocked sending to it fails now, freeing the pipe
             self.process.kill()
@@ -436,7 +412,7 @@ class _WorkerHandle:
                               for reply in replies)
         self.rss_kb = max(self.rss_kb, rss_kb)
         if profile is not None:
-            self.profile = profile
+            self.profiler.absorb(profile)
         return replies
 
     def request_stop(self) -> None:
@@ -500,9 +476,10 @@ class ProcessFlowExecutor(FlowExecutor):
             else DurationModel()
         # Coordinator-side aggregate: workers run their own in-process
         # samplers (a coordinator thread cannot see worker stacks) and
-        # ship cumulative payloads back on every batch reply; the
-        # coordinator absorbs them and clamps busy time to the fitted
-        # tool-phase durations before the ledger snapshot.
+        # every reply carries the samples taken since the last; the
+        # handles absorb them as they arrive, and busy time is clamped
+        # to the fitted tool-phase durations before the ledger
+        # snapshot.
         self._profile_caps: dict[str, float] = {}
         self._profile_lock = threading.Lock()
         self._context = multiprocessing.get_context("fork")
@@ -524,16 +501,17 @@ class ProcessFlowExecutor(FlowExecutor):
     def _run_lanes(self, run: _Run) -> None:
         self._profile_caps = {}
         profiler = self.profiler
-        settings = (self.tracer.enabled,
-                    profiler.interval if profiler is not None else 0.0,
+        settings = (profiler.interval if profiler is not None else 0.0,
                     profiler is not None and profiler.track_memory,
                     self.faults.sleep if self.faults is not None
                     else time.sleep, _scheduling())
         # Fork the whole pool BEFORE any lane thread exists: forking a
         # single-threaded coordinator is safe; forking one with live
-        # lanes would snapshot their lock states into the child.
+        # lanes would snapshot their lock states into the child.  The
+        # profiler's thread starts with the first bracketed body, and
+        # this coordinator brackets none.
         handles = [_WorkerHandle(f"worker{i}", self.registry,
-                                 self._context, settings)
+                                 self._context, settings, profiler)
                    for i in range(self.workers)]
         for handle in handles:
             handle.start()
@@ -551,16 +529,12 @@ class ProcessFlowExecutor(FlowExecutor):
                 handle.stop()
         wall = time.perf_counter() - run.began
         run.workers = self._collect_worker_stats(handles, lanes, wall)
-        if self.profiler is not None:
-            # Fold every worker's cumulative aggregate (respawn bases
-            # included), then clamp busy time to the fitted tool-phase
-            # durations so self time stays contained in the merged
-            # trace spans.  Runs before the ledger snapshot.
-            for handle in handles:
-                payload = handle.cumulative_profile()
-                if payload:
-                    self.profiler.absorb(payload)
-            self.profiler.clamp_to(self._profile_caps)
+        if profiler is not None:
+            # A retried call's failed attempts were profiled but ran
+            # outside every traced tool span: clamping busy time to the
+            # fitted tool-phase durations keeps self time inside those
+            # spans.  Runs before the ledger snapshot.
+            profiler.clamp_to(self._profile_caps)
         run.span.set(restarts=sum(h.restarts for h in handles),
                      utilization=round(
                          worker_utilization(run.workers, wall), 4))
@@ -733,41 +707,37 @@ class ProcessFlowExecutor(FlowExecutor):
 
     def _merge_phases(self, worker: str, unit: _Unit,
                       tool_span: Span) -> None:
-        """Graft worker-side phase samples under the tool span.
+        """Graft the call's two phases under the tool span.
 
-        A forked worker times its phases on ``perf_counter``, the
-        coordinator's own clock, so samples need no offset; clamping
-        them into the coordinator-observed dispatch window keeps every
-        phase inside its parent.  The tool span's start is pulled back
-        to the earliest phase so the children stay contained.
+        The outcome's ``started``, ``verified`` and end bound them.  A
+        forked worker reads ``perf_counter``, the coordinator's own
+        clock, so they need no offset; clamping them into the
+        coordinator-observed dispatch window keeps both inside their
+        parent.  The tool span's start is pulled back to the verify
+        phase's so the children stay contained.
         """
         outcome = unit.outcome
-        if outcome is None:
-            return
-        fitted = fit_phases(outcome.phases, ClockSync(), unit.window)
-        if not fitted:
-            return
+        ended = outcome.started + outcome.duration
+        verify, body = fit_phases(
+            ((PHASE_VERIFY, outcome.started, outcome.verified),
+             (PHASE_TOOL, outcome.verified, ended)),
+            ClockSync(), unit.window)
         if self.profiler is not None:
-            # Sum the fitted tool-body durations per tool type: these
-            # are, by construction, contained in the merged tool spans,
-            # so they are the containment cap for worker-sampled busy
-            # time (clamped once, after all lanes join).
-            tool_body = sum(end - start for name, start, end in fitted
-                            if name == PHASE_TOOL)
-            if tool_body > 0:
-                with self._profile_lock:
-                    self._profile_caps[unit.tool_type] = \
-                        self._profile_caps.get(
-                            unit.tool_type, 0.0) + tool_body
-        for name, start, end in fitted:
+            # The fitted tool-body phases are contained in the merged
+            # tool spans, so their sum per tool type caps worker-sampled
+            # busy time (clamped once, after all lanes join).
+            with self._profile_lock:
+                caps = self._profile_caps
+                caps[unit.tool_type] = \
+                    caps.get(unit.tool_type, 0.0) + body[2] - body[1]
+        for name, start, end in (verify, body):
             phase_span = self.tracer.start_span(
                 f"{name}:{unit.tool_type}", PHASE_SPAN,
                 parent=tool_span.context,
                 attributes={"worker": worker, "phase": name},
                 start=start)
             self.tracer.finish(phase_span, end=end)
-        tool_span.start = min([tool_span.start]
-                              + [s for _, s, _ in fitted])
+        tool_span.start = min(tool_span.start, verify[1])
 
 
 __all__ = [

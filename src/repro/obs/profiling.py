@@ -13,10 +13,10 @@ the time went inside it*.  Three cooperating pieces:
   to test: :meth:`sample_once` does one sweep synchronously and the
   clock is injectable.
 * :class:`ProfileAggregate` — the mergeable result.  Worker processes
-  profile in-process and ship ``to_dict()`` payloads back on the batch
-  reply (procpool folds them across respawns exactly like the phase
-  samples); the coordinator absorbs every payload into one run-wide
-  aggregate.  Per-tool *self time* is ``min(samples x interval,
+  profile in-process and each batch reply carries what they sampled
+  since the last one (:meth:`SamplingProfiler.take`); the coordinator
+  absorbs every such delta into one run-wide aggregate as the reply
+  arrives.  Per-tool *self time* is ``min(samples x interval,
   measured busy)`` — and the procpool coordinator additionally clamps
   busy time to the fitted worker-side tool-body phase durations — so
   self time can never exceed the tool-span durations the trace
@@ -105,8 +105,7 @@ class ProfileAggregate:
     """Merged profile of one run: stacks, busy time, memory peaks.
 
     Not thread-safe by itself — :class:`SamplingProfiler` guards every
-    mutation with its own lock; worker payloads are absorbed on the
-    coordinator thread after the lanes join.
+    mutation with its own lock, worker payloads included.
     """
 
     def __init__(self,
@@ -137,13 +136,11 @@ class ProfileAggregate:
             self._mem_peak[tool_type] = mem_peak
 
     def absorb(self, payload: Mapping[str, Any]) -> None:
-        """Fold a ``to_dict()`` payload (worker reply, respawn base).
+        """Fold a ``to_dict()`` payload (a worker reply's samples).
 
         Per-tool sample counts are re-derived from the stacks so a
         payload is never double-counted; busy/calls sum, peaks max.
         """
-        if not self.interval:
-            self.interval = float(payload.get("interval", 0.0))
         for tool_type, folded in payload.get("stacks", {}).items():
             for stack, count in folded.items():
                 self.add_stack(tool_type, stack, int(count))
@@ -258,29 +255,15 @@ class ProfileAggregate:
         }
 
 
-def merge_profiles(*payloads: Mapping[str, Any] | None
-                   ) -> dict[str, Any]:
-    """Fold any number of ``to_dict()`` payloads into one ({} if all
-    empty) — how procpool folds a respawned worker's profile into the
-    base its dead incarnation left behind."""
-    merged = ProfileAggregate(0.0)
-    for payload in payloads:
-        if payload:
-            merged.absorb(payload)
-    if not merged.tool_types() and not merged.samples:
-        return {}
-    if not merged.interval:
-        merged.interval = DEFAULT_PROFILE_INTERVAL
-    return merged.to_dict()
-
-
 class SamplingProfiler:
     """Deterministic sampling profiler keyed by running tool type.
 
     Executors register the executing thread around every tool body via
     :meth:`invocation` (or the :meth:`run` shorthand); only registered
     threads are swept, so framework time never pollutes the profile.
-    ``start()`` spawns the daemon sampler thread; tests instead call
+    ``start()`` arms the sampler, and the first bracketed body spawns
+    its daemon thread: a process that brackets none (the procpool
+    coordinator) stays single-threaded.  Tests instead call
     :meth:`sample_once` with scripted thread states and a scripted
     clock.
     """
@@ -298,6 +281,7 @@ class SamplingProfiler:
         self.query_recorder: QueryRecorder | None = None
         self._lock = threading.Lock()
         self._active: dict[int, str] = {}
+        self._armed = False
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._started_tracemalloc = False
@@ -309,6 +293,11 @@ class SamplingProfiler:
         ident = threading.get_ident()
         with self._lock:
             self._active[ident] = tool_type
+            if self._armed and self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._sample_loop, name="repro-profiler",
+                    daemon=True)
+                self._thread.start()
         tracing = self.track_memory and tracemalloc.is_tracing()
         if tracing:
             tracemalloc.reset_peak()
@@ -349,25 +338,22 @@ class SamplingProfiler:
             self.sample_once()
 
     def start(self) -> None:
-        if self._thread is not None:
-            return
+        """Arm the sampler; its thread starts with the first body."""
         if self.track_memory and not tracemalloc.is_tracing():
             # nframe=1 is the cheapest tracemalloc mode; still ~4x on
             # allocation-heavy tools, hence the opt-in flag
             tracemalloc.start(1)
             self._started_tracemalloc = True
         self._stop.clear()
-        thread = threading.Thread(target=self._sample_loop,
-                                  name="repro-profiler", daemon=True)
-        self._thread = thread
-        thread.start()
+        self._armed = True
 
     def stop(self) -> None:
-        thread = self._thread
+        with self._lock:
+            self._armed = False
+            thread, self._thread = self._thread, None
         if thread is not None:
             self._stop.set()
             thread.join(timeout=2.0)
-            self._thread = None
         if self._started_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()
             self._started_tracemalloc = False
@@ -381,9 +367,13 @@ class SamplingProfiler:
         with self._lock:
             self.aggregate.clamp_to(caps)
 
-    def payload(self) -> dict[str, Any]:
+    def take(self) -> dict[str, Any]:
+        """The samples taken since the last take, which it forgets: a
+        worker's replies carry each sample once."""
         with self._lock:
-            return self.aggregate.to_dict()
+            taken, self.aggregate = \
+                self.aggregate, ProfileAggregate(self.interval)
+        return taken.to_dict()
 
     def collapsed(self) -> str:
         with self._lock:
@@ -636,7 +626,6 @@ __all__ = [
     "append_profile",
     "collapse_frames",
     "find_profile",
-    "merge_profiles",
     "profile_record",
     "read_profiles",
     "read_slow_queries",

@@ -1,24 +1,23 @@
 """Worker-side telemetry for the process-pool executor.
 
 The procpool tier (PR 7) made forked workers a black box: spans were
-synthesized coordinator-side from a single reported duration.  This
-module is the worker's half of the fix — a lightweight, pickle-safe
-recorder that runs *inside* each forked worker and ships structured
-timing home with every batch reply:
+synthesized coordinator-side from a single reported duration.  Each
+reply now carries facts the coordinator adds up once: every outcome's
+``started``, ``verified`` and ``duration`` on the worker's
+``perf_counter``, the rss high-water and, when profiled, the samples
+taken since the last reply.  This module holds what both halves share:
 
-* :class:`WorkerTelemetry` captures per-invocation **phase samples**
-  (fingerprint verify, tool body) on the worker's ``perf_counter``,
-  and :func:`peak_rss_kb` reads the worker's rss high-water; the
-  coordinator counts batches, invocations and busy time itself, from
-  the replies;
+* the phase names (``verify`` then ``tool_body``, which an outcome's
+  three timestamps bound) and :func:`peak_rss_kb`; the coordinator
+  counts batches, invocations and busy time itself, from the replies;
 * :class:`ClockSync` maps a worker clock onto the coordinator's; a
   forked worker reads the coordinator's own monotonic clock, so the
   procpool coordinator passes the identity ``ClockSync()``, and
   :meth:`ClockSync.estimate` serves a worker whose clock differs;
-* :func:`fit_phases` performs the merge: correct each worker-side
-  sample by the offset, then clamp it into the coordinator's observed
-  dispatch window so the resulting spans always nest inside their
-  parents, whatever the residual skew;
+* :func:`fit_phases` performs the merge: correct each phase by the
+  offset, then clamp it into the coordinator's observed dispatch
+  window so the resulting spans always nest inside their parents,
+  whatever the residual skew;
 * :class:`WorkerRunStats` is the per-worker summary the ledger, the
   Prometheus export and ``repro health`` consume.
 
@@ -28,10 +27,8 @@ fork; nothing imports the execution layer.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Sequence
 
 #: Phase names, in the order a worker executes them.
 PHASE_VERIFY = "verify"
@@ -42,8 +39,8 @@ WORKER_PHASES: tuple[str, ...] = (
     PHASE_TOOL,
 )
 
-#: One phase sample as it crosses the pipe: (name, start, end) on the
-#: worker's clock.  Plain tuples pickle smaller than dataclasses.
+#: One phase as :func:`fit_phases` takes it: (name, start, end) on the
+#: worker's clock.
 PhaseSample = tuple[str, float, float]
 
 
@@ -62,43 +59,6 @@ def peak_rss_kb() -> int:
     if sys.platform == "darwin":  # pragma: no cover - macOS only
         peak //= 1024
     return int(peak)
-
-
-class WorkerTelemetry:
-    """In-worker recorder of phase samples.
-
-    One instance lives for the worker process's lifetime.  Phase
-    collection is opt-in per envelope (the coordinator only asks for it
-    when a tracer is attached), so untraced runs pay one boolean test
-    per phase.
-    """
-
-    def __init__(self, *,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        self._collecting = False
-        self._phases: list[PhaseSample] = []
-
-    def begin_envelope(self, *, collect: bool = False) -> None:
-        """Reset the per-envelope scratch; called before each unit."""
-        self._collecting = collect
-        self._phases = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time one phase of the current envelope (no-op untraced)."""
-        if not self._collecting:
-            yield
-            return
-        started = self.clock()
-        try:
-            yield
-        finally:
-            self._phases.append((name, started, self.clock()))
-
-    def phases(self) -> tuple[PhaseSample, ...]:
-        """The current envelope's samples, in execution order."""
-        return tuple(self._phases)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +98,9 @@ class ClockSync:
 def fit_phases(phases: Sequence[PhaseSample], sync: ClockSync,
                window: tuple[float, float] | None
                ) -> tuple[PhaseSample, ...]:
-    """Merge worker phase samples into the coordinator's timeline.
+    """Merge worker phases into the coordinator's timeline.
 
-    Each sample is skew-corrected by ``sync``'s offset, then clamped
+    Each phase is skew-corrected by ``sync``'s offset, then clamped
     into ``window`` — the coordinator-observed (send, receive) interval
     of the round trip that carried it.  Clamping guarantees the derived
     spans nest inside their parent task span whatever the offset
@@ -258,7 +218,6 @@ __all__ = [
     "PhaseSample",
     "WORKER_PHASES",
     "WorkerRunStats",
-    "WorkerTelemetry",
     "fit_phases",
     "peak_rss_kb",
     "worker_imbalance",

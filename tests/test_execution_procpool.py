@@ -22,7 +22,7 @@ from repro.errors import ExecutionError, ToolError
 from repro.execution import (DesignEnvironment, FaultPlan, FaultSpec,
                              FlowExecutor, ResiliencePolicy, encapsulation,
                              procpool)
-from repro.obs import RunLedger
+from repro.obs import RunLedger, SamplingProfiler
 from repro.schema.builder import SchemaBuilder
 
 SLEEP = 0.03
@@ -307,6 +307,49 @@ class TestResilience:
         assert worker.batches == 4
         assert worker.invocations == 4
         assert worker.respawns == 1
+
+    def test_worker_profile_survives_a_respawn(self, tmp_path):
+        """The samples a worker sent before a watchdog killed it stay
+        in the run's profile: its process replied twice before its
+        third call hung, and the profile counts every tool body that
+        ran, not only the replacement's."""
+        log = tmp_path / "calls"
+        env = fan_env(tool_fn=logged_tool(log))
+        env.profiler = SamplingProfiler(0.001)
+        policy = ResiliencePolicy(retries=2, timeout=0.5,
+                                  backoff_base=0.0, jitter=0.0)
+        faults = FaultPlan([FaultSpec("Tool", 3, kind="hang",
+                                      delay=30.0)], seed=1)
+        env.profiler.start()
+        try:
+            report = env.process_executor(
+                workers=1, resilience=policy,
+                faults=faults).execute(fan_flow(env))
+        finally:
+            env.profiler.stop()
+        bodies = log.read_text().split()
+        assert len(bodies) == 4
+        assert report.timeouts == 1
+        tools = env.profiler.aggregate.to_dict()["tools"]
+        assert tools["Tool"]["calls"] == len(bodies)
+
+    def test_lanes_absorb_every_reply_into_one_profile(self):
+        """Every lane absorbs its replies' samples into the run's one
+        profiler as they arrive: with more workers than cores and a
+        short switch interval, no reply's calls are lost."""
+        env = fan_env(branches=96)
+        env.profiler = SamplingProfiler(0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        env.profiler.start()
+        try:
+            report = env.process_executor(workers=4).execute(
+                fan_flow(env))
+        finally:
+            env.profiler.stop()
+            sys.setswitchinterval(interval)
+        tools = env.profiler.aggregate.to_dict()["tools"]
+        assert report.runs == tools["Tool"]["calls"] == 96
 
     def test_handle_counts_replies_across_crash_and_respawn(
             self, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import ObservabilityError
-from repro.execution import DesignEnvironment, encapsulation
+from repro.execution import DesignEnvironment, encapsulation, procpool
 from repro.history.database import HistoryDatabase
 from repro.history.instance import EntityInstance
 from repro.history.sqlite_store import AUDITED_QUERIES, SqliteHistoryStore
@@ -37,9 +37,8 @@ from repro.obs import (FAIL, OK, TOOL_SPAN, HealthThresholds,
                        RingBufferSink, RunLedger, RunRecord,
                        SamplingProfiler, UNSAMPLED_FRAME,
                        append_profile, collapse_frames, find_profile,
-                       merge_profiles, profile_record, read_profiles,
-                       render_profile, statement_fingerprint,
-                       timeline_model)
+                       profile_record, read_profiles, render_profile,
+                       statement_fingerprint, timeline_model)
 from repro.obs.health import (check_query_latency_drift,
                               check_tool_self_time_drift)
 from repro.persistence import (PROFILE_FILE, SLOW_QUERY_FILE,
@@ -209,19 +208,24 @@ class TestProfileAggregate:
         assert aggregate.busy_time("T") == pytest.approx(0.25)
         assert "Ghost" not in aggregate.tool_types()
 
-    def test_merge_profiles_empty_and_folding(self):
-        assert merge_profiles(None, {}, None) == {}
+    def test_absorb_folds_two_payloads(self):
+        """Two workers' replies: samples re-derived from the stacks,
+        busy times summed, memory peaks maxed."""
         a = ProfileAggregate(0.002)
         a.add_stack("T", "x", count=1)
         a.add_invocation("T", busy=0.1)
+        a.add_invocation("U", busy=0.05, mem_peak=4096)
         b = ProfileAggregate(0.002)
         b.add_stack("T", "x", count=2)
         b.add_invocation("U", busy=0.2, mem_peak=2048)
-        merged = ProfileAggregate.from_dict(
-            merge_profiles(a.to_dict(), b.to_dict()))
+        merged = ProfileAggregate(0.002)
+        merged.absorb(a.to_dict())
+        merged.absorb(b.to_dict())
         assert merged.sample_count("T") == 3
-        assert merged.busy_time("U") == pytest.approx(0.2)
-        assert merged.to_dict()["tools"]["U"]["mem_peak"] == 2048
+        assert merged.samples == 3
+        assert merged.busy_time("T") == pytest.approx(0.1)
+        assert merged.busy_time("U") == pytest.approx(0.25)
+        assert merged.to_dict()["tools"]["U"]["mem_peak"] == 4096
 
     @settings(max_examples=60, deadline=None)
     @given(samples=st.integers(0, 500),
@@ -832,6 +836,29 @@ class TestExecutorIntegration:
             lambda env: env.process_executor(workers=2))
         self.assert_contained(aggregate, spans)
         assert aggregate.sample_count("Tool") > 0
+
+    def test_profiled_pool_forks_from_one_thread(self, monkeypatch):
+        """The coordinator brackets no tool body, so an armed profiler
+        starts no thread in it: no thread begun since ``start()`` is
+        alive when the pool forks."""
+        env = fan_env()
+        env.profiler = SamplingProfiler(0.001)
+        before = set(threading.enumerate())
+        forks = []
+        start = procpool._WorkerHandle.start
+
+        def spy(handle):
+            forks.append(set(threading.enumerate()) - before)
+            start(handle)
+
+        monkeypatch.setattr(procpool._WorkerHandle, "start", spy)
+        env.profiler.start()
+        try:
+            env.process_executor(workers=2).execute(fan_flow(env))
+        finally:
+            env.profiler.stop()
+        assert forks == [set(), set()]
+        assert env.profiler.aggregate.sample_count("Tool") > 0
 
     def test_profiled_run_lands_in_the_ledger(self, tmp_path):
         env = fan_env()

@@ -1,14 +1,14 @@
 """Cross-process worker telemetry: spans, timeline, utilization health.
 
-Covers the PR 8 surface end to end: the in-worker recorder and its
-pickle-safe phase samples, the clock-offset model and the skew-corrected
-merge (property-tested: fitted phases always nest inside the dispatch
-window), the clock a forked worker shares with the coordinator, the
-procpool integration (merged traces validate, every tool span carries
-worker-side phase children, containment holds up the whole span
-chain), the worker-lane timeline renderer, the ``--follow`` event
-tail, the ledger's optional per-worker stats (old ledgers load
-unchanged), and the ``worker-utilization`` health check.
+Covers the worker telemetry surface end to end: the clock-offset model
+and the skew-corrected merge (property-tested: fitted phases always
+nest inside the dispatch window), the clock a forked worker shares with
+the coordinator, the procpool integration (merged traces validate,
+every tool span carries the two abutting phases its outcome's
+timestamps bound, containment holds up the whole span chain), the
+worker-lane timeline renderer, the ``--follow`` event tail, the
+ledger's optional per-worker stats (old ledgers load unchanged), and
+the ``worker-utilization`` health check.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from repro.obs import (FAIL, OK, PHASE_SPAN, RUN_SPAN, TASK_SPAN,
                        TOOL_SPAN, WARN, WORKER_PHASES, WORKER_STATS,
                        ClockSync, Event, HealthThresholds,
                        MetricsRegistry, RingBufferSink, RunLedger,
-                       RunRecord, Span, WorkerRunStats,
-                       WorkerTelemetry, evaluate_health, fit_phases,
-                       render_timeline, validate_spans, worker_imbalance,
-                       worker_utilization)
+                       RunRecord, Span, WorkerRunStats, evaluate_health,
+                       fit_phases, render_timeline, validate_spans,
+                       worker_imbalance, worker_utilization)
 from repro.obs.health import check_worker_utilization
 from repro.obs.sinks import JSONLReader
 from repro.schema.builder import SchemaBuilder
@@ -77,45 +76,6 @@ def fan_flow(env: DesignEnvironment):
         flow.connect(out, tool_node)
         flow.connect(out, spec_node, role="src")
     return flow
-
-
-# ---------------------------------------------------------------------------
-# WorkerTelemetry: the in-worker recorder
-# ---------------------------------------------------------------------------
-class TestWorkerTelemetry:
-    def test_phases_collected_only_when_asked(self):
-        clock = iter(float(i) for i in range(100))
-        telemetry = WorkerTelemetry(clock=lambda: next(clock))
-        telemetry.begin_envelope(collect=False)
-        with telemetry.phase("tool_body"):
-            pass
-        assert telemetry.phases() == ()
-        telemetry.begin_envelope(collect=True)
-        with telemetry.phase("decode"):
-            pass
-        with telemetry.phase("tool_body"):
-            pass
-        names = [name for name, _, _ in telemetry.phases()]
-        assert names == ["decode", "tool_body"]
-        for _, start, end in telemetry.phases():
-            assert end > start
-
-    def test_phase_recorded_even_when_body_raises(self):
-        telemetry = WorkerTelemetry()
-        telemetry.begin_envelope(collect=True)
-        with pytest.raises(ValueError):
-            with telemetry.phase("tool_body"):
-                raise ValueError("boom")
-        assert [name for name, _, _ in telemetry.phases()] \
-            == ["tool_body"]
-
-    def test_begin_envelope_resets_scratch(self):
-        telemetry = WorkerTelemetry()
-        telemetry.begin_envelope(collect=True)
-        with telemetry.phase("decode"):
-            pass
-        telemetry.begin_envelope(collect=True)
-        assert telemetry.phases() == ()
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +216,23 @@ class TestProcpoolTraceMerge:
 
     def test_every_tool_span_has_worker_phase_children(self,
                                                        traced_run):
+        """Each tool span has the two phases its outcome bounds:
+        ``verify`` then ``tool_body``, abutting, together as long as
+        the worker-measured call."""
         _, spans, _ = traced_run
         tools = [s for s in spans if s.kind == TOOL_SPAN]
         phases = [s for s in spans if s.kind == PHASE_SPAN]
         assert len(tools) == 4
         for tool in tools:
-            children = [p for p in phases
-                        if p.parent_id == tool.span_id]
-            assert children, f"tool span {tool.name} has no phases"
-            names = {p.value("phase") for p in children}
-            assert "tool_body" in names
+            children = sorted((p for p in phases
+                               if p.parent_id == tool.span_id),
+                              key=lambda p: p.start)
+            assert [p.value("phase") for p in children] \
+                == list(WORKER_PHASES), tool.name
+            verify, body = children
+            assert verify.end == body.start
+            assert verify.duration + body.duration == pytest.approx(
+                tool.value("tool_duration"), abs=1e-6)
             for child in children:
                 assert child.value("worker", "").startswith("worker")
 
