@@ -20,6 +20,12 @@ a third time.  Fails (exit 1) when:
   ``reuse`` run invalidates no remembered group, or does not run
   exactly the invocations downstream of the superseded netlist while
   reusing every other one;
+* on a grown, then edited history (``GROWN_RUNS`` forced runs, saved
+  and reloaded, then the same edit) a ``reuse`` run does not invalidate
+  exactly the ``GROWN_RUNS + 1`` remembered runs downstream of the
+  superseded netlist, or does not run exactly those invocations while
+  reusing every other one: the lookup must walk back through every
+  stale run the memo holds for them;
 * the structural numbers (cold invocations, instances created, warm
   hits) drift more than the tolerance from the checked-in baseline in
   ``benchmarks/artifacts/cache_baseline.json``;
@@ -86,23 +92,32 @@ def reload_leg(env, layout_id, reference_id, backend):
             "time_saved": report.time_saved}
 
 
+def grow(env, directory, layout_id, reference_id, backend):
+    """Save ``env`` to ``directory``, add ``GROWN_RUNS`` forced
+    ``readwrite`` runs of the Fig. 5 flow to a loaded copy and save it
+    again; returns the last run's report."""
+    from test_bench_fig05_complex_flow import build_fig5_flow
+    from repro.persistence import save_environment
+
+    save_environment(env, directory, backend=backend)
+    grown = load_copy(env, directory)
+    try:
+        for _ in range(GROWN_RUNS):
+            last = grown.run(build_fig5_flow(grown, layout_id, reference_id),
+                             force=True, cache="readwrite")
+        save_environment(grown, directory)
+    finally:
+        grown.db.store.close()
+    return last
+
+
 def grown_leg(env, layout_id, reference_id, backend):
     """Grow a saved copy by ``GROWN_RUNS`` forced ``readwrite`` runs,
     save, reload and re-run the Fig. 5 flow with ``cache=reuse``."""
     from test_bench_fig05_complex_flow import build_fig5_flow
-    from repro.persistence import save_environment
 
     with tempfile.TemporaryDirectory() as directory:
-        save_environment(env, directory, backend=backend)
-        grown = load_copy(env, directory)
-        try:
-            for _ in range(GROWN_RUNS):
-                last = grown.run(
-                    build_fig5_flow(grown, layout_id, reference_id),
-                    force=True, cache="readwrite")
-            save_environment(grown, directory)
-        finally:
-            grown.db.store.close()
+        last = grow(env, directory, layout_id, reference_id, backend)
         reloaded = load_copy(env, directory)
         try:
             report = reloaded.run(
@@ -120,36 +135,51 @@ def grown_leg(env, layout_id, reference_id, backend):
 DOWNSTREAM_OF_REFERENCE = ["Verifier"]
 
 
-def edited_leg(env, layout_id, reference_id, backend):
-    """Save and reload ``env``, supersede the reference netlist through
-    an editing task and re-run the Fig. 5 flow with ``cache=reuse``."""
+def edit_and_reuse(env, directory, layout_id, reference_id):
+    """Load the copy of ``env`` saved in ``directory``, supersede the
+    reference netlist through an editing task and re-run the Fig. 5
+    flow with ``cache=reuse``."""
     from test_bench_fig05_complex_flow import build_fig5_flow
-    from repro.persistence import save_environment
     from repro.schema import standard as S
     from repro.tools import edit_session
 
-    with tempfile.TemporaryDirectory() as directory:
-        save_environment(env, directory, backend=backend)
-        edited = load_copy(env, directory)
-        try:
-            session = edit_session(edited, S.CIRCUIT_EDITOR, [
-                {"op": "rename", "name": "ref-inv-v2"}], name="ref-fix")
-            flow, goal = edited.goal_flow(S.EDITED_NETLIST)
-            flow.expand(goal, include_optional=["previous"])
-            previous = flow.graph.data_suppliers(goal.node_id)["previous"]
-            flow.bind(flow.node(previous), reference_id)
-            flow.bind(flow.sole_node_of_type(S.CIRCUIT_EDITOR),
-                      session.instance_id)
-            edited.run(flow)
-            report = edited.run(
-                build_fig5_flow(edited, layout_id, reference_id),
-                cache="reuse")
-            invalidated = edited.cache.stats.invalidated
-        finally:
-            edited.db.store.close()
+    edited = load_copy(env, directory)
+    try:
+        session = edit_session(edited, S.CIRCUIT_EDITOR, [
+            {"op": "rename", "name": "ref-inv-v2"}], name="ref-fix")
+        flow, goal = edited.goal_flow(S.EDITED_NETLIST)
+        flow.expand(goal, include_optional=["previous"])
+        previous = flow.graph.data_suppliers(goal.node_id)["previous"]
+        flow.bind(flow.node(previous), reference_id)
+        flow.bind(flow.sole_node_of_type(S.CIRCUIT_EDITOR),
+                  session.instance_id)
+        edited.run(flow)
+        report = edited.run(
+            build_fig5_flow(edited, layout_id, reference_id),
+            cache="reuse")
+        invalidated = edited.cache.stats.invalidated
+    finally:
+        edited.db.store.close()
     return {"ran": sorted(r.tool_type for r in report.results),
             "hits": report.cache_hits,
             "invalidated": invalidated}
+
+
+def edited_leg(env, layout_id, reference_id, backend):
+    """Save ``env``, then edit and reuse a loaded copy."""
+    from repro.persistence import save_environment
+
+    with tempfile.TemporaryDirectory() as directory:
+        save_environment(env, directory, backend=backend)
+        return edit_and_reuse(env, directory, layout_id, reference_id)
+
+
+def grown_edited_leg(env, layout_id, reference_id, backend):
+    """Grow a saved copy by ``GROWN_RUNS`` forced runs, then edit and
+    reuse a loaded copy of it."""
+    with tempfile.TemporaryDirectory() as directory:
+        grow(env, directory, layout_id, reference_id, backend)
+        return edit_and_reuse(env, directory, layout_id, reference_id)
 
 
 def run_once():
@@ -190,6 +220,7 @@ def run_once():
     reloads = {}
     grown = {}
     edited = {}
+    grown_edited = {}
     for backend in BACKENDS:
         leg = reload_leg(env, layout_id, reference.instance_id, backend)
         reloads[backend] = {
@@ -200,6 +231,8 @@ def run_once():
                                    backend)
         edited[backend] = edited_leg(env, layout_id,
                                      reference.instance_id, backend)
+        grown_edited[backend] = grown_edited_leg(
+            env, layout_id, reference.instance_id, backend)
 
     return {
         "cold_invocations": len(cold.results),
@@ -214,6 +247,7 @@ def run_once():
         "reloads": reloads,
         "grown": grown,
         "edited": edited,
+        "grown_edited": grown_edited,
     }
 
 
@@ -268,6 +302,15 @@ def check(stats: dict, baseline: dict | None) -> list[str]:
                 f"{backend} edited history: ran {leg['ran']} and reused "
                 f"{leg['hits']} invocations; expected to run "
                 f"{DOWNSTREAM_OF_REFERENCE} and reuse the rest")
+    for backend, leg in stats["grown_edited"].items():
+        expected = (GROWN_RUNS + 1, DOWNSTREAM_OF_REFERENCE,
+                    stats["cold_invocations"] - len(DOWNSTREAM_OF_REFERENCE))
+        if (leg["invalidated"], leg["ran"], leg["hits"]) != expected:
+            failures.append(
+                f"{backend} grown, then edited history: invalidated "
+                f"{leg['invalidated']} groups, ran {leg['ran']} and reused "
+                f"{leg['hits']} invocations; expected {expected[0]}, "
+                f"{expected[1]} and {expected[2]}")
     if baseline is not None:
         for key in ("cold_invocations", "cold_created", "warm_hits",
                     "warm_reused"):
@@ -290,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         BASELINE.parent.mkdir(exist_ok=True)
         recorded = {k: v for k, v in stats.items()
                     if not k.endswith("_elapsed")
-                    and k not in ("reloads", "grown", "edited")}
+                    and k not in ("reloads", "grown", "edited",
+                                  "grown_edited")}
         BASELINE.write_text(json.dumps(recorded, indent=1,
                                        sort_keys=True) + "\n",
                             encoding="utf-8")

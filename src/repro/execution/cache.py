@@ -15,7 +15,10 @@ Only the run that executed a tool computes its key, under the
 ``readwrite`` policy (:meth:`DerivationCache.store`).  The index is held
 in memory and, for saved environments, in the shared memo
 (:mod:`repro.execution.shared_memo`), its only saved copy, which each
-run writes once, when it ends (:meth:`DerivationCache.publish`).
+run writes once, when it ends (:meth:`DerivationCache.publish`).  A
+cache's first lookup indexes the memo from its last line back, only
+until the asked key has a run to try, so a hit costs the same however
+many runs the memo records.
 
 :meth:`DerivationCache.fetch` alone decides whether a remembered run may
 be reused.  It takes a group of remembered instances only when they
@@ -34,15 +37,15 @@ import json
 import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ExecutionError, ReproError, UnknownInstanceError
 from ..history.consistency import all_up_to_date
 from ..history.database import HistoryDatabase
 from ..history.instance import EntityInstance
 from .encapsulation import EncapsulationRegistry, fingerprint_callable
-from .shared_memo import (Group, MemoEntry, SharedDerivationMemo,
-                          decode_outputs, index_form, scan)
+from .shared_memo import (Group, MemoEntry, Scanned, SharedDerivationMemo,
+                          decode_outputs, index_form, scan, scan_back)
 
 # -- cache policies ----------------------------------------------------------
 CACHE_OFF = "off"            #: no lookups, no indexing of this run
@@ -69,7 +72,9 @@ class CacheHit:
 
     ``outputs`` preserves the recording order of ``(entity_type,
     instance_id)`` pairs, so multi-output invocations (Fig. 5) can map
-    each reused instance back onto the right flow node.
+    each reused instance back onto the right flow node.  ``saved`` is
+    the duration the run's newest record carries: the time this very
+    run took.
     """
 
     key: str
@@ -108,15 +113,29 @@ class CacheStats:
                 f"{self.invalidated} stale entries skipped")
 
 
+#: (outputs JSON in the memo writer's form, duration) of one record
+_Record = tuple[bytes, float]
+
+
 @dataclass
 class _Entry:
-    """The distinct runs remembered for one derivation key."""
+    """The distinct runs remembered for one derivation key.
 
-    #: member key -> the outputs JSON of the run's first record, in the
-    #: memo writer's form (:func:`~.shared_memo.index_form`); oldest
-    #: first
-    runs: dict[bytes, bytes] = field(default_factory=dict)
-    duration: float = 0.0
+    Each maps a member key (:func:`~.shared_memo.index_form`) to the
+    run's newest record.
+    """
+
+    #: runs stored or read forward, oldest first
+    newer: dict[bytes, _Record] = field(default_factory=dict)
+    #: runs indexed walking the memo back, newest first; each is older
+    #: than every run in ``newer``
+    older: dict[bytes, _Record] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.newer) + len(self.older)
+
+    def newest_first(self) -> list[_Record]:
+        return [*reversed(self.newer.values()), *self.older.values()]
 
 
 def _input_ids(ref: Any) -> Sequence[str]:
@@ -135,6 +154,9 @@ class DerivationCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
+        #: entries of the memo lines read but not yet indexed, newest
+        #: first (:func:`~.shared_memo.scan_back`)
+        self._unindexed: Iterator[Scanned] = iter(())
         self.memo: SharedDerivationMemo | None = None
         #: memo lines of the runs stored since the last publish
         self._unpublished: list[MemoEntry] = []
@@ -145,24 +167,29 @@ class DerivationCache:
 
         Runs this cache remembers but that memo may not (an index built
         in memory, or absorbed from another directory's memo) are
-        appended to it first, in one batch.  From then on every
-        :meth:`publish` appends the runs stored since the last one, and
-        entries other processes append are absorbed on every
-        :meth:`sync` — concurrent runs (and procpool coordinators of
-        concurrent runs) observe each other's hits.
+        appended to it first, in one batch: each run once, as its newest
+        record, keys in sorted order and a key's runs oldest first.
+        From then on every :meth:`publish` appends the runs stored since
+        the last one, and entries other processes append are absorbed on
+        every lookup and :meth:`sync` — concurrent runs (and procpool
+        coordinators of concurrent runs) observe each other's hits.
         """
         path = pathlib.Path(path)
         with self._lock:
-            if self.memo is not None \
-                    and self.memo.path.resolve() == path.resolve():
-                return self.memo
+            if self.memo is not None:
+                # equal paths are one memo without resolving either
+                old = self.memo.path
+                if old == path or old.resolve() == path.resolve():
+                    return self.memo
             # queued lines go to the old memo; the carry-over below
             # writes them to the new one, so a later publish must not
             self.publish()
+            self._index_back()
             memo = SharedDerivationMemo(path)
-            carried = [(key, decode_outputs(outputs), entry.duration)
-                       for key, entry in self._entries.items()
-                       for outputs in entry.runs.values()]
+            carried = [(key, decode_outputs(outputs), duration)
+                       for key in sorted(self._entries)
+                       for outputs, duration
+                       in reversed(self._entries[key].newest_first())]
             if carried:
                 memo.append(carried)
             self.memo = memo
@@ -268,32 +295,58 @@ class DerivationCache:
     # ------------------------------------------------------------------
     def _remember(self, key: str, run: Group | bytes,
                   duration: float) -> None:
-        """Index one run under ``key``: its pairs, or the outputs JSON
-        of a memo line in the writer's form.  A run whose members the
-        key already holds keeps its first record."""
+        """Index one record under ``key`` as its newest: a run's pairs,
+        or the outputs JSON of a memo line in the writer's form.  A run
+        the key already holds moves to this record."""
         members, outputs = index_form(run)
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = _Entry()
-        entry.runs.setdefault(members, outputs)
-        if duration > entry.duration:  # max(), which keeps the first of ties
-            entry.duration = duration
+        entry.older.pop(members, None)
+        entry.newer.pop(members, None)
+        entry.newer[members] = (outputs, duration)
+
+    def _index_back(self, key: str | None = None, count: int = 0) -> None:
+        """Index the memo lines read but not yet indexed, newest first,
+        until ``key`` holds ``count`` runs; with no key, every one.
+
+        A run already indexed has a newer record, so an older one is
+        dropped.
+        """
+        entries = self._entries
+        for line_key, run, duration in self._unindexed:
+            members, outputs = index_form(run)
+            entry = entries.get(line_key)
+            if entry is None:
+                entry = entries[line_key] = _Entry()
+            elif members in entry.newer or members in entry.older:
+                continue
+            entry.older[members] = (outputs, duration)
+            if line_key == key and len(entry) >= count:
+                return
+
+    def _read_block(self) -> bytes:
+        """The memo's complete lines appended since the last read; none
+        from an unreadable memo, which degrades the cache to a
+        process-local one."""
+        if self.memo is None:
+            return b""
+        try:
+            return self.memo.read_block()
+        except OSError:
+            return b""
 
     def sync(self) -> int:
-        """Absorb the runs appended to the shared memo since last time.
+        """Index the runs appended to the shared memo since the last
+        read, as newer than every run indexed so far.
 
-        Returns the number of memo entries read, repeats included.  A
-        line in the writer's form is indexed without decoding it; any
-        other line is decoded at once.  An unreadable memo degrades the
-        cache to a process-local one.
+        Returns the number of memo entries read, repeats included; a
+        cache that has read nothing reads the whole memo.  A line in the
+        writer's form is indexed without decoding it; any other line is
+        decoded at once.
         """
         with self._lock:
-            if self.memo is None:
-                return 0
-            try:
-                block = self.memo.read_block()
-            except OSError:
-                return 0
+            block = self._read_block()
             remember = self._remember
             read = 0
             for read, (key, run, duration) in enumerate(scan(block), 1):
@@ -304,26 +357,62 @@ class DerivationCache:
         """Drop the in-memory index; the memo is re-read on next use."""
         with self._lock:
             self._entries.clear()
+            self._unindexed = iter(())
             if self.memo is not None:
                 self.memo.rewind()
 
     def __len__(self) -> int:
+        """The keys remembered, once every memo line read is indexed."""
         with self._lock:
+            self._index_back()
             return len(self._entries)
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
+    def _newest_first(self, key: str) -> Iterator[_Record]:
+        """The records of the runs remembered for ``key``, newest first.
+
+        The memo's new lines are read first.  A cache that has indexed
+        nothing yet takes them as unindexed and indexes them from the
+        last line back, only as far as the next run asked for; any other
+        cache indexes them at once, as newer than every run it holds.
+        """
+        with self._lock:
+            if self._entries:
+                self.sync()
+            else:
+                self._unindexed = scan_back(self._read_block())
+            runs = self._runs(key, 1)
+        tried = 0
+        while tried < len(runs):
+            yield runs[tried]
+            tried += 1
+            if tried == len(runs):
+                with self._lock:
+                    runs = self._runs(key, tried + 1)
+
+    def _runs(self, key: str, count: int) -> list[_Record]:
+        """The records of ``key``'s runs, newest first, after indexing
+        older memo lines until it holds ``count`` runs or none is
+        left."""
+        entry = self._entries.get(key)
+        if entry is None or len(entry) < count:
+            self._index_back(key, count)
+            entry = self._entries.get(key)
+        return [] if entry is None else entry.newest_first()
+
     def fetch(self, key: str, output_types: Iterable[str], *,
               tool_id: str | None,
               combo: Mapping[str, Any]) -> CacheHit | None:
         """Newest remembered run for ``key`` that is still reusable.
 
-        Groups are tried newest first, in the order they were first
-        remembered.  One is taken only when it covers the requested output
-        types, its instances re-derive ``key`` (:meth:`_derives`) and
-        they are up to date version-wise; a stale group is skipped and
-        counted as invalidated.  Updates hit/miss statistics.
+        Runs are tried newest first, each as new as its newest record
+        (:meth:`_newest_first`).  One is taken only when it covers the
+        requested output types, its instances re-derive ``key``
+        (:meth:`_derives`) and they are up to date version-wise; a stale
+        run is skipped and counted as invalidated.  A hit saves the
+        duration its record carries.  Updates hit/miss statistics.
 
         ``key`` is :meth:`tool_run_key` of ``tool_id``, ``combo`` and
         ``output_types`` or, with ``tool_id`` None, the
@@ -332,12 +421,7 @@ class DerivationCache:
         wanted = sorted(output_types)
         source = (tool_id, wanted, {role: sorted(_input_ids(ref))
                                     for role, ref in combo.items()})
-        with self._lock:
-            self.sync()
-            entry = self._entries.get(key) or _Entry()
-            runs = list(entry.runs.values())
-            duration = entry.duration
-        for outputs in reversed(runs):
+        for outputs, duration in self._newest_first(key):
             group = decode_outputs(outputs)
             if sorted(entity_type for entity_type, _ in group) != wanted:
                 continue
@@ -363,11 +447,11 @@ class DerivationCache:
 
     def store(self, key: str, outputs: Iterable[tuple[str, str]],
               duration: float = 0.0) -> None:
-        """Index one freshly executed run under its key.
+        """Index one freshly executed run under its key, as its newest.
 
-        ``duration`` is the run's measured time, the basis of ``time
-        saved`` reporting.  The run is reusable in this process at
-        once; with a shared memo attached, its line waits for the next
+        ``duration`` is the run's measured time: a hit that reuses the
+        run saves it.  The run is reusable in this process at once; with
+        a shared memo attached, its line waits for the next
         :meth:`publish`.
         """
         group = tuple(outputs)

@@ -101,9 +101,9 @@ class CachedInvocation:
     """Report entry for a task invocation coalesced from the cache.
 
     ``hits`` counts the remembered tool runs reused (one per input
-    combination); ``saved`` estimates the tool time those runs cost when
-    first executed, and ``bytes_saved`` the canonical size of the design
-    data that did not have to be recreated.
+    combination); ``saved`` is the tool time those very runs took, as
+    their memo records carry it, and ``bytes_saved`` the canonical size
+    of the design data that did not have to be recreated.
     """
 
     tool_type: str | None

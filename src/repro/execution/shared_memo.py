@@ -44,7 +44,7 @@ import pathlib
 import re
 import time
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 try:
     import fcntl
@@ -57,6 +57,9 @@ MEMO_SCHEMA_VERSION = 1
 Group = tuple[tuple[str, str], ...]
 #: (key, group, duration)
 MemoEntry = tuple[str, Group, float]
+#: (key, outputs, duration) as :func:`scan` gives it: the outputs as
+#: their undecoded JSON for a line in the writer's form, else as pairs
+Scanned = tuple[str, bytes | Group, float]
 
 
 class _FileLock:
@@ -135,7 +138,7 @@ _LINE = re.compile(
     + rb'\}|(.*))$', re.MULTILINE)
 
 
-def scan(block: bytes) -> Iterator[tuple[str, bytes | Group, float]]:
+def scan(block: bytes) -> Iterator[Scanned]:
     """``(key, outputs, duration)`` of each entry in a block of complete
     memo lines, in order.
 
@@ -146,7 +149,31 @@ def scan(block: bytes) -> Iterator[tuple[str, bytes | Group, float]]:
     (:func:`_decode_entry`), its outputs come as pairs, and a line that
     records no entry is skipped.
     """
-    for duration, key, outputs, other in _LINE.findall(block):
+    return _entries(_LINE.findall(block))
+
+
+def scan_back(block: bytes) -> Iterator[Scanned]:
+    """:func:`scan` of a block of complete memo lines, last line first.
+
+    Each line is found and matched only when the reader asks for its
+    entry, so a reader that stops early pays for the lines it took.
+    """
+    return _entries(_lines_back(block))
+
+
+def _lines_back(block: bytes) -> Iterator[tuple[bytes | None, ...]]:
+    """The :data:`_LINE` groups of each line of ``block``, last first."""
+    match = _LINE.match
+    end = len(block) - 1  # the newline that ends the last line
+    while end >= 0:
+        start = block.rfind(b"\n", 0, end) + 1
+        yield match(block, start, end).groups()
+        end = start - 1
+
+
+def _entries(lines: Iterable[tuple[bytes | None, ...]]) -> Iterator[Scanned]:
+    """The entries that lines matched by :data:`_LINE` record."""
+    for duration, key, outputs, other in lines:
         if duration:
             yield key.decode("ascii"), outputs, float(duration)
         elif other:
@@ -266,8 +293,10 @@ __all__ = [
     "Group",
     "MEMO_SCHEMA_VERSION",
     "MemoEntry",
+    "Scanned",
     "SharedDerivationMemo",
     "decode_outputs",
     "index_form",
     "scan",
+    "scan_back",
 ]

@@ -262,8 +262,9 @@ class SamplingProfiler:
     :meth:`invocation` (or the :meth:`run` shorthand); only registered
     threads are swept, so framework time never pollutes the profile.
     ``start()`` arms the sampler, and the first bracketed body spawns
-    its daemon thread: a process that brackets none (the procpool
-    coordinator) stays single-threaded.  Tests instead call
+    its daemon thread and, with ``track_memory``, starts ``tracemalloc``:
+    a process that brackets none (the procpool coordinator) stays
+    single-threaded and untraced.  Tests instead call
     :meth:`sample_once` with scripted thread states and a scripted
     clock.
     """
@@ -298,6 +299,11 @@ class SamplingProfiler:
                     target=self._sample_loop, name="repro-profiler",
                     daemon=True)
                 self._thread.start()
+                if self.track_memory and not tracemalloc.is_tracing():
+                    # nframe=1 is the cheapest tracemalloc mode; still
+                    # ~4x on allocation-heavy tools, hence the opt-in
+                    tracemalloc.start(1)
+                    self._started_tracemalloc = True
         tracing = self.track_memory and tracemalloc.is_tracing()
         if tracing:
             tracemalloc.reset_peak()
@@ -338,12 +344,8 @@ class SamplingProfiler:
             self.sample_once()
 
     def start(self) -> None:
-        """Arm the sampler; its thread starts with the first body."""
-        if self.track_memory and not tracemalloc.is_tracing():
-            # nframe=1 is the cheapest tracemalloc mode; still ~4x on
-            # allocation-heavy tools, hence the opt-in flag
-            tracemalloc.start(1)
-            self._started_tracemalloc = True
+        """Arm the sampler; its thread, and memory tracing, start with
+        the first body."""
         self._stop.clear()
         self._armed = True
 

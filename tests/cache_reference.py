@@ -1,16 +1,21 @@
-"""The derivation cache's memo reads and lookups before lazy indexing.
+"""The derivation cache's memo reads and lookups, eager and decoded.
 
 :class:`ReferenceCache` is a :class:`DerivationCache` whose ``sync``,
-``_remember``, ``_derives``, ``fetch`` and ``attach_shared_memo`` are the
-implementations the lazy memo index replaced, moved here verbatim: every
-memo line is decoded when it is read, groups are kept per key in a dict
-by member set, and every candidate group is re-keyed from its derivation
-record.  ``poll`` is ``SharedDerivationMemo.poll`` as it was, reading a
-memo's lines and decoding each.  The one change is that ``fetch`` takes,
-and ignores, the lookup's tool instance and input combination, so an
-executor can drive it.  ``tests/test_cache_index.py`` demands the same
-groups, hits, misses, invalidations, savings and carried-over memo lines
-from the new code on random memo logs and histories.
+``_remember``, ``_derives``, ``fetch`` and ``attach_shared_memo`` index
+every memo line as soon as it is read, in the order read, and decode it
+at once.  Groups are kept per key in a dict by member set, with the
+duration of their record, and every candidate group is re-keyed from its
+derivation record.  A group recorded again moves to that record, the
+newest, and takes its duration; a hit saves the duration of the group it
+reuses.  A carry-over to another memo writes each group once with its
+own duration, keys in sorted order and a key's groups oldest first.
+``poll`` is ``SharedDerivationMemo.poll`` as it was, reading a memo's
+lines and decoding each.  ``fetch`` takes, and ignores, the lookup's
+tool instance and input combination, so an executor can drive it.
+``tests/test_cache_index.py`` and ``tests/test_cache_runs_once.py``
+demand the same groups, hits, misses, invalidations, savings and
+carried-over memo lines from the cache on random memo logs and
+histories.
 """
 
 from __future__ import annotations
@@ -76,10 +81,11 @@ def poll(memo: SharedDerivationMemo) -> list[MemoEntry]:
 class _Entry:
     """All remembered runs for one derivation key, oldest first."""
 
-    #: member set -> ``(entity_type, instance_id)`` pairs as recorded
+    #: member set -> ``(entity_type, instance_id)`` pairs and duration,
+    #: as last recorded
     groups: dict[frozenset[tuple[str, str]],
-                 tuple[tuple[str, str], ...]] = field(default_factory=dict)
-    duration: float = 0.0
+                 tuple[tuple[tuple[str, str], ...], float]] = field(
+        default_factory=dict)
 
 
 class ReferenceCache(DerivationCache):
@@ -96,9 +102,10 @@ class ReferenceCache(DerivationCache):
             # writes them to the new one, so a later publish must not
             self.publish()
             memo = SharedDerivationMemo(path)
-            carried = [(key, group, entry.duration)
-                       for key, entry in self._entries.items()
-                       for group in entry.groups.values()]
+            carried = [(key, group, duration)
+                       for key in sorted(self._entries)
+                       for group, duration
+                       in self._entries[key].groups.values()]
             if carried:
                 memo.append(carried)
             self.memo = memo
@@ -137,8 +144,8 @@ class ReferenceCache(DerivationCache):
     def _remember(self, key: str, pairs: tuple[tuple[str, str], ...],
                   duration: float) -> None:
         entry = self._entries.setdefault(key, _Entry())
-        entry.groups.setdefault(frozenset(pairs), pairs)
-        entry.duration = max(entry.duration, duration)
+        entry.groups.pop(frozenset(pairs), None)
+        entry.groups[frozenset(pairs)] = (pairs, duration)
 
     def sync(self) -> int:
         """Absorb the runs appended to the shared memo since last time.
@@ -161,7 +168,7 @@ class ReferenceCache(DerivationCache):
               **_lookup: Any) -> CacheHit | None:
         """Newest remembered run for ``key`` that is still reusable.
 
-        Groups are tried newest first, in the order they were stored.
+        Groups are tried newest first, each where it was last recorded.
         One is taken only when it covers the requested output types,
         its instances re-derive ``key`` (:meth:`_derives`) and they are
         up to date version-wise; a stale group is skipped and counted
@@ -172,8 +179,7 @@ class ReferenceCache(DerivationCache):
             self.sync()
             entry = self._entries.get(key) or _Entry()
             groups = list(entry.groups.values())
-            duration = entry.duration
-        for group in reversed(groups):
+        for group, duration in reversed(groups):
             types = sorted(entity_type for entity_type, _ in group)
             if types != wanted:
                 continue

@@ -1,9 +1,12 @@
-"""The lazy memo index and the same-derivation shortcut against the cache
-they replaced (``tests/cache_reference.py``).
+"""The lazy memo index and the same-derivation shortcut against the eager
+reference (``tests/cache_reference.py``).
 
 The cache indexes each memo line in the writer's form by key without
 decoding it, decodes only the asked key's lines, newest first, and does
-not re-key a group whose derivation record is the lookup's own.
+not re-key a group whose derivation record is the lookup's own.  Its
+first lookup indexes the memo from the last line back, only until the
+asked key has a run to try; later lookups carry on from there, and
+lines appended meanwhile are indexed as newer than all of them.
 Hypothesis builds random histories (forced reruns, batch inputs with
 repeats, two-output runs, compositions, edited inputs, inputs with
 identical content) and random memo logs over them (duplicate keys, a
@@ -11,14 +14,17 @@ group written twice, torn and wrong-shape lines, old ``sig`` lines,
 foreign ids, non-compact encodings).  On every log both caches must
 pick the same group and count the same hits, misses, invalidations and
 savings, read the same number of entries, hold the same number of keys
-and carry the same lines over to a new memo.  The count test shows
-that a hit's memo decodes, derivation keys and store reads do not grow
-with the number of runs the directory has seen.
+and carry the same lines over to a new memo, whether or not ``len()``
+indexes the whole memo between lookups.  The count test shows that a
+hit's memo decodes, derivation keys and store reads, and the memo
+entries a reuse run indexes, do not grow with the number of runs the
+directory has seen.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -26,7 +32,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DesignEnvironment
-from repro.execution import DerivationCache, encapsulation, shared_memo
+from repro.execution import (DerivationCache, cache as cache_module,
+                             encapsulation, shared_memo)
 from repro.history.instance import DerivationRecord
 from repro.history.store import BACKEND_JSON, BACKEND_SQLITE
 from repro.obs.profiling import QueryRecorder
@@ -294,8 +301,81 @@ def test_lookups_match_reference(tmp_path_factory, data):
     assert_same(new, old)
 
 
-def test_a_group_written_twice_keeps_its_first_position(tmp_path):
-    """Runs A, B, then A again: A was recorded first, so B is newer."""
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_lookups_alone_match_reference(tmp_path_factory, data):
+    """Lookups with no ``len()`` or ``sync()`` between them, so the memo
+    is indexed back only as far as each lookup needs, while lines are
+    appended and runs stored in process between lookups."""
+    env, keyer, runs, strays = build_history(data)
+    near = near_misses(keyer, runs)
+    if not runs:
+        return
+    directory = tmp_path_factory.mktemp("lazy")
+    # one copy of the log per cache: the carry-over at the end publishes
+    # each cache's stored runs to its own memo
+    paths = (directory / "new-memo.jsonl", directory / "old-memo.jsonl")
+    lines = draw_log(data, runs, near)
+    split = data.draw(st.integers(0, len(lines)), label="split")
+    tail = b""
+    if data.draw(st.booleans(), label="torn tail"):
+        whole = memo_line(*runs[-1][:2], 1.0)
+        tail = whole[:data.draw(st.integers(1, len(whole) - 1))]
+    new = DerivationCache(env.db, env.registry)
+    old = ReferenceCache(env.db, env.registry)
+    for cache, path in zip((new, old), paths):
+        path.write_bytes(b"".join(lines[:split]) + tail)
+        cache.attach_shared_memo(path)
+    lookups = [source for _, _, source in runs + near] + strays
+    steps = ["lookup"] + data.draw(st.lists(st.sampled_from(
+        ("lookup", "lookup", "lookup", "append", "store")), max_size=24),
+        label="steps")
+    for step in steps:
+        if step == "append":  # ends the torn tail, if any
+            count = data.draw(st.integers(1, 3), label="appended")
+            for path in paths:
+                with path.open("ab") as handle:
+                    handle.write(b"".join(lines[split:split + count]))
+            split += count
+        elif step == "store":
+            key, pairs, _ = data.draw(st.sampled_from(runs), label="stored")
+            duration = data.draw(st.sampled_from(DURATIONS),
+                                 label="stored duration")
+            for cache in (new, old):
+                cache.store(key, pairs, duration)
+        else:
+            source = data.draw(st.sampled_from(lookups), label="lookup")
+            assert lookup(new, keyer, source) == lookup(old, keyer, source)
+            assert new.stats == old.stats
+    assert len(new) == len(old)
+    for name, cache in (("new.jsonl", new), ("old.jsonl", old)):
+        cache.attach_shared_memo(directory / name)
+    carried = [(directory / name).read_bytes()
+               if (directory / name).exists() else None
+               for name in ("new.jsonl", "old.jsonl")]
+    assert carried[0] == carried[1]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_scan_back_is_scan_reversed(data):
+    """The backward reader yields the entries of every line the forward
+    one does, torn, wrong-shape and empty lines included, last first."""
+    _, keyer, runs, _ = build_history(data)
+    if not runs:
+        return
+    block = b"".join(draw_log(data, runs, near_misses(keyer, runs)))
+    block += b"\n" * data.draw(st.integers(0, 2), label="empty lines")
+    assert list(shared_memo.scan_back(block)) == \
+        list(shared_memo.scan(block))[::-1]
+
+
+def test_a_group_written_twice_counts_as_its_newest_record(tmp_path):
+    """Runs A, B, then A again: A's newest record is the last line, so A
+    is newer than B, and a hit on A saves that record's duration."""
     env = DesignEnvironment(SCHEMA, user="tester")
     tool_id = env.install_tool("Tool", encapsulation("memo-tool", tool),
                                name="t0").instance_id
@@ -307,13 +387,15 @@ def test_a_group_written_twice_keeps_its_first_position(tmp_path):
         tool_id, (("a", source),), f"run#{run}")).instance_id
         for run in range(2)]
     path = tmp_path / "memo.jsonl"
-    path.write_bytes(b"".join(memo_line(key, (("Out", i),), 0.5) + b"\n"
-                              for i in (ids[0], ids[1], ids[0])))
+    path.write_bytes(b"".join(
+        memo_line(key, (("Out", i),), duration) + b"\n"
+        for i, duration in ((ids[0], 0.5), (ids[1], 3.0), (ids[0], 1.25))))
     for cache_class in (DerivationCache, ReferenceCache):
         cache = cache_class(env.db, env.registry)
         cache.attach_shared_memo(path)
         hit = cache.fetch(key, ["Out"], tool_id=tool_id, combo=combo)
-        assert hit.instance_ids == (ids[1],)
+        assert hit.instance_ids == (ids[0],)
+        assert hit.saved == 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +434,20 @@ def grown_scenario(directory, backend, forced):
     return env
 
 
+def counted_scan(scan, counts):
+    """``scan`` (or ``scan_back``), counting the entries it hands over."""
+    def counted(block):
+        for entry in scan(block):
+            counts["indexed"] += 1
+            yield entry
+    return counted
+
+
 def reuse_counts(directory, backend, forced, monkeypatch):
     """Per hit: memo lines decoded, derivation keys computed and store
-    reads by statement, for a ``reuse`` run after ``forced`` forced
-    ``readwrite`` runs of a saved corpus scenario."""
+    reads by statement; and the memo entries indexed, for a ``reuse``
+    run after ``forced`` forced ``readwrite`` runs of a saved corpus
+    scenario."""
     env = grown_scenario(directory, backend, forced)
     flow = env.plan_flow(MAIN_FLOW)
     counting = CountingJson()
@@ -368,6 +460,9 @@ def reuse_counts(directory, backend, forced, monkeypatch):
 
     monkeypatch.setattr(shared_memo, "json", counting)
     monkeypatch.setattr(DerivationCache, "_key", counted_key)
+    for name in ("scan", "scan_back"):
+        monkeypatch.setattr(cache_module, name,
+                            counted_scan(getattr(shared_memo, name), keys))
     recorder = QueryRecorder()
     env.db.store.set_query_recorder(recorder)
     try:
@@ -380,7 +475,8 @@ def reuse_counts(directory, backend, forced, monkeypatch):
     assert hits and report.runs == 0
     reads = {entry["statement"]: entry["count"] / hits
              for entry in recorder.snapshot().values()}
-    return counting.decoded / hits, keys["keys"] / hits, reads
+    return (counting.decoded / hits, keys["keys"] / hits, reads,
+            keys["indexed"])
 
 
 @pytest.mark.parametrize("backend", (BACKEND_JSON, BACKEND_SQLITE))
@@ -389,8 +485,30 @@ def test_hit_cost_does_not_grow_with_forced_runs(backend, tmp_path,
     few = reuse_counts(tmp_path / "few", backend, 8, monkeypatch)
     many = reuse_counts(tmp_path / "many", backend, 64, monkeypatch)
     assert few == many
-    decoded, keys, _ = few
-    assert decoded == 1 and keys == 1
+    decoded, keys, _, indexed = few
+    assert decoded == 1 and keys == 1 and indexed > 0
+
+
+def test_a_reuse_run_and_save_resolve_no_path(tmp_path, monkeypatch):
+    """Saving a loaded directory points its cache at the memo it already
+    reads: the paths compare equal as given, and a load, a ``reuse``
+    run and a save call no ``Path.resolve``."""
+    grown_scenario(tmp_path, BACKEND_JSON, 1).db.store.close()
+    resolved = []
+    resolve = pathlib.Path.resolve
+
+    def counted_resolve(self, *args, **kwargs):
+        resolved.append(self)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "resolve", counted_resolve)
+    env = load_environment(tmp_path)
+    register_corpus_encapsulations(env)
+    report = env.executor(cache="reuse").execute(env.plan_flow(MAIN_FLOW))
+    save_environment(env, tmp_path)
+    env.db.store.close()
+    assert report.cache_hits and report.runs == 0
+    assert resolved == []
 
 
 def test_blob_answers_are_memoised_only_when_found():

@@ -1,15 +1,16 @@
-"""Each remembered run is kept once, in one form, with its first record.
+"""Each remembered run is kept once, in one form, with its newest record.
 
 The cache keys a derivation key's runs by their member set, read off the
-outputs JSON in the memo writer's form, and drops a repeat when it is
-remembered.  Hypothesis feeds it runs whose entity types and instance
-ids hold what matters to that key — ``"],["``, quotes, backslashes,
-newlines and non-ASCII characters — through ``store``, through memo lines
-in the writer's form and through the fallback encodings, each group
-re-recorded in another order and with a repeated pair.  The cache must
-match the one it replaced (``tests/cache_reference.py``) on the groups
-it picks, its statistics, its ``sync`` counts, its size and the lines it
-carries over to another memo.
+outputs JSON in the memo writer's form, and keeps one record of a run
+remembered twice, its newest.  Hypothesis feeds it runs whose entity
+types and instance ids hold what matters to that key — ``"],["``,
+quotes, backslashes, newlines and non-ASCII characters — through
+``store``, through memo lines in the writer's form and through the
+fallback encodings, each group re-recorded in another order and with a
+repeated pair.  The cache must match the eager reference
+(``tests/cache_reference.py``) on the groups it picks, its statistics,
+its ``sync`` counts, its size and the lines it carries over to another
+memo.
 """
 
 from __future__ import annotations
@@ -173,4 +174,5 @@ def test_a_published_run_is_kept_once(tmp_path):
     cache = env.cache
     assert cache.sync() == 5  # the run's own lines, read back
     assert len(cache) == 5
-    assert [len(entry.runs) for entry in cache._entries.values()] == [1] * 5
+    assert [len(entry.newest_first())
+            for entry in cache._entries.values()] == [1] * 5

@@ -20,6 +20,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.execution import DesignEnvironment, encapsulation, procpool
-from repro.history.database import HistoryDatabase
 from repro.history.instance import EntityInstance
 from repro.history.sqlite_store import AUDITED_QUERIES, SqliteHistoryStore
 from repro.history.store import InMemoryHistoryStore
@@ -859,6 +859,33 @@ class TestExecutorIntegration:
             env.profiler.stop()
         assert forks == [set(), set()]
         assert env.profiler.aggregate.sample_count("Tool") > 0
+
+    def test_memory_profiled_pool_traces_only_in_workers(self,
+                                                         monkeypatch):
+        """The coordinator brackets no tool body, so under memory
+        profiling it never traces: ``tracemalloc`` is off at every fork
+        and after the run, while each worker traces its own bodies and
+        reports their peaks."""
+        env = fan_env()
+        env.profiler = SamplingProfiler(0.001, track_memory=True)
+        tracing = []
+        start = procpool._WorkerHandle.start
+
+        def spy(handle):
+            tracing.append(tracemalloc.is_tracing())
+            start(handle)
+
+        monkeypatch.setattr(procpool._WorkerHandle, "start", spy)
+        env.profiler.start()
+        try:
+            env.process_executor(workers=2).execute(fan_flow(env))
+            tracing.append(tracemalloc.is_tracing())
+        finally:
+            env.profiler.stop()
+        assert tracing == [False, False, False]
+        tools = env.profiler.summary()["tools"]
+        assert tools["Tool"]["calls"] == 4
+        assert tools["Tool"]["mem_peak_kb"] > 0
 
     def test_profiled_run_lands_in_the_ledger(self, tmp_path):
         env = fan_env()
